@@ -605,8 +605,10 @@ def dispatch(argv=None) -> int:
     """
     t0 = time.perf_counter()
     parser = _build_parser()
+    out = None
     try:
         args = parser.parse_args(argv)
+        out = args.out
         cfg = _load_config(args.config) if args.config else {}
         res = _Resolver(args, cfg)
         handler = _HANDLERS[args.subcommand]
@@ -615,17 +617,16 @@ def dispatch(argv=None) -> int:
             k: v for k, v in res.resolved.items() if k in ("nodes",) and v is not None
         }
         report = _envelope(args.subcommand, res, results, t0, node_counts)
-        _emit(report, args.out)
+        _emit(report, out)
         return 0 if ok else 2
     except _UsageError as exc:
-        _emit({"schema": 1, "error": {"type": "usage", "message": str(exc)}},
-              getattr(args, "out", None) if "args" in locals() else None)
+        _emit({"schema": 1, "error": {"type": "usage", "message": str(exc)}}, out)
         return 1
     except ParameterError as exc:
-        _emit({"schema": 1, "error": {"type": "validation", "message": str(exc)}}, None)
+        _emit({"schema": 1, "error": {"type": "validation", "message": str(exc)}}, out)
         return 1
     except (NumericalError, BetaJacobiError) as exc:
-        _emit({"schema": 1, "error": {"type": "numerical", "message": str(exc)}}, None)
+        _emit({"schema": 1, "error": {"type": "numerical", "message": str(exc)}}, out)
         return 2
 
 

@@ -118,9 +118,25 @@ def jacobi_poincare_check(
     )
 
 
-def _quantile_grid(nodes: int):
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (1.0 + t), 0.5 * w
+def _comonotone_setup(n: int, p: float, q: float, nodes: int):
+    """Shared set-up of the coupling gaps.
+
+    Returns the quantile levels u and their weights (Gauss-Legendre on
+    [0, 1]), the quantiles of Y ~ sqrt(Beta(np, nq)) at u, and the
+    Gaussian model's mu and sigma.
+    """
+    if p <= 0 or q <= 0:
+        raise ParameterError("p and q must be positive")
+    if n <= max(1.0 / p, 1.0 / q):
+        raise ParameterError("need n > max(1/p, 1/q)")
+    t, w = spectral._gauss_legendre(nodes)
+    u = 0.5 * (1.0 + t)
+    yq = np.sqrt(betaincinv(n * p, n * q, u))
+    if not np.all(np.isfinite(yq)):
+        raise ParameterError("Beta quantile inversion failed")
+    mu = math.sqrt(p / (p + q))
+    sigma = math.sqrt(q) / (2.0 * (p + q) * math.sqrt(n))
+    return u, 0.5 * w, yq, mu, sigma
 
 
 def coupling_gap(n: int, p: float, q: float, nodes: int = 4096) -> float:
@@ -130,27 +146,12 @@ def coupling_gap(n: int, p: float, q: float, nodes: int = 4096) -> float:
     sqrt(n)), X standard normal.  Quantile-grid quadrature; the monotone
     pairing minimizes the expected squared distance in one dimension.
     """
-    if p <= 0 or q <= 0:
-        raise ParameterError("p and q must be positive")
-    if n <= max(1.0 / p, 1.0 / q):
-        raise ParameterError("need n > max(1/p, 1/q)")
-    u, w = _quantile_grid(nodes)
-    yq = np.sqrt(betaincinv(n * p, n * q, u))
-    if not np.all(np.isfinite(yq)):
-        raise ParameterError("Beta quantile inversion failed")
-    xq = ndtri(u)
-    mu = math.sqrt(p / (p + q))
-    sigma = math.sqrt(q) / (2.0 * (p + q) * math.sqrt(n))
-    diff = yq - mu - sigma * xq
+    u, w, yq, mu, sigma = _comonotone_setup(n, p, q, nodes)
+    diff = yq - mu - sigma * ndtri(u)
     return float(w @ (diff * diff))
 
 
 def independent_coupling_gap(n: int, p: float, q: float, nodes: int = 4096) -> float:
     """E (Y - mu - sigma X)^2 when Y and X are independent: E(Y-mu)^2 + sigma^2."""
-    if n <= max(1.0 / p, 1.0 / q):
-        raise ParameterError("need n > max(1/p, 1/q)")
-    u, w = _quantile_grid(nodes)
-    yq = np.sqrt(betaincinv(n * p, n * q, u))
-    mu = math.sqrt(p / (p + q))
-    sigma = math.sqrt(q) / (2.0 * (p + q) * math.sqrt(n))
+    _, w, yq, mu, sigma = _comonotone_setup(n, p, q, nodes)
     return float(w @ ((yq - mu) ** 2)) + sigma * sigma

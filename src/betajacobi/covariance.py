@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import ParameterError, QuadratureError
 from .params import AsymptoticParams, SupportInterval
 from .paths import weight_polynomial
@@ -82,14 +83,14 @@ def entry_weights(sigma, asym: AsymptoticParams):
     return x, y
 
 
-def _gauss_legendre(nodes: int, lo: float, hi: float):
-    t, w = np.polynomial.legendre.leggauss(nodes)
+def _sigma_rule(nodes: int, lo: float, hi: float):
+    t, w = spectral._gauss_legendre(nodes)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * t, half * w
 
 
 def _sigma_integral(k: int, l: int, asym: AsymptoticParams, nodes: int) -> float:
-    sig, w = _gauss_legendre(nodes, -asym.a, 0.0)
+    sig, w = _sigma_rule(nodes, -asym.a, 0.0)
     x, y = entry_weights(sig, asym)
     pk, pl = weight_polynomial(k), weight_polynomial(l)
     dxk, dyk = pk.dx(x, y), pk.dy(x, y)
@@ -131,7 +132,7 @@ def covariance_matrix(
     asym.require_bulk()
 
     def fill(n_nodes: int) -> np.ndarray:
-        sig, w = _gauss_legendre(n_nodes, -asym.a, 0.0)
+        sig, w = _sigma_rule(n_nodes, -asym.a, 0.0)
         x, y = entry_weights(sig, asym)
         dx = np.empty((K, n_nodes))
         dy = np.empty((K, n_nodes))

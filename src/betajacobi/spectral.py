@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from . import eig
 from .errors import ParameterError, QuadratureError
@@ -44,6 +46,9 @@ __all__ = [
 ]
 
 DEFAULT_NODES = 2048
+# |q| past which jacobi_probability_quadrature rescales its recurrence; its
+# square, summed over every recurrence step, stays far inside the float range
+_RESCALE_AT = 2.0**256
 
 
 @dataclass(frozen=True)
@@ -179,6 +184,23 @@ def _theta_grid(nodes: int):
     w[0] *= 0.5
     w[-1] *= 0.5
     return theta, w
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], cached per node count.
+
+    Built by scipy's roots_legendre (Golub-Welsch plus Newton polishing):
+    O(nodes^2) time and O(nodes) memory, where a dense eigensolve of the
+    companion matrix costs O(nodes^3) and O(nodes^2).  The arrays are
+    shared by every caller, so they are read-only.
+    """
+    if nodes < 1:
+        raise ParameterError("need at least one Gauss-Legendre node")
+    t, w = roots_legendre(nodes)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 @dataclass(frozen=True)
@@ -420,9 +442,13 @@ def jacobi_probability_quadrature(nnodes: int, p_shape: float, q_shape: float):
     diag, offsq = jacobi_recurrence_01(nnodes, p_shape - 1.0, q_shape - 1.0)
     off = np.sqrt(offsq[1:nnodes])
     nodes = eig.eigenvalues(SymTridiagonal(diag=diag, off=off)).values
-    # orthonormal recurrence evaluated at the nodes
+    # orthonormal recurrence evaluated at the nodes; at large shapes the
+    # values grow past the float range, so once |q| at a node passes
+    # _RESCALE_AT its q's and sum are divided by a power of two (exact),
+    # whose exponent is carried in `scale` and restored in the weight
     qprev = np.ones_like(nodes)
     total = qprev.copy()
+    scale = np.zeros(nodes.shape, dtype=int)
     if nnodes > 1:
         qcur = (nodes - diag[0]) / off[0]
         total += qcur * qcur
@@ -430,4 +456,11 @@ def jacobi_probability_quadrature(nnodes: int, p_shape: float, q_shape: float):
             qnext = ((nodes - diag[k]) * qcur - off[k - 1] * qprev) / off[k]
             qprev, qcur = qcur, qnext
             total += qcur * qcur
-    return nodes, 1.0 / total
+            big = np.abs(qcur) > _RESCALE_AT
+            if big.any():
+                shift = np.where(big, np.frexp(qcur)[1], 0)
+                qprev = np.ldexp(qprev, -shift)
+                qcur = np.ldexp(qcur, -shift)
+                total = np.ldexp(total, -2 * shift)
+                scale += shift
+    return nodes, np.ldexp(1.0 / total, -2 * scale)

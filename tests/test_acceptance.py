@@ -273,7 +273,6 @@ def test_criterion_12_concentration():
             f"poincare max {worst_ratio:.6f}, equality gap {worst_eq:.1e}; " + "; ".join(jac_detail))
 
 
-@pytest.mark.slow
 def test_criterion_13_coupling():
     scaled = [n * n * conc.coupling_gap(n, 1.0, 1.0) for n in (100, 1000, 10000)]
     band = max(scaled) / min(scaled)

@@ -154,3 +154,13 @@ def test_verify_all_quick(capsys):
     assert "bridge-combinatorics" in doc["results"]["families"]
     # one pass/fail line per family precedes the JSON report
     assert out.count("[PASS]") >= 10
+
+
+def test_validation_error_honours_out(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, out = _run(
+        capsys, "--out", str(report), "sample", "--n", "10", "--n1", "5", "--n2", "30"
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(report.read_text())["error"]["type"] == "validation"

@@ -102,3 +102,15 @@ def test_coupling_gap_asymmetric_shapes():
 def test_coupling_gap_domain():
     with pytest.raises(ParameterError):
         conc.coupling_gap(1, 0.25, 0.25)  # n <= 1/p
+
+
+@pytest.mark.parametrize("n,seed_value", [(100, 5.850784886689607e-07), (1000, 5.858502152085262e-09)])
+def test_coupling_gap_seed_values(n, seed_value):
+    assert conc.coupling_gap(n, 1.0, 1.0) == pytest.approx(seed_value, rel=1e-9)
+
+
+@pytest.mark.parametrize("p,q", [(0.0, 1.0), (-0.5, 1.0), (1.0, 0.0)])
+def test_coupling_gaps_reject_nonpositive_shapes(p, q):
+    for gap in (conc.coupling_gap, conc.independent_coupling_gap):
+        with pytest.raises(ParameterError):
+            gap(100, p, q)

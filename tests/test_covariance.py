@@ -154,3 +154,12 @@ def test_partial_sum_converges_monotonically(asym, support):
     ]
     assert all(errs[i + 1] <= errs[i] for i in range(3))
     assert errs[-1] <= 1e-6
+
+
+@pytest.mark.parametrize("K", [8, 40])
+def test_covariance_matrix_matches_numpy_rule(asym, monkeypatch, K):
+    cov = covariance.covariance_matrix(K, asym)
+    monkeypatch.setattr(spectral, "_gauss_legendre", np.polynomial.legendre.leggauss)
+    ref = covariance.covariance_matrix(K, asym)
+    assert np.max(np.abs(cov.entries - ref.entries)) <= 1e-13
+    assert cov.error_estimate == pytest.approx(ref.error_estimate, abs=1e-13)

@@ -238,3 +238,40 @@ def test_quadrature_rejects_nonfinite(asym):
     bad = spectral.TestFunction(fn=lambda x: np.where(x > 0.5, np.inf, 1.0), name="bad")
     with pytest.raises(Exception):
         spectral.integrate_density(bad, asym)
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    t, w = spectral._gauss_legendre(64)
+    t2, w2 = spectral._gauss_legendre(64)
+    assert t2 is t and w2 is w
+    assert not t.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        t[0] = 0.0
+    with pytest.raises(ParameterError):
+        spectral._gauss_legendre(0)
+
+
+@pytest.mark.parametrize("nodes", [64, 512])
+def test_gauss_legendre_rule_matches_numpy(nodes):
+    t, w = spectral._gauss_legendre(nodes)
+    t_ref, w_ref = np.polynomial.legendre.leggauss(nodes)
+    assert np.max(np.abs(t - t_ref)) <= 1e-15
+    # both rules lose digits in the weights of the outermost nodes
+    interior = np.abs(t_ref) < 0.9
+    assert np.max(np.abs(w[interior] / w_ref[interior] - 1.0)) <= 1e-12
+    assert w.sum() == pytest.approx(2.0, rel=1e-13)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "nnodes,p,q",
+    [(800, 1e3, 1e3), (400, 1e4, 1e4), (800, 1e4, 1e4), (800, 1e4, 3.0)],
+)
+def test_jacobi_probability_quadrature_large_shapes(nnodes, p, q):
+    nodes, w = spectral.jacobi_probability_quadrature(nnodes, p, q)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+    assert w.sum() == pytest.approx(1.0, rel=1e-12)
+    mean = p / (p + q)
+    assert float(w @ nodes) == pytest.approx(mean, rel=1e-10)
+    exact_var = p * q / ((p + q) ** 2 * (p + q + 1))
+    assert float(w @ (nodes - mean) ** 2) == pytest.approx(exact_var, rel=1e-9)

@@ -206,15 +206,15 @@ def _parse_funcs(spec_str: str, params: EnsembleParams) -> list:
             lo_s, hi_s = token.split("..", 1)
             if not (lo_s.startswith("gamma") and hi_s.startswith("gamma")):
                 raise _UsageError(f"bad function range {token!r}")
-            lo, hi = int(lo_s[5:]), int(hi_s[5:])
+            lo, hi = _order(lo_s[5:], token), _order(hi_s[5:], token)
             for m in range(lo, hi + 1):
                 out.append(spectral.chebyshev_test_function(m, _need(support)))
         elif token.startswith("gamma"):
-            out.append(spectral.chebyshev_test_function(int(token[5:]), _need(support)))
+            out.append(spectral.chebyshev_test_function(_order(token[5:], token), _need(support)))
         elif token == "x":
             out.append(spectral.monomial(1))
         elif token.startswith("x^") or (token.startswith("x") and token[1:].isdigit()):
-            out.append(spectral.monomial(int(token.lstrip("x^"))))
+            out.append(spectral.monomial(_order(token.lstrip("x^"), token)))
         elif token == "exp":
             out.append(spectral.exp_function())
         elif token == "pwl":
@@ -224,6 +224,12 @@ def _parse_funcs(spec_str: str, params: EnsembleParams) -> list:
     if not out:
         raise _UsageError("no test functions given")
     return out
+
+
+def _order(digits: str, token: str) -> int:
+    if not (digits.isascii() and digits.isdigit()):
+        raise _UsageError(f"bad order in test function {token!r}")
+    return int(digits)
 
 
 def _need(support):

@@ -9,9 +9,10 @@ recurrence machinery (no new solver); the coupling uses the comonotone
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebmul
 from scipy.special import betaincinv, ndtri
 
 from . import eig, model, spectral
@@ -83,6 +84,8 @@ def jacobi_poincare_check(
 
     Compares Var tr f(A) with (alpha / (4 n min(p-1, q-1))) E sum f'(l_i)^2,
     both estimated over the replicate set; standard errors are attached.
+    For polynomial f both come from the banded Chebyshev traces, since
+    sum f'(l_i)^2 = tr (f')^2(A); otherwise from the spectrum.
     Requires the non-extremal regime p, q > 1.
     """
     if f.derivative is None:
@@ -93,14 +96,28 @@ def jacobi_poincare_check(
     margin = min(asym.p - 1.0, asym.q - 1.0)
     if margin <= 0:
         raise ExtremalRegimeError("variance bound needs p > 1 and q > 1")
+    if f.is_polynomial:
+        # sum f'(l_i)^2 = tr (f')^2(A): both statistics are Chebyshev traces
+        form = f.chebyshev
+        dform = chebder(form.coeffs, scl=1.0 / form.half_width)
+        grad_form = replace(form, coeffs=tuple(chebmul(dform, dform)))
+        rows = spectral._chebyshev_rows([form, grad_form], form.center, form.half_width)
+
+        def statistics(gram):
+            K = rows.shape[1] - 1
+            return rows @ model.chebyshev_traces(gram, form.center, form.half_width, K)
+
+    else:
+
+        def statistics(gram):
+            lam = eig.eigenvalues(gram).values
+            return np.sum(f(lam)), np.sum(np.asarray(f.derivative(lam), dtype=float) ** 2)
+
     traces = np.empty(replicates)
     grads = np.empty(replicates)
     for m in range(replicates):
         rng = model.replicate_stream(seed, m)
-        factor = model.sample_factor(params, rng)
-        lam = eig.eigenvalues(model.assemble_gram(factor)).values
-        traces[m] = np.sum(f(lam))
-        grads[m] = np.sum(np.asarray(f.derivative(lam), dtype=float) ** 2)
+        traces[m], grads[m] = statistics(model.assemble_gram(model.sample_factor(params, rng)))
     centered = traces - traces.mean()
     variance = float(centered @ centered) / (replicates - 1)
     m2 = centered**2

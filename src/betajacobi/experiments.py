@@ -4,9 +4,11 @@ p = q = 1 moments.
 
 Replicates run on disjoint counter-based streams keyed by (seed, replicate),
 and per-replicate results land in preallocated slots, so a run is
-bit-reproducible regardless of the thread count.  Linear statistics of
-polynomial test functions are evaluated through exact banded power traces;
-everything else goes through the eigensolver.
+bit-reproducible regardless of the thread count.  When every test function
+is a polynomial, its Chebyshev form is moved once per run onto the run's map
+(the support, or [0, 1] for extremal parameters) and tr f(A) is a dot product
+with the banded Chebyshev traces of model.chebyshev_traces; otherwise every
+function is evaluated on the eigensolver's spectrum.
 """
 
 from __future__ import annotations
@@ -158,33 +160,31 @@ def ks_normal_distance(x: np.ndarray) -> float:
     return float(max(np.max(i / m - cdf), np.max(cdf - (i - 1) / m)))
 
 
-def _poly_eval_traces(coeffs: Sequence[float], n: int, traces: np.ndarray) -> float:
-    total = float(coeffs[0]) * n
-    for j in range(1, len(coeffs)):
-        total += float(coeffs[j]) * traces[j - 1]
-    return total
+def _trace_statistic(
+    funcs: Sequence[spectral.TestFunction], center: float = 0.5, half_width: float = 0.5
+):
+    """gram -> [tr f(A) for f in funcs].
 
+    When every function is a polynomial, its Chebyshev form is moved once
+    onto the map (center, half_width), by default [0, 1], and each replicate
+    costs one call of the trace engine; otherwise every function is summed
+    over the spectrum.
+    """
+    if all(f.is_polynomial for f in funcs):
+        rows = spectral._chebyshev_rows([f.chebyshev for f in funcs], center, half_width)
+        K = rows.shape[1] - 1
+        return lambda gram: rows @ model.chebyshev_traces(gram, center, half_width, K)
 
-def _replicate_stats(
-    params: EnsembleParams,
-    funcs: Sequence[spectral.TestFunction],
-    seed: int,
-    m: int,
-    max_deg: int,
-) -> np.ndarray:
-    rng = model.replicate_stream(seed, m)
-    factor = model.sample_factor(params, rng)
-    gram = model.assemble_gram(factor)
-    out = np.empty(len(funcs))
-    if max_deg >= 0:
-        traces = model.power_traces(gram, max_deg) if max_deg >= 1 else np.empty(0)
-        for j, f in enumerate(funcs):
-            out[j] = _poly_eval_traces(f.poly_coeffs, params.n, traces)
-    else:
+    def spectrum_sums(gram):
         lam = eig.eigenvalues(gram).values
-        for j, f in enumerate(funcs):
-            out[j] = float(np.sum(f(lam)))
-    return out
+        return np.array([float(np.sum(f(lam))) for f in funcs])
+
+    return spectrum_sums
+
+
+def _replicate_stats(params: EnsembleParams, seed: int, m: int, statistic) -> np.ndarray:
+    rng = model.replicate_stream(seed, m)
+    return statistic(model.assemble_gram(model.sample_factor(params, rng)))
 
 
 def run_fluctuations(config: ExperimentConfig) -> RunResult:
@@ -198,13 +198,18 @@ def run_fluctuations(config: ExperimentConfig) -> RunResult:
     t0 = time.perf_counter()
     params = config.params
     funcs = list(config.test_functions)
-    all_poly = all(f.is_polynomial for f in funcs)
-    max_deg = max((len(f.poly_coeffs) - 1 for f in funcs), default=0) if all_poly else -1
+    asym = derive_asymptotic(params)
+    if asym.extremal:
+        support = None
+        statistic = _trace_statistic(funcs)
+    else:
+        support = SupportInterval.from_shape(asym.a, asym.b)
+        statistic = _trace_statistic(funcs, support.center, support.half_width)
     raw = np.empty((config.replicates, len(funcs)))
 
     def work(lo: int, hi: int) -> None:
         for m in range(lo, hi):
-            raw[m] = _replicate_stats(params, funcs, config.seed, m, max_deg)
+            raw[m] = _replicate_stats(params, config.seed, m, statistic)
 
     if config.threads > 1:
         chunk = (config.replicates + config.threads - 1) // config.threads
@@ -225,12 +230,10 @@ def run_fluctuations(config: ExperimentConfig) -> RunResult:
     kurt = np.array([excess_kurtosis(samples[:, j]) for j in range(len(funcs))])
     ks = np.array([ks_normal_distance(samples[:, j]) for j in range(len(funcs))])
 
-    asym = derive_asymptotic(params)
     theory_sigma = None
     theory_cov = None
     nodes = 0
-    if not asym.extremal:
-        support = SupportInterval.from_shape(asym.a, asym.b)
+    if support is not None:
         nodes = spectral.DEFAULT_NODES
         coeff_rows = np.empty((len(funcs), THEORY_N + 1))
         sig = np.empty(len(funcs))
@@ -299,6 +302,8 @@ def lln_check(
     """
     if regime not in _REGIMES:
         raise ParameterError(f"regime must be one of {_REGIMES}")
+    form = f.chebyshev
+    statistic = _trace_statistic([f], form.center, form.half_width) if form else _trace_statistic([f])
     out = []
     for n in sizes:
         if regime == "sublinear":
@@ -313,9 +318,7 @@ def lln_check(
         params = EnsembleParams(n=n, beta=beta, n1=n1, n2=n2)
         acc = 0.0
         for m in range(replicates):
-            rng = model.replicate_stream(seed, m)
-            lam = eig.eigenvalues(model.assemble_gram(model.sample_factor(params, rng))).values
-            acc += float(np.sum(f(lam))) / n
+            acc += float(_replicate_stats(params, seed, m, statistic)[0]) / n
         out.append(LLNPoint(n=n, n1=n1, n2=n2, value=acc / replicates, target=target))
     return out
 

@@ -13,12 +13,17 @@ The eigenvalues of A = BB^T then follow the beta-Jacobi law.
 Sampling is pure given an explicit generator stream; factors are immutable.
 Replicate-level parallelism uses disjoint counter-based streams, so results
 are bit-reproducible independent of thread count.
+
+Polynomial linear statistics need no eigensolve: chebyshev_traces returns
+tr T_k((A - cI)/r) for k <= K from the banded Chebyshev recurrence, so any
+polynomial written in that basis is a dot product with its coefficients.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,7 +41,7 @@ __all__ = [
     "assemble_gram",
     "factor_to_dense",
     "gram_to_dense",
-    "power_traces",
+    "chebyshev_traces",
     "frobenius_gap_sq",
     "dump_factor_csv",
 ]
@@ -140,7 +145,13 @@ def beta_sample(spec: BetaSpec, rng: np.random.Generator) -> float:
     )
 
 
+@lru_cache(maxsize=16)
 def _shape_arrays(params: EnsembleParams):
+    """Beta shape pairs of the c and c' draws, cached per parameter set.
+
+    Every replicate of a run needs the same arrays, so they are built once;
+    they are shared, hence read-only.
+    """
     n, h = params.n, 0.5 * params.beta
     i = np.arange(1, n + 1, dtype=np.float64)
     j = np.arange(1, n, dtype=np.float64)
@@ -151,6 +162,7 @@ def _shape_arrays(params: EnsembleParams):
             raise ParameterError(
                 "nonpositive Beta shape; parameters violate n1, n2 > n - 1"
             )
+        arr.setflags(write=False)
     return c_shapes, cp_shapes
 
 
@@ -208,47 +220,58 @@ def gram_to_dense(gram: SymTridiagonal) -> np.ndarray:
     return out
 
 
-def _shifted(arr: np.ndarray, s: int, n: int) -> np.ndarray:
-    """out[i] = arr[i + s] where defined, else 0; out has length n."""
-    out = np.zeros(n)
-    lo = max(0, -s)
-    hi = min(n, arr.shape[0] - s)
-    if hi > lo:
-        out[lo:hi] = arr[lo + s : hi + s]
-    return out
+def chebyshev_traces(gram: SymTridiagonal, center: float, half_width: float, K: int) -> np.ndarray:
+    """[tr T_0(B), ..., tr T_K(B)] for B = (A - center I) / half_width.
 
-
-def power_traces(gram: SymTridiagonal, kmax: int) -> np.ndarray:
-    """Exact traces [tr A, tr A^2, ..., tr A^kmax] by banded multiplication.
-
-    A^j has bandwidth j, so each power costs O(n j) and the whole table
-    O(n kmax^2) - far cheaper than an eigendecomposition when only
-    polynomial linear statistics are needed.
+    T_j(B) is symmetric with bandwidth j, so only its upper bands are kept,
+    as rows of a (bands, n) array zero-padded at the right end.  The
+    three-term recurrence T_{j+1} = 2 B T_j - T_{j-1} builds T_0..T_h for
+    h = ceil(K/2) in O(n h^2), and every higher trace comes from
+    tr T_{i+j} = 2 <T_i, T_j>_F - tr T_{i-j} with i = ceil(k/2), j = floor(k/2)
+    (Weisse et al., Rev. Mod. Phys. 78, 275 (2006)).  When [center -
+    half_width, center + half_width] holds the spectrum, every T_j(B) has
+    entries of size at most one, so the recurrence is stable at any degree,
+    where monomial power traces lose digits to cancellation.
     """
-    if kmax < 1:
-        raise ParameterError("kmax must be >= 1")
+    if K < 0:
+        raise ParameterError("Chebyshev degree K must be >= 0")
+    if not half_width > 0:
+        raise ParameterError(f"half_width must be positive, got {half_width!r}")
     n = gram.n
-    diag, off = gram.diag, gram.off
-    # bands[o][i] = M[i, i + o], zero-padded to full length n
-    bands: dict[int, np.ndarray] = {0: diag.copy()}
-    if n > 1:
-        bands[1] = np.concatenate([off, [0.0]])
-        bands[-1] = np.concatenate([[0.0], off])
-    traces = np.empty(kmax)
-    traces[0] = diag.sum()
-    zero = np.zeros(n)
-    for j in range(2, kmax + 1):
-        new: dict[int, np.ndarray] = {}
-        for o in range(-min(j, n - 1), min(j, n - 1) + 1):
-            # (MA)[i,i+o] = M[i,i+o-1] off[i+o-1] + M[i,i+o] diag[i+o] + M[i,i+o+1] off[i+o]
-            acc = bands.get(o, zero) * _shifted(diag, o, n)
-            if n > 1:
-                acc = acc + bands.get(o - 1, zero) * _shifted(off, o - 1, n)
-                acc = acc + bands.get(o + 1, zero) * _shifted(off, o, n)
-            new[o] = acc
-        bands = new
-        traces[j - 1] = bands[0].sum()
-    return traces
+    b0 = (gram.diag - center) / half_width
+    b1 = gram.off / half_width
+    h = (K + 1) // 2
+    bands = [np.ones((1, n))]
+    if h >= 1:
+        t1 = np.zeros((min(2, n), n))
+        t1[0] = b0
+        t1[1:, :-1] = b1
+        bands.append(t1)
+    b0, b1 = 2.0 * b0, 2.0 * b1
+    for j in range(1, h):
+        cur, prev = bands[j], bands[j - 1]
+        rc, rows = cur.shape[0], min(j + 2, n)
+        # (2 B M)[i, i+o] = b1[i-1] M[i-1, i+o] + b0[i] M[i, i+o] + b1[i] M[i+1, i+o]
+        # with b0, b1 doubled; M[i+1, i] on band 0 is read from band 1 by symmetry
+        nxt = np.zeros((rows, n))
+        np.multiply(b0, cur, out=nxt[:rc])
+        nxt[: rc - 1, 1:] += b1 * cur[1:, :-1]
+        top = min(rc, rows - 1)
+        nxt[1 : top + 1, :-1] += b1 * cur[:top, 1:]
+        if rc > 1:
+            nxt[0, :-1] += b1 * cur[1, :-1]
+        nxt[: prev.shape[0]] -= prev
+        bands.append(nxt)
+    out = np.empty(K + 1)
+    for k in range(min(K, h) + 1):
+        out[k] = bands[k][0].sum()
+    for k in range(h + 1, K + 1):
+        i, j = k - k // 2, k // 2
+        rows = bands[j].shape[0]
+        band_dots = np.einsum("ij,ij->i", bands[i][:rows], bands[j])
+        # <T_i, T_j>_F: band 0 once, each off-diagonal band twice
+        out[k] = 2.0 * (2.0 * band_dots.sum() - band_dots[0]) - out[i - j]
+    return out
 
 
 def frobenius_gap_sq(f1: TridiagonalFactor, f2: TridiagonalFactor) -> float:

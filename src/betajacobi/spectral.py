@@ -23,13 +23,13 @@ from .model import SymTridiagonal
 from .params import AsymptoticParams, SupportInterval
 
 __all__ = [
+    "ChebyshevForm",
     "TestFunction",
     "ChebyshevCoefficients",
     "VarianceFunctionals",
     "monomial",
     "exp_function",
     "piecewise_linear",
-    "chebyshev_poly_coeffs",
     "chebyshev_test_function",
     "shifted_chebyshev",
     "chebyshev_coefficients",
@@ -52,25 +52,48 @@ _RESCALE_AT = 2.0**256
 
 
 @dataclass(frozen=True)
-class TestFunction:
-    """A test function on [0, 1], optionally with derivative and monomial form.
+class ChebyshevForm:
+    """The polynomial sum_k coeffs[k] T_k((x - center) / half_width).
 
-    poly_coeffs, when present, are ascending monomial coefficients; they let
-    the experiment harness evaluate tr f(A) by exact banded power traces
-    instead of a full eigendecomposition.
+    The map (center, half_width) is part of the form: Gamma_m is held
+    exactly on its support, monomials on [0, 1] (center = half_width = 1/2).
+    """
+
+    coeffs: tuple
+    center: float = 0.5
+    half_width: float = 0.5
+
+    def on(self, center: float, half_width: float) -> "ChebyshevForm":
+        """The same polynomial in Chebyshev coefficients on another map."""
+        if (center, half_width) == (self.center, self.half_width):
+            return self
+        series = np.polynomial.Chebyshev(
+            self.coeffs, domain=[self.center - self.half_width, self.center + self.half_width]
+        )
+        moved = series.convert(domain=[center - half_width, center + half_width])
+        return ChebyshevForm(tuple(moved.coef.tolist()), center, half_width)
+
+
+@dataclass(frozen=True)
+class TestFunction:
+    """A test function on [0, 1], optionally with derivative and polynomial form.
+
+    chebyshev, when present, writes the function exactly as a ChebyshevForm;
+    it lets the harness evaluate tr f(A) from the banded Chebyshev traces of
+    model.chebyshev_traces instead of a full eigendecomposition.
     """
 
     fn: Callable
     derivative: Optional[Callable] = None
     name: str = "f"
-    poly_coeffs: Optional[tuple] = None
+    chebyshev: Optional[ChebyshevForm] = None
 
     def __call__(self, x):
         return self.fn(x)
 
     @property
     def is_polynomial(self) -> bool:
-        return self.poly_coeffs is not None
+        return self.chebyshev is not None
 
     def check_derivative(self, grid: np.ndarray, tol: float = 1e-5, h: float = 1e-6) -> bool:
         """Central finite-difference check of the stored derivative."""
@@ -78,6 +101,16 @@ class TestFunction:
             return True
         fd = (self.fn(grid + h) - self.fn(grid - h)) / (2 * h)
         return bool(np.max(np.abs(fd - self.derivative(grid))) <= tol)
+
+
+def _chebyshev_rows(forms: Sequence[ChebyshevForm], center: float, half_width: float) -> np.ndarray:
+    """Coefficients of each form on the map (center, half_width), one row
+    each, zero-padded to the largest degree."""
+    moved = [form.on(center, half_width).coeffs for form in forms]
+    rows = np.zeros((len(moved), max(len(c) for c in moved)))
+    for row, coeffs in zip(rows, moved):
+        row[: len(coeffs)] = coeffs
+    return rows
 
 
 def monomial(k: int) -> TestFunction:
@@ -89,14 +122,16 @@ def monomial(k: int) -> TestFunction:
             fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             derivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             name="1",
-            poly_coeffs=(1.0,),
+            chebyshev=ChebyshevForm((1.0,)),
         )
-    coeffs = (0.0,) * k + (1.0,)
+    coeffs = np.polynomial.Polynomial.basis(k).convert(
+        kind=np.polynomial.Chebyshev, domain=[0.0, 1.0]
+    ).coef
     return TestFunction(
         fn=lambda x, k=k: np.asarray(x, dtype=float) ** k,
         derivative=lambda x, k=k: k * np.asarray(x, dtype=float) ** (k - 1),
         name=f"x^{k}" if k > 1 else "x",
-        poly_coeffs=coeffs,
+        chebyshev=ChebyshevForm(tuple(coeffs.tolist())),
     )
 
 
@@ -139,39 +174,31 @@ def shifted_chebyshev(m: int, x, support: SupportInterval):
     return 2.0 * t_cur
 
 
-def chebyshev_poly_coeffs(m: int, support: SupportInterval) -> tuple:
-    """Ascending monomial coefficients of the shifted Chebyshev polynomial."""
-    c, r = support.center, support.half_width
+def _shifted_chebyshev_derivative(m: int, x, support: SupportInterval):
+    """d/dx 2 T_m(u) = 2 m U_{m-1}(u) / r, by the second-kind recurrence."""
+    u = (np.asarray(x, dtype=float) - support.center) / support.half_width
     if m == 0:
-        return (2.0,)
-    prev = np.array([1.0])  # T_0 in x
-    cur = np.array([-c / r, 1.0 / r])  # T_1 = (x - c)/r
+        return np.zeros_like(u)
+    u_prev = np.zeros_like(u)  # U_{-1}
+    u_cur = np.ones_like(u)  # U_0
     for _ in range(m - 1):
-        nxt = np.zeros(cur.shape[0] + 1)
-        nxt[1:] += 2.0 / r * cur
-        nxt[: cur.shape[0]] += -2.0 * c / r * cur
-        nxt[: prev.shape[0]] -= prev
-        prev, cur = cur, nxt
-    return tuple(2.0 * cur)
+        u_prev, u_cur = u_cur, 2.0 * u * u_cur - u_prev
+    return (2.0 * m / support.half_width) * u_cur
 
 
 def chebyshev_test_function(m: int, support: SupportInterval) -> TestFunction:
-    """The m-th shifted Chebyshev polynomial as a TestFunction."""
-    coeffs = chebyshev_poly_coeffs(m, support)
-    dcoeffs = tuple(i * coeffs[i] for i in range(1, len(coeffs)))
+    """The m-th shifted Chebyshev polynomial Gamma_m = 2 T_m as a TestFunction.
 
-    def deriv(x, d=dcoeffs):
-        xx = np.asarray(x, dtype=float)
-        acc = np.zeros_like(xx)
-        for c in reversed(d):
-            acc = acc * xx + c
-        return acc
-
+    Its Chebyshev form is exact: the coefficient 2 at degree m on the
+    support's own map.
+    """
+    if m < 0:
+        raise ParameterError("order must be nonnegative")
     return TestFunction(
         fn=lambda x, m=m, s=support: shifted_chebyshev(m, x, s),
-        derivative=deriv,
+        derivative=lambda x, m=m, s=support: _shifted_chebyshev_derivative(m, x, s),
         name=f"gamma{m}",
-        poly_coeffs=coeffs,
+        chebyshev=ChebyshevForm((0.0,) * m + (2.0,), support.center, support.half_width),
     )
 
 

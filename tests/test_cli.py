@@ -164,3 +164,29 @@ def test_validation_error_honours_out(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert json.loads(report.read_text())["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("funcs", ["gamma", "gammaX", "x^", "gamma1..gammaY", "x^²"])
+def test_bad_function_order_is_usage_error(capsys, funcs):
+    code, out = _run(capsys, "fluct", "--n", "16", "--funcs", funcs, "--reps", "4")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "usage"
+
+
+def test_fluct_fixed_seed_matches_monomial_trace_route(tmp_path, capsys):
+    # means and variances of this run as computed through monomial power
+    # traces contracted with monomial coefficients, before the Chebyshev
+    # trace engine; the two routes differ by rounding only
+    means = [-0.08359857620265189, -266.7080875300771, -0.0137665426177864,
+             -89.03455632237103, 199.981900377322]
+    variances = [0.9789679616600143, 1.70019108282363, 2.9871182446211715,
+                 4.713589814530081, 0.04588912320281308]
+    out_path = tmp_path / "run.json"
+    code, _ = _run(
+        capsys, "--out", str(out_path), "fluct", "--n", "400", "--beta", "2", "--p", "2",
+        "--q", "2", "--funcs", "gamma1..gamma4,x", "--reps", "200", "--seed", "7",
+    )
+    assert code == 0
+    results = json.loads(out_path.read_text())["results"]
+    assert results["means"] == pytest.approx(means, rel=1e-9)
+    assert results["variances"] == pytest.approx(variances, rel=1e-9)

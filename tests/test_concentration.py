@@ -75,6 +75,17 @@ def test_jacobi_bound_constant_function_degenerate():
     assert rep.ratio == 0.0
 
 
+def test_jacobi_bound_trace_route_matches_eigensolver():
+    params = bj.from_ratios(96, 2.0, 2.0, 3.0)
+    support = bj.support_edges(bj.derive_asymptotic(params))
+    for f in (spectral.monomial(3), spectral.chebyshev_test_function(5, support)):
+        spectrum_f = spectral.TestFunction(fn=f.fn, derivative=f.derivative, name=f.name)
+        fast = conc.jacobi_poincare_check(params, f, 40, seed=3)
+        slow = conc.jacobi_poincare_check(params, spectrum_f, 40, seed=3)
+        assert fast.variance == pytest.approx(slow.variance, rel=1e-9)
+        assert fast.bound == pytest.approx(slow.bound, rel=1e-11)
+
+
 def test_jacobi_bound_rejects_extremal():
     with pytest.raises(ExtremalRegimeError):
         conc.jacobi_poincare_check(

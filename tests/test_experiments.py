@@ -78,7 +78,7 @@ def test_bit_reproducibility_across_threads(support):
 def test_polynomial_fast_path_matches_eigensolver(support):
     poly_funcs = [spectral.chebyshev_test_function(2, support), spectral.monomial(3)]
     eig_funcs = [
-        spectral.TestFunction(fn=f.fn, derivative=f.derivative, name=f.name, poly_coeffs=None)
+        spectral.TestFunction(fn=f.fn, derivative=f.derivative, name=f.name, chebyshev=None)
         for f in poly_funcs
     ]
     base = dict(params=bj.from_ratios(80, 2.0, 2.0, 2.0), replicates=32, seed=5)
@@ -132,6 +132,16 @@ def test_lln_targets():
     assert pts[0].target == pytest.approx(0.25, abs=1e-12)
     pts = ex.lln_check("proportional", [64], spectral.monomial(1), replicates=2, seed=0)
     assert pts[0].target == pytest.approx(0.5, abs=1e-10)
+
+
+def test_lln_trace_route_matches_eigensolver():
+    f = spectral.monomial(2)
+    spectrum_f = spectral.TestFunction(fn=f.fn, derivative=f.derivative, name=f.name)
+    for regime in ("sublinear", "proportional"):
+        fast = ex.lln_check(regime, [50, 200], f, replicates=4, seed=2)
+        slow = ex.lln_check(regime, [50, 200], spectrum_f, replicates=4, seed=2)
+        for a, b in zip(fast, slow):
+            assert a.value == pytest.approx(b.value, rel=1e-12)
 
 
 def test_lln_regime_validation():

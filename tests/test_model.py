@@ -155,18 +155,56 @@ def test_gram_entries_reconstructible_from_raw_draws():
     assert np.max(np.abs(off_sq_poly - gram.off**2)) <= 1e-15
 
 
-def test_power_traces_match_dense_and_spectrum():
-    rng = model.replicate_stream(9, 0)
-    factor = model.sample_factor(bj.from_ratios(30, 2.0, 2.0, 2.0), rng)
-    gram = model.assemble_gram(factor)
-    traces = model.power_traces(gram, 8)
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+def test_chebyshev_traces_match_dense(n):
+    gram = model.assemble_gram(
+        model.sample_factor(bj.from_ratios(n, 2.0, 2.0, 2.0), model.replicate_stream(9, n))
+    )
     A = model.gram_to_dense(gram)
-    vals = eig.eigenvalues(gram).values
-    P = np.eye(gram.n)
-    for k in range(1, 9):
-        P = P @ A
-        assert traces[k - 1] == pytest.approx(np.trace(P), rel=1e-12)
-        assert traces[k - 1] == pytest.approx(float(np.sum(vals**k)), rel=1e-10)
+    for K in sorted({0, 1, 2, 3, 4, max(n - 1, 0), n + 2, 2 * n + 5}):
+        T_prev, T = np.eye(n), (A - 0.4 * np.eye(n)) / 0.45
+        dense = [float(n)]
+        for _ in range(K):
+            dense.append(np.trace(T))
+            T_prev, T = T, 2.0 * ((A - 0.4 * np.eye(n)) / 0.45) @ T - T_prev
+        traces = model.chebyshev_traces(gram, 0.4, 0.45, K)
+        assert traces.shape == (K + 1,)
+        assert np.allclose(traces, dense, rtol=1e-12, atol=1e-12 * n)
+
+
+def test_chebyshev_traces_match_spectrum():
+    # Gamma_m = 2 T_m on the support, m <= 30, against the sterf spectrum
+    params = bj.from_ratios(2000, 2.0, 2.0, 2.0)
+    support = bj.support_edges(bj.derive_asymptotic(params))
+    gram = model.assemble_gram(model.sample_factor(params, model.replicate_stream(9, 0)))
+    traces = 2.0 * model.chebyshev_traces(gram, support.center, support.half_width, 30)
+    lam = eig.eigenvalues(gram).values
+    theta = np.arccos(np.clip((lam - support.center) / support.half_width, -1.0, 1.0))
+    assert np.all(np.abs((lam - support.center) / support.half_width) <= 1.0)
+    for m in range(31):
+        expected = float(np.sum(2.0 * np.cos(m * theta)))
+        assert abs(traces[m] - expected) <= 1e-9 * abs(expected), m
+
+
+def test_chebyshev_traces_validation():
+    gram = model.assemble_gram(
+        model.sample_factor(bj.from_ratios(4, 2.0, 2.0, 2.0), model.replicate_stream(0, 0))
+    )
+    with pytest.raises(ParameterError):
+        model.chebyshev_traces(gram, 0.5, 0.5, -1)
+    with pytest.raises(ParameterError):
+        model.chebyshev_traces(gram, 0.5, 0.0, 2)
+
+
+def test_shape_arrays_cached_and_read_only():
+    params = bj.from_ratios(16, 2.0, 2.0, 3.0)
+    first = model._shape_arrays(params)
+    again = model._shape_arrays(bj.from_ratios(16, 2.0, 2.0, 3.0))
+    for a, b in zip((*first[0], *first[1]), (*again[0], *again[1])):
+        assert a is b
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        first[0][0][0] = 1.0
 
 
 def test_replicate_streams_reproducible_and_disjoint():

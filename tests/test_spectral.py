@@ -33,14 +33,41 @@ def test_shifted_chebyshev_cosine_identity(support):
     )
 
 
-def test_chebyshev_poly_coeffs_match_recurrence(support):
-    xs = np.linspace(support.lambda_minus, support.lambda_plus, 11)
-    for m in range(7):
-        coeffs = spectral.chebyshev_poly_coeffs(m, support)
-        horner = np.zeros_like(xs)
-        for c in reversed(coeffs):
-            horner = horner * xs + c
-        assert np.max(np.abs(horner - spectral.shifted_chebyshev(m, xs, support))) <= 1e-10
+def test_chebyshev_forms_match_functions(support):
+    from numpy.polynomial.chebyshev import chebval
+
+    xs = np.linspace(0.0, 1.0, 11)
+    for m in range(31):
+        form = spectral.chebyshev_test_function(m, support).chebyshev
+        assert form.coeffs == (0.0,) * m + (2.0,)
+        u = (xs - form.center) / form.half_width
+        ref = spectral.shifted_chebyshev(m, xs, support)
+        assert np.max(np.abs(chebval(u, form.coeffs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for k in range(13):
+        form = spectral.monomial(k).chebyshev
+        assert (form.center, form.half_width) == (0.5, 0.5)
+        assert np.max(np.abs(chebval(2.0 * xs - 1.0, form.coeffs) - xs**k)) <= 1e-14
+        moved = form.on(support.center, support.half_width)
+        u = (xs - support.center) / support.half_width
+        assert np.max(np.abs(chebval(u, moved.coeffs) - xs**k)) <= 1e-13
+
+
+def test_chebyshev_form_identity_move_is_exact(support):
+    form = spectral.chebyshev_test_function(7, support).chebyshev
+    assert form.on(support.center, support.half_width) is form
+
+
+def test_chebyshev_derivative_closed_form(support):
+    # d/dx Gamma_m = 2 m U_{m-1}(u) / r = 2 m sin(m t) / (r sin t), u = cos t
+    r = support.half_width
+    theta = np.linspace(0.05, math.pi - 0.05, 37)
+    x = support.center + r * np.cos(theta)
+    for m in range(31):
+        closed = 2.0 * m * np.sin(m * theta) / (r * np.sin(theta))
+        got = spectral.chebyshev_test_function(m, support).derivative(x)
+        assert np.max(np.abs(got - closed)) <= 1e-12 * max(1.0, np.max(np.abs(closed))), m
+    with pytest.raises(ParameterError):
+        spectral.chebyshev_test_function(-1, support)
 
 
 def test_coefficients_of_basis_functions(support):

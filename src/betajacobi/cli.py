@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -36,15 +35,6 @@ __all__ = ["main", "dispatch"]
 
 class _UsageError(ParameterError):
     pass
-
-
-def _default_threads() -> int:
-    """Thread-count default, overridable through BETAJACOBI_THREADS."""
-    raw = os.environ.get("BETAJACOBI_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        raise _UsageError(f"BETAJACOBI_THREADS must be an integer, got {raw!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,7 +85,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--funcs", default=None, help="e.g. gamma1..gamma4,x")
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--csv", default=None, help="write raw samples to this CSV")
 
     p = sub.add_parser("lln", help="law-of-large-numbers distances")
@@ -137,7 +126,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--quick", action="store_true",
                    help="smoke mode with reduced sizes (not the stated tolerances)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     return parser
 
 
@@ -224,6 +212,22 @@ def _parse_funcs(spec_str: str, params: EnsembleParams) -> list:
     if not out:
         raise _UsageError("no test functions given")
     return out
+
+
+def _parse_func(spec_str: str, params: EnsembleParams) -> spectral.TestFunction:
+    """Exactly one test function, in the syntax of _parse_funcs."""
+    funcs = _parse_funcs(spec_str, params)
+    if len(funcs) != 1:
+        raise _UsageError(f"expected one test function, got {spec_str!r}")
+    return funcs[0]
+
+
+def _parse_sizes(spec) -> list:
+    """Comma-separated matrix sizes, e.g. 100,1000."""
+    try:
+        return [int(s) for s in str(spec).split(",")]
+    except ValueError:
+        raise _UsageError(f"sizes must be comma-separated integers, got {spec!r}")
 
 
 def _order(digits: str, token: str) -> int:
@@ -394,11 +398,10 @@ def _cmd_fluct(res: _Resolver) -> tuple[dict, bool]:
     params = _ensemble_from(res)
     reps = res.get("reps", 10000, int)
     seed = res.get("seed", 0, int)
-    threads = res.get("threads", _default_threads(), int)
     funcs = _parse_funcs(res.get("funcs", "gamma1..gamma4"), params)
     csv_path = res.get("csv")
     config = experiments.ExperimentConfig(
-        params=params, test_functions=funcs, replicates=reps, seed=seed, threads=threads
+        params=params, test_functions=funcs, replicates=reps, seed=seed
     )
     result = experiments.run_fluctuations(config)
     if csv_path:
@@ -408,14 +411,14 @@ def _cmd_fluct(res: _Resolver) -> tuple[dict, bool]:
 
 def _cmd_lln(res: _Resolver) -> tuple[dict, bool]:
     regime = res.get("regime", "proportional")
-    sizes = [int(s) for s in str(res.get("sizes", "250,500,1000,2000")).split(",")]
+    sizes = _parse_sizes(res.get("sizes", "250,500,1000,2000"))
     func = res.get("func", "x")
     beta = res.get("beta", 2.0, float)
     p = res.get("p", 2.0, float)
     q = res.get("q", 2.0, float)
     reps = res.get("reps", 64, int)
     seed = res.get("seed", 0, int)
-    f = spectral.monomial(1) if func == "x" else _parse_funcs(func, from_ratios(max(sizes), beta, p, q))[0]
+    f = _parse_func(func, from_ratios(max(sizes), beta, p, q))
     points = experiments.lln_check(regime, sizes, f, beta=beta, p=p, q=q,
                                    replicates=reps, seed=seed)
     dists = [pt.distance for pt in points]
@@ -497,8 +500,9 @@ def _cmd_concentration(res: _Resolver) -> tuple[dict, bool]:
         q = res.get("q", 2.0, float)
         reps = res.get("reps", 4000, int)
         seed = res.get("seed", 0, int)
-        f = spectral.monomial(1) if res.get("func", "x") == "x" else spectral.monomial(2)
-        rep = conc.jacobi_poincare_check(from_ratios(n, beta, p, q), f, reps, seed)
+        params = from_ratios(n, beta, p, q)
+        f = _parse_func(res.get("func", "x"), params)
+        rep = conc.jacobi_poincare_check(params, f, reps, seed)
         ok = rep.variance + 3 * rep.variance_se < rep.bound - 3 * rep.bound_se
         return {"variance": rep.variance, "bound": rep.bound, "ratio": rep.ratio,
                 "variance_se": rep.variance_se, "bound_se": rep.bound_se,
@@ -506,7 +510,7 @@ def _cmd_concentration(res: _Resolver) -> tuple[dict, bool]:
     # coupling
     p = res.get("p", 1.0, float)
     q = res.get("q", 1.0, float)
-    sizes = [int(s) for s in str(res.get("sizes", "100,1000,10000")).split(",")]
+    sizes = _parse_sizes(res.get("sizes", "100,1000,10000"))
     scaled = {n: n * n * conc.coupling_gap(n, p, q) for n in sizes}
     vals = list(scaled.values())
     ok = max(vals) / min(vals) <= 2.0
@@ -517,7 +521,6 @@ def _cmd_concentration(res: _Resolver) -> tuple[dict, bool]:
 def _cmd_verify_all(res: _Resolver) -> tuple[dict, bool]:
     quick = bool(res.get("quick", False))
     seed = res.get("seed", 0, int)
-    threads = res.get("threads", _default_threads(), int)
     families: list[tuple[str, dict, bool]] = []
 
     def run(name: str, fn, resolver_vals: dict):
@@ -568,7 +571,7 @@ def _cmd_verify_all(res: _Resolver) -> tuple[dict, bool]:
         sub = _Resolver(argparse.Namespace(), {
             "n": 500 if quick else 2000, "beta": beta, "p": 2.0, "q": 2.0,
             "funcs": "gamma1..gamma4,x", "reps": 2000 if quick else 10000,
-            "seed": seed, "threads": threads,
+            "seed": seed,
         })
         rep, _ = _cmd_fluct(sub)
         ratio = np.asarray(rep["variances"]) / np.asarray(rep["theory_sigma_sq"])

@@ -90,8 +90,6 @@ def jacobi_poincare_check(
     """
     if f.derivative is None:
         raise ParameterError("variance bound needs the derivative of f")
-    if replicates < 2:
-        raise ParameterError("need at least two replicates")
     asym = derive_asymptotic(params)
     margin = min(asym.p - 1.0, asym.q - 1.0)
     if margin <= 0:
@@ -113,11 +111,9 @@ def jacobi_poincare_check(
             lam = eig.eigenvalues(gram).values
             return np.sum(f(lam)), np.sum(np.asarray(f.derivative(lam), dtype=float) ** 2)
 
-    traces = np.empty(replicates)
-    grads = np.empty(replicates)
-    for m in range(replicates):
-        rng = model.replicate_stream(seed, m)
-        traces[m], grads[m] = statistics(model.assemble_gram(model.sample_factor(params, rng)))
+    # contiguous rows, so no reduction below depends on the stride of a column view
+    stats = model.map_replicates(params, seed, replicates, statistics)
+    traces, grads = np.ascontiguousarray(stats.T)
     centered = traces - traces.mean()
     variance = float(centered @ centered) / (replicates - 1)
     m2 = centered**2

@@ -2,19 +2,18 @@
 deterministic-factor Frobenius gap, mean-trace deviations, and the extremal
 p = q = 1 moments.
 
-Replicates run on disjoint counter-based streams keyed by (seed, replicate),
-and per-replicate results land in preallocated slots, so a run is
-bit-reproducible regardless of the thread count.  When every test function
-is a polynomial, its Chebyshev form is moved once per run onto the run's map
-(the support, or [0, 1] for extremal parameters) and tr f(A) is a dot product
-with the banded Chebyshev traces of model.chebyshev_traces; otherwise every
-function is evaluated on the eigensolver's spectrum.
+Every check maps a statistic of the Gram matrix over the replicates with
+model.map_replicates, whose row m depends only on (seed, m), and reduces the
+rows.  When every test function is a polynomial, its Chebyshev form is moved
+once per run onto the run's map (the support, or [0, 1] for extremal
+parameters) and tr f(A) is a dot product with the banded Chebyshev traces of
+model.chebyshev_traces; otherwise every function is evaluated on the
+eigensolver's spectrum.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -57,15 +56,12 @@ class ExperimentConfig:
     test_functions: Sequence[spectral.TestFunction]
     replicates: int
     seed: int
-    threads: int = 1
 
     def __post_init__(self):
         if self.replicates < 2:
             raise ParameterError("need at least two replicates")
         if not self.test_functions:
             raise ParameterError("need at least one test function")
-        if self.threads < 1:
-            raise ParameterError("threads hint must be >= 1")
 
 
 @dataclass
@@ -182,9 +178,10 @@ def _trace_statistic(
     return spectrum_sums
 
 
-def _replicate_stats(params: EnsembleParams, seed: int, m: int, statistic) -> np.ndarray:
-    rng = model.replicate_stream(seed, m)
-    return statistic(model.assemble_gram(model.sample_factor(params, rng)))
+def _sequential_mean(values: np.ndarray) -> float:
+    """Mean summed left to right in replicate order (not numpy's pairwise sum,
+    which rounds differently and would move fixed-seed results)."""
+    return float(np.add.accumulate(values)[-1]) / values.shape[0]
 
 
 def run_fluctuations(config: ExperimentConfig) -> RunResult:
@@ -205,23 +202,7 @@ def run_fluctuations(config: ExperimentConfig) -> RunResult:
     else:
         support = SupportInterval.from_shape(asym.a, asym.b)
         statistic = _trace_statistic(funcs, support.center, support.half_width)
-    raw = np.empty((config.replicates, len(funcs)))
-
-    def work(lo: int, hi: int) -> None:
-        for m in range(lo, hi):
-            raw[m] = _replicate_stats(params, config.seed, m, statistic)
-
-    if config.threads > 1:
-        chunk = (config.replicates + config.threads - 1) // config.threads
-        spans = [
-            (lo, min(lo + chunk, config.replicates))
-            for lo in range(0, config.replicates, chunk)
-        ]
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(lambda span: work(*span), spans))
-    else:
-        work(0, config.replicates)
-
+    raw = model.map_replicates(params, config.seed, config.replicates, statistic)
     means = raw.mean(axis=0)
     samples = raw - means
     variances = np.sum(samples**2, axis=0) / (config.replicates - 1)
@@ -316,21 +297,16 @@ def lln_check(
             n1, n2 = float(n) ** 2, float(n) ** 2 + n
             target = float(f(np.asarray(0.5)))  # limit of (n1-n)/(n1+n2-2n)
         params = EnsembleParams(n=n, beta=beta, n1=n1, n2=n2)
-        acc = 0.0
-        for m in range(replicates):
-            acc += float(_replicate_stats(params, seed, m, statistic)[0]) / n
-        out.append(LLNPoint(n=n, n1=n1, n2=n2, value=acc / replicates, target=target))
+        values = model.map_replicates(params, seed, replicates, statistic)[:, 0] / n
+        out.append(LLNPoint(n=n, n1=n1, n2=n2, value=_sequential_mean(values), target=target))
     return out
 
 
 def trotter_gap(params: EnsembleParams, replicates: int, seed: int) -> float:
     """Monte Carlo estimate of E || B B^T - B_inf B_inf^T ||_F^2."""
-    det = model.deterministic_factor(params)
-    acc = 0.0
-    for m in range(replicates):
-        rng = model.replicate_stream(seed, m)
-        acc += model.frobenius_gap_sq(model.sample_factor(params, rng), det)
-    return acc / replicates
+    det = model.assemble_gram(model.deterministic_factor(params))
+    gaps = model.map_replicates(params, seed, replicates, lambda g: model.frobenius_gap_sq(g, det))
+    return _sequential_mean(gaps[:, 0])
 
 
 @dataclass(frozen=True)
@@ -374,10 +350,6 @@ def extremal_moments(
     asym = derive_asymptotic(params)
     if not asym.extremal:
         raise ParameterError("extremal moments require p = q = 1")
-    traces = np.empty(replicates)
-    for m in range(replicates):
-        rng = model.replicate_stream(seed, m)
-        gram = model.assemble_gram(model.sample_factor(params, rng))
-        traces[m] = gram.diag.sum()
+    traces = model.map_replicates(params, seed, replicates, lambda gram: gram.diag.sum())[:, 0]
     c = traces - traces.mean()
     return float(np.mean(c**2)), float(np.mean(c**4))

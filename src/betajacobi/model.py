@@ -11,8 +11,9 @@ all 2n-1 draws independent, s = sqrt(1 - c^2) and s' = sqrt(1 - c'^2).
 The eigenvalues of A = BB^T then follow the beta-Jacobi law.
 
 Sampling is pure given an explicit generator stream; factors are immutable.
-Replicate-level parallelism uses disjoint counter-based streams, so results
-are bit-reproducible independent of thread count.
+Every Monte Carlo check runs through map_replicates, which draws replicate m
+from the counter-based stream keyed by (seed, m) and reduces its Gram matrix
+to a row of statistics, so each row depends on (seed, m) alone.
 
 Polynomial linear statistics need no eigensolve: chebyshev_traces returns
 tr T_k((A - cI)/r) for k <= K from the banded Chebyshev recurrence, so any
@@ -24,6 +25,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "TridiagonalFactor",
     "SymTridiagonal",
     "replicate_stream",
+    "map_replicates",
     "beta_sample",
     "sample_factor",
     "deterministic_factor",
@@ -200,6 +203,26 @@ def assemble_gram(factor: TridiagonalFactor) -> SymTridiagonal:
     return SymTridiagonal(diag=diag, off=off)
 
 
+def map_replicates(
+    params: EnsembleParams, seed: int, replicates: int, statistic: Callable
+) -> np.ndarray:
+    """Row m is statistic(A_m) for the Gram matrix A_m of replicate m.
+
+    Replicate m samples its factor from replicate_stream(seed, m), so the
+    (replicates, k) result is bit-reproducible; statistic returns a scalar
+    or k values.  One factor and one Gram matrix are alive at a time.
+    """
+    if replicates < 2:
+        raise ParameterError(f"need at least two replicates, got {replicates!r}")
+    out = None
+    for m in range(replicates):
+        row = statistic(assemble_gram(sample_factor(params, replicate_stream(seed, m))))
+        if out is None:
+            out = np.empty((replicates, np.size(row)))
+        out[m] = row
+    return out
+
+
 def factor_to_dense(factor: TridiagonalFactor) -> np.ndarray:
     """Dense n x n lower-bidiagonal matrix (test oracle helper)."""
     n = factor.n
@@ -274,9 +297,8 @@ def chebyshev_traces(gram: SymTridiagonal, center: float, half_width: float, K: 
     return out
 
 
-def frobenius_gap_sq(f1: TridiagonalFactor, f2: TridiagonalFactor) -> float:
-    """Squared Frobenius distance between the two Gram matrices."""
-    g1, g2 = assemble_gram(f1), assemble_gram(f2)
+def frobenius_gap_sq(g1: SymTridiagonal, g2: SymTridiagonal) -> float:
+    """Squared Frobenius distance between two Gram matrices."""
     dd = g1.diag - g2.diag
     de = g1.off - g2.off
     return float(dd @ dd + 2.0 * (de @ de))

@@ -30,7 +30,7 @@ class EnsembleParams:
     """Finite-n ensemble parameters (n, beta, n1, n2).
 
     n1 and n2 may be non-integer reals; integrability requires
-    n1, n2 >= n - 1.  Immutable, safe to share across threads.
+    n1, n2 >= n - 1.  Immutable and hashable.
     """
 
     n: int

@@ -168,7 +168,6 @@ def test_criterion_07_clt_desk_scale():
             test_functions=funcs,
             replicates=reps,
             seed=2024,
-            threads=2,
         )
         res = experiments.run_fluctuations(cfg)
         for i in range(4):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from betajacobi import cli
+from betajacobi import cli, spectral
+from betajacobi import concentration as conc
+from betajacobi.params import from_ratios
 
 
 def _run(capsys, *argv):
@@ -134,14 +136,24 @@ def test_spectrum_subcommand(capsys):
     assert abs(doc["results"]["density_mass"] - 1.0) <= 1e-10
 
 
-def test_threads_env_var_default(capsys, monkeypatch):
-    monkeypatch.setenv("BETAJACOBI_THREADS", "2")
-    code, out = _run(capsys, "fluct", "--n", "32", "--funcs", "x", "--reps", "20", "--seed", "2")
-    assert code == 0
-    assert json.loads(out)["config"]["threads"] == 2
-    monkeypatch.setenv("BETAJACOBI_THREADS", "nope")
-    code, out = _run(capsys, "fluct", "--n", "32", "--funcs", "x", "--reps", "20", "--seed", "2")
+def test_threads_knob_removed(tmp_path, capsys):
+    code, out = _run(capsys, "fluct", "--n", "32", "--funcs", "x", "--reps", "20", "--threads", "2")
     assert code == 1
+    assert json.loads(out)["error"]["type"] == "usage"
+    # an artifact written while the knob existed still reruns to its numbers
+    argv = ["fluct", "--n", "32", "--funcs", "x", "--reps", "20", "--seed", "2"]
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    first = json.loads(out)
+    first["config"]["threads"] = 2
+    artifact = tmp_path / "old.json"
+    artifact.write_text(json.dumps(first))
+    code, out = _run(capsys, "--config", str(artifact), "fluct")
+    assert code == 0
+    again = json.loads(out)
+    assert again["results"]["variances"] == first["results"]["variances"]
+    assert again["results"]["means"] == first["results"]["means"]
+    assert "threads" not in again["config"]
 
 
 @pytest.mark.slow
@@ -166,11 +178,51 @@ def test_validation_error_honours_out(tmp_path, capsys):
     assert json.loads(report.read_text())["error"]["type"] == "validation"
 
 
-@pytest.mark.parametrize("funcs", ["gamma", "gammaX", "x^", "gamma1..gammaY", "x^²"])
-def test_bad_function_order_is_usage_error(capsys, funcs):
-    code, out = _run(capsys, "fluct", "--n", "16", "--funcs", funcs, "--reps", "4")
+_BAD_USAGE = [
+    pytest.param(["fluct", "--n", "16", "--funcs", funcs, "--reps", "4"], id=funcs)
+    for funcs in ("gamma", "gammaX", "x^", "gamma1..gammaY", "x^²")
+] + [
+    pytest.param(["lln", "--sizes", "100,abc", "--reps", "4"], id="lln-sizes"),
+    pytest.param(["concentration", "--check", "coupling", "--sizes", "100,x"],
+                 id="coupling-sizes"),
+    pytest.param(["lln", "--sizes", "32", "--func", "bogus", "--reps", "4"], id="lln-func"),
+    pytest.param(["concentration", "--check", "jacobi", "--n", "16", "--func", "bogus",
+                  "--reps", "4"], id="jacobi-func"),
+    pytest.param(["concentration", "--check", "jacobi", "--n", "16", "--func", "x,x2",
+                  "--reps", "4"], id="jacobi-two-funcs"),
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_USAGE)
+def test_bad_function_order_is_usage_error(capsys, argv):
+    code, out = _run(capsys, *argv)
     assert code == 1
     assert json.loads(out)["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [
+    ["extremal", "--n", "50", "--reps", "0"],
+    ["extremal", "--n", "50", "--reps", "1"],
+    ["lln", "--sizes", "50", "--reps", "0"],
+    ["concentration", "--check", "jacobi", "--n", "16", "--reps", "1"],
+], ids=["extremal-0", "extremal-1", "lln-0", "jacobi-1"])
+def test_too_few_replicates_exit_one(capsys, argv):
+    code, out = _run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "validation"
+
+
+def test_concentration_jacobi_runs_the_named_function(capsys):
+    argv = ["concentration", "--check", "jacobi", "--n", "32", "--reps", "50", "--seed", "3"]
+    results = {}
+    for func in ("x2", "gamma3"):
+        code, out = _run(capsys, *argv, "--func", func)
+        assert code == 0
+        results[func] = json.loads(out)["results"]
+    rep = conc.jacobi_poincare_check(from_ratios(32, 2.0, 2.0, 2.0), spectral.monomial(2), 50, 3)
+    assert results["x2"]["variance"] == rep.variance
+    assert results["x2"]["bound"] == rep.bound
+    assert results["gamma3"]["variance"] != rep.variance
 
 
 def test_fluct_fixed_seed_matches_monomial_trace_route(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import betajacobi as bj
+from betajacobi import concentration as conc
 from betajacobi import experiments as ex
 from betajacobi import model, spectral
 from betajacobi.errors import ParameterError
@@ -60,19 +61,61 @@ def test_constant_function_is_null():
     assert np.max(np.abs(res.samples)) <= 1e-12 * 200
 
 
-def test_bit_reproducibility_across_threads(support):
+def test_map_replicates_matches_hand_loop(support):
+    params = bj.from_ratios(64, 2.0, 2.0, 2.0)
+
+    def statistic(gram):
+        return model.chebyshev_traces(gram, support.center, support.half_width, 4)
+
+    expected = np.empty((64, 5))
+    traces = np.empty(64)
+    for m in range(64):
+        gram = model.assemble_gram(model.sample_factor(params, model.replicate_stream(99, m)))
+        expected[m] = statistic(gram)
+        traces[m] = gram.diag.sum()
+    assert np.array_equal(model.map_replicates(params, 99, 64, statistic), expected)
+    scalars = model.map_replicates(params, 99, 64, lambda gram: gram.diag.sum())
+    assert scalars.shape == (64, 1)
+    assert np.array_equal(scalars[:, 0], traces)
     funcs = [spectral.chebyshev_test_function(1, support), spectral.monomial(2)]
-    base = dict(
-        params=bj.from_ratios(64, 2.0, 2.0, 2.0),
-        test_functions=funcs,
-        replicates=64,
-        seed=99,
-    )
-    r1 = ex.run_fluctuations(ex.ExperimentConfig(**base, threads=1))
-    r2 = ex.run_fluctuations(ex.ExperimentConfig(**base, threads=2))
-    r3 = ex.run_fluctuations(ex.ExperimentConfig(**base, threads=1))
-    assert np.array_equal(r1.samples, r2.samples)
-    assert np.array_equal(r1.samples, r3.samples)
+    config = ex.ExperimentConfig(params=params, test_functions=funcs, replicates=64, seed=99)
+    first, again = ex.run_fluctuations(config), ex.run_fluctuations(config)
+    assert np.array_equal(first.samples, again.samples)
+    assert np.array_equal(first.covariance, again.covariance)
+
+
+def test_fixed_seed_values_pinned():
+    # values computed by each check's own replicate loop before the checks
+    # shared model.map_replicates; the engine reproduces them exactly
+    assert ex.trotter_gap(bj.from_ratios(128, 2.0, 2.0, 2.0), 10, seed=41) == 0.10104380031024267
+    assert ex.extremal_moments(200, 2.0, 500, seed=51) == (
+        0.05736713133015508, 0.009201598777808332)
+    points = ex.lln_check("proportional", [100, 200], spectral.monomial(1), replicates=8, seed=61)
+    assert [p.value for p in points] == [0.5014124900926948, 0.5007355963343174]
+    rep = conc.jacobi_poincare_check(bj.from_ratios(64, 2.0, 2.0, 2.0), spectral.monomial(1),
+                                     200, seed=31)
+    assert rep.variance == 0.044310163964314454
+    assert rep.bound == 0.25
+
+
+_REPLICATE_CALLERS = {
+    "run_fluctuations": lambda r: ex.run_fluctuations(ex.ExperimentConfig(
+        params=bj.from_ratios(16, 2.0, 2.0, 2.0), test_functions=[spectral.monomial(1)],
+        replicates=r, seed=0)),
+    "lln_check": lambda r: ex.lln_check("proportional", [16], spectral.monomial(1),
+                                        replicates=r, seed=0),
+    "trotter_gap": lambda r: ex.trotter_gap(bj.from_ratios(16, 2.0, 2.0, 2.0), r, seed=0),
+    "extremal_moments": lambda r: ex.extremal_moments(16, 2.0, r, seed=0),
+    "jacobi_poincare_check": lambda r: conc.jacobi_poincare_check(
+        bj.from_ratios(16, 2.0, 2.0, 2.0), spectral.monomial(1), r, seed=0),
+}
+
+
+@pytest.mark.parametrize("replicates", [0, 1, -3])
+@pytest.mark.parametrize("caller", sorted(_REPLICATE_CALLERS))
+def test_too_few_replicates_raise_parameter_error(caller, replicates):
+    with pytest.raises(ParameterError, match="two replicates"):
+        _REPLICATE_CALLERS[caller](replicates)
 
 
 def test_polynomial_fast_path_matches_eigensolver(support):
@@ -153,7 +196,7 @@ def test_trotter_gap_properties():
     params = bj.from_ratios(128, 2.0, 2.0, 2.0)
     gap = ex.trotter_gap(params, 10, seed=2)
     assert gap >= 0.0
-    det = model.deterministic_factor(params)
+    det = model.assemble_gram(model.deterministic_factor(params))
     assert model.frobenius_gap_sq(det, det) == 0.0
 
 

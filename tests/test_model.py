@@ -229,9 +229,9 @@ def test_factor_arrays_read_only():
 
 def test_frobenius_gap_zero_on_identical():
     params = bj.from_ratios(20, 2.0, 2.0, 2.0)
-    det = model.deterministic_factor(params)
+    det = model.assemble_gram(model.deterministic_factor(params))
     assert model.frobenius_gap_sq(det, det) == 0.0
-    sampled = model.sample_factor(params, model.replicate_stream(1, 0))
+    sampled = model.assemble_gram(model.sample_factor(params, model.replicate_stream(1, 0)))
     assert model.frobenius_gap_sq(sampled, det) >= 0.0
 
 

@@ -181,10 +181,17 @@ def _ensemble_from(res: _Resolver) -> EnsembleParams:
     return from_ratios(n, beta, p, q)
 
 
-def _parse_funcs(spec_str: str, params: EnsembleParams) -> list:
-    """Tokens: gammaK, gammaI..gammaJ, x, xK, exp, pwl."""
-    asym = derive_asymptotic(params)
-    support = None if asym.extremal else support_edges(asym)
+_EXTREMAL = "Chebyshev test functions need non-extremal parameters"
+
+
+def _parse_funcs(spec_str: str, params, no_support: str = _EXTREMAL) -> list:
+    """Tokens: gammaK, gammaI..gammaJ, x, xK, exp, pwl.
+
+    gammaK lives on the support of params; without params, or with extremal
+    ones, a gammaK token is a usage error that says no_support.
+    """
+    asym = None if params is None else derive_asymptotic(params)
+    support = None if asym is None or asym.extremal else support_edges(asym)
     out = []
     for token in spec_str.split(","):
         token = token.strip().lower()
@@ -196,9 +203,10 @@ def _parse_funcs(spec_str: str, params: EnsembleParams) -> list:
                 raise _UsageError(f"bad function range {token!r}")
             lo, hi = _order(lo_s[5:], token), _order(hi_s[5:], token)
             for m in range(lo, hi + 1):
-                out.append(spectral.chebyshev_test_function(m, _need(support)))
+                out.append(spectral.chebyshev_test_function(m, _need(support, no_support)))
         elif token.startswith("gamma"):
-            out.append(spectral.chebyshev_test_function(_order(token[5:], token), _need(support)))
+            out.append(spectral.chebyshev_test_function(_order(token[5:], token),
+                                                        _need(support, no_support)))
         elif token == "x":
             out.append(spectral.monomial(1))
         elif token.startswith("x^") or (token.startswith("x") and token[1:].isdigit()):
@@ -214,9 +222,9 @@ def _parse_funcs(spec_str: str, params: EnsembleParams) -> list:
     return out
 
 
-def _parse_func(spec_str: str, params: EnsembleParams) -> spectral.TestFunction:
+def _parse_func(spec_str: str, params, no_support: str = _EXTREMAL) -> spectral.TestFunction:
     """Exactly one test function, in the syntax of _parse_funcs."""
-    funcs = _parse_funcs(spec_str, params)
+    funcs = _parse_funcs(spec_str, params, no_support)
     if len(funcs) != 1:
         raise _UsageError(f"expected one test function, got {spec_str!r}")
     return funcs[0]
@@ -236,9 +244,9 @@ def _order(digits: str, token: str) -> int:
     return int(digits)
 
 
-def _need(support):
+def _need(support, no_support: str):
     if support is None:
-        raise _UsageError("Chebyshev test functions need non-extremal parameters")
+        raise _UsageError(no_support)
     return support
 
 
@@ -418,7 +426,12 @@ def _cmd_lln(res: _Resolver) -> tuple[dict, bool]:
     q = res.get("q", 2.0, float)
     reps = res.get("reps", 64, int)
     seed = res.get("seed", 0, int)
-    f = _parse_func(func, from_ratios(max(sizes), beta, p, q))
+    # --p and --q shape only the proportional schedule, the one regime with a support for gammaK
+    if regime == "proportional":
+        f = _parse_func(func, from_ratios(max(sizes), beta, p, q))
+    else:
+        f = _parse_func(func, None,
+                        f"gammaK test functions need --regime proportional, not {regime!r}")
     points = experiments.lln_check(regime, sizes, f, beta=beta, p=p, q=q,
                                    replicates=reps, seed=seed)
     dists = [pt.distance for pt in points]

@@ -101,15 +101,18 @@ def jacobi_poincare_check(
         grad_form = replace(form, coeffs=tuple(chebmul(dform, dform)))
         rows = spectral._chebyshev_rows([form, grad_form], form.center, form.half_width)
 
-        def statistics(gram):
-            K = rows.shape[1] - 1
-            return rows @ model.chebyshev_traces(gram, form.center, form.half_width, K)
+        def statistics(grams):
+            return model.chebyshev_sums(grams, rows, form.center, form.half_width)
 
     else:
 
-        def statistics(gram):
-            lam = eig.eigenvalues(gram).values
-            return np.sum(f(lam)), np.sum(np.asarray(f.derivative(lam), dtype=float) ** 2)
+        def statistics(grams):
+            out = []
+            for gram in grams:
+                lam = eig.eigenvalues(gram).values
+                grad_sq = np.asarray(f.derivative(lam), dtype=float) ** 2
+                out.append((np.sum(f(lam)), np.sum(grad_sq)))
+            return np.array(out)
 
     # contiguous rows, so no reduction below depends on the stride of a column view
     stats = model.map_replicates(params, seed, replicates, statistics)

@@ -2,13 +2,15 @@
 deterministic-factor Frobenius gap, mean-trace deviations, and the extremal
 p = q = 1 moments.
 
-Every check maps a statistic of the Gram matrix over the replicates with
-model.map_replicates, whose row m depends only on (seed, m), and reduces the
-rows.  When every test function is a polynomial, its Chebyshev form is moved
-once per run onto the run's map (the support, or [0, 1] for extremal
-parameters) and tr f(A) is a dot product with the banded Chebyshev traces of
-model.chebyshev_traces; otherwise every function is evaluated on the
-eigensolver's spectrum.
+Every check maps a statistic over the replicates with model.map_replicates,
+whose row m depends only on (seed, m), and reduces the rows.  A statistic
+takes a block of b stacked Gram matrices (diag (b, n), b = max(1, 2^14 // n))
+and returns b rows; the rows are bit-identical whatever the block size.
+When every test function is a polynomial, its Chebyshev form is moved once
+per run onto the run's map (the support, or [0, 1] for extremal parameters)
+and tr f(A) is a dot product with the banded Chebyshev traces of
+model.chebyshev_traces, computed for the whole block at once; otherwise
+every function is evaluated on the eigensolver's spectrum, matrix by matrix.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        if self.replicates < 2:
-            raise ParameterError("need at least two replicates")
+        model._replicate_count(self.replicates)
         if not self.test_functions:
             raise ParameterError("need at least one test function")
 
@@ -159,21 +160,20 @@ def ks_normal_distance(x: np.ndarray) -> float:
 def _trace_statistic(
     funcs: Sequence[spectral.TestFunction], center: float = 0.5, half_width: float = 0.5
 ):
-    """gram -> [tr f(A) for f in funcs].
+    """Stacked Gram matrices -> (b, len(funcs)) rows of tr f(A).
 
     When every function is a polynomial, its Chebyshev form is moved once
-    onto the map (center, half_width), by default [0, 1], and each replicate
+    onto the map (center, half_width), by default [0, 1], and each block
     costs one call of the trace engine; otherwise every function is summed
-    over the spectrum.
+    over the spectrum of each matrix.
     """
     if all(f.is_polynomial for f in funcs):
         rows = spectral._chebyshev_rows([f.chebyshev for f in funcs], center, half_width)
-        K = rows.shape[1] - 1
-        return lambda gram: rows @ model.chebyshev_traces(gram, center, half_width, K)
+        return lambda grams: model.chebyshev_sums(grams, rows, center, half_width)
 
-    def spectrum_sums(gram):
-        lam = eig.eigenvalues(gram).values
-        return np.array([float(np.sum(f(lam))) for f in funcs])
+    def spectrum_sums(grams):
+        spectra = (eig.eigenvalues(gram).values for gram in grams)
+        return np.array([[float(np.sum(f(lam))) for f in funcs] for lam in spectra])
 
     return spectrum_sums
 
@@ -305,7 +305,8 @@ def lln_check(
 def trotter_gap(params: EnsembleParams, replicates: int, seed: int) -> float:
     """Monte Carlo estimate of E || B B^T - B_inf B_inf^T ||_F^2."""
     det = model.assemble_gram(model.deterministic_factor(params))
-    gaps = model.map_replicates(params, seed, replicates, lambda g: model.frobenius_gap_sq(g, det))
+    gaps = model.map_replicates(
+        params, seed, replicates, lambda grams: model.frobenius_gap_sq(grams, det))
     return _sequential_mean(gaps[:, 0])
 
 
@@ -350,6 +351,7 @@ def extremal_moments(
     asym = derive_asymptotic(params)
     if not asym.extremal:
         raise ParameterError("extremal moments require p = q = 1")
-    traces = model.map_replicates(params, seed, replicates, lambda gram: gram.diag.sum())[:, 0]
+    traces = model.map_replicates(
+        params, seed, replicates, lambda grams: grams.diag.sum(axis=-1))[:, 0]
     c = traces - traces.mean()
     return float(np.mean(c**2)), float(np.mean(c**4))

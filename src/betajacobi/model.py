@@ -11,9 +11,17 @@ all 2n-1 draws independent, s = sqrt(1 - c^2) and s' = sqrt(1 - c'^2).
 The eigenvalues of A = BB^T then follow the beta-Jacobi law.
 
 Sampling is pure given an explicit generator stream; factors are immutable.
-Every Monte Carlo check runs through map_replicates, which draws replicate m
-from the counter-based stream keyed by (seed, m) and reduces its Gram matrix
-to a row of statistics, so each row depends on (seed, m) alone.
+Factors and Gram matrices may carry leading batch axes: diag (..., n) and
+sub/off (..., n - 1) hold one matrix per leading index.
+
+Every Monte Carlo check runs through map_replicates.  It draws replicate m
+from the counter-based stream keyed by (seed, m), fills (b, n) blocks of raw
+Beta draws replicate by replicate, and builds the factors and Gram matrices
+of a whole block at once; the statistic maps the block to (b, k) rows.  The
+block size b = 2^14 // n (at least 1) keeps every (b, n) array near 2^14
+doubles.  Each row depends on (seed, m) alone and every batched operation
+acts row by row exactly as on one matrix, so results are bit-identical
+whatever the block size.
 
 Polynomial linear statistics need no eigensolve: chebyshev_traces returns
 tr T_k((A - cI)/r) for k <= K from the banded Chebyshev recurrence, so any
@@ -23,6 +31,7 @@ polynomial written in that basis is a dot product with its coefficients.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -45,11 +54,21 @@ __all__ = [
     "factor_to_dense",
     "gram_to_dense",
     "chebyshev_traces",
+    "chebyshev_sums",
     "frobenius_gap_sq",
     "dump_factor_csv",
 ]
 
 _MASK64 = (1 << 64) - 1
+# Doubles per (block, n) array of map_replicates (128 KiB); a block holds at
+# least one replicate.  The trace engine's band arrays are a few times larger,
+# and at 2^16 they fell out of cache: n = 2000 ran no faster than one at a time.
+_BLOCK_ELEMENTS = 1 << 14
+# Doubles in the bands of T_0..T_ceil(K/2) that chebyshev_traces holds for
+# one part of a stack (2 MiB): a larger stack runs in parts, which keeps
+# them in cache at high degree (K = 20 at n = 2000 ran 1.7x slower in blocks
+# of 8 than one matrix at a time).
+_TRACE_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -70,8 +89,9 @@ class BetaSpec:
 class TridiagonalFactor:
     """Bidiagonal factor: diagonal d, subdiagonal e, and the raw Beta draws.
 
-    raw_c[i-1] = c_i^2 and raw_cp[j-1] = c'_j^2; d and e are derived.
-    Arrays are marked read-only after construction.
+    raw_c[..., i-1] = c_i^2 and raw_cp[..., j-1] = c'_j^2; d and e are
+    derived.  Leading axes, if any, index a stack of factors.  Arrays are
+    marked read-only after construction.
     """
 
     diag: np.ndarray
@@ -82,18 +102,23 @@ class TridiagonalFactor:
     def __post_init__(self):
         for arr in (self.diag, self.sub, self.raw_c, self.raw_cp):
             arr.setflags(write=False)
-        n = self.diag.shape[0]
-        if self.sub.shape[0] != n - 1 or self.raw_c.shape[0] != n or self.raw_cp.shape[0] != n - 1:
+        n = self.n
+        lengths = (self.sub.shape[-1], self.raw_c.shape[-1], self.raw_cp.shape[-1])
+        if lengths != (n - 1, n, n - 1):
             raise ParameterError("inconsistent factor array lengths")
 
     @property
     def n(self) -> int:
-        return self.diag.shape[0]
+        return self.diag.shape[-1]
 
 
 @dataclass(frozen=True)
 class SymTridiagonal:
-    """Symmetric tridiagonal matrix in compact (diag, off) form."""
+    """Symmetric tridiagonal matrix in compact (diag, off) form.
+
+    Leading axes, if any, index a stack of matrices: diag (..., n) and
+    off (..., n - 1); iterating over a (b, n) stack yields its matrices.
+    """
 
     diag: np.ndarray
     off: np.ndarray
@@ -101,12 +126,15 @@ class SymTridiagonal:
     def __post_init__(self):
         self.diag.setflags(write=False)
         self.off.setflags(write=False)
-        if self.off.shape[0] != self.diag.shape[0] - 1:
+        if self.off.shape[-1] != self.diag.shape[-1] - 1:
             raise ParameterError("off-diagonal must have length n - 1")
 
     @property
     def n(self) -> int:
-        return self.diag.shape[0]
+        return self.diag.shape[-1]
+
+    def __iter__(self):
+        return (SymTridiagonal(diag=d, off=e) for d, e in zip(self.diag, self.off))
 
 
 def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
@@ -123,44 +151,72 @@ def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _beta_draws(shape1: np.ndarray, shape2: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized Beta draws via the gamma ratio G1/(G1+G2).
+def _rekeyed_streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """m -> a generator equal, draw for draw, to replicate_stream(seed, m).
 
-    The gamma generator handles shapes < 1 correctly, which matters because
-    the first c' shape is beta/2 < 1 whenever beta < 2.
+    One Philox generator is re-keyed through its state setter (key
+    (seed, m), counter and buffer zeroed), so no replicate pays for the
+    entropy-seeded SeedSequence that the constructor builds; the returned
+    generator is the same object every time, valid until the next call.
     """
-    g1 = rng.standard_gamma(shape1)
-    g2 = rng.standard_gamma(shape2)
-    total = g1 + g2
-    bad = total == 0.0
-    while np.any(bad):  # underflow of both gammas; essentially never at these shapes
-        g1 = np.where(bad, rng.standard_gamma(shape1), g1)
-        g2 = np.where(bad, rng.standard_gamma(shape2), g2)
-        total = g1 + g2
-        bad = total == 0.0
-    return g1 / total
+    rng = replicate_stream(seed, 0)
+    bitgen = rng.bit_generator
+    key = np.array([seed, 0], dtype=np.uint64)
+    zeros = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def stream(replicate: int) -> np.random.Generator:
+        key[1] = replicate
+        bitgen.state = state
+        return rng
+
+    return stream
+
+
+def _replicate_count(replicates) -> int:
+    """The replicate count as an int; anything but an integer >= 2 is a ParameterError."""
+    if not isinstance(replicates, numbers.Integral) or replicates < 2:
+        raise ParameterError(
+            f"need an integer count of at least two replicates, got {replicates!r}")
+    return int(replicates)
+
+
+def _beta_draws(shapes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Beta(shapes[0], shapes[1]) draws via the gamma ratio G1/(G1+G2).
+
+    One standard_gamma call draws G1 and then G2 from the (2, k) shape
+    array.  The gamma generator handles shapes < 1 correctly, which matters
+    because the first c' shape is beta/2 < 1 whenever beta < 2.
+    """
+    g = rng.standard_gamma(shapes)
+    total = g[0] + g[1]
+    while np.count_nonzero(total) < total.size:  # both gammas underflowed; essentially never
+        g = np.where(total == 0.0, rng.standard_gamma(shapes), g)
+        total = g[0] + g[1]
+    return g[0] / total
 
 
 def beta_sample(spec: BetaSpec, rng: np.random.Generator) -> float:
     """One draw from Beta(shape1, shape2)."""
-    return float(
-        _beta_draws(np.array([spec.shape1]), np.array([spec.shape2]), rng)[0]
-    )
+    return float(_beta_draws(np.array([[spec.shape1], [spec.shape2]]), rng)[0])
 
 
 @lru_cache(maxsize=16)
 def _shape_arrays(params: EnsembleParams):
     """Beta shape pairs of the c and c' draws, cached per parameter set.
 
-    Every replicate of a run needs the same arrays, so they are built once;
-    they are shared, hence read-only.
+    Returns a (2, n) array for c and a (2, n - 1) array for c', row 0
+    the first shape and row 1 the second.  Every replicate of a run needs
+    the same arrays, so they are built once; they are shared, hence
+    read-only.
     """
     n, h = params.n, 0.5 * params.beta
     i = np.arange(1, n + 1, dtype=np.float64)
     j = np.arange(1, n, dtype=np.float64)
-    c_shapes = (h * (params.n1 - n + i), h * (params.n2 - n + i))
-    cp_shapes = (h * j, h * (params.n1 + params.n2 - 2 * n + 1 + j))
-    for arr in (*c_shapes, *cp_shapes):
+    c_shapes = np.array([h * (params.n1 - n + i), h * (params.n2 - n + i)])
+    cp_shapes = np.array([h * j, h * (params.n1 + params.n2 - 2 * n + 1 + j)])
+    for arr in (c_shapes, cp_shapes):
         if arr.size and arr.min() <= 0:
             raise ParameterError(
                 "nonpositive Beta shape; parameters violate n1, n2 > n - 1"
@@ -169,57 +225,75 @@ def _shape_arrays(params: EnsembleParams):
     return c_shapes, cp_shapes
 
 
+def _factor_draws(shapes, rng: np.random.Generator):
+    """(c^2, c'^2): the 2n - 1 raw Beta draws of one factor, c first."""
+    c_shapes, cp_shapes = shapes
+    return _beta_draws(c_shapes, rng), _beta_draws(cp_shapes, rng)
+
+
 def _build_factor(raw_c: np.ndarray, raw_cp: np.ndarray) -> TridiagonalFactor:
     c = np.sqrt(raw_c)
     s = np.sqrt(1.0 - raw_c)
     cp = np.sqrt(raw_cp)
     sp = np.sqrt(1.0 - raw_cp)
-    # row m: d_m = c_{n-m+1} s'_{n-m}, sub in row m+1: -s_{n-m} c'_{n-m}
-    diag = c[::-1] * np.concatenate([sp[::-1], [1.0]])
-    sub = -s[::-1][1:] * cp[::-1]
+    # row m: d_m = c_{n-m+1} s'_{n-m} (s'_0 = 1), sub in row m+1: -s_{n-m} c'_{n-m}
+    diag = c[..., ::-1].copy()
+    diag[..., :-1] *= sp[..., ::-1]
+    sub = -s[..., -2::-1] * cp[..., ::-1]
     return TridiagonalFactor(diag=diag, sub=sub, raw_c=raw_c, raw_cp=raw_cp)
 
 
 def sample_factor(params: EnsembleParams, rng: np.random.Generator) -> TridiagonalFactor:
     """Draw the 2n-1 independent Beta variables and lay out the factor."""
-    (c1, c2), (p1, p2) = _shape_arrays(params)
-    raw_c = _beta_draws(c1, c2, rng)
-    raw_cp = _beta_draws(p1, p2, rng)
-    return _build_factor(raw_c, raw_cp)
+    return _build_factor(*_factor_draws(_shape_arrays(params), rng))
 
 
 def deterministic_factor(params: EnsembleParams) -> TridiagonalFactor:
     """Factor with every Beta(x, y) draw replaced by its mean x/(x+y)."""
-    (c1, c2), (p1, p2) = _shape_arrays(params)
-    return _build_factor(c1 / (c1 + c2), p1 / (p1 + p2))
+    c, cp = _shape_arrays(params)
+    return _build_factor(c[0] / (c[0] + c[1]), cp[0] / (cp[0] + cp[1]))
 
 
 def assemble_gram(factor: TridiagonalFactor) -> SymTridiagonal:
     """Symmetric tridiagonal A = BB^T: A_kk = d_k^2 + e_{k-1}^2, A_{k,k+1} = d_k e_k."""
     d, e = factor.diag, factor.sub
     diag = d * d
-    diag = diag + np.concatenate([[0.0], e * e])
-    off = d[:-1] * e
+    diag[..., 1:] += e * e
+    off = d[..., :-1] * e
     return SymTridiagonal(diag=diag, off=off)
 
 
 def map_replicates(
     params: EnsembleParams, seed: int, replicates: int, statistic: Callable
 ) -> np.ndarray:
-    """Row m is statistic(A_m) for the Gram matrix A_m of replicate m.
+    """Row m is the statistic of the Gram matrix A_m of replicate m.
 
-    Replicate m samples its factor from replicate_stream(seed, m), so the
-    (replicates, k) result is bit-reproducible; statistic returns a scalar
-    or k values.  One factor and one Gram matrix are alive at a time.
+    Replicate m samples its factor from replicate_stream(seed, m).  The
+    replicates run in blocks of b = max(1, 2^14 // n): each block's raw
+    draws fill (b, n) arrays, its factors and Gram matrices are built in
+    one pass, and statistic maps the stacked Gram matrices (diag (b, n),
+    off (b, n - 1)) to b values or a (b, k) array.  The (replicates, k)
+    result is bit-identical whatever the block size.
     """
-    if replicates < 2:
-        raise ParameterError(f"need at least two replicates, got {replicates!r}")
+    replicates = _replicate_count(replicates)
+    stream = _rekeyed_streams(seed)
+    shapes = _shape_arrays(params)
+    n = params.n
+    block = min(replicates, max(1, _BLOCK_ELEMENTS // n))
     out = None
-    for m in range(replicates):
-        row = statistic(assemble_gram(sample_factor(params, replicate_stream(seed, m))))
+    for start in range(0, replicates, block):
+        b = min(block, replicates - start)
+        raw_c, raw_cp = np.empty((b, n)), np.empty((b, n - 1))
+        for r in range(b):
+            raw_c[r], raw_cp[r] = _factor_draws(shapes, stream(start + r))
+        rows = np.asarray(statistic(assemble_gram(_build_factor(raw_c, raw_cp))))
+        if rows.shape[:1] != (b,):
+            raise ParameterError(f"statistic must return one row per matrix of the block: "
+                                 f"{b} rows, got shape {rows.shape}")
+        rows = rows.reshape(b, -1)
         if out is None:
-            out = np.empty((replicates, np.size(row)))
-        out[m] = row
+            out = np.empty((replicates, rows.shape[1]))
+        out[start : start + b] = rows
     return out
 
 
@@ -247,7 +321,7 @@ def chebyshev_traces(gram: SymTridiagonal, center: float, half_width: float, K: 
     """[tr T_0(B), ..., tr T_K(B)] for B = (A - center I) / half_width.
 
     T_j(B) is symmetric with bandwidth j, so only its upper bands are kept,
-    as rows of a (bands, n) array zero-padded at the right end.  The
+    as rows of a (..., bands, n) array zero-padded at the right end.  The
     three-term recurrence T_{j+1} = 2 B T_j - T_{j-1} builds T_0..T_h for
     h = ceil(K/2) in O(n h^2), and every higher trace comes from
     tr T_{i+j} = 2 <T_i, T_j>_F - tr T_{i-j} with i = ceil(k/2), j = floor(k/2)
@@ -255,53 +329,86 @@ def chebyshev_traces(gram: SymTridiagonal, center: float, half_width: float, K: 
     half_width, center + half_width] holds the spectrum, every T_j(B) has
     entries of size at most one, so the recurrence is stable at any degree,
     where monomial power traces lose digits to cancellation.
+
+    A stack of Gram matrices gives a (..., K + 1) array, each row equal bit
+    for bit to the traces of its matrix alone.  A (b, n) stack runs in parts
+    whose bands hold at most about _TRACE_ELEMENTS doubles.
     """
     if K < 0:
         raise ParameterError("Chebyshev degree K must be >= 0")
     if not half_width > 0:
         raise ParameterError(f"half_width must be positive, got {half_width!r}")
-    n = gram.n
-    b0 = (gram.diag - center) / half_width
-    b1 = gram.off / half_width
+    lead, n = gram.diag.shape[:-1], gram.n
     h = (K + 1) // 2
-    bands = [np.ones((1, n))]
+    part = max(1, _TRACE_ELEMENTS // (n * (h + 1) * (h + 2) // 2))  # T_j has <= j + 1 bands
+    if len(lead) == 1 and lead[0] > part:
+        return np.concatenate([
+            chebyshev_traces(SymTridiagonal(gram.diag[i : i + part], gram.off[i : i + part]),
+                             center, half_width, K)
+            for i in range(0, lead[0], part)])
+    b0 = ((gram.diag - center) / half_width)[..., None, :]
+    b1 = (gram.off / half_width)[..., None, :]
+    bands = [np.ones(lead + (1, n))]
     if h >= 1:
-        t1 = np.zeros((min(2, n), n))
-        t1[0] = b0
-        t1[1:, :-1] = b1
+        t1 = np.zeros(lead + (min(2, n), n))
+        t1[..., :1, :] = b0
+        t1[..., 1:, :-1] = b1
         bands.append(t1)
     b0, b1 = 2.0 * b0, 2.0 * b1
     for j in range(1, h):
         cur, prev = bands[j], bands[j - 1]
-        rc, rows = cur.shape[0], min(j + 2, n)
+        rc, rows = cur.shape[-2], min(j + 2, n)
         # (2 B M)[i, i+o] = b1[i-1] M[i-1, i+o] + b0[i] M[i, i+o] + b1[i] M[i+1, i+o]
         # with b0, b1 doubled; M[i+1, i] on band 0 is read from band 1 by symmetry
-        nxt = np.zeros((rows, n))
-        np.multiply(b0, cur, out=nxt[:rc])
-        nxt[: rc - 1, 1:] += b1 * cur[1:, :-1]
+        nxt = np.zeros(lead + (rows, n))
+        np.multiply(b0, cur, out=nxt[..., :rc, :])
+        nxt[..., : rc - 1, 1:] += b1 * cur[..., 1:, :-1]
         top = min(rc, rows - 1)
-        nxt[1 : top + 1, :-1] += b1 * cur[:top, 1:]
+        nxt[..., 1 : top + 1, :-1] += b1 * cur[..., :top, 1:]
         if rc > 1:
-            nxt[0, :-1] += b1 * cur[1, :-1]
-        nxt[: prev.shape[0]] -= prev
+            nxt[..., :1, :-1] += b1 * cur[..., 1:2, :-1]
+        nxt[..., : prev.shape[-2], :] -= prev
         bands.append(nxt)
-    out = np.empty(K + 1)
+    out = np.empty(lead + (K + 1,))
     for k in range(min(K, h) + 1):
-        out[k] = bands[k][0].sum()
+        out[..., k] = bands[k][..., 0, :].sum(axis=-1)
     for k in range(h + 1, K + 1):
         i, j = k - k // 2, k // 2
-        rows = bands[j].shape[0]
-        band_dots = np.einsum("ij,ij->i", bands[i][:rows], bands[j])
+        rows = bands[j].shape[-2]
+        band_dots = np.einsum("...ij,...ij->...i", bands[i][..., :rows, :], bands[j])
         # <T_i, T_j>_F: band 0 once, each off-diagonal band twice
-        out[k] = 2.0 * (2.0 * band_dots.sum() - band_dots[0]) - out[i - j]
+        out[..., k] = 2.0 * (2.0 * band_dots.sum(axis=-1) - band_dots[..., 0]) - out[..., i - j]
     return out
 
 
-def frobenius_gap_sq(g1: SymTridiagonal, g2: SymTridiagonal) -> float:
-    """Squared Frobenius distance between two Gram matrices."""
-    dd = g1.diag - g2.diag
-    de = g1.off - g2.off
-    return float(dd @ dd + 2.0 * (de @ de))
+def chebyshev_sums(
+    gram: SymTridiagonal, rows: np.ndarray, center: float, half_width: float
+) -> np.ndarray:
+    """rows @ chebyshev_traces(gram, center, half_width, K) for each matrix.
+
+    Entry f is tr p_f(A) for p_f(x) = sum_k rows[f, k] T_k((x - center) /
+    half_width).  A stack of Gram matrices gives (..., len(rows)); the
+    batched matmul makes, per matrix, the same BLAS call as rows @ traces
+    for one matrix, so each row is bit-identical to it (a traces @ rows.T
+    product is not).
+    """
+    traces = chebyshev_traces(gram, center, half_width, rows.shape[1] - 1)
+    return np.matmul(rows, traces[..., None])[..., 0]
+
+
+def _row_dots(x: np.ndarray) -> np.ndarray:
+    """x[..., :] @ x[..., :] per row, by the same BLAS dot as a 1-D x @ x."""
+    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
+
+
+def frobenius_gap_sq(g1: SymTridiagonal, g2: SymTridiagonal):
+    """Squared Frobenius distance between two Gram matrices.
+
+    Stacks broadcast; the result has their leading shape (a float for two
+    single matrices).
+    """
+    gap = _row_dots(g1.diag - g2.diag) + 2.0 * _row_dots(g1.off - g2.off)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def dump_factor_csv(factor: TridiagonalFactor, path) -> None:

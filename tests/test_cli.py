@@ -116,6 +116,30 @@ def test_lln_subcommand(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["--regime", "sublinear", "--p", "0.5", "--sizes", "40,80"],
+    ["--regime", "superlinear", "--p", "0.5", "--q", "0.3", "--sizes", "40,80", "--func", "exp"],
+    ["--regime", "sublinear", "--p", "0.5", "--sizes", "40,80", "--func", "x3"],
+    ["--regime", "superlinear", "--p", "0.5", "--sizes", "40,80", "--func", "pwl"],
+], ids=["sublinear-x", "superlinear-exp", "sublinear-x3", "superlinear-pwl"])
+def test_lln_outside_proportional_ignores_p_and_q(capsys, argv):
+    code, out = _run(capsys, "lln", *argv, "--reps", "4", "--seed", "1")
+    assert code == 0
+    assert [pt["n"] for pt in json.loads(out)["results"]["points"]] == [40, 80]
+
+
+@pytest.mark.parametrize("regime", ["sublinear", "superlinear"])
+def test_lln_gamma_needs_proportional_regime(capsys, regime):
+    code, out = _run(capsys, "lln", "--regime", regime, "--sizes", "40,80", "--func", "gamma2",
+                     "--reps", "4")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "usage" and regime in error["message"]
+    code, _ = _run(capsys, "lln", "--regime", "proportional", "--sizes", "40,80",
+                   "--func", "gamma2", "--reps", "4")
+    assert code == 0
+
+
 def test_eig_subcommand_quick(capsys):
     code, out = _run(capsys, "eig", "--matrices", "50", "--max-n", "64", "--seed", "0")
     assert code == 0

@@ -74,7 +74,7 @@ def test_map_replicates_matches_hand_loop(support):
         expected[m] = statistic(gram)
         traces[m] = gram.diag.sum()
     assert np.array_equal(model.map_replicates(params, 99, 64, statistic), expected)
-    scalars = model.map_replicates(params, 99, 64, lambda gram: gram.diag.sum())
+    scalars = model.map_replicates(params, 99, 64, lambda grams: grams.diag.sum(axis=-1))
     assert scalars.shape == (64, 1)
     assert np.array_equal(scalars[:, 0], traces)
     funcs = [spectral.chebyshev_test_function(1, support), spectral.monomial(2)]
@@ -98,6 +98,34 @@ def test_fixed_seed_values_pinned():
     assert rep.bound == 0.25
 
 
+def test_fixed_seed_routes_pinned():
+    # means, variances and the Poincare report as computed one replicate at
+    # a time, before the replicate engine ran in blocks
+    params = bj.from_ratios(64, 2.0, 2.0, 2.0)
+    support = bj.support_edges(bj.derive_asymptotic(params))
+    funcs = [spectral.chebyshev_test_function(m, support) for m in (1, 2)] + [spectral.monomial(1)]
+    res = ex.run_fluctuations(ex.ExperimentConfig(params=params, test_functions=funcs,
+                                                  replicates=300, seed=17))
+    assert res.means.tolist() == [0.015188175732993905, -42.62113950382774, 32.00328833650548]
+    assert res.variances.tolist() == [1.069165291349699, 2.0862887840659923, 0.050117123032017284]
+    res = ex.run_fluctuations(ex.ExperimentConfig(
+        params=bj.from_ratios(32, 1.0, 2.0, 3.0),
+        test_functions=[spectral.exp_function(), spectral.monomial(1)], replicates=100, seed=19))
+    assert res.means.tolist() == [48.95113194347157, 12.801933903498886]
+    assert res.variances.tolist() == [0.18764429718401832, 0.07599718956256034]
+    rep = conc.jacobi_poincare_check(bj.from_ratios(48, 2.0, 2.0, 3.0), spectral.monomial(2),
+                                     150, seed=23)
+    assert rep == conc.PoincareReport(
+        variance=0.03467013226956315, bound=0.20814005391079185, ratio=0.16657116983558895,
+        variance_se=0.0040801564863553585, bound_se=0.0003167312263757197)
+
+
+def test_config_accepts_numpy_integer_replicates():
+    cfg = ex.ExperimentConfig(params=bj.from_ratios(16, 2.0, 2.0, 2.0),
+                              test_functions=[spectral.monomial(1)], replicates=np.int32(5), seed=0)
+    assert ex.run_fluctuations(cfg).samples.shape == (5, 1)
+
+
 _REPLICATE_CALLERS = {
     "run_fluctuations": lambda r: ex.run_fluctuations(ex.ExperimentConfig(
         params=bj.from_ratios(16, 2.0, 2.0, 2.0), test_functions=[spectral.monomial(1)],
@@ -111,7 +139,7 @@ _REPLICATE_CALLERS = {
 }
 
 
-@pytest.mark.parametrize("replicates", [0, 1, -3])
+@pytest.mark.parametrize("replicates", [0, 1, -3, 2.5])
 @pytest.mark.parametrize("caller", sorted(_REPLICATE_CALLERS))
 def test_too_few_replicates_raise_parameter_error(caller, replicates):
     with pytest.raises(ParameterError, match="two replicates"):

@@ -12,7 +12,7 @@ def _se(x):
 
 def test_beta_sample_uniform_mean():
     rng = model.replicate_stream(1, 0)
-    draws = model._beta_draws(np.full(10**6, 1.0), np.full(10**6, 1.0), rng)
+    draws = model._beta_draws(np.full((2, 10**6), 1.0), rng)
     assert abs(draws.mean() - 0.5) < 0.002
 
 
@@ -26,13 +26,13 @@ def test_beta_sample_moments_vs_exact():
     # exact Beta moments: mean p/(p+q), variance pq/((p+q)^2 (p+q+1))
     rng = model.replicate_stream(2, 0)
     m = 200_000
-    draws = model._beta_draws(np.full(m, 3.0), np.full(m, 3.0), rng)
+    draws = model._beta_draws(np.full((2, m), 3.0), rng)
     assert abs(draws.mean() - 0.5) < 3 * _se(draws)
     var = draws.var(ddof=1)
     var_se = np.sqrt(np.var((draws - draws.mean()) ** 2) / m)
     assert abs(var - 1.0 / 28.0) < 3 * var_se
 
-    draws = model._beta_draws(np.full(m, 1.0), np.full(m, 6.0), rng)
+    draws = model._beta_draws(np.array([np.full(m, 1.0), np.full(m, 6.0)]), rng)
     assert abs(draws.mean() - 1.0 / 7.0) < 3 * _se(draws)
 
 
@@ -64,8 +64,8 @@ def test_raw_means_match_expectation_formula():
     params = bj.from_ratios(n, 2.0, 2.0, 3.0)
     a, b = 0.2, 0.4
     rng = model.replicate_stream(3, 0)
-    (c1, c2), _ = model._shape_arrays(params)
-    draws = model._beta_draws(np.tile(c1, reps), np.tile(c2, reps), rng).reshape(reps, n)
+    c_shapes, _ = model._shape_arrays(params)
+    draws = model._beta_draws(np.tile(c_shapes, reps), rng).reshape(reps, n)
     i = np.arange(1, n + 1)
     expected = (b - a + a * i / n) / (1 - 2 * a + 2 * a * i / n)
     se = draws.std(axis=0, ddof=1) / np.sqrt(reps)
@@ -200,11 +200,11 @@ def test_shape_arrays_cached_and_read_only():
     params = bj.from_ratios(16, 2.0, 2.0, 3.0)
     first = model._shape_arrays(params)
     again = model._shape_arrays(bj.from_ratios(16, 2.0, 2.0, 3.0))
-    for a, b in zip((*first[0], *first[1]), (*again[0], *again[1])):
+    for a, b in zip(first, again):
         assert a is b
         assert not a.flags.writeable
     with pytest.raises(ValueError):
-        first[0][0][0] = 1.0
+        first[0][0, 0] = 1.0
 
 
 def test_replicate_streams_reproducible_and_disjoint():
@@ -219,6 +219,135 @@ def test_replicate_streams_reproducible_and_disjoint():
         model.replicate_stream(-1, 0)
     with pytest.raises(ParameterError):
         model.replicate_stream(0, -2)
+
+
+def _hand_loop(params, seed, replicates, statistic):
+    factors = (model.sample_factor(params, model.replicate_stream(seed, m)) for m in range(replicates))
+    rows = [statistic(model.assemble_gram(factor)) for factor in factors]
+    return np.array(rows).reshape(replicates, -1)
+
+
+# (n, replicates): a single row; n = 2; three blocks of 256 at n = 64, the
+# last one partial; one replicate per block at n = 9000
+@pytest.mark.parametrize("n, replicates", [(1, 5), (2, 7), (64, 600), (9000, 3)])
+def test_map_replicates_blocks_match_hand_loop(n, replicates):
+    block = max(1, model._BLOCK_ELEMENTS // n)
+    if n == 64:
+        assert replicates > 2 * block and replicates % block != 0
+    if n == 9000:
+        assert block == 1
+    params = bj.from_ratios(n, 2.0, 2.0, 3.0)
+    support = bj.support_edges(bj.derive_asymptotic(params))
+    det = model.assemble_gram(model.deterministic_factor(params))
+    rows = np.array([[1.0, 0.5, -2.0, 0.0, 3.0, 1.5], [0.0, 1.0, 0.0, 0.0, 0.0, 0.25]])
+    statistics = [
+        lambda gram: model.chebyshev_traces(gram, support.center, support.half_width, 7),
+        lambda gram: model.chebyshev_sums(gram, rows, support.center, support.half_width),
+        lambda gram: gram.diag.sum(axis=-1),
+        lambda gram: model.frobenius_gap_sq(gram, det),
+    ]
+    for statistic in statistics:
+        expected = _hand_loop(params, 11, replicates, statistic)
+        assert np.array_equal(model.map_replicates(params, 11, replicates, statistic), expected)
+
+
+def test_map_replicates_checks_its_arguments():
+    params = bj.from_ratios(8, 2.0, 2.0, 2.0)
+    traces = model.map_replicates(params, 0, np.int64(3), lambda gram: gram.diag.sum(axis=-1))
+    assert traces.shape == (3, 1)
+    for count in (2.5, 3.0, "3", None):
+        with pytest.raises(ParameterError, match="two replicates"):
+            model.map_replicates(params, 0, count, lambda gram: gram.diag.sum(axis=-1))
+    with pytest.raises(ParameterError, match="64 bits"):
+        model.map_replicates(params, -1, 3, lambda gram: gram.diag.sum(axis=-1))
+    # a statistic of one matrix, not of the block, is caught
+    with pytest.raises(ParameterError, match="one row per matrix"):
+        model.map_replicates(params, 0, 3, lambda gram: gram.diag.sum())
+
+
+def test_rekeyed_stream_equals_replicate_stream():
+    seed = 2**64 - 1
+    stream = model._rekeyed_streams(seed)
+    for m in (0, 1, 7, 2**40):
+        expected, rng = model.replicate_stream(seed, m), stream(m)
+        # a 32-bit draw leaves half a word buffered for the next re-key to drop
+        assert rng.integers(0, 2**31, dtype=np.int32) == expected.integers(0, 2**31, dtype=np.int32)
+        shapes = np.full(9, 0.4)
+        assert np.array_equal(rng.standard_gamma(shapes), expected.standard_gamma(shapes))
+        assert rng.random() == expected.random()
+    with pytest.raises(ParameterError):
+        model._rekeyed_streams(-1)
+
+
+class _ZeroedGammas:
+    """Generator stub: the first standard_gamma call has column `zero` set to
+    0 in both rows, so that Beta ratio is 0/0; later calls pass through."""
+
+    def __init__(self, rng, zero):
+        self.rng, self.zero, self.calls = rng, zero, []
+
+    def standard_gamma(self, shapes):
+        self.calls.append(np.shape(shapes))
+        g = self.rng.standard_gamma(shapes)
+        if len(self.calls) == 1:
+            g[..., self.zero] = 0.0
+        return g
+
+
+def test_beta_draws_resample_zero_totals():
+    shapes = np.array([[0.3, 2.0, 5.0], [0.7, 1.0, 4.0]])
+    stub = _ZeroedGammas(model.replicate_stream(3, 0), zero=1)
+    draws = model._beta_draws(shapes, stub)
+    reference = model.replicate_stream(3, 0)
+    first, second = reference.standard_gamma(shapes), reference.standard_gamma(shapes)
+    kept = np.where([False, True, False], second, first)
+    assert np.array_equal(draws, kept[0] / (kept[0] + kept[1]))
+    assert stub.calls == [(2, 3), (2, 3)]
+
+
+def test_sample_factor_resamples_c_before_drawing_cp():
+    # the resample of the c draws comes before the c' draws, as in the stream's order
+    params = bj.from_ratios(5, 2.0, 2.0, 2.0)
+    stub = _ZeroedGammas(model.replicate_stream(4, 0), zero=slice(None))
+    factor = model.sample_factor(params, stub)
+    assert stub.calls == [(2, 5), (2, 5), (2, 4)]
+    c_shapes, cp_shapes = model._shape_arrays(params)
+    reference = model.replicate_stream(4, 0)
+    reference.standard_gamma(c_shapes)  # the draw the stub zeroed
+    c = reference.standard_gamma(c_shapes)
+    cp = reference.standard_gamma(cp_shapes)
+    assert np.array_equal(factor.raw_c, c[0] / (c[0] + c[1]))
+    assert np.array_equal(factor.raw_cp, cp[0] / (cp[0] + cp[1]))
+
+
+def _stacked_gram(params, seed, count):
+    """The Gram matrices of replicates 0..count-1 as one stack, and their factors."""
+    factors = [model.sample_factor(params, model.replicate_stream(seed, m)) for m in range(count)]
+    raw_c = np.array([f.raw_c for f in factors])
+    raw_cp = np.array([f.raw_cp for f in factors])
+    return model.assemble_gram(model._build_factor(raw_c, raw_cp)), factors
+
+
+def test_stacked_gram_iterates_over_its_matrices():
+    stacked, factors = _stacked_gram(bj.from_ratios(6, 2.0, 2.0, 2.0), 2, 3)
+    assert stacked.n == 6 and stacked.diag.shape == (3, 6)
+    for gram, factor in zip(stacked, factors):
+        single = model.assemble_gram(factor)
+        assert np.array_equal(gram.diag, single.diag) and np.array_equal(gram.off, single.off)
+
+
+# one matrix per part, and the whole stack in one part
+@pytest.mark.parametrize("trace_elements", [1, 1 << 40])
+def test_chebyshev_traces_of_a_stack_match_each_matrix(monkeypatch, trace_elements):
+    monkeypatch.setattr(model, "_TRACE_ELEMENTS", trace_elements)
+    params = bj.from_ratios(40, 2.0, 2.0, 3.0)
+    support = bj.support_edges(bj.derive_asymptotic(params))
+    stacked, _ = _stacked_gram(params, 12, 5)
+    for K in (0, 1, 4, 9, 30):
+        traces = model.chebyshev_traces(stacked, support.center, support.half_width, K)
+        assert traces.shape == (5, K + 1)
+        for row, gram in zip(traces, stacked):
+            assert np.array_equal(row, model.chebyshev_traces(gram, support.center, support.half_width, K))
 
 
 def test_factor_arrays_read_only():

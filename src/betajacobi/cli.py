@@ -298,6 +298,10 @@ def _cmd_eig(res: _Resolver) -> tuple[dict, bool]:
     matrices = res.get("matrices", 1000, int)
     max_n = res.get("max_n", 512, int)
     seed = res.get("seed", 0, int)
+    if matrices < 1:
+        raise _UsageError(f"--matrices must be at least 1, got {matrices}")
+    if max_n < 2:
+        raise _UsageError(f"--max-n must be at least 2, got {max_n}")
     rng = np.random.default_rng(seed)
     worst_trace = worst_frob = 0.0
     for _ in range(matrices):
@@ -309,19 +313,27 @@ def _cmd_eig(res: _Resolver) -> tuple[dict, bool]:
         worst_trace = max(worst_trace, abs(vals.sum() - diag.sum()) / (n * scale))
         frob = float(np.sum(diag**2) + 2.0 * np.sum(off**2))
         worst_frob = max(worst_frob, abs(float(np.sum(vals**2)) - frob) / (n * scale**2))
-    worst_sturm = 0.0
+    # 100 small matrices against the Sturm oracle, one stacked call per order
+    by_order: dict[int, list] = {}
     for _ in range(100):
         n = int(rng.integers(2, 11))
         diag = rng.uniform(-1.0, 1.0, n)
         off = rng.uniform(-1.0, 1.0, n - 1)
-        a = model.SymTridiagonal(diag=diag, off=off)
-        delta = eig.eigenvalues(a).values - eig.sturm_eigenvalues(diag, off)
-        worst_sturm = max(worst_sturm, float(np.max(np.abs(delta))))
+        by_order.setdefault(n, []).append((diag, off))
+    worst_sturm = 0.0
+    for group in by_order.values():
+        diags = np.array([diag for diag, _ in group])
+        offs = np.array([off for _, off in group])
+        oracle = eig.sturm_eigenvalues(diags, offs)
+        for (diag, off), expected in zip(group, oracle):
+            vals = eig.eigenvalues(model.SymTridiagonal(diag=diag, off=off)).values
+            worst_sturm = max(worst_sturm, float(np.max(np.abs(vals - expected))))
     ok = worst_trace <= 1e-12 and worst_frob <= 1e-12 and worst_sturm <= 1e-10
     return {
         "worst_trace_identity": worst_trace,
         "worst_frobenius_identity": worst_frob,
         "worst_sturm_gap": worst_sturm,
+        "sturm_oracle_calls": len(by_order),
         "passed": ok,
     }, ok
 
@@ -524,11 +536,17 @@ def _cmd_concentration(res: _Resolver) -> tuple[dict, bool]:
     p = res.get("p", 1.0, float)
     q = res.get("q", 1.0, float)
     sizes = _parse_sizes(res.get("sizes", "100,1000,10000"))
-    scaled = {n: n * n * conc.coupling_gap(n, p, q) for n in sizes}
+    if len(set(sizes)) < 2:
+        raise _UsageError(f"the coupling scaling check needs at least two distinct sizes, got {sizes}")
+    reports = {n: conc.coupling_report(n, p, q) for n in sizes}
+    scaled = {n: n * n * rep.gap for n, rep in reports.items()}
     vals = list(scaled.values())
     ok = max(vals) / min(vals) <= 2.0
     return {"n_sq_gap": {str(k): v for k, v in scaled.items()},
-            "band_ratio": max(vals) / min(vals), "passed": ok}, ok
+            "band_ratio": max(vals) / min(vals),
+            "hermite_nodes": {str(k): rep.nodes for k, rep in reports.items()},
+            "doubling_rel_gap": {str(k): rep.doubling_rel_gap for k, rep in reports.items()},
+            "passed": ok}, ok
 
 
 def _cmd_verify_all(res: _Resolver) -> tuple[dict, bool]:

@@ -3,7 +3,8 @@ bound, and the sqrt-Beta to Gaussian coupling gap.
 
 Beta expectations are computed with Gauss nodes from the spectral module's
 recurrence machinery (no new solver); the coupling uses the comonotone
-(quantile) pairing, which is optimal for squared distance in one dimension.
+(quantile) pairing, which is optimal for squared distance in one dimension,
+integrated as a Gaussian expectation by doubling Gauss-Hermite rules.
 """
 
 from __future__ import annotations
@@ -13,16 +14,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebmul
-from scipy.special import betaincinv, ndtri
+from scipy.special import betainccinv, betaincinv, ndtr, roots_hermitenorm
 
 from . import eig, model, spectral
-from .errors import ExtremalRegimeError, ParameterError
+from .errors import ExtremalRegimeError, ParameterError, QuadratureError
 from .params import EnsembleParams, derive_asymptotic
 
 __all__ = [
     "PoincareReport",
     "beta_poincare_ratio",
     "jacobi_poincare_check",
+    "CouplingReport",
+    "coupling_report",
     "coupling_gap",
     "independent_coupling_gap",
 ]
@@ -134,40 +137,95 @@ def jacobi_poincare_check(
     )
 
 
-def _comonotone_setup(n: int, p: float, q: float, nodes: int):
-    """Shared set-up of the coupling gaps.
+# Doubling schedule of the Gauss-Hermite coupling rule: the first rule, and
+# the largest rule evaluated before an unconfirmed gap is an error.
+_FIRST_NODES = 16
+_MAX_NODES = 1024
+# Two successive rules agree when they differ by at most _GAP_RTOL relative,
+# or by the cancellation floor 2 * _QUANTILE_RTOL * mu * sqrt(gap), whichever
+# is larger.  The integrand (Y - mu - c z)^2 is O(gap) while Y ~ mu = O(1), so
+# a relative error kappa in the sqrt-Beta quantiles moves the gap by about
+# 2 kappa mu sqrt(gap).  Successive rules of 32..1024 nodes at n <= 1e6 and
+# p, q in {1/4, 1/2, 1, 2, 4, 8} differ by up to kappa ~ 4.4e-14 in this sense
+# (3.8e-7 relative at n = 1e6, p = 1/2, q = 4); _QUANTILE_RTOL is twice that,
+# rounded up.
+_GAP_RTOL = 1e-8
+_QUANTILE_RTOL = 1e-13
 
-    Returns the quantile levels u and their weights (Gauss-Legendre on
-    [0, 1]), the quantiles of Y ~ sqrt(Beta(np, nq)) at u, and the
-    Gaussian model's mu and sigma.
+
+@dataclass(frozen=True)
+class CouplingReport:
+    """A doubling-confirmed coupling gap and the rule that confirmed it."""
+
+    gap: float
+    nodes: int  # Gauss-Hermite nodes of the returned value
+    doubling_rel_gap: float  # relative difference to the rule of 2 * nodes
+
+
+def _gaussian_gap(a: float, b: float, mu: float, slope: float, nodes: int) -> float:
+    """E (Y - mu - slope Z)^2 with Y = F^{-1}(Phi(Z)), Z standard normal.
+
+    F is the law of sqrt(Beta(a, b)).  Substituting u = Phi(z) turns the
+    quantile integral over u in (0, 1), singular at both ends, into a
+    Gaussian expectation with a smooth integrand, which Gauss-Hermite
+    integrates spectrally.  The upper half inverts the complementary Beta
+    function at Phi(-z), so the upper tail keeps its digits.
     """
+    z, w = roots_hermitenorm(nodes)
+    lower = z <= 0
+    x = np.empty_like(z)
+    x[lower] = betaincinv(a, b, ndtr(z[lower]))
+    x[~lower] = betainccinv(a, b, ndtr(-z[~lower]))
+    if not np.all(np.isfinite(x)):
+        raise QuadratureError(f"Beta quantile inversion failed at {nodes} Gauss-Hermite nodes")
+    diff = np.sqrt(x) - mu - slope * z
+    return float(w @ (diff * diff)) / math.sqrt(2.0 * math.pi)
+
+
+def _confirmed_gap(n: float, p: float, q: float, slope: float) -> CouplingReport:
+    """Double the Gauss-Hermite rule from _FIRST_NODES until two agree."""
     if p <= 0 or q <= 0:
         raise ParameterError("p and q must be positive")
     if n <= max(1.0 / p, 1.0 / q):
         raise ParameterError("need n > max(1/p, 1/q)")
-    t, w = spectral._gauss_legendre(nodes)
-    u = 0.5 * (1.0 + t)
-    yq = np.sqrt(betaincinv(n * p, n * q, u))
-    if not np.all(np.isfinite(yq)):
-        raise ParameterError("Beta quantile inversion failed")
     mu = math.sqrt(p / (p + q))
-    sigma = math.sqrt(q) / (2.0 * (p + q) * math.sqrt(n))
-    return u, 0.5 * w, yq, mu, sigma
+    nodes = _FIRST_NODES
+    value = _gaussian_gap(n * p, n * q, mu, slope, nodes)
+    while 2 * nodes <= _MAX_NODES:
+        doubled = _gaussian_gap(n * p, n * q, mu, slope, 2 * nodes)
+        diff = abs(value - doubled)
+        if diff <= max(_GAP_RTOL * doubled, 2.0 * _QUANTILE_RTOL * mu * math.sqrt(doubled)):
+            return CouplingReport(gap=value, nodes=nodes,
+                                  doubling_rel_gap=diff / doubled if doubled > 0 else 0.0)
+        nodes, value = 2 * nodes, doubled
+    raise QuadratureError(
+        f"coupling gap not confirmed by doubling up to {_MAX_NODES} Gauss-Hermite nodes "
+        f"(n={n}, p={p}, q={q})"
+    )
 
 
-def coupling_gap(n: int, p: float, q: float, nodes: int = 4096) -> float:
+def _sigma(n: float, p: float, q: float) -> float:
+    return math.sqrt(q) / (2.0 * (p + q) * math.sqrt(n))
+
+
+def coupling_report(n: int, p: float, q: float) -> CouplingReport:
+    """coupling_gap with its confirmed Gauss-Hermite node count."""
+    return _confirmed_gap(n, p, q, _sigma(n, p, q))
+
+
+def coupling_gap(n: int, p: float, q: float) -> float:
     """E (Y - mu - sigma X)^2 under the comonotone coupling.
 
     Y ~ sqrt(Beta(np, nq)), mu = sqrt(p/(p+q)), sigma = sqrt(q)/(2(p+q)
-    sqrt(n)), X standard normal.  Quantile-grid quadrature; the monotone
-    pairing minimizes the expected squared distance in one dimension.
+    sqrt(n)), X standard normal.  The monotone pairing minimizes the
+    expected squared distance in one dimension.  Integrated by the
+    Gauss-Hermite rule that a rule of twice as many nodes confirms;
+    QuadratureError if none of up to _MAX_NODES nodes is confirmed.
     """
-    u, w, yq, mu, sigma = _comonotone_setup(n, p, q, nodes)
-    diff = yq - mu - sigma * ndtri(u)
-    return float(w @ (diff * diff))
+    return coupling_report(n, p, q).gap
 
 
-def independent_coupling_gap(n: int, p: float, q: float, nodes: int = 4096) -> float:
+def independent_coupling_gap(n: int, p: float, q: float) -> float:
     """E (Y - mu - sigma X)^2 when Y and X are independent: E(Y-mu)^2 + sigma^2."""
-    _, w, yq, mu, sigma = _comonotone_setup(n, p, q, nodes)
-    return float(w @ ((yq - mu) ** 2)) + sigma * sigma
+    sigma = _sigma(n, p, q)
+    return _confirmed_gap(n, p, q, 0.0).gap + sigma * sigma

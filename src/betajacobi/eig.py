@@ -74,47 +74,67 @@ def sturm_count(diag: np.ndarray, off_sq: np.ndarray, x: np.ndarray) -> np.ndarr
     """Number of eigenvalues strictly below each shift in x.
 
     Standard Sturm sequence on the shifted LDL^T recurrence, vectorized
-    across shifts; zero pivots are nudged by a tiny epsilon.
+    across shifts and leading batch axes: diag (..., n), off_sq (..., n-1)
+    and x (..., m) give counts (..., m).  Zero pivots are nudged by a tiny
+    epsilon.
     """
+    diag = np.asarray(diag, dtype=float)
+    off_sq = np.asarray(off_sq, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = diag.shape[0]
-    count = np.zeros(x.shape, dtype=np.int64)
-    q = np.full(x.shape, 1.0)
+    n = diag.shape[-1]
+    count = np.zeros(np.broadcast_shapes(diag.shape[:-1] + (1,), x.shape), dtype=np.int64)
+    q = np.ones(count.shape)
     tiny = np.finfo(float).tiny * 4.0
     for i in range(n):
         denom = np.where(np.abs(q) < tiny, np.where(q >= 0, tiny, -tiny), q)
-        esq = off_sq[i - 1] if i > 0 else 0.0
-        q = (diag[i] - x) - esq / denom
+        esq = off_sq[..., i - 1, None] if i > 0 else 0.0
+        q = (diag[..., i, None] - x) - esq / denom
         count += q < 0
     return count
 
 
 def sturm_eigenvalues(diag: np.ndarray, off: np.ndarray, tol: float = 1e-14) -> np.ndarray:
-    """All eigenvalues by bisection with Sturm counts (independent oracle)."""
+    """All eigenvalues by bisection with Sturm counts (independent oracle).
+
+    Takes leading batch axes, diag (..., n) and off (..., n-1), and returns
+    (..., n) ascending rows.  Each matrix bisects from its own Gershgorin
+    interval and stops at its own iteration cap or width test, so a row is
+    bit-identical to the same matrix solved alone.
+    """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
-    n = diag.shape[0]
+    n = diag.shape[-1]
+    if off.shape != diag.shape[:-1] + (max(n - 1, 0),):
+        raise ParameterError(f"off shape {off.shape} does not fit diag shape {diag.shape}")
     if n == 1:
         return diag.copy()
+    # one batch axis, so every per-matrix quantity below is an array
+    batch = diag.shape[:-1]
+    diag = diag.reshape(-1, n)
+    off = off.reshape(-1, n - 1)
     off_sq = off * off
-    pad = np.concatenate([np.abs(off), [0.0]])
-    radius = np.abs(pad) + np.concatenate([[0.0], np.abs(off)])
-    lo = float(np.min(diag - radius))
-    hi = float(np.max(diag + radius))
-    scale = max(abs(lo), abs(hi), 1e-300)
+    edge = np.zeros((diag.shape[0], 1))
+    radius = np.concatenate([np.abs(off), edge], axis=1) + np.concatenate([edge, np.abs(off)], axis=1)
+    lo = np.min(diag - radius, axis=1)
+    hi = np.max(diag + radius, axis=1)
+    scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-300)
     lo -= 1e-3 * scale
     hi += 1e-3 * scale
-    lows = np.full(n, lo)
-    highs = np.full(n, hi)
+    lows = np.repeat(lo[:, None], n, axis=1)
+    highs = np.repeat(hi[:, None], n, axis=1)
     targets = np.arange(1, n + 1)
+    width = tol * scale
     # bisection until the interval width is below tol * scale
-    max_iter = int(np.ceil(np.log2((hi - lo) / max(tol * scale, 1e-300)))) + 4
-    for _ in range(max(max_iter, 1)):
+    max_iter = np.ceil(np.log2((hi - lo) / np.maximum(width, 1e-300))).astype(np.int64) + 4
+    active = np.ones(diag.shape[0], dtype=bool)
+    done = 0
+    while np.any(active):
         mids = 0.5 * (lows + highs)
-        counts = sturm_count(diag, off_sq, mids)
-        take_low = counts >= targets
-        highs = np.where(take_low, mids, highs)
-        lows = np.where(take_low, lows, mids)
-        if np.max(highs - lows) <= tol * scale:
-            break
-    return 0.5 * (lows + highs)
+        below = sturm_count(diag, off_sq, mids) >= targets
+        live = active[:, None]
+        highs = np.where(below & live, mids, highs)
+        lows = np.where(~below & live, mids, lows)
+        done += 1
+        # a row stops after max(max_iter, 1) steps or once its widest interval fits
+        active &= (done < max_iter) & (np.max(highs - lows, axis=1) > width)
+    return (0.5 * (lows + highs)).reshape(batch + (n,))

@@ -147,6 +147,33 @@ def test_eig_subcommand_quick(capsys):
     assert doc["results"]["worst_trace_identity"] <= 1e-12
 
 
+def test_eig_seed_one_report(capsys):
+    code, out = _run(capsys, "eig", "--matrices", "100", "--max-n", "128", "--seed", "1")
+    assert code == 0
+    results = json.loads(out)["results"]
+    # the value of the one-matrix-at-a-time oracle; 100 matrices of orders 2..10
+    assert results["worst_sturm_gap"] == 9.103828801926284e-15
+    assert results["sturm_oracle_calls"] == 9
+
+
+def test_eig_usage_error_honours_out(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, out = _run(capsys, "--out", str(report), "eig", "--max-n", "1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(report.read_text())["error"]["type"] == "usage"
+
+
+def test_coupling_report_records_confirming_rule(capsys):
+    code, out = _run(capsys, "concentration", "--check", "coupling", "--sizes", "100,1000")
+    assert code == 0
+    results = json.loads(out)["results"]
+    for size in ("100", "1000"):
+        assert results["n_sq_gap"][size] == int(size) ** 2 * conc.coupling_gap(int(size), 1.0, 1.0)
+        assert results["hermite_nodes"][size] == 16
+        assert 0.0 <= results["doubling_rel_gap"][size] <= 1e-8
+
+
 def test_concentration_beta_subcommand(capsys):
     code, out = _run(capsys, "concentration", "--check", "beta")
     assert code == 0
@@ -209,6 +236,13 @@ _BAD_USAGE = [
     pytest.param(["lln", "--sizes", "100,abc", "--reps", "4"], id="lln-sizes"),
     pytest.param(["concentration", "--check", "coupling", "--sizes", "100,x"],
                  id="coupling-sizes"),
+    pytest.param(["concentration", "--check", "coupling", "--sizes", "100"],
+                 id="coupling-one-size"),
+    pytest.param(["concentration", "--check", "coupling", "--sizes", "100,100"],
+                 id="coupling-repeated-size"),
+    pytest.param(["eig", "--max-n", "1"], id="eig-max-n-1"),
+    pytest.param(["eig", "--matrices", "0"], id="eig-matrices-0"),
+    pytest.param(["eig", "--matrices", "-5"], id="eig-matrices-negative"),
     pytest.param(["lln", "--sizes", "32", "--func", "bogus", "--reps", "4"], id="lln-func"),
     pytest.param(["concentration", "--check", "jacobi", "--n", "16", "--func", "bogus",
                   "--reps", "4"], id="jacobi-func"),

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import betaincinv, ndtri
 
 import betajacobi as bj
 from betajacobi import concentration as conc
 from betajacobi import spectral
-from betajacobi.errors import ExtremalRegimeError, ParameterError
+from betajacobi.errors import ExtremalRegimeError, ParameterError, QuadratureError
 
 
 def _sin_like():
@@ -115,9 +118,65 @@ def test_coupling_gap_domain():
         conc.coupling_gap(1, 0.25, 0.25)  # n <= 1/p
 
 
-@pytest.mark.parametrize("n,seed_value", [(100, 5.850784886689607e-07), (1000, 5.858502152085262e-09)])
-def test_coupling_gap_seed_values(n, seed_value):
-    assert conc.coupling_gap(n, 1.0, 1.0) == pytest.approx(seed_value, rel=1e-9)
+def _legendre_coupling_gap(n, p, q, nodes):
+    """The quantile-grid route: Gauss-Legendre in u on (0, 1), O(nodes^-2)."""
+    t, w = spectral._gauss_legendre(nodes)
+    u = 0.5 * (1.0 + t)
+    sigma = math.sqrt(q) / (2.0 * (p + q) * math.sqrt(n))
+    diff = np.sqrt(betaincinv(n * p, n * q, u)) - math.sqrt(p / (p + q)) - sigma * ndtri(u)
+    return float(0.5 * w @ (diff * diff))
+
+
+# Gauss-Hermite values; the 4096-node Gauss-Legendre rule gave
+# 5.850784886689607e-07 and 5.858502152085262e-09, about 3e-6 low.
+@pytest.mark.parametrize("n,seed_value,legendre_value", [
+    (100, 5.850802494240968e-07, 5.850784886689607e-07),
+    (1000, 5.858520227889121e-09, 5.858502152085262e-09),
+])
+def test_coupling_gap_seed_values(n, seed_value, legendre_value):
+    gap = conc.coupling_gap(n, 1.0, 1.0)
+    assert gap == pytest.approx(seed_value, rel=1e-9)
+    # Richardson extrapolation of the nodes^-2 Legendre error
+    coarse, fine = (_legendre_coupling_gap(n, 1.0, 1.0, m) for m in (4096, 8192))
+    extrapolated = (4.0 * fine - coarse) / 3.0
+    assert abs(gap / extrapolated - 1.0) <= 1e-7
+    assert abs(gap - extrapolated) < abs(legendre_value - extrapolated)
+
+
+def test_independent_coupling_gap_closed_form():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for n in (3, 10, 100, 1000, 10000):
+        for p in (0.5, 1.0, 2.0, 4.0):
+            for q in (0.5, 1.0, 4.0):
+                if n <= max(1.0 / p, 1.0 / q):
+                    continue
+                # float lgamma differences cancel to O(1/n); evaluate at 40 digits
+                a, b = mpmath.mpf(n) * p, mpmath.mpf(n) * q
+                mu = mpmath.sqrt(a / (a + b))
+                sigma = mpmath.sqrt(q) / (2 * (p + q) * mpmath.sqrt(n))
+                mean = mpmath.exp(mpmath.loggamma(a + 0.5) + mpmath.loggamma(a + b)
+                                  - mpmath.loggamma(a) - mpmath.loggamma(a + b + 0.5))
+                exact = float(a / (a + b) - 2 * mu * mean + mu**2 + sigma**2)
+                assert conc.independent_coupling_gap(n, p, q) == pytest.approx(exact, rel=1e-9)
+
+
+def test_coupling_gap_confirms_by_doubling(monkeypatch):
+    rep = conc.coupling_report(5, 0.25, 0.25)  # 16 and 32 nodes differ by 2.4e-8
+    assert rep.nodes == 32 and rep.doubling_rel_gap <= 1e-8
+    assert rep.gap == conc.coupling_gap(5, 0.25, 0.25)
+    monkeypatch.setattr(conc, "_MAX_NODES", 32)
+    with pytest.raises(QuadratureError):
+        conc.coupling_gap(5, 0.25, 0.25)
+
+
+def test_coupling_gap_builds_no_legendre_rule(monkeypatch):
+    def forbidden(nodes):
+        raise AssertionError(f"Gauss-Legendre rule of {nodes} nodes built")
+
+    monkeypatch.setattr(spectral, "_gauss_legendre", forbidden)
+    assert conc.coupling_gap(10000, 1.0, 1.0) > 0.0
+    assert conc.independent_coupling_gap(10000, 1.0, 1.0) > 0.0
 
 
 @pytest.mark.parametrize("p,q", [(0.0, 1.0), (-0.5, 1.0), (1.0, 0.0)])

@@ -82,3 +82,87 @@ def test_spectrum_residual_reported():
     off = rng.uniform(-0.5, 0.5, 99)
     spec = eig.eigenvalues(model.SymTridiagonal(diag=diag, off=off))
     assert spec.residual_trace_error <= 1e-10
+
+
+def _sturm_eigenvalues_one(diag, off, tol=1e-14):
+    """One matrix at a time, the shape the oracle had before it took batch axes."""
+    n = diag.shape[0]
+    if n == 1:
+        return diag.copy()
+    off_sq = off * off
+    radius = np.concatenate([np.abs(off), [0.0]]) + np.concatenate([[0.0], np.abs(off)])
+    lo = float(np.min(diag - radius))
+    hi = float(np.max(diag + radius))
+    scale = max(abs(lo), abs(hi), 1e-300)
+    lo -= 1e-3 * scale
+    hi += 1e-3 * scale
+    lows, highs = np.full(n, lo), np.full(n, hi)
+    tiny = np.finfo(float).tiny * 4.0
+    max_iter = int(np.ceil(np.log2((hi - lo) / max(tol * scale, 1e-300)))) + 4
+    for _ in range(max(max_iter, 1)):
+        mids = 0.5 * (lows + highs)
+        counts = np.zeros(n, dtype=np.int64)
+        q = np.ones(n)
+        for i in range(n):
+            denom = np.where(np.abs(q) < tiny, np.where(q >= 0, tiny, -tiny), q)
+            q = (diag[i] - mids) - (off_sq[i - 1] if i > 0 else 0.0) / denom
+            counts += q < 0
+        take_low = counts >= np.arange(1, n + 1)
+        highs = np.where(take_low, mids, highs)
+        lows = np.where(take_low, lows, mids)
+        if np.max(highs - lows) <= tol * scale:
+            break
+    return 0.5 * (lows + highs)
+
+
+def _stack(n, seed):
+    """Matrices of order n whose bisections stop at different iteration counts.
+
+    The cap and the width test both depend on (hi - lo) / scale of the
+    Gershgorin interval: about 2 for a matrix centred on 0, about 2e-3 for
+    one shifted far from it.  The zero rows hit exact zero pivots.
+    """
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(-1.0, 1.0, (6, n))
+    off = rng.uniform(-1.0, 1.0, (6, n - 1))
+    diag[1] += 100.0
+    diag[2] *= 1e-200
+    off[2] *= 1e-200
+    diag[3] = 0.0
+    off[3] = 0.0
+    diag[4] = 0.0
+    off[5, ::2] = 0.0
+    return diag, off
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 33])
+def test_stacked_sturm_oracle_matches_one_at_a_time(n):
+    diag, off = _stack(n, n)
+    stacked = eig.sturm_eigenvalues(diag, off)
+    assert stacked.shape == diag.shape
+    for row in range(diag.shape[0]):
+        alone = eig.sturm_eigenvalues(diag[row], off[row])
+        assert np.array_equal(stacked[row], alone)
+        assert np.array_equal(alone, _sturm_eigenvalues_one(diag[row], off[row]))
+    # two batch axes give the same rows
+    nested = eig.sturm_eigenvalues(diag.reshape(2, 3, n), off.reshape(2, 3, max(n - 1, 0)))
+    assert np.array_equal(nested.reshape(6, n), stacked)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 33])
+def test_stacked_sturm_count_matches_one_at_a_time(n):
+    diag, off = _stack(n, 100 + n)
+    off_sq = off * off
+    shifts = np.linspace(-2.0, 2.0, 9)
+    shifts = np.stack([shifts + 100.0 * (row == 1) for row in range(6)])
+    shifts[3, 4] = 0.0  # exactly on the zero matrix's eigenvalue
+    stacked = eig.sturm_count(diag, off_sq, shifts)
+    shared = eig.sturm_count(diag, off_sq, shifts[0])
+    for row in range(diag.shape[0]):
+        assert np.array_equal(stacked[row], eig.sturm_count(diag[row], off_sq[row], shifts[row]))
+        assert np.array_equal(shared[row], eig.sturm_count(diag[row], off_sq[row], shifts[0]))
+
+
+def test_sturm_oracle_rejects_mismatched_shapes():
+    with pytest.raises(ParameterError):
+        eig.sturm_eigenvalues(np.zeros((3, 4)), np.zeros((2, 3)))

@@ -1,0 +1,493 @@
+"""One registry of the acceptance checks.
+
+REGISTRY holds one entry per acceptance criterion (criterion 12 as its
+deterministic Beta-Poincare half and its Monte Carlo ensemble half): a
+runner that returns the measured values, its gates, each written once as
+(quantity, comparison, threshold), its full (acceptance) and quick inputs
+and its seed.  `verify-all`, the check subcommands and the acceptance
+suite all go through `run`, so no threshold is written anywhere else.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+import time
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Mapping, NamedTuple, Optional
+
+import numpy as np
+
+from . import concentration, covariance, eig, experiments, model, paths, spectral
+from .params import EnsembleParams, SupportInterval, from_ratios, shape_params, support_edges
+
+__all__ = ["Gate", "Check", "GateResult", "Outcome", "REGISTRY", "CHECKS", "run", "report"]
+
+_COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
+class Gate(NamedTuple):
+    """quantity <comparison> threshold.
+
+    With se_scaled, the threshold is a fixed number of standard errors at
+    the entry's full replicate count, so at `reps` replicates it widens by
+    sqrt(full reps / reps); at the full count it is the literal itself.
+    """
+
+    quantity: str
+    comparison: str
+    threshold: float
+    se_scaled: bool = False
+
+
+@dataclass(frozen=True)
+class Check:
+    criterion: int
+    name: str
+    runner: Callable[..., dict]
+    gates: tuple
+    full: Mapping
+    quick: Optional[Mapping] = None  # None: the full inputs
+    seed: Optional[int] = None  # None: the runner draws nothing at random
+    slow: bool = False  # Monte Carlo work of seconds at the full inputs
+
+    def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(Gate(*g) for g in self.gates))
+
+    @property
+    def id(self) -> str:
+        return f"{self.criterion:02d}-{self.name}"
+
+    def inputs(self, quick: bool) -> Mapping:
+        return self.quick if quick and self.quick is not None else self.full
+
+
+@dataclass(frozen=True)
+class GateResult:
+    quantity: str
+    comparison: str
+    threshold: float
+    value: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(_COMPARE[self.comparison](self.value, self.threshold))
+
+    @property
+    def margin(self) -> float:
+        """Distance to the threshold, positive on the passing side."""
+        if self.comparison.startswith("<"):
+            return self.threshold - self.value
+        return self.value - self.threshold
+
+    def to_json(self) -> dict:
+        return {"value": self.value, "comparison": self.comparison,
+                "threshold": self.threshold, "margin": self.margin, "passed": self.passed}
+
+
+@dataclass(frozen=True)
+class Outcome:
+    check: Check
+    values: dict
+    gates: tuple
+    wall_clock_s: float
+
+    @property
+    def passed(self) -> bool:
+        return all(g.passed for g in self.gates)
+
+    def line(self) -> str:
+        worst = min(self.gates, key=lambda g: g.margin / abs(g.threshold or 1.0))
+        return (f"[{'PASS' if self.passed else 'FAIL'}] criterion {self.check.id} "
+                f"({self.wall_clock_s:.2f} s): closest gate {worst.quantity} = {worst.value:.3g} "
+                f"{worst.comparison} {worst.threshold:.3g}")
+
+
+def run(check: Check, inputs: Optional[Mapping] = None, seed: Optional[int] = None) -> Outcome:
+    """Run one entry at `inputs` (default: its full inputs) and evaluate its gates.
+
+    `seed` replaces the entry's seed; unseeded entries ignore it.  The
+    check's wall time is measured here and may itself be gated as wall_clock_s,
+    the key under which every report of this library gives a wall time.
+    """
+    inputs = dict(check.full if inputs is None else inputs)
+    if check.seed is not None:
+        inputs["seed"] = check.seed if seed is None else seed
+    t0 = time.perf_counter()
+    values = check.runner(**inputs)
+    wall = time.perf_counter() - t0
+    measured = {**values, "wall_clock_s": wall}
+    gates = []
+    for gate in check.gates:
+        threshold = gate.threshold
+        if gate.se_scaled:
+            threshold *= math.sqrt(check.full["reps"] / inputs["reps"])
+        gates.append(GateResult(gate.quantity, gate.comparison, threshold,
+                                measured[gate.quantity]))
+    return Outcome(check, values, tuple(gates), wall)
+
+
+def report(outcomes) -> dict:
+    """One JSON block for entries run together: their measured values, each
+    gate's value, threshold and margin, the total wall time and the verdict."""
+    out = {}
+    for outcome in outcomes:
+        out.update(outcome.values)
+    out["gates"] = {g.quantity: g.to_json() for o in outcomes for g in o.gates}
+    out["wall_clock_s"] = sum(o.wall_clock_s for o in outcomes)
+    out["passed"] = all(o.passed for o in outcomes)
+    return out
+
+
+# -- runners ---------------------------------------------------------------
+
+
+def _bridge_combinatorics(max_k):
+    count = weight = odd = 0
+    for k in range(1, max_k + 1):
+        bridges = paths.enumerate_bridges(k)
+        count += len(bridges) != math.comb(2 * k, k)
+        counts = {}
+        for bridge in bridges:
+            h = bridge.horizontal_count()
+            counts[h] = counts.get(h, 0) + 1
+        poly = paths.weight_polynomial(k)
+        weight += any(counts.get(2 * l, 0) != poly.coeffs[l] for l in range(k + 1))
+        odd += any(counts.get(h, 0) for h in range(1, 2 * k + 1, 2))
+    return {"count_mismatches": count, "weight_table_mismatches": weight,
+            "odd_horizontal_counts": odd}
+
+
+def _path_sum_oracle(matrices, stream, seed):
+    rng = np.random.default_rng(model.checked_seed(seed))
+    worst = 0.0
+    for idx in range(matrices):
+        n = int(rng.integers(2, 17))
+        factor = model.sample_factor(
+            EnsembleParams(n=n, beta=1.0 + 2.0 * rng.random(),
+                           n1=n * (1.1 + 2 * rng.random()), n2=n * (1.1 + 2 * rng.random())),
+            model.replicate_stream(stream, idx),
+        )
+        dense = model.gram_to_dense(model.assemble_gram(factor))
+        power = np.eye(n)
+        for k in range(1, 7):
+            power = power @ dense
+            trace = np.trace(power)
+            rel = abs(paths.trace_via_paths(factor, k) - trace) / max(abs(trace), 1e-300)
+            worst = max(worst, rel)
+    return {"max_relative_error": float(worst)}
+
+
+def _generating_function(x, y, t, terms):
+    z = 2 * x * y * t
+    i0, term = 0.0, 1.0  # modified Bessel I0(z) by its series
+    for m in range(1, 80):
+        i0 += term
+        term *= (z * z / 4.0) / (m * m)
+    partial = sum(t**k / math.factorial(k) * paths.weight_polynomial(k).value(x, y)
+                  for k in range(terms))
+    return {"generating_function_gap": abs(partial - math.exp(t * (x * x + y * y)) * i0)}
+
+
+def _random_tridiagonal(rng, max_n):
+    n = int(rng.integers(2, max_n + 1))
+    return rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n - 1)
+
+
+def _eigensolver(matrices, max_n, seed):
+    rng = np.random.default_rng(model.checked_seed(seed))
+    worst_trace = worst_frob = 0.0
+    for _ in range(matrices):
+        diag, off = _random_tridiagonal(rng, max_n)
+        n = diag.shape[0]
+        vals = eig.eigenvalues(model.SymTridiagonal(diag=diag, off=off)).values
+        scale = float(np.max(np.abs(vals))) + 1e-30
+        worst_trace = max(worst_trace, abs(vals.sum() - diag.sum()) / (n * scale))
+        frob = float(np.sum(diag**2) + 2.0 * np.sum(off**2))
+        worst_frob = max(worst_frob, abs(float(np.sum(vals**2)) - frob) / (n * scale**2))
+    # 100 small matrices against the Sturm oracle, one stacked call per order
+    by_order: dict = {}
+    for _ in range(100):
+        diag, off = _random_tridiagonal(rng, 10)
+        by_order.setdefault(diag.shape[0], []).append((diag, off))
+    worst_sturm = 0.0
+    for group in by_order.values():
+        oracle = eig.sturm_eigenvalues(np.array([d for d, _ in group]),
+                                       np.array([e for _, e in group]))
+        for (diag, off), expected in zip(group, oracle):
+            vals = eig.eigenvalues(model.SymTridiagonal(diag=diag, off=off)).values
+            worst_sturm = max(worst_sturm, float(np.max(np.abs(vals - expected))))
+    return {"worst_trace_identity": worst_trace, "worst_frobenius_identity": worst_frob,
+            "worst_sturm_gap": worst_sturm, "sturm_oracle_calls": len(by_order)}
+
+
+def _diagonalization(a, b, betas, K, nodes):
+    worst = error = 0.0
+    for beta in betas:
+        asym = shape_params(a, b, beta)
+        num = covariance.covariance_matrix(K, asym, nodes=nodes)
+        theo = covariance.theory_covariance(K, beta, support_edges(asym))
+        worst = max(worst, float(np.max(np.abs(num.entries - theo.entries))))
+        error = max(error, num.error_estimate)
+    return {"max_diagonalization_gap": worst, "quadrature_error_estimate": error}
+
+
+def _laplace(a, b, beta, nodes):
+    asym = shape_params(a, b, beta)
+    support = support_edges(asym)
+    grid = np.linspace(support.lambda_plus + 0.3, support.lambda_plus + 2.3, 5)
+    ident = bessel = 0.0
+    for eta in grid:
+        for om in grid:
+            c_form, t_form = covariance.laplace_closed(eta, om, support, beta)
+            ident = max(ident, abs(c_form - (2.0 / beta) * t_form))
+            bessel = max(bessel, abs(covariance.laplace_bessel_series(eta, om, support) - t_form))
+    cov40 = covariance.covariance_matrix(40, asym, nodes=nodes)
+    c_form, _ = covariance.laplace_closed(2.0, 3.0, support, beta)
+    partial = abs(covariance.laplace_partial_sum(40, 2.0, 3.0, cov40) - c_form)
+    return {"laplace_identity_gap": ident, "bessel_series_gap": bessel, "partial_sum_gap": partial}
+
+
+def _clt(n, betas, reps, seed):
+    # p = q = 2, so the limit shapes are a = 1/4, b = 1/2 at every beta
+    support = support_edges(shape_params(0.25, 0.5, 2.0))
+    funcs = [spectral.chebyshev_test_function(m, support) for m in (1, 2, 3, 4)]
+    funcs.append(spectral.monomial(1))
+    ratios, cov_z, skew, kurt = {}, 0.0, {}, {}
+    for beta in betas:
+        res = experiments.run_fluctuations(experiments.ExperimentConfig(
+            params=from_ratios(n, beta, 2.0, 2.0), test_functions=funcs, replicates=reps,
+            seed=seed))
+        # closed forms: (2/beta) m for gamma_m, (2/beta) r^2/4 for x
+        targets = [(2.0 / beta) * m for m in (1, 2, 3, 4)]
+        targets.append((2.0 / beta) * support.half_width**2 / 4)
+        ratios[str(beta)] = [res.variances[i] / targets[i] for i in range(5)]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                se = math.sqrt(res.theory_sigma_sq[i] * res.theory_sigma_sq[j] / reps)
+                cov_z = max(cov_z, abs(res.covariance[i, j]) / se)
+        skew[str(beta)] = res.skewness.tolist()
+        kurt[str(beta)] = res.excess_kurtosis.tolist()
+    return {
+        "variance_ratios": ratios, "skewness": skew, "excess_kurtosis": kurt,
+        "worst_variance_ratio_gap": max(abs(r - 1.0) for rs in ratios.values() for r in rs),
+        "worst_covariance_z": cov_z,
+        "worst_abs_skewness": max(abs(s) for ss in skew.values() for s in ss),
+        "worst_abs_excess_kurtosis": max(abs(k) for ks in kurt.values() for k in ks),
+    }
+
+
+def _deviation_moment(k: int, support: SupportInterval) -> float:
+    """k-th moment of nu = (delta_- + delta_+)/4 - arcsine/2 in closed form."""
+    c, r = support.center, support.half_width
+    edges = ((c - r) ** k + (c + r) ** k) / 4.0
+    arcsine = sum(math.comb(k, 2 * j) * c ** (k - 2 * j) * r ** (2 * j) * math.comb(2 * j, j) / 4**j
+                  for j in range(k // 2 + 1))
+    return edges - arcsine / 2.0
+
+
+def _deviation(a, b, cases):
+    """cases: (k, alpha, base_n); alpha = 1 or k = 1 predict a zero 1/n term.
+    A kind of case that is not among them reads 0 in its worst-case value."""
+    support = SupportInterval.from_shape(float(a), float(b))
+    rows, relative, null, linear, closed = [], [0.0], [0.0], [0.0], [0.0]
+    for k, alpha, base_n in cases:
+        rep = experiments.deviation_check(k, alpha, a, b, (base_n, 2 * base_n, 4 * base_n))
+        closed.append(abs(rep.expected - (float(alpha) - 1.0) * _deviation_moment(k, support)))
+        if k == 1:
+            linear.append(abs(rep.order1))
+        elif alpha == 1:
+            null.append(abs(rep.order1))
+        else:
+            relative.append(abs(rep.order1 / rep.expected - 1.0))
+        rows.append({"k": k, "alpha": str(alpha), "base_n": base_n, "order1": rep.order1,
+                     "expected": rep.expected, "extrapolation_residual": rep.residual})
+    return {"cases": rows, "worst_relative_gap": max(relative), "worst_null_order1": max(null),
+            "worst_linear_order1": max(linear), "worst_closed_form_gap": max(closed)}
+
+
+def _palindromy(a, b, base_n):
+    grid = (base_n, 2 * base_n, 4 * base_n)
+    one, two, half = (paths.trace_expansion(2, alpha, a, b, grid).order1
+                      for alpha in (Fraction(1), Fraction(2), Fraction(1, 2)))
+    return {"eta2_alpha_one": one, "eta2_alpha_two": two, "eta2_alpha_half": half,
+            "abs_eta2_alpha_one": abs(one), "palindromy_gap": abs(two / (-2.0 * half) - 1.0)}
+
+
+def _alpha_zero_model(a, b):
+    asym = shape_params(a, b, 2.0)
+    m0, m1 = spectral.stieltjes_pair(2.0, asym)
+    resid = {}
+    for n in (100, 200, 400):
+        roots = spectral.jacobi_roots(n, n * (b / a - 1.0), n * ((1 - b) / a - 1.0))
+        resid[n] = abs(float(np.mean(1.0 / (2.0 - roots))) - m0 - m1 / n)
+    ratios = [resid[100] / resid[200], resid[200] / resid[400]]
+    return {"alpha_zero_residuals": {str(k): v for k, v in resid.items()},
+            "alpha_zero_residual_ratios": ratios,
+            "min_residual_ratio": min(ratios), "max_residual_ratio": max(ratios)}
+
+
+def _limit_measures(a, b, nodes):
+    asym = shape_params(a, b, 2.0)
+    support = support_edges(asym)
+    mass_mu = spectral.integrate_density(spectral.monomial(0), asym, nodes=nodes)
+    mass_nu = spectral.integrate_deviation(spectral.monomial(0), support, nodes=nodes)
+    # independent x-space route for the edge-weight normalization 2 pi a
+    edge = spectral.edge_weight_integral(support, nodes=nodes)
+    quadratic = 0.0  # the Stieltjes transform of mu solves its quadratic
+    for x in (support.lambda_plus + 0.25, support.lambda_plus + 1.0, -0.5):
+        m0, _ = spectral.stieltjes_pair(x, asym)
+        val = (a * m0 * m0 + ((b - a) - (1 - 2 * a) * x) / (x * (1 - x)) * m0
+               + (1 - a) / (x * (1 - x)))
+        quadratic = max(quadratic, abs(val))
+    return {"density_mass": mass_mu, "deviation_mass": mass_nu, "edge_normalization": edge,
+            "expected_edge_normalization": 2 * math.pi * a,
+            "density_mass_error": abs(mass_mu - 1.0), "deviation_mass_error": abs(mass_nu),
+            "edge_normalization_error": abs(edge - 2 * math.pi * a),
+            "stieltjes_quadratic_residual": quadratic}
+
+
+def _sin3x():
+    return spectral.TestFunction(
+        fn=lambda x: np.sin(3.0 * np.asarray(x, dtype=float)),
+        derivative=lambda x: 3.0 * np.cos(3.0 * np.asarray(x, dtype=float)),
+        name="sin3x",
+    )
+
+
+def _beta_poincare(shapes):
+    funcs = (spectral.monomial(1), spectral.monomial(2), spectral.monomial(3), _sin3x())
+    worst = worst_eq = 0.0
+    for p in shapes:
+        for q in shapes:
+            for f in funcs:
+                worst = max(worst, concentration.beta_poincare_ratio(p, q, f).ratio)
+            weighted = concentration.beta_poincare_ratio(p, q, funcs[0], weighted=True)
+            worst_eq = max(worst_eq, abs(weighted.ratio - 1.0))
+    return {"worst_ratio": worst, "worst_weighted_equality_gap": worst_eq}
+
+
+def _jacobi_poincare(sizes, beta, p, q, func, reps, seed):
+    points, worst_z = [], math.inf
+    for n in sizes:
+        rep = concentration.jacobi_poincare_check(from_ratios(n, beta, p, q), func, reps, seed)
+        # bound - variance in units of the summed standard errors
+        gap, se = rep.bound - rep.variance, rep.variance_se + rep.bound_se
+        worst_z = min(worst_z, gap / se if se > 0 else (math.inf if gap > 0 else -math.inf))
+        points.append({"n": n, "variance": rep.variance, "bound": rep.bound, "ratio": rep.ratio,
+                       "variance_se": rep.variance_se, "bound_se": rep.bound_se})
+    return {"points": points, "min_separation_z": worst_z}
+
+
+def _coupling(sizes, p, q):
+    reports = {n: concentration.coupling_report(n, p, q) for n in sizes}
+    scaled = {n: n * n * rep.gap for n, rep in reports.items()}
+    return {"n_sq_gap": {str(n): v for n, v in scaled.items()},
+            "band_ratio": max(scaled.values()) / min(scaled.values()),
+            "hermite_nodes": {str(n): rep.nodes for n, rep in reports.items()},
+            "doubling_rel_gap": {str(n): rep.doubling_rel_gap for n, rep in reports.items()}}
+
+
+def _frobenius_gap(sizes, reps, seed):
+    ratios = [experiments.trotter_gap(from_ratios(n, 2.0, 2.0, 2.0), reps, seed) / math.log(n)
+              for n in sizes]
+    return {"gap_over_log_n": ratios, "band_ratio": max(ratios) / min(ratios)}
+
+
+def _extremal(n, beta, reps, seed):
+    m2, m4 = experiments.extremal_moments(n, beta, reps, seed)
+    t2, t4 = 1.0 / (8.0 * beta), 3.0 / (64.0 * beta * beta)
+    return {"second_moment": m2, "fourth_moment": m4, "expected_second": t2,
+            "expected_fourth": t4, "second_moment_gap": abs(m2 / t2 - 1.0),
+            "fourth_moment_gap": abs(m4 / t4 - 1.0)}
+
+
+def _lln(regimes, sizes, func, beta, p, q, reps, seed):
+    points, violations = [], 0
+    for regime in regimes:
+        pts = experiments.lln_check(regime, sizes, func, beta=beta, p=p, q=q,
+                                    replicates=reps, seed=seed)
+        dists = [pt.distance for pt in pts]
+        violations = max(violations, sum(dists[i + 1] >= dists[i] for i in range(len(dists) - 1)))
+        points += [{"regime": regime, "n": pt.n, "n1": pt.n1, "n2": pt.n2, "value": pt.value,
+                    "target": pt.target, "distance": pt.distance} for pt in pts]
+    return {"points": points, "monotonicity_violations": violations}
+
+
+# -- the registry ----------------------------------------------------------
+
+_A, _B = Fraction(1, 4), Fraction(1, 2)
+
+REGISTRY = (
+    Check(1, "bridge-combinatorics", _bridge_combinatorics,
+          (("count_mismatches", "<=", 0), ("weight_table_mismatches", "<=", 0),
+           ("odd_horizontal_counts", "<=", 0), ("wall_clock_s", "<", 5.0)),
+          full={"max_k": 8}),
+    Check(2, "path-sum-oracle", _path_sum_oracle, (("max_relative_error", "<=", 1e-10),),
+          full={"matrices": 100, "stream": 20}, quick={"matrices": 5, "stream": 20}, seed=0),
+    Check(3, "generating-function", _generating_function,
+          (("generating_function_gap", "<=", 1e-10),),
+          full={"x": 0.3, "y": 0.5, "t": 0.7, "terms": 13}),
+    Check(4, "eigensolver", _eigensolver,
+          (("worst_trace_identity", "<=", 1e-12), ("worst_frobenius_identity", "<=", 1e-12),
+           ("worst_sturm_gap", "<=", 1e-10)),
+          full={"matrices": 1000, "max_n": 512}, quick={"matrices": 100, "max_n": 128}, seed=1),
+    Check(5, "covariance-diagonalization", _diagonalization,
+          (("max_diagonalization_gap", "<=", 1e-8), ("wall_clock_s", "<", 30.0)),
+          full={"a": 0.25, "b": 0.5, "betas": (4.0, 2.0, 1.0), "K": 8,
+                "nodes": covariance.DEFAULT_SIGMA_NODES}),
+    Check(6, "laplace-certification", _laplace,
+          (("laplace_identity_gap", "<=", 1e-12), ("bessel_series_gap", "<=", 1e-10),
+           ("partial_sum_gap", "<=", 1e-6)),
+          full={"a": 0.25, "b": 0.5, "beta": 2.0, "nodes": covariance.DEFAULT_SIGMA_NODES}),
+    Check(7, "clt", _clt,
+          (("worst_variance_ratio_gap", "<=", 0.05), ("worst_covariance_z", "<=", 3.0),
+           ("worst_abs_skewness", "<=", 0.1, True), ("worst_abs_excess_kurtosis", "<=", 0.2, True)),
+          full={"n": 2000, "betas": (1.0, 2.0, 4.0), "reps": 10_000},
+          quick={"n": 500, "betas": (2.0,), "reps": 2000}, seed=2024, slow=True),
+    Check(8, "deviation", _deviation,
+          (("worst_relative_gap", "<=", 0.01), ("worst_null_order1", "<=", 1e-6),
+           ("worst_linear_order1", "<=", 1e-12), ("worst_closed_form_gap", "<=", 1e-12)),
+          full={"a": _A, "b": _B, "cases": ((2, Fraction(1, 2), 512), (1, Fraction(1, 2), 128),
+                                            (2, Fraction(1), 512))},
+          quick={"a": _A, "b": _B, "cases": ((2, Fraction(1, 2), 128), (1, Fraction(1, 2), 128),
+                                             (2, Fraction(1), 64))}),
+    Check(9, "palindromy", _palindromy,
+          (("abs_eta2_alpha_one", "<=", 1e-6), ("palindromy_gap", "<=", 1e-3)),
+          full={"a": _A, "b": _B, "base_n": 512}, quick={"a": _A, "b": _B, "base_n": 64}),
+    Check(10, "alpha-zero-model", _alpha_zero_model,
+          (("min_residual_ratio", ">=", 2.0), ("max_residual_ratio", "<=", 8.0)),
+          full={"a": 0.25, "b": 0.5}),
+    Check(11, "limit-measures", _limit_measures,
+          (("density_mass_error", "<=", 1e-10), ("deviation_mass_error", "<=", 1e-10),
+           ("edge_normalization_error", "<=", 1e-8), ("stieltjes_quadratic_residual", "<=", 1e-10)),
+          full={"a": 0.25, "b": 0.5, "nodes": spectral.DEFAULT_NODES}),
+    Check(12, "beta-poincare", _beta_poincare,
+          (("worst_ratio", "<=", 1.0 + 1e-8), ("worst_weighted_equality_gap", "<=", 1e-6)),
+          full={"shapes": (0.5, 1.0, 2.0, 8.0)}),
+    Check(12, "jacobi-poincare", _jacobi_poincare, (("min_separation_z", ">", 3.0),),
+          full={"sizes": (64, 256), "beta": 2.0, "p": 2.0, "q": 2.0,
+                "func": spectral.monomial(1), "reps": 10_000},
+          quick={"sizes": (256,), "beta": 2.0, "p": 2.0, "q": 2.0,
+                 "func": spectral.monomial(1), "reps": 500}, seed=31, slow=True),
+    Check(13, "coupling", _coupling, (("band_ratio", "<=", 2.0),),
+          full={"sizes": (100, 1000, 10000), "p": 1.0, "q": 1.0},
+          quick={"sizes": (100, 1000), "p": 1.0, "q": 1.0}),
+    Check(14, "frobenius-gap", _frobenius_gap, (("band_ratio", "<=", 4.0),),
+          full={"sizes": (128, 512, 2048), "reps": 50},
+          quick={"sizes": (128, 512, 2048), "reps": 10}, seed=41),
+    Check(15, "extremal-moments", _extremal,
+          (("second_moment_gap", "<=", 0.05), ("fourth_moment_gap", "<=", 0.10)),
+          full={"n": 5000, "beta": 2.0, "reps": 20_000},
+          quick={"n": 1000, "beta": 2.0, "reps": 2000}, seed=51, slow=True),
+    Check(16, "lln", _lln, (("monotonicity_violations", "<=", 1),),
+          full={"regimes": ("sublinear", "proportional", "superlinear"),
+                "sizes": (250, 500, 1000, 2000), "func": spectral.monomial(1), "beta": 2.0,
+                "p": 2.0, "q": 2.0, "reps": 64},
+          quick={"regimes": ("proportional",), "sizes": (125, 250, 500),
+                 "func": spectral.monomial(1), "beta": 2.0, "p": 2.0, "q": 2.0, "reps": 16},
+          seed=61, slow=True),
+)
+
+CHECKS = {check.name: check for check in REGISTRY}

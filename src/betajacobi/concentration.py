@@ -182,12 +182,16 @@ def _gaussian_gap(a: float, b: float, mu: float, slope: float, nodes: int) -> fl
     return float(w @ (diff * diff)) / math.sqrt(2.0 * math.pi)
 
 
-def _confirmed_gap(n: float, p: float, q: float, slope: float) -> CouplingReport:
-    """Double the Gauss-Hermite rule from _FIRST_NODES until two agree."""
+def _check_coupling(n: float, p: float, q: float) -> None:
+    """ParameterError unless p, q > 0 and n > max(1/p, 1/q); run before any division by n."""
     if p <= 0 or q <= 0:
         raise ParameterError("p and q must be positive")
     if n <= max(1.0 / p, 1.0 / q):
         raise ParameterError("need n > max(1/p, 1/q)")
+
+
+def _confirmed_gap(n: float, p: float, q: float, slope: float) -> CouplingReport:
+    """Double the Gauss-Hermite rule from _FIRST_NODES until two agree."""
     mu = math.sqrt(p / (p + q))
     nodes = _FIRST_NODES
     value = _gaussian_gap(n * p, n * q, mu, slope, nodes)
@@ -210,6 +214,7 @@ def _sigma(n: float, p: float, q: float) -> float:
 
 def coupling_report(n: int, p: float, q: float) -> CouplingReport:
     """coupling_gap with its confirmed Gauss-Hermite node count."""
+    _check_coupling(n, p, q)
     return _confirmed_gap(n, p, q, _sigma(n, p, q))
 
 
@@ -227,5 +232,6 @@ def coupling_gap(n: int, p: float, q: float) -> float:
 
 def independent_coupling_gap(n: int, p: float, q: float) -> float:
     """E (Y - mu - sigma X)^2 when Y and X are independent: E(Y-mu)^2 + sigma^2."""
+    _check_coupling(n, p, q)
     sigma = _sigma(n, p, q)
     return _confirmed_gap(n, p, q, 0.0).gap + sigma * sigma

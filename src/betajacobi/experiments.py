@@ -44,6 +44,7 @@ __all__ = [
     "DeviationReport",
     "deviation_check",
     "extremal_moments",
+    "sample_summary",
     "skewness",
     "excess_kurtosis",
     "ks_normal_distance",
@@ -355,3 +356,26 @@ def extremal_moments(
         params, seed, replicates, lambda grams: grams.diag.sum(axis=-1))[:, 0]
     c = traces - traces.mean()
     return float(np.mean(c**2)), float(np.mean(c**4))
+
+
+def sample_summary(params: EnsembleParams, seed: int, dump_path=None) -> dict:
+    """One factor from replicate_stream(seed, 0) and a summary of its spectrum.
+
+    With dump_path, the raw draws and entries of the factor go to that CSV.
+    The eigenvalues themselves are listed up to n = 64.
+    """
+    factor = model.sample_factor(params, model.replicate_stream(seed, 0))
+    if dump_path:
+        model.dump_factor_csv(factor, dump_path)
+    spec = eig.eigenvalues(model.assemble_gram(factor))
+    vals = spec.values
+    out = {
+        "count": int(vals.shape[0]),
+        "min": float(vals[0]),
+        "max": float(vals[-1]),
+        "trace": float(vals.sum()),
+        "residual_trace_error": spec.residual_trace_error,
+    }
+    if vals.shape[0] <= 64:
+        out["eigenvalues"] = vals.tolist()
+    return out

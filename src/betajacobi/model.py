@@ -45,6 +45,7 @@ __all__ = [
     "BetaSpec",
     "TridiagonalFactor",
     "SymTridiagonal",
+    "checked_seed",
     "replicate_stream",
     "map_replicates",
     "beta_sample",
@@ -137,14 +138,20 @@ class SymTridiagonal:
         return (SymTridiagonal(diag=d, off=e) for d, e in zip(self.diag, self.off))
 
 
+def checked_seed(seed: int) -> int:
+    """seed itself if 0 <= seed < 2^64, the range of every seeded stream; else ParameterError."""
+    if not (0 <= seed <= _MASK64):
+        raise ParameterError(f"seed must fit in 64 bits, got {seed!r}")
+    return seed
+
+
 def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
     """Counter-based stream keyed by (seed, replicate index).
 
     Streams for distinct replicates are independent by construction, so a
     run is bit-reproducible no matter how replicates are scheduled.
     """
-    if not (0 <= seed <= _MASK64):
-        raise ParameterError(f"seed must fit in 64 bits, got {seed!r}")
+    checked_seed(seed)
     if replicate < 0:
         raise ParameterError(f"replicate index must be nonnegative, got {replicate}")
     key = np.array([seed, replicate & _MASK64], dtype=np.uint64)

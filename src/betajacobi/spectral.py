@@ -462,10 +462,16 @@ def jacobi_probability_quadrature(nnodes: int, p_shape: float, q_shape: float):
     Weights come from the Christoffel sums of the recurrence orthonormal
     with respect to the probability measure, so they sum to one and no Beta
     normalization constant is ever formed.  Handles p or q below one (the
-    endpoint-singular weights).
+    endpoint-singular weights).  Cached per (nnodes, p, q); the arrays are
+    shared by every caller, so they are read-only.
     """
     if p_shape <= 0 or q_shape <= 0:
         raise ParameterError("Beta shapes must be positive")
+    return _beta_rule(int(nnodes), float(p_shape), float(q_shape))
+
+
+@lru_cache(maxsize=64)
+def _beta_rule(nnodes: int, p_shape: float, q_shape: float):
     diag, offsq = jacobi_recurrence_01(nnodes, p_shape - 1.0, q_shape - 1.0)
     off = np.sqrt(offsq[1:nnodes])
     nodes = eig.eigenvalues(SymTridiagonal(diag=diag, off=off)).values
@@ -490,4 +496,7 @@ def jacobi_probability_quadrature(nnodes: int, p_shape: float, q_shape: float):
                 qcur = np.ldexp(qcur, -shift)
                 total = np.ldexp(total, -2 * shift)
                 scale += shift
-    return nodes, np.ldexp(1.0 / total, -2 * scale)
+    weights = np.ldexp(1.0 / total, -2 * scale)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights

@@ -1,0 +1,78 @@
+import collections
+import math
+
+import pytest
+
+from betajacobi import checks
+
+
+@pytest.mark.slow
+def test_every_gate_names_a_measured_quantity(verify_all_quick):
+    # a check's report holds its runner's values, its wall time, its gates and its verdict
+    reports = verify_all_quick[2]["results"]["checks"]
+    for check in checks.REGISTRY:
+        measured = set(reports[check.id]) - {"gates", "passed"}
+        for gate in check.gates:
+            assert gate.quantity in measured, (check.id, gate.quantity)
+            assert gate.comparison in ("<=", "<", ">=", ">")
+
+
+def test_every_criterion_once_and_names_unique():
+    # criterion 12 runs as its deterministic half and its Monte Carlo half
+    counts = collections.Counter(check.criterion for check in checks.REGISTRY)
+    assert counts == {**{c: 1 for c in range(1, 17)}, 12: 2}
+    names = [check.name for check in checks.REGISTRY]
+    assert len(set(names)) == len(names)
+    assert checks.CHECKS == {check.name: check for check in checks.REGISTRY}
+
+
+def test_slow_marks_sit_on_the_monte_carlo_criteria():
+    slow = {(check.criterion, check.name) for check in checks.REGISTRY if check.slow}
+    assert slow == {(7, "clt"), (12, "jacobi-poincare"), (15, "extremal-moments"), (16, "lln")}
+
+
+def test_quick_inputs_keep_the_input_names():
+    for check in checks.REGISTRY:
+        assert set(check.inputs(quick=True)) == set(check.full), check.id
+
+
+def _toy(seed=None):
+    def runner(reps, seed=None):
+        return {"value": 0.25, "count": 2, "seed_used": seed}
+
+    return checks.Check(0, "toy", runner,
+                        (("value", "<=", 0.5, True), ("count", ">", 1), ("wall_clock_s", "<", 60.0)),
+                        full={"reps": 400}, quick={"reps": 100}, seed=seed)
+
+
+def test_run_reports_value_threshold_and_margin():
+    outcome = checks.run(_toy())
+    assert outcome.passed and outcome.wall_clock_s >= 0.0
+    value, count, wall = outcome.gates
+    assert (value.threshold, value.margin) == (0.5, 0.25)
+    assert (count.threshold, count.margin) == (1, 1)
+    assert wall.value == outcome.wall_clock_s
+    block = checks.report([outcome])
+    assert block["gates"]["value"] == {"value": 0.25, "comparison": "<=", "threshold": 0.5,
+                                       "margin": 0.25, "passed": True}
+    assert block["passed"] and block["wall_clock_s"] == outcome.wall_clock_s
+
+
+def test_standard_error_gates_widen_with_fewer_replicates():
+    check = _toy()
+    quick = checks.run(check, check.inputs(quick=True))
+    assert quick.gates[0].threshold == 0.5 * math.sqrt(400 / 100)
+    assert quick.gates[1].threshold == 1  # a gate not in standard errors stays put
+
+
+def test_seed_override_reaches_seeded_entries_only():
+    assert checks.run(_toy(seed=7)).values["seed_used"] == 7
+    assert checks.run(_toy(seed=7), seed=3).values["seed_used"] == 3
+    assert checks.run(_toy(), seed=3).values["seed_used"] is None
+
+
+def test_failed_gate_fails_the_check():
+    check = checks.Check(0, "toy", lambda: {"x": 2.0}, (("x", "<=", 1.0),), full={})
+    outcome = checks.run(check)
+    assert not outcome.passed and outcome.gates[0].margin == -1.0
+    assert outcome.line().startswith("[FAIL] criterion 00-toy")

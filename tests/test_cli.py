@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from betajacobi import cli, spectral
+from betajacobi import checks, cli, spectral
 from betajacobi import concentration as conc
 from betajacobi.params import from_ratios
 
@@ -74,7 +74,7 @@ def test_expect_beta_two_vanishes(capsys):
                      "--b", "1/2", "--base-n", "256")
     assert code == 0
     doc = json.loads(out)
-    assert abs(doc["results"]["order1"]) <= 1e-6
+    assert abs(doc["results"]["cases"][0]["order1"]) <= 1e-6
 
 
 def test_fluct_rerun_from_embedded_config(tmp_path, capsys):
@@ -208,15 +208,22 @@ def test_threads_knob_removed(tmp_path, capsys):
 
 
 @pytest.mark.slow
-def test_verify_all_quick(capsys):
-    code, out = _run(capsys, "verify-all", "--quick", "--seed", "3")
+def test_verify_all_quick(verify_all_quick):
+    code, out, doc = verify_all_quick
     assert code == 0
-    tail = out[out.index("{"):]
-    doc = json.loads(tail)
     assert doc["results"]["passed"]
-    assert "bridge-combinatorics" in doc["results"]["families"]
-    # one pass/fail line per family precedes the JSON report
-    assert out.count("[PASS]") >= 10
+    reports = doc["results"]["checks"]
+    assert list(reports) == [check.id for check in checks.REGISTRY]
+    # one pass/fail line per registry entry precedes the JSON report
+    assert out.count("[PASS]") == len(checks.REGISTRY)
+    assert "[FAIL]" not in out
+    for check in checks.REGISTRY:
+        report = reports[check.id]
+        assert report["wall_clock_s"] > 0.0
+        assert set(report["gates"]) == {gate.quantity for gate in check.gates}
+        for gate in report["gates"].values():
+            assert {"value", "threshold", "margin"} <= set(gate)
+            assert gate["passed"] and gate["margin"] >= 0.0
 
 
 def test_validation_error_honours_out(tmp_path, capsys):
@@ -248,6 +255,11 @@ _BAD_USAGE = [
                   "--reps", "4"], id="jacobi-func"),
     pytest.param(["concentration", "--check", "jacobi", "--n", "16", "--func", "x,x2",
                   "--reps", "4"], id="jacobi-two-funcs"),
+    pytest.param(["expect", "--beta", "0"], id="expect-beta-0"),
+    pytest.param(["expect", "--beta", "abc"], id="expect-beta-abc"),
+    pytest.param(["expect", "--beta", "1/0"], id="expect-beta-1/0"),
+    pytest.param(["expect", "--a", "x"], id="expect-a-x"),
+    pytest.param(["expect", "--b", "x"], id="expect-b-x"),
 ]
 
 
@@ -270,6 +282,18 @@ def test_too_few_replicates_exit_one(capsys, argv):
     assert json.loads(out)["error"]["type"] == "validation"
 
 
+@pytest.mark.parametrize("argv", [
+    ["concentration", "--check", "coupling", "--sizes", "0,100"],
+    ["eig", "--matrices", "5", "--seed", "-1"],
+    ["verify-all", "--quick", "--seed", "-1"],
+], ids=["coupling-size-0", "eig-seed-negative", "verify-all-seed-negative"])
+def test_invalid_size_or_seed_exit_one(capsys, argv):
+    code, out = _run(capsys, *argv)
+    assert code == 1
+    assert out.startswith("{")  # no check ran before the error
+    assert json.loads(out)["error"]["type"] == "validation"
+
+
 def test_concentration_jacobi_runs_the_named_function(capsys):
     argv = ["concentration", "--check", "jacobi", "--n", "32", "--reps", "50", "--seed", "3"]
     results = {}
@@ -278,9 +302,9 @@ def test_concentration_jacobi_runs_the_named_function(capsys):
         assert code == 0
         results[func] = json.loads(out)["results"]
     rep = conc.jacobi_poincare_check(from_ratios(32, 2.0, 2.0, 2.0), spectral.monomial(2), 50, 3)
-    assert results["x2"]["variance"] == rep.variance
-    assert results["x2"]["bound"] == rep.bound
-    assert results["gamma3"]["variance"] != rep.variance
+    assert results["x2"]["points"][0]["variance"] == rep.variance
+    assert results["x2"]["points"][0]["bound"] == rep.bound
+    assert results["gamma3"]["points"][0]["variance"] != rep.variance
 
 
 def test_fluct_fixed_seed_matches_monomial_trace_route(tmp_path, capsys):

@@ -179,8 +179,14 @@ def test_coupling_gap_builds_no_legendre_rule(monkeypatch):
     assert conc.independent_coupling_gap(10000, 1.0, 1.0) > 0.0
 
 
-@pytest.mark.parametrize("p,q", [(0.0, 1.0), (-0.5, 1.0), (1.0, 0.0)])
-def test_coupling_gaps_reject_nonpositive_shapes(p, q):
+@pytest.mark.parametrize("n,p,q", [
+    pytest.param(100, 0.0, 1.0, id="0.0-1.0"),
+    pytest.param(100, -0.5, 1.0, id="-0.5-1.0"),
+    pytest.param(100, 1.0, 0.0, id="1.0-0.0"),
+    pytest.param(0, 1.0, 1.0, id="n-0"),
+    pytest.param(-5, 1.0, 1.0, id="n-negative"),
+])
+def test_coupling_gaps_reject_nonpositive_shapes(n, p, q):
     for gap in (conc.coupling_gap, conc.independent_coupling_gap):
         with pytest.raises(ParameterError):
-            gap(100, p, q)
+            gap(n, p, q)

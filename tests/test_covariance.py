@@ -44,6 +44,14 @@ def test_spot_entries(asym, support):
     )
 
 
+@pytest.mark.parametrize("beta", [4.0, 2.0, 1.0])
+def test_spot_entries_scale_with_alpha(beta):
+    alpha = 2.0 / beta
+    cov = covariance.covariance_matrix(8, bj.shape_params(0.25, 0.5, beta))
+    assert abs(cov.entry(1, 1) - 3 * alpha / 64) <= 1e-10
+    assert abs(cov.entry(2, 2) - 105 * alpha / 2048) <= 1e-8
+
+
 def test_matrix_symmetric_and_psd(asym):
     cov = covariance.covariance_matrix(8, asym)
     assert np.max(np.abs(cov.entries - cov.entries.T)) == 0.0

@@ -278,6 +278,17 @@ def test_gauss_legendre_rule_is_cached_and_read_only():
         spectral._gauss_legendre(0)
 
 
+def test_beta_rule_is_cached_read_only_and_unchanged():
+    nodes, w = spectral.jacobi_probability_quadrature(160, 0.5, 8.0)
+    again = spectral.jacobi_probability_quadrature(160, 0.5, 8.0)
+    assert again[0] is nodes and again[1] is w
+    assert not nodes.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    fresh_nodes, fresh_w = spectral._beta_rule.__wrapped__(160, 0.5, 8.0)
+    assert np.array_equal(fresh_nodes, nodes) and np.array_equal(fresh_w, w)
+
+
 @pytest.mark.parametrize("nodes", [64, 512])
 def test_gauss_legendre_rule_matches_numpy(nodes):
     t, w = spectral._gauss_legendre(nodes)

@@ -5,7 +5,6 @@ from ._version import __version__
 from .errors import (
     BetaJacobiError,
     EigenSolverError,
-    ExtrapolationError,
     ExtremalRegimeError,
     NumericalError,
     ParameterError,
@@ -31,7 +30,6 @@ __all__ = [
     "NumericalError",
     "EigenSolverError",
     "QuadratureError",
-    "ExtrapolationError",
     "EnsembleParams",
     "AsymptoticParams",
     "SupportInterval",

@@ -10,13 +10,12 @@ integrated as a Gaussian expectation by doubling Gauss-Hermite rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebmul
 from scipy.special import betainccinv, betaincinv, ndtr, roots_hermitenorm
 
-from . import eig, model, spectral
+from . import model, spectral
 from .errors import ExtremalRegimeError, ParameterError, QuadratureError
 from .params import EnsembleParams, derive_asymptotic
 
@@ -29,6 +28,9 @@ __all__ = [
     "coupling_gap",
     "independent_coupling_gap",
 ]
+
+# Gauss nodes of the Beta(p, q) rule behind beta_poincare_ratio
+_BETA_NODES = 160
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,6 @@ def beta_poincare_ratio(
     q: float,
     f: spectral.TestFunction,
     weighted: bool = False,
-    nnodes: int = 160,
 ) -> PoincareReport:
     """Poincare ratio for Y ~ Beta(p, q).
 
@@ -59,7 +60,7 @@ def beta_poincare_ratio(
     """
     if f.derivative is None:
         raise ParameterError("Poincare ratio needs the derivative of f")
-    ynodes, w = spectral.jacobi_probability_quadrature(nnodes, p, q)
+    ynodes, w = spectral.jacobi_probability_quadrature(_BETA_NODES, p, q)
     if weighted:
         x = 2.0 * ynodes - 1.0
         vals = np.asarray(f(x), dtype=float)
@@ -87,9 +88,9 @@ def jacobi_poincare_check(
 
     Compares Var tr f(A) with (alpha / (4 n min(p-1, q-1))) E sum f'(l_i)^2,
     both estimated over the replicate set; standard errors are attached.
-    For polynomial f both come from the banded Chebyshev traces, since
-    sum f'(l_i)^2 = tr (f')^2(A); otherwise from the spectrum.
-    Requires the non-extremal regime p, q > 1.
+    Both are linear statistics, tr f(A) and tr (f')^2(A), so one
+    spectral.trace_statistic computes them.  Requires the non-extremal
+    regime p, q > 1.
     """
     if f.derivative is None:
         raise ParameterError("variance bound needs the derivative of f")
@@ -97,26 +98,7 @@ def jacobi_poincare_check(
     margin = min(asym.p - 1.0, asym.q - 1.0)
     if margin <= 0:
         raise ExtremalRegimeError("variance bound needs p > 1 and q > 1")
-    if f.is_polynomial:
-        # sum f'(l_i)^2 = tr (f')^2(A): both statistics are Chebyshev traces
-        form = f.chebyshev
-        dform = chebder(form.coeffs, scl=1.0 / form.half_width)
-        grad_form = replace(form, coeffs=tuple(chebmul(dform, dform)))
-        rows = spectral._chebyshev_rows([form, grad_form], form.center, form.half_width)
-
-        def statistics(grams):
-            return model.chebyshev_sums(grams, rows, form.center, form.half_width)
-
-    else:
-
-        def statistics(grams):
-            out = []
-            for gram in grams:
-                lam = eig.eigenvalues(gram).values
-                grad_sq = np.asarray(f.derivative(lam), dtype=float) ** 2
-                out.append((np.sum(f(lam)), np.sum(grad_sq)))
-            return np.array(out)
-
+    statistics = spectral.trace_statistic([f, spectral.squared_derivative(f)])
     # contiguous rows, so no reduction below depends on the stride of a column view
     stats = model.map_replicates(params, seed, replicates, statistics)
     traces, grads = np.ascontiguousarray(stats.T)

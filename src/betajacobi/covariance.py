@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 DEFAULT_SIGMA_NODES = 200
+# Terms of the Bessel series oracle laplace_bessel_series
+_BESSEL_TERMS = 60
 
 
 @dataclass(frozen=True)
@@ -239,12 +241,7 @@ def laplace_closed(
     return c_form, t_form
 
 
-def laplace_bessel_series(
-    eta: float,
-    omega: float,
-    support: SupportInterval,
-    kmax: int = 60,
-) -> float:
+def laplace_bessel_series(eta: float, omega: float, support: SupportInterval) -> float:
     """Series oracle sum_k k Lp[e^(ct) I_k(rt)](eta) Lp[e^(cs) I_k(rs)](omega).
 
     Lp[I_k(rt)](w) = r^k / ((w + sqrt(w^2 - r^2))^k sqrt(w^2 - r^2)); the
@@ -258,7 +255,7 @@ def laplace_bessel_series(
     se = math.sqrt(et_t * et_t - r * r)
     rho_w = r / (om_t + sw)
     rho_e = r / (et_t + se)
-    ks = np.arange(1, kmax + 1, dtype=float)
+    ks = np.arange(1, _BESSEL_TERMS + 1, dtype=float)
     terms = ks * (rho_w**ks) * (rho_e**ks)
     return float(terms.sum() / (sw * se))
 

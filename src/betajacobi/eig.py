@@ -19,6 +19,9 @@ from .model import SymTridiagonal
 
 __all__ = ["Spectrum", "eigenvalues", "sturm_eigenvalues", "sturm_count"]
 
+# Relative tolerance of the fallback bisection and of the trace-residual budget
+_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -40,12 +43,12 @@ def _validate(A: SymTridiagonal) -> None:
         raise ParameterError("matrix entries must be finite")
 
 
-def eigenvalues(A: SymTridiagonal, tol: float = 1e-12) -> Spectrum:
+def eigenvalues(A: SymTridiagonal) -> Spectrum:
     """All eigenvalues, ascending; deterministic given the input.
 
     Falls back to Sturm bisection if the QL sweep cap is exceeded, and
     raises EigenSolverError if that fails too.  The trace residual is
-    checked against n * scale * tol * tolerance_factor.
+    checked against n * scale * max(_TOL, eps) * 100.
     """
     _validate(A)
     n = A.n
@@ -56,13 +59,13 @@ def eigenvalues(A: SymTridiagonal, tol: float = 1e-12) -> Spectrum:
             vals = eigvalsh_tridiagonal(A.diag, A.off, lapack_driver="sterf")
         except LinAlgError as exc:
             try:
-                vals = sturm_eigenvalues(A.diag, A.off, tol=tol)
+                vals = sturm_eigenvalues(A.diag, A.off, tol=_TOL)
             except Exception:
                 raise EigenSolverError(f"QL iteration and bisection both failed: {exc}")
     vals = np.sort(vals)
     residual = abs(float(vals.sum() - A.diag.sum()))
     scale = max(float(np.max(np.abs(A.diag), initial=0.0)), float(np.max(np.abs(A.off), initial=0.0)), 1e-300)
-    budget = n * scale * max(tol, np.finfo(float).eps) * 100.0
+    budget = n * scale * max(_TOL, np.finfo(float).eps) * 100.0
     if residual > budget:
         raise EigenSolverError(
             f"trace residual {residual:.3e} exceeds budget {budget:.3e}"

@@ -23,7 +23,3 @@ class EigenSolverError(NumericalError):
 
 class QuadratureError(NumericalError):
     """Quadrature produced non-finite values or failed to converge."""
-
-
-class ExtrapolationError(NumericalError):
-    """Series extrapolation diverged beyond the reported residuals."""

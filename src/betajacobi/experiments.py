@@ -6,11 +6,10 @@ Every check maps a statistic over the replicates with model.map_replicates,
 whose row m depends only on (seed, m), and reduces the rows.  A statistic
 takes a block of b stacked Gram matrices (diag (b, n), b = max(1, 2^14 // n))
 and returns b rows; the rows are bit-identical whatever the block size.
-When every test function is a polynomial, its Chebyshev form is moved once
-per run onto the run's map (the support, or [0, 1] for extremal parameters)
-and tr f(A) is a dot product with the banded Chebyshev traces of
-model.chebyshev_traces, computed for the whole block at once; otherwise
-every function is evaluated on the eigensolver's spectrum, matrix by matrix.
+Linear statistics tr f(A) come from spectral.trace_statistic: banded
+Chebyshev traces on the run's map (the support, or [0, 1] for extremal
+parameters) when every test function is a polynomial, the eigensolver's
+spectrum otherwise.
 """
 
 from __future__ import annotations
@@ -158,27 +157,6 @@ def ks_normal_distance(x: np.ndarray) -> float:
     return float(max(np.max(i / m - cdf), np.max(cdf - (i - 1) / m)))
 
 
-def _trace_statistic(
-    funcs: Sequence[spectral.TestFunction], center: float = 0.5, half_width: float = 0.5
-):
-    """Stacked Gram matrices -> (b, len(funcs)) rows of tr f(A).
-
-    When every function is a polynomial, its Chebyshev form is moved once
-    onto the map (center, half_width), by default [0, 1], and each block
-    costs one call of the trace engine; otherwise every function is summed
-    over the spectrum of each matrix.
-    """
-    if all(f.is_polynomial for f in funcs):
-        rows = spectral._chebyshev_rows([f.chebyshev for f in funcs], center, half_width)
-        return lambda grams: model.chebyshev_sums(grams, rows, center, half_width)
-
-    def spectrum_sums(grams):
-        spectra = (eig.eigenvalues(gram).values for gram in grams)
-        return np.array([[float(np.sum(f(lam))) for f in funcs] for lam in spectra])
-
-    return spectrum_sums
-
-
 def _sequential_mean(values: np.ndarray) -> float:
     """Mean summed left to right in replicate order (not numpy's pairwise sum,
     which rounds differently and would move fixed-seed results)."""
@@ -199,10 +177,10 @@ def run_fluctuations(config: ExperimentConfig) -> RunResult:
     asym = derive_asymptotic(params)
     if asym.extremal:
         support = None
-        statistic = _trace_statistic(funcs)
+        statistic = spectral.trace_statistic(funcs, 0.5, 0.5)
     else:
         support = SupportInterval.from_shape(asym.a, asym.b)
-        statistic = _trace_statistic(funcs, support.center, support.half_width)
+        statistic = spectral.trace_statistic(funcs, support.center, support.half_width)
     raw = model.map_replicates(params, config.seed, config.replicates, statistic)
     means = raw.mean(axis=0)
     samples = raw - means
@@ -217,17 +195,12 @@ def run_fluctuations(config: ExperimentConfig) -> RunResult:
     nodes = 0
     if support is not None:
         nodes = spectral.DEFAULT_NODES
-        coeff_rows = np.empty((len(funcs), THEORY_N + 1))
-        sig = np.empty(len(funcs))
-        for j, f in enumerate(funcs):
-            vf = spectral.variance_functionals(f, THEORY_N, params.beta, support, nodes=nodes)
-            sig[j] = vf.sigma_sq
-            coeff_rows[j] = spectral.chebyshev_coefficients(
-                f, THEORY_N, support, nodes=nodes
-            ).fhat
+        functionals = [spectral.variance_functionals(f, THEORY_N, params.beta, support, nodes=nodes)
+                       for f in funcs]
+        theory_sigma = np.array([vf.sigma_sq for vf in functionals])
+        coeff_rows = np.array([vf.coefficients.fhat for vf in functionals])
         ns = np.arange(1, THEORY_N + 1, dtype=float)
         theory_cov = (2.0 / params.beta) * (coeff_rows[:, 1:] * ns) @ coeff_rows[:, 1:].T
-        theory_sigma = sig
 
     return RunResult(
         function_names=[f.name for f in funcs],
@@ -284,8 +257,7 @@ def lln_check(
     """
     if regime not in _REGIMES:
         raise ParameterError(f"regime must be one of {_REGIMES}")
-    form = f.chebyshev
-    statistic = _trace_statistic([f], form.center, form.half_width) if form else _trace_statistic([f])
+    statistic = spectral.trace_statistic([f])
     out = []
     for n in sizes:
         if regime == "sublinear":

@@ -42,13 +42,11 @@ from .errors import ParameterError
 from .params import EnsembleParams
 
 __all__ = [
-    "BetaSpec",
     "TridiagonalFactor",
     "SymTridiagonal",
     "checked_seed",
     "replicate_stream",
     "map_replicates",
-    "beta_sample",
     "sample_factor",
     "deterministic_factor",
     "assemble_gram",
@@ -70,20 +68,6 @@ _BLOCK_ELEMENTS = 1 << 14
 # them in cache at high degree (K = 20 at n = 2000 ran 1.7x slower in blocks
 # of 8 than one matrix at a time).
 _TRACE_ELEMENTS = 1 << 18
-
-
-@dataclass(frozen=True)
-class BetaSpec:
-    """Shape pair of a Beta distribution."""
-
-    shape1: float
-    shape2: float
-
-    def __post_init__(self):
-        if not (self.shape1 > 0 and self.shape2 > 0):
-            raise ParameterError(
-                f"Beta shapes must be positive, got ({self.shape1}, {self.shape2})"
-            )
 
 
 @dataclass(frozen=True)
@@ -202,11 +186,6 @@ def _beta_draws(shapes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         g = np.where(total == 0.0, rng.standard_gamma(shapes), g)
         total = g[0] + g[1]
     return g[0] / total
-
-
-def beta_sample(spec: BetaSpec, rng: np.random.Generator) -> float:
-    """One draw from Beta(shape1, shape2)."""
-    return float(_beta_draws(np.array([[spec.shape1], [spec.shape2]]), rng)[0])
 
 
 @lru_cache(maxsize=16)

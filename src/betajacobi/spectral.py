@@ -4,20 +4,25 @@ All integrals over the support are computed in theta coordinates,
 x = c + r cos(theta), where the Chebyshev weight is flat and the closed
 trapezoid rule is spectrally accurate (and exact for polynomials of degree
 below half the panel count).  Default node count is 2048.
+
+trace_statistic is the one map from test functions to rows of tr f(A) over
+stacked Gram matrices: banded Chebyshev traces when every function is a
+polynomial, the eigensolver's spectrum otherwise.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebmul
 from scipy.special import roots_legendre
 
-from . import eig
+from . import eig, model
 from .errors import ParameterError, QuadratureError
 from .model import SymTridiagonal
 from .params import AsymptoticParams, SupportInterval
@@ -32,6 +37,8 @@ __all__ = [
     "piecewise_linear",
     "chebyshev_test_function",
     "shifted_chebyshev",
+    "squared_derivative",
+    "trace_statistic",
     "chebyshev_coefficients",
     "variance_functionals",
     "tau_integral",
@@ -79,8 +86,8 @@ class TestFunction:
     """A test function on [0, 1], optionally with derivative and polynomial form.
 
     chebyshev, when present, writes the function exactly as a ChebyshevForm;
-    it lets the harness evaluate tr f(A) from the banded Chebyshev traces of
-    model.chebyshev_traces instead of a full eigendecomposition.
+    it lets trace_statistic evaluate tr f(A) from the banded Chebyshev traces
+    of model.chebyshev_traces instead of a full eigendecomposition.
     """
 
     fn: Callable
@@ -202,15 +209,67 @@ def chebyshev_test_function(m: int, support: SupportInterval) -> TestFunction:
     )
 
 
-def _theta_grid(nodes: int):
-    """Closed trapezoid grid on [0, pi]: nodes panels, weights sum to pi."""
+def squared_derivative(f: TestFunction) -> TestFunction:
+    """(f')^2 as a TestFunction, so that sum_i f'(l_i)^2 = tr (f')^2(A).
+
+    For a polynomial f it carries the exact form chebmul(chebder(c), .) on
+    the map of f's own form.
+    """
+    if f.derivative is None:
+        raise ParameterError("squared derivative needs the derivative of f")
+    form = f.chebyshev
+    if form is not None:
+        dform = chebder(form.coeffs, scl=1.0 / form.half_width)
+        form = replace(form, coeffs=tuple(chebmul(dform, dform)))
+    return TestFunction(
+        fn=lambda x, d=f.derivative: np.asarray(d(x), dtype=float) ** 2,
+        name=f"({f.name})'^2",
+        chebyshev=form,
+    )
+
+
+def trace_statistic(
+    funcs: Sequence[TestFunction],
+    center: Optional[float] = None,
+    half_width: Optional[float] = None,
+):
+    """Stacked Gram matrices -> (b, len(funcs)) rows of tr f(A).
+
+    When every function is a polynomial, its Chebyshev form is moved once
+    onto the map (center, half_width), by default the first form's own map,
+    and each block costs one call of model.chebyshev_sums; otherwise every
+    function is summed over the spectrum of each matrix.
+    """
+    if all(f.is_polynomial for f in funcs):
+        if center is None:
+            center, half_width = funcs[0].chebyshev.center, funcs[0].chebyshev.half_width
+        rows = _chebyshev_rows([f.chebyshev for f in funcs], center, half_width)
+        return lambda grams: model.chebyshev_sums(grams, rows, center, half_width)
+
+    def spectrum_sums(grams):
+        spectra = (eig.eigenvalues(gram).values for gram in grams)
+        return np.array([[float(np.sum(f(lam))) for f in funcs] for lam in spectra])
+
+    return spectrum_sums
+
+
+def _theta_values(f: Callable, center: float, half_width: float, nodes: int):
+    """(theta, w, x, f(x)) on the closed trapezoid grid of nodes panels on
+    [0, pi], weights summing to pi, at x = center + half_width cos(theta).
+
+    QuadratureError if f is not finite at every node.
+    """
     if nodes < 8:
         raise ParameterError("need at least 8 quadrature panels")
     theta = np.linspace(0.0, math.pi, nodes + 1)
     w = np.full(nodes + 1, math.pi / nodes)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return theta, w
+    x = center + half_width * np.cos(theta)
+    values = np.asarray(f(x), dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise QuadratureError("integrand produced non-finite values on the quadrature grid")
+    return theta, w, x, values
 
 
 @lru_cache(maxsize=8)
@@ -252,11 +311,7 @@ def chebyshev_coefficients(
     nodes: int = DEFAULT_NODES,
 ) -> ChebyshevCoefficients:
     """fhat[n] = (1/pi) integral of f(c + r cos t) cos(n t) dt, n >= 1."""
-    theta, w = _theta_grid(nodes)
-    x = support.center + support.half_width * np.cos(theta)
-    vals = np.asarray(f(x), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("test function produced non-finite values on the support")
+    theta, w, _, vals = _theta_values(f, support.center, support.half_width, nodes)
     wv = w * vals
     ns = np.arange(N + 1)
     fhat = (np.cos(np.outer(ns, theta)) @ wv) / math.pi
@@ -265,13 +320,15 @@ def chebyshev_coefficients(
 
 @dataclass(frozen=True)
 class VarianceFunctionals:
-    """CLT variance sigma^2 = (2/beta) sum n fhat_n^2 and tau^2 = sum n^2 fhat_n^2."""
+    """CLT variance sigma^2 = (2/beta) sum n fhat_n^2 and tau^2 = sum n^2 fhat_n^2,
+    with the coefficients they were computed from."""
 
     sigma_sq: float
     tau_sq: float
     sigma_tail: float
     tau_tail: float
     coefficients_decayed: bool
+    coefficients: ChebyshevCoefficients
 
 
 def variance_functionals(
@@ -310,17 +367,14 @@ def variance_functionals(
         sigma_tail=sigma_tail,
         tau_tail=tau_tail,
         coefficients_decayed=decayed,
+        coefficients=coeffs,
     )
 
 
 def tau_integral(f: TestFunction, support: SupportInterval, nodes: int = DEFAULT_NODES) -> float:
     """(1/2pi) integral of |f'|^2 sqrt((l+ - x)(x - l-)) dx, in theta form."""
-    if f.derivative is None:
-        raise ParameterError("tau integral needs a derivative")
-    theta, w = _theta_grid(nodes)
     r = support.half_width
-    x = support.center + r * np.cos(theta)
-    vals = np.asarray(f.derivative(x), dtype=float) ** 2
+    theta, w, _, vals = _theta_values(squared_derivative(f), support.center, r, nodes)
     return float(np.sum(w * vals * (r * np.sin(theta)) ** 2) / (2.0 * math.pi))
 
 
@@ -338,12 +392,8 @@ def integrate_density(
     """
     asym.require_bulk()
     sup = support if support is not None else SupportInterval.from_shape(asym.a, asym.b)
-    theta, w = _theta_grid(nodes)
-    r, c = sup.half_width, sup.center
-    x = c + r * np.cos(theta)
-    vals = np.asarray(f(x), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("integrand produced non-finite values")
+    r = sup.half_width
+    theta, w, x, vals = _theta_values(f, sup.center, r, nodes)
     denom = x * (1.0 - x)
     ratio = np.empty_like(x)
     interior = slice(1, -1)
@@ -359,11 +409,7 @@ def integrate_density(
 
 def integrate_deviation(f: Callable, support: SupportInterval, nodes: int = DEFAULT_NODES) -> float:
     """f(l-)/4 + f(l+)/4 - (1/2pi) integral of f(c + r cos t) dt."""
-    theta, w = _theta_grid(nodes)
-    x = support.center + support.half_width * np.cos(theta)
-    vals = np.asarray(f(x), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("integrand produced non-finite values")
+    _, w, _, vals = _theta_values(f, support.center, support.half_width, nodes)
     edge = float(f(np.asarray(support.lambda_minus))) / 4.0 + float(
         f(np.asarray(support.lambda_plus))
     ) / 4.0
@@ -372,9 +418,7 @@ def integrate_deviation(f: Callable, support: SupportInterval, nodes: int = DEFA
 
 def arcsine_integral(f: Callable, nodes: int = DEFAULT_NODES) -> float:
     """(1/pi) integral of f(x)/sqrt(x(1-x)) dx over [0, 1], in theta form."""
-    theta, w = _theta_grid(nodes)
-    x = 0.5 * (1.0 + np.cos(theta))
-    vals = np.asarray(f(x), dtype=float)
+    _, w, _, vals = _theta_values(f, 0.5, 0.5, nodes)
     return float(np.sum(w * vals) / math.pi)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -162,6 +165,17 @@ def test_eig_usage_error_honours_out(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert json.loads(report.read_text())["error"]["type"] == "usage"
+
+
+def test_module_entry_point_runs_the_cli():
+    # `python -m betajacobi.cli` must dispatch, not import the module and exit 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "betajacobi.cli", "eig", "--max-n", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "usage"
 
 
 def test_coupling_report_records_confirming_rule(capsys):

@@ -120,6 +120,25 @@ def test_fixed_seed_routes_pinned():
         variance_se=0.0040801564863553585, bound_se=0.0003167312263757197)
 
 
+def test_run_fluctuations_computes_coefficients_once_per_function(monkeypatch):
+    calls = []
+    coefficients = spectral.chebyshev_coefficients
+
+    def counted(f, *args, **kwargs):
+        calls.append(f.name)
+        return coefficients(f, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "chebyshev_coefficients", counted)
+    params = bj.from_ratios(32, 2.0, 2.0, 2.0)
+    support = bj.support_edges(bj.derive_asymptotic(params))
+    funcs = [spectral.chebyshev_test_function(2, support), spectral.monomial(1),
+             spectral.exp_function()]
+    res = ex.run_fluctuations(ex.ExperimentConfig(params=params, test_functions=funcs,
+                                                  replicates=4, seed=0))
+    assert calls == ["gamma2", "x", "exp"]
+    assert res.theory_covariance.diagonal() == pytest.approx(res.theory_sigma_sq, rel=1e-12)
+
+
 def test_config_accepts_numpy_integer_replicates():
     cfg = ex.ExperimentConfig(params=bj.from_ratios(16, 2.0, 2.0, 2.0),
                               test_functions=[spectral.monomial(1)], replicates=np.int32(5), seed=0)

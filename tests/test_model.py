@@ -16,12 +16,6 @@ def test_beta_sample_uniform_mean():
     assert abs(draws.mean() - 0.5) < 0.002
 
 
-def test_beta_sample_scalar_api():
-    rng = model.replicate_stream(1, 1)
-    val = model.beta_sample(model.BetaSpec(2.0, 5.0), rng)
-    assert 0.0 <= val <= 1.0
-
-
 def test_beta_sample_moments_vs_exact():
     # exact Beta moments: mean p/(p+q), variance pq/((p+q)^2 (p+q+1))
     rng = model.replicate_stream(2, 0)
@@ -34,13 +28,6 @@ def test_beta_sample_moments_vs_exact():
 
     draws = model._beta_draws(np.array([np.full(m, 1.0), np.full(m, 6.0)]), rng)
     assert abs(draws.mean() - 1.0 / 7.0) < 3 * _se(draws)
-
-
-def test_beta_spec_validation():
-    with pytest.raises(ParameterError):
-        model.BetaSpec(0.0, 1.0)
-    with pytest.raises(ParameterError):
-        model.BetaSpec(1.0, -2.0)
 
 
 def test_shape_arrays_small_case():

@@ -157,6 +157,20 @@ def test_expected_trace_small_cases_exact():
     assert paths.expected_trace_exact(rm64, 1) == Fraction(32)
 
 
+def test_expected_trace_is_computed_once_per_model():
+    rm = paths.RationalModel(n=40, alpha=Fraction(1, 2), a=Fraction(1, 4), b=Fraction(1, 2))
+    first = paths.expected_trace_exact(rm, 3)
+    hits = paths._exact_trace.cache_info().hits
+    again = paths.expected_trace_exact(
+        paths.RationalModel(n=40, alpha=Fraction(1, 2), a=Fraction(1, 4), b=Fraction(1, 2)), 3)
+    assert paths._exact_trace.cache_info().hits == hits + 1
+    assert again is first
+    assert again == paths._exact_trace.__wrapped__(rm, 3)
+    # a float alpha equals and hashes like Fraction(1, 2), so it must not reach the cache
+    with pytest.raises(ParameterError):
+        paths.RationalModel(n=40, alpha=0.5, a=Fraction(1, 4), b=Fraction(1, 2))
+
+
 def test_expected_trace_matches_monte_carlo():
     n, reps = 64, 2000
     rm = paths.RationalModel(n=n, alpha=Fraction(1), a=Fraction(1, 4), b=Fraction(1, 2))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import betajacobi as bj
-from betajacobi import paths, spectral
-from betajacobi.errors import ParameterError
+from betajacobi import model, paths, spectral
+from betajacobi.errors import ParameterError, QuadratureError
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +162,60 @@ def test_edge_weight_integral_value(support, asym):
 def test_arcsine_integral():
     assert spectral.arcsine_integral(spectral.monomial(0)) == pytest.approx(1.0, abs=1e-12)
     assert spectral.arcsine_integral(spectral.monomial(1)) == pytest.approx(0.5, abs=1e-12)
+
+
+# log(x - min x) and its derivative: infinite at the lowest node of any grid
+_SINGULAR = spectral.TestFunction(fn=lambda x: np.log(x - np.min(x)),
+                                  derivative=lambda x: 1.0 / (x - np.min(x)), name="log")
+_LOG = spectral.TestFunction(fn=np.log, derivative=lambda x: 1.0 / x, name="log")
+
+
+@pytest.mark.parametrize("integral", [
+    lambda s, a: spectral.chebyshev_coefficients(_SINGULAR, 8, s),
+    lambda s, a: spectral.tau_integral(_SINGULAR, s),
+    lambda s, a: spectral.integrate_density(_SINGULAR, a),
+    lambda s, a: spectral.integrate_deviation(_SINGULAR, s),
+    lambda s, a: spectral.arcsine_integral(_SINGULAR),
+    lambda s, a: spectral.arcsine_integral(np.log),
+    lambda s, a: spectral.tau_integral(_LOG, bj.SupportInterval(0.0, 0.5)),
+], ids=["chebyshev_coefficients", "tau_integral", "integrate_density", "integrate_deviation",
+        "arcsine_integral", "arcsine_integral-log", "tau_integral-log-edge"])
+def test_non_finite_integrand_raises_quadrature_error(integral, support, asym):
+    with np.errstate(divide="ignore"), pytest.raises(QuadratureError):
+        integral(support, asym)
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: spectral.monomial(3),
+    lambda s: spectral.chebyshev_test_function(4, s),
+], ids=["x^3", "gamma4"])
+def test_squared_derivative_form_is_exact(make, support):
+    f = make(support)
+    g = spectral.squared_derivative(f)
+    assert g.is_polynomial
+    assert (g.chebyshev.center, g.chebyshev.half_width) == (f.chebyshev.center,
+                                                            f.chebyshev.half_width)
+    x = np.linspace(support.lambda_minus, support.lambda_plus, 41)
+    series = np.polynomial.Chebyshev(g.chebyshev.coeffs, domain=[
+        g.chebyshev.center - g.chebyshev.half_width, g.chebyshev.center + g.chebyshev.half_width])
+    assert np.allclose(series(x), f.derivative(x) ** 2, rtol=1e-12, atol=1e-10)
+    assert np.allclose(g(x), f.derivative(x) ** 2, rtol=0, atol=0)
+    assert not spectral.squared_derivative(spectral.exp_function()).is_polynomial
+    with pytest.raises(ParameterError):
+        spectral.squared_derivative(spectral.TestFunction(fn=np.exp))
+
+
+def test_trace_statistic_routes_agree(support):
+    params = bj.from_ratios(40, 2.0, 2.0, 2.0)
+    funcs = [spectral.monomial(2), spectral.chebyshev_test_function(3, support)]
+    plain = [spectral.TestFunction(fn=f.fn, name=f.name) for f in funcs]
+    banded = model.map_replicates(params, 4, 12, spectral.trace_statistic(funcs))
+    on_support = model.map_replicates(
+        params, 4, 12, spectral.trace_statistic(funcs, support.center, support.half_width))
+    spectrum = model.map_replicates(params, 4, 12, spectral.trace_statistic(plain))
+    assert banded.shape == spectrum.shape == (12, 2)
+    assert np.allclose(banded, spectrum, rtol=1e-11, atol=1e-11)
+    assert np.allclose(on_support, spectrum, rtol=1e-11, atol=1e-11)
 
 
 def test_stieltjes_leading_examples(asym):

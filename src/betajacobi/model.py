@@ -15,13 +15,17 @@ Factors and Gram matrices may carry leading batch axes: diag (..., n) and
 sub/off (..., n - 1) hold one matrix per leading index.
 
 Every Monte Carlo check runs through map_replicates.  It draws replicate m
-from the counter-based stream keyed by (seed, m), fills (b, n) blocks of raw
-Beta draws replicate by replicate, and builds the factors and Gram matrices
-of a whole block at once; the statistic maps the block to (b, k) rows.  The
-block size b = 2^14 // n (at least 1) keeps every (b, n) array near 2^14
-doubles.  Each row depends on (seed, m) alone and every batched operation
-acts row by row exactly as on one matrix, so results are bit-identical
-whatever the block size.
+from the counter-based stream keyed by (seed, m): one standard_gamma call
+gives all 2(2n - 1) gammas of the replicate, in the order the two calls of
+sample_factor draw them.  The Beta ratios, factors and Gram matrices of a
+whole (b, n) block are then formed at once; the statistic maps the block to
+(b, k) rows.  A replicate with a Beta total of 0 (both gammas underflowed)
+is redrawn by the two-call path of sample_factor on its re-keyed stream.
+The block size b = 2^14 // n (at least 1) keeps every (b, n) array near
+2^14 doubles.  Each row depends on (seed, m) alone and every batched
+operation acts row by row exactly as on one matrix, so row m equals
+sample_factor(params, replicate_stream(seed, m)) bit for bit, whatever the
+block size.
 
 Polynomial linear statistics need no eigensolve: chebyshev_traces returns
 tr T_k((A - cI)/r) for k <= K from the banded Chebyshev recurrence, so any
@@ -68,6 +72,15 @@ _BLOCK_ELEMENTS = 1 << 14
 # them in cache at high degree (K = 20 at n = 2000 ran 1.7x slower in blocks
 # of 8 than one matrix at a time).
 _TRACE_ELEMENTS = 1 << 18
+# Limits on the Beta shapes, checked once per parameter set.  A gamma draw is
+# about its shape, so far above _MAX_SHAPE the total G1 + G2 overflows to inf
+# and the Beta ratio to 0 or NaN.  Below _MIN_SHAPE both gammas of a pair
+# underflow to 0 so often that the resample loop, which needs about
+# 1 / (1488 a) rounds at shape a, stalls: at n = 20, beta = 1e-8 takes 0.39 s
+# per factor and beta = 1e-9 takes 3.6 s.  A log-domain gamma sampler would
+# lift the floor.
+_MAX_SHAPE = 1e300
+_MIN_SHAPE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -177,8 +190,11 @@ def _beta_draws(shapes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Beta(shapes[0], shapes[1]) draws via the gamma ratio G1/(G1+G2).
 
     One standard_gamma call draws G1 and then G2 from the (2, k) shape
-    array.  The gamma generator handles shapes < 1 correctly, which matters
-    because the first c' shape is beta/2 < 1 whenever beta < 2.
+    array; a pair whose total is 0 (both underflowed) is drawn again, from
+    further on in the stream.  The gamma generator handles shapes < 1
+    correctly, which matters because the first c' shape is beta/2 < 1
+    whenever beta < 2.  map_replicates draws the c and c' pairs of a
+    replicate in one call and falls back to this path only for a zero total.
     """
     g = rng.standard_gamma(shapes)
     total = g[0] + g[1]
@@ -192,28 +208,35 @@ def _beta_draws(shapes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _shape_arrays(params: EnsembleParams):
     """Beta shape pairs of the c and c' draws, cached per parameter set.
 
-    Returns a (2, n) array for c and a (2, n - 1) array for c', row 0
-    the first shape and row 1 the second.  Every replicate of a run needs
-    the same arrays, so they are built once; they are shared, hence
-    read-only.
+    Returns (c_shapes, cp_shapes, flat): a (2, n) array for c and a
+    (2, n - 1) array for c', row 0 the first shape and row 1 the second,
+    both views into flat = [c row 0, c row 1, c' row 0, c' row 1] of length
+    4n - 2.  Every replicate of a run needs the same arrays, so they are
+    built once; they are shared, hence read-only.  Shapes outside
+    [_MIN_SHAPE, _MAX_SHAPE] are a ParameterError.
     """
     n, h = params.n, 0.5 * params.beta
     i = np.arange(1, n + 1, dtype=np.float64)
     j = np.arange(1, n, dtype=np.float64)
-    c_shapes = np.array([h * (params.n1 - n + i), h * (params.n2 - n + i)])
-    cp_shapes = np.array([h * j, h * (params.n1 + params.n2 - 2 * n + 1 + j)])
-    for arr in (c_shapes, cp_shapes):
-        if arr.size and arr.min() <= 0:
-            raise ParameterError(
-                "nonpositive Beta shape; parameters violate n1, n2 > n - 1"
-            )
-        arr.setflags(write=False)
-    return c_shapes, cp_shapes
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        flat = np.concatenate([h * (params.n1 - n + i), h * (params.n2 - n + i),
+                               h * j, h * (params.n1 + params.n2 - 2 * n + 1 + j)])
+    low, high = float(flat.min()), float(flat.max())
+    if low <= 0:
+        raise ParameterError("nonpositive Beta shape; parameters violate n1, n2 > n - 1")
+    if not high <= _MAX_SHAPE:
+        raise ParameterError(f"Beta shape {high:g} exceeds {_MAX_SHAPE:g}: "
+                             f"the gamma ratio overflows; reduce beta")
+    if low < _MIN_SHAPE:
+        raise ParameterError(f"Beta shape {low:g} is below {_MIN_SHAPE:g}: "
+                             f"the gamma draws underflow; increase beta or n1, n2")
+    flat.setflags(write=False)
+    return flat[: 2 * n].reshape(2, n), flat[2 * n :].reshape(2, n - 1), flat
 
 
 def _factor_draws(shapes, rng: np.random.Generator):
     """(c^2, c'^2): the 2n - 1 raw Beta draws of one factor, c first."""
-    c_shapes, cp_shapes = shapes
+    c_shapes, cp_shapes, _ = shapes
     return _beta_draws(c_shapes, rng), _beta_draws(cp_shapes, rng)
 
 
@@ -236,7 +259,7 @@ def sample_factor(params: EnsembleParams, rng: np.random.Generator) -> Tridiagon
 
 def deterministic_factor(params: EnsembleParams) -> TridiagonalFactor:
     """Factor with every Beta(x, y) draw replaced by its mean x/(x+y)."""
-    c, cp = _shape_arrays(params)
+    c, cp, _ = _shape_arrays(params)
     return _build_factor(c[0] / (c[0] + c[1]), cp[0] / (cp[0] + cp[1]))
 
 
@@ -255,22 +278,37 @@ def map_replicates(
     """Row m is the statistic of the Gram matrix A_m of replicate m.
 
     Replicate m samples its factor from replicate_stream(seed, m).  The
-    replicates run in blocks of b = max(1, 2^14 // n): each block's raw
-    draws fill (b, n) arrays, its factors and Gram matrices are built in
-    one pass, and statistic maps the stacked Gram matrices (diag (b, n),
-    off (b, n - 1)) to b values or a (b, k) array.  The (replicates, k)
-    result is bit-identical whatever the block size.
+    replicates run in blocks of b = max(1, 2^14 // n).  Row r of a
+    (b, 4n - 2) block buffer takes all the gammas of its replicate from one
+    standard_gamma call on the flat shape array, which consumes the stream
+    exactly as sample_factor's two calls do.  The Beta ratios, factors and
+    Gram matrices of the block are then formed in one pass, and statistic
+    maps the stacked Gram matrices (diag (b, n), off (b, n - 1)) to b
+    values or a (b, k) array.  A replicate with any Beta total of 0 is
+    redrawn through sample_factor's two-call path on its re-keyed stream,
+    so row m is bit-identical to sample_factor(params, replicate_stream(seed,
+    m)) in every case, and the (replicates, k) result is bit-identical
+    whatever the block size.
     """
     replicates = _replicate_count(replicates)
     stream = _rekeyed_streams(seed)
     shapes = _shape_arrays(params)
+    flat = shapes[2]
     n = params.n
     block = min(replicates, max(1, _BLOCK_ELEMENTS // n))
     out = None
     for start in range(0, replicates, block):
         b = min(block, replicates - start)
-        raw_c, raw_cp = np.empty((b, n)), np.empty((b, n - 1))
+        g = np.empty((b, 4 * n - 2))
         for r in range(b):
+            g[r] = stream(start + r).standard_gamma(flat)
+        c_total = g[:, :n] + g[:, n : 2 * n]
+        cp_total = g[:, 2 * n : 3 * n - 1] + g[:, 3 * n - 1 :]
+        with np.errstate(invalid="ignore"):  # 0/0 in the rows redrawn below
+            raw_c = g[:, :n] / c_total
+            raw_cp = g[:, 2 * n : 3 * n - 1] / cp_total
+        redo = (c_total == 0.0).any(axis=1) | (cp_total == 0.0).any(axis=1)
+        for r in np.flatnonzero(redo):
             raw_c[r], raw_cp[r] = _factor_draws(shapes, stream(start + r))
         rows = np.asarray(statistic(assemble_gram(_build_factor(raw_c, raw_cp))))
         if rows.shape[:1] != (b,):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -68,6 +69,17 @@ def test_malformed_config_is_validation_error(tmp_path, capsys):
 
 def test_invalid_params_exit_one(capsys):
     code, out = _run(capsys, "sample", "--n", "10", "--n1", "5", "--n2", "30")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("beta", ["1e308", "1e-300"], ids=["beta-overflow", "beta-underflow"])
+def test_beta_edges_exit_one_at_once(capsys, beta):
+    # the Beta shapes overflowed to NaN statistics at 1e308; at 1e-300 the
+    # resample of underflowed gammas never ended
+    start = time.perf_counter()
+    code, out = _run(capsys, "fluct", "--n", "8", "--beta", beta, "--reps", "10")
+    assert time.perf_counter() - start < 1.0
     assert code == 1
     assert json.loads(out)["error"]["type"] == "validation"
 

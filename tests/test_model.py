@@ -32,15 +32,24 @@ def test_beta_sample_moments_vs_exact():
 
 def test_shape_arrays_small_case():
     # n=2, beta=2, p=q=2: c shapes (3,3), (4,4); c' shape (1,6)
-    (c1, c2), (p1, p2) = model._shape_arrays(bj.from_ratios(2, 2.0, 2.0, 2.0))
+    (c1, c2), (p1, p2), flat = model._shape_arrays(bj.from_ratios(2, 2.0, 2.0, 2.0))
     assert c1.tolist() == [3.0, 4.0] and c2.tolist() == [3.0, 4.0]
     assert p1.tolist() == [1.0] and p2.tolist() == [6.0]
+    assert flat.tolist() == [3.0, 4.0, 3.0, 4.0, 1.0, 6.0]
 
 
 def test_shape_positivity_guard():
     params = bj.EnsembleParams(n=4, beta=2.0, n1=3.0, n2=6.0)  # n1 = n - 1 exactly
     with pytest.raises(ParameterError):
         model.sample_factor(params, model.replicate_stream(0, 0))
+
+
+@pytest.mark.parametrize("beta, match", [(1e308, "overflows"), (1e-300, "underflow")])
+def test_shape_limits_guard(beta, match):
+    # inf shapes gave NaN statistics; shapes near 1e-300 stalled the resample loop
+    params = bj.from_ratios(8, beta, 2.0, 2.0)
+    with pytest.raises(ParameterError, match=match):
+        model.map_replicates(params, 0, 10, lambda gram: gram.diag.sum(axis=-1))
 
 
 def test_raw_means_match_expectation_formula():
@@ -51,7 +60,7 @@ def test_raw_means_match_expectation_formula():
     params = bj.from_ratios(n, 2.0, 2.0, 3.0)
     a, b = 0.2, 0.4
     rng = model.replicate_stream(3, 0)
-    c_shapes, _ = model._shape_arrays(params)
+    c_shapes, _, _ = model._shape_arrays(params)
     draws = model._beta_draws(np.tile(c_shapes, reps), rng).reshape(reps, n)
     i = np.arange(1, n + 1)
     expected = (b - a + a * i / n) / (1 - 2 * a + 2 * a * i / n)
@@ -238,6 +247,54 @@ def test_map_replicates_blocks_match_hand_loop(n, replicates):
         assert np.array_equal(model.map_replicates(params, 11, replicates, statistic), expected)
 
 
+def test_map_replicates_redrawn_rows_match_hand_loop():
+    # at beta = 1e-4 the smallest gamma shape is 5e-5, and most replicates draw
+    # some Beta pair whose gammas both underflow to 0
+    params = bj.from_ratios(20, 1e-4, 2.0, 3.0)
+    n, flat = params.n, model._shape_arrays(params)[2]
+    redrawn = 0
+    for m in range(200):
+        g = model.replicate_stream(11, m).standard_gamma(flat)
+        totals = np.concatenate([g[:n] + g[n : 2 * n], g[2 * n : 3 * n - 1] + g[3 * n - 1 :]])
+        redrawn += bool(np.any(totals == 0.0))
+    assert 0 < redrawn < 200
+    statistic = lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)
+    expected = _hand_loop(params, 11, 200, statistic)
+    assert np.array_equal(model.map_replicates(params, 11, 200, statistic), expected)
+
+
+def test_map_replicates_draws_once_and_redraws_only_zero_totals(monkeypatch):
+    params = bj.from_ratios(6, 2.0, 2.0, 2.0)
+    n, replicates = params.n, 8
+    # replicate 2 gets a zero c total, replicate 5 a zero c' total
+    zero_columns = {2: [1, n + 1], 5: [2 * n, 3 * n - 1]}
+    calls = []
+    rekeyed = model._rekeyed_streams
+
+    class Logged:
+        def __init__(self, rng, m):
+            self.rng, self.m = rng, m
+
+        def standard_gamma(self, shapes):
+            calls.append((self.m, np.shape(shapes)))
+            g = self.rng.standard_gamma(shapes)
+            if np.ndim(shapes) == 1 and self.m in zero_columns:
+                g[zero_columns[self.m]] = 0.0
+            return g
+
+    def logged_streams(seed):
+        stream = rekeyed(seed)
+        return lambda m: Logged(stream(m), m)
+
+    monkeypatch.setattr(model, "_rekeyed_streams", logged_streams)
+    statistic = lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)
+    rows = model.map_replicates(params, 4, replicates, statistic)
+    one_call = [(m, (4 * n - 2,)) for m in range(replicates)]
+    redrawn = [(m, shape) for m in (2, 5) for shape in ((2, n), (2, n - 1))]
+    assert calls == one_call + redrawn
+    assert np.array_equal(rows, _hand_loop(params, 4, replicates, statistic))
+
+
 def test_map_replicates_checks_its_arguments():
     params = bj.from_ratios(8, 2.0, 2.0, 2.0)
     traces = model.map_replicates(params, 0, np.int64(3), lambda gram: gram.diag.sum(axis=-1))
@@ -298,7 +355,7 @@ def test_sample_factor_resamples_c_before_drawing_cp():
     stub = _ZeroedGammas(model.replicate_stream(4, 0), zero=slice(None))
     factor = model.sample_factor(params, stub)
     assert stub.calls == [(2, 5), (2, 5), (2, 4)]
-    c_shapes, cp_shapes = model._shape_arrays(params)
+    c_shapes, cp_shapes, _ = model._shape_arrays(params)
     reference = model.replicate_stream(4, 0)
     reference.standard_gamma(c_shapes)  # the draw the stub zeroed
     c = reference.standard_gamma(c_shapes)

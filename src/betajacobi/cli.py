@@ -137,7 +137,7 @@ _EXTREMAL = "Chebyshev test functions need non-extremal parameters"
 
 
 def _parse_funcs(spec_str: str, params, no_support: str = _EXTREMAL) -> list:
-    """Tokens: gammaK, gammaI..gammaJ, x, xK, exp, pwl.
+    """Tokens: gammaK, gammaI..gammaJ (I <= J), x, xK, exp, pwl.
 
     gammaK lives on the support of params; without params, or with extremal
     ones, a gammaK token is a usage error that says no_support.
@@ -154,6 +154,8 @@ def _parse_funcs(spec_str: str, params, no_support: str = _EXTREMAL) -> list:
             if not (lo_s.startswith("gamma") and hi_s.startswith("gamma")):
                 raise _UsageError(f"bad function range {token!r}")
             lo, hi = _order(lo_s[5:], token), _order(hi_s[5:], token)
+            if lo > hi:
+                raise _UsageError(f"reversed function range {token!r}")
             for m in range(lo, hi + 1):
                 out.append(spectral.chebyshev_test_function(m, _need(support, no_support)))
         elif token.startswith("gamma"):

@@ -61,19 +61,13 @@ def beta_poincare_ratio(
     if f.derivative is None:
         raise ParameterError("Poincare ratio needs the derivative of f")
     ynodes, w = spectral.jacobi_probability_quadrature(_BETA_NODES, p, q)
-    if weighted:
-        x = 2.0 * ynodes - 1.0
-        vals = np.asarray(f(x), dtype=float)
-        dsq = np.asarray(f.derivative(x), dtype=float) ** 2
-        mean = float(w @ vals)
-        variance = float(w @ (vals - mean) ** 2)
-        bound = float(w @ ((1.0 - x * x) * dsq)) / (p + q)
-    else:
-        vals = np.asarray(f(ynodes), dtype=float)
-        dsq = np.asarray(f.derivative(ynodes), dtype=float) ** 2
-        mean = float(w @ vals)
-        variance = float(w @ (vals - mean) ** 2)
-        bound = float(w @ dsq) / (4.0 * (p + q))
+    x = 2.0 * ynodes - 1.0 if weighted else ynodes
+    vals = np.asarray(f(x), dtype=float)
+    dsq = np.asarray(f.derivative(x), dtype=float) ** 2
+    mean = float(w @ vals)
+    variance = float(w @ (vals - mean) ** 2)
+    weight, scale = (1.0 - x * x, p + q) if weighted else (1.0, 4.0 * (p + q))
+    bound = float(w @ (weight * dsq)) / scale
     ratio = variance / bound if bound > 0 else (0.0 if variance == 0.0 else math.inf)
     return PoincareReport(variance=variance, bound=bound, ratio=ratio)
 

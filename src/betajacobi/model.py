@@ -15,17 +15,16 @@ Factors and Gram matrices may carry leading batch axes: diag (..., n) and
 sub/off (..., n - 1) hold one matrix per leading index.
 
 Every Monte Carlo check runs through map_replicates.  It draws replicate m
-from the counter-based stream keyed by (seed, m): one standard_gamma call
-gives all 2(2n - 1) gammas of the replicate, in the order the two calls of
-sample_factor draw them.  The Beta ratios, factors and Gram matrices of a
-whole (b, n) block are then formed at once; the statistic maps the block to
-(b, k) rows.  A replicate with a Beta total of 0 (both gammas underflowed)
-is redrawn by the two-call path of sample_factor on its re-keyed stream.
-The block size b = 2^14 // n (at least 1) keeps every (b, n) array near
-2^14 doubles.  Each row depends on (seed, m) alone and every batched
-operation acts row by row exactly as on one matrix, so row m equals
-sample_factor(params, replicate_stream(seed, m)) bit for bit, whatever the
-block size.
+from the counter-based stream keyed by (seed, m) with one standard_gamma call
+on the flat shape array, the first call sample_factor makes.  The Beta
+ratios, factors and Gram matrices of a whole (b, n) block are then formed at
+once; the statistic maps the block to (b, k) rows.  A replicate with a Beta
+total of 0 (both gammas underflowed) is redone by sample_factor's draw
+routine on its re-keyed stream.  The block size b = 2^14 // n (at least 1)
+keeps every (b, n) array near 2^14 doubles.  Each row depends on (seed, m)
+alone and every batched operation acts row by row exactly as on one matrix,
+so row m equals sample_factor(params, replicate_stream(seed, m)) bit for
+bit, whatever the block size.
 
 Polynomial linear statistics need no eigensolve: chebyshev_traces returns
 tr T_k((A - cI)/r) for k <= K from the banded Chebyshev recurrence, so any
@@ -186,34 +185,15 @@ def _replicate_count(replicates) -> int:
     return int(replicates)
 
 
-def _beta_draws(shapes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Beta(shapes[0], shapes[1]) draws via the gamma ratio G1/(G1+G2).
-
-    One standard_gamma call draws G1 and then G2 from the (2, k) shape
-    array; a pair whose total is 0 (both underflowed) is drawn again, from
-    further on in the stream.  The gamma generator handles shapes < 1
-    correctly, which matters because the first c' shape is beta/2 < 1
-    whenever beta < 2.  map_replicates draws the c and c' pairs of a
-    replicate in one call and falls back to this path only for a zero total.
-    """
-    g = rng.standard_gamma(shapes)
-    total = g[0] + g[1]
-    while np.count_nonzero(total) < total.size:  # both gammas underflowed; essentially never
-        g = np.where(total == 0.0, rng.standard_gamma(shapes), g)
-        total = g[0] + g[1]
-    return g[0] / total
-
-
 @lru_cache(maxsize=16)
 def _shape_arrays(params: EnsembleParams):
     """Beta shape pairs of the c and c' draws, cached per parameter set.
 
-    Returns (c_shapes, cp_shapes, flat): a (2, n) array for c and a
-    (2, n - 1) array for c', row 0 the first shape and row 1 the second,
-    both views into flat = [c row 0, c row 1, c' row 0, c' row 1] of length
-    4n - 2.  Every replicate of a run needs the same arrays, so they are
-    built once; they are shared, hence read-only.  Shapes outside
-    [_MIN_SHAPE, _MAX_SHAPE] are a ParameterError.
+    Returns the flat array [c row 0, c row 1, c' row 0, c' row 1] of length
+    4n - 2: rows 0 and 1 hold the first and second shapes of the n c pairs,
+    then of the n - 1 c' pairs.  Every replicate of a run needs the same
+    array, so it is built once; it is shared, hence read-only.  Shapes
+    outside [_MIN_SHAPE, _MAX_SHAPE] are a ParameterError.
     """
     n, h = params.n, 0.5 * params.beta
     i = np.arange(1, n + 1, dtype=np.float64)
@@ -231,13 +211,37 @@ def _shape_arrays(params: EnsembleParams):
         raise ParameterError(f"Beta shape {low:g} is below {_MIN_SHAPE:g}: "
                              f"the gamma draws underflow; increase beta or n1, n2")
     flat.setflags(write=False)
-    return flat[: 2 * n].reshape(2, n), flat[2 * n :].reshape(2, n - 1), flat
+    return flat
 
 
-def _factor_draws(shapes, rng: np.random.Generator):
-    """(c^2, c'^2): the 2n - 1 raw Beta draws of one factor, c first."""
-    c_shapes, cp_shapes, _ = shapes
-    return _beta_draws(c_shapes, rng), _beta_draws(cp_shapes, rng)
+def _ratios(g: np.ndarray, n: int):
+    """(c^2, c'^2): x / (x + y) for each pair of g, laid out like the flat shape array.
+
+    g may carry leading axes.  A pair whose total is 0 gives NaN without a
+    warning; the shape limits keep every total finite, so no other NaN arises.
+    """
+    c1, c2, cp1, cp2 = np.split(g, [n, 2 * n, 3 * n - 1], axis=-1)
+    with np.errstate(invalid="ignore"):
+        return c1 / (c1 + c2), cp1 / (cp1 + cp2)
+
+
+def _factor_draws(flat: np.ndarray, n: int, rng: np.random.Generator):
+    """(c^2, c'^2): Beta draws via the gamma ratio G1/(G1+G2), c first.
+
+    One standard_gamma call draws every gamma from the flat shape array
+    (leading axes index a stack of factors).  While any pair's total is 0
+    (both gammas underflowed), the whole array is drawn again, further on
+    in the stream, and only those pairs take the new gammas.  The gamma
+    generator handles shapes < 1 correctly, which matters because the first
+    c' shape is beta/2 < 1 whenever beta < 2.
+    """
+    g = rng.standard_gamma(flat)
+    while True:
+        c, cp = _ratios(g, n)
+        zero = np.isnan(np.concatenate([c, c, cp, cp], axis=-1))
+        if not zero.any():
+            return c, cp
+        g = np.where(zero, rng.standard_gamma(flat), g)
 
 
 def _build_factor(raw_c: np.ndarray, raw_cp: np.ndarray) -> TridiagonalFactor:
@@ -254,13 +258,12 @@ def _build_factor(raw_c: np.ndarray, raw_cp: np.ndarray) -> TridiagonalFactor:
 
 def sample_factor(params: EnsembleParams, rng: np.random.Generator) -> TridiagonalFactor:
     """Draw the 2n-1 independent Beta variables and lay out the factor."""
-    return _build_factor(*_factor_draws(_shape_arrays(params), rng))
+    return _build_factor(*_factor_draws(_shape_arrays(params), params.n, rng))
 
 
 def deterministic_factor(params: EnsembleParams) -> TridiagonalFactor:
     """Factor with every Beta(x, y) draw replaced by its mean x/(x+y)."""
-    c, cp, _ = _shape_arrays(params)
-    return _build_factor(c[0] / (c[0] + c[1]), cp[0] / (cp[0] + cp[1]))
+    return _build_factor(*_ratios(_shape_arrays(params), params.n))
 
 
 def assemble_gram(factor: TridiagonalFactor) -> SymTridiagonal:
@@ -280,20 +283,18 @@ def map_replicates(
     Replicate m samples its factor from replicate_stream(seed, m).  The
     replicates run in blocks of b = max(1, 2^14 // n).  Row r of a
     (b, 4n - 2) block buffer takes all the gammas of its replicate from one
-    standard_gamma call on the flat shape array, which consumes the stream
-    exactly as sample_factor's two calls do.  The Beta ratios, factors and
-    Gram matrices of the block are then formed in one pass, and statistic
-    maps the stacked Gram matrices (diag (b, n), off (b, n - 1)) to b
-    values or a (b, k) array.  A replicate with any Beta total of 0 is
-    redrawn through sample_factor's two-call path on its re-keyed stream,
-    so row m is bit-identical to sample_factor(params, replicate_stream(seed,
-    m)) in every case, and the (replicates, k) result is bit-identical
-    whatever the block size.
+    standard_gamma call on the flat shape array, the first call of
+    sample_factor's draw routine.  The Beta ratios, factors and Gram
+    matrices of the block are then formed in one pass, and statistic maps
+    the stacked Gram matrices (diag (b, n), off (b, n - 1)) to b values or
+    a (b, k) array.  A replicate with any Beta total of 0 is redone by that
+    draw routine on its re-keyed stream, so row m is bit-identical to
+    sample_factor(params, replicate_stream(seed, m)) in every case, and the
+    (replicates, k) result is bit-identical whatever the block size.
     """
     replicates = _replicate_count(replicates)
     stream = _rekeyed_streams(seed)
-    shapes = _shape_arrays(params)
-    flat = shapes[2]
+    flat = _shape_arrays(params)
     n = params.n
     block = min(replicates, max(1, _BLOCK_ELEMENTS // n))
     out = None
@@ -302,14 +303,9 @@ def map_replicates(
         g = np.empty((b, 4 * n - 2))
         for r in range(b):
             g[r] = stream(start + r).standard_gamma(flat)
-        c_total = g[:, :n] + g[:, n : 2 * n]
-        cp_total = g[:, 2 * n : 3 * n - 1] + g[:, 3 * n - 1 :]
-        with np.errstate(invalid="ignore"):  # 0/0 in the rows redrawn below
-            raw_c = g[:, :n] / c_total
-            raw_cp = g[:, 2 * n : 3 * n - 1] / cp_total
-        redo = (c_total == 0.0).any(axis=1) | (cp_total == 0.0).any(axis=1)
-        for r in np.flatnonzero(redo):
-            raw_c[r], raw_cp[r] = _factor_draws(shapes, stream(start + r))
+        raw_c, raw_cp = _ratios(g, n)
+        for r in np.flatnonzero(np.isnan(raw_c).any(axis=1) | np.isnan(raw_cp).any(axis=1)):
+            raw_c[r], raw_cp[r] = _factor_draws(flat, n, stream(start + r))
         rows = np.asarray(statistic(assemble_gram(_build_factor(raw_c, raw_cp))))
         if rows.shape[:1] != (b,):
             raise ParameterError(f"statistic must return one row per matrix of the block: "

@@ -296,6 +296,13 @@ def test_bad_function_order_is_usage_error(capsys, argv):
     assert json.loads(out)["error"]["type"] == "usage"
 
 
+def test_reversed_function_range_is_usage_error(capsys):
+    code, out = _run(capsys, "fluct", "--n", "16", "--funcs", "gamma4..gamma1,x", "--reps", "4")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "usage" and "'gamma4..gamma1'" in error["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ["extremal", "--n", "50", "--reps", "0"],
     ["extremal", "--n", "50", "--reps", "1"],

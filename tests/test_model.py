@@ -10,9 +10,15 @@ def _se(x):
     return x.std(ddof=1) / np.sqrt(x.shape[0])
 
 
+def _beta_sample(p, q, m, rng):
+    """m Beta(p, q) draws: the c draws of _factor_draws at n = m, every pair (p, q)."""
+    flat = np.repeat([p, q, p, q], [m, m, m - 1, m - 1])
+    return model._factor_draws(flat, m, rng)[0]
+
+
 def test_beta_sample_uniform_mean():
     rng = model.replicate_stream(1, 0)
-    draws = model._beta_draws(np.full((2, 10**6), 1.0), rng)
+    draws = _beta_sample(1.0, 1.0, 10**6, rng)
     assert abs(draws.mean() - 0.5) < 0.002
 
 
@@ -20,21 +26,19 @@ def test_beta_sample_moments_vs_exact():
     # exact Beta moments: mean p/(p+q), variance pq/((p+q)^2 (p+q+1))
     rng = model.replicate_stream(2, 0)
     m = 200_000
-    draws = model._beta_draws(np.full((2, m), 3.0), rng)
+    draws = _beta_sample(3.0, 3.0, m, rng)
     assert abs(draws.mean() - 0.5) < 3 * _se(draws)
     var = draws.var(ddof=1)
     var_se = np.sqrt(np.var((draws - draws.mean()) ** 2) / m)
     assert abs(var - 1.0 / 28.0) < 3 * var_se
 
-    draws = model._beta_draws(np.array([np.full(m, 1.0), np.full(m, 6.0)]), rng)
+    draws = _beta_sample(1.0, 6.0, m, rng)
     assert abs(draws.mean() - 1.0 / 7.0) < 3 * _se(draws)
 
 
 def test_shape_arrays_small_case():
     # n=2, beta=2, p=q=2: c shapes (3,3), (4,4); c' shape (1,6)
-    (c1, c2), (p1, p2), flat = model._shape_arrays(bj.from_ratios(2, 2.0, 2.0, 2.0))
-    assert c1.tolist() == [3.0, 4.0] and c2.tolist() == [3.0, 4.0]
-    assert p1.tolist() == [1.0] and p2.tolist() == [6.0]
+    flat = model._shape_arrays(bj.from_ratios(2, 2.0, 2.0, 2.0))
     assert flat.tolist() == [3.0, 4.0, 3.0, 4.0, 1.0, 6.0]
 
 
@@ -60,8 +64,8 @@ def test_raw_means_match_expectation_formula():
     params = bj.from_ratios(n, 2.0, 2.0, 3.0)
     a, b = 0.2, 0.4
     rng = model.replicate_stream(3, 0)
-    c_shapes, _, _ = model._shape_arrays(params)
-    draws = model._beta_draws(np.tile(c_shapes, reps), rng).reshape(reps, n)
+    flat = model._shape_arrays(params)
+    draws, _ = model._factor_draws(np.tile(flat, (reps, 1)), n, rng)
     i = np.arange(1, n + 1)
     expected = (b - a + a * i / n) / (1 - 2 * a + 2 * a * i / n)
     se = draws.std(axis=0, ddof=1) / np.sqrt(reps)
@@ -195,12 +199,10 @@ def test_chebyshev_traces_validation():
 def test_shape_arrays_cached_and_read_only():
     params = bj.from_ratios(16, 2.0, 2.0, 3.0)
     first = model._shape_arrays(params)
-    again = model._shape_arrays(bj.from_ratios(16, 2.0, 2.0, 3.0))
-    for a, b in zip(first, again):
-        assert a is b
-        assert not a.flags.writeable
+    assert model._shape_arrays(bj.from_ratios(16, 2.0, 2.0, 3.0)) is first
+    assert not first.flags.writeable
     with pytest.raises(ValueError):
-        first[0][0, 0] = 1.0
+        first[0] = 1.0
 
 
 def test_replicate_streams_reproducible_and_disjoint():
@@ -251,7 +253,7 @@ def test_map_replicates_redrawn_rows_match_hand_loop():
     # at beta = 1e-4 the smallest gamma shape is 5e-5, and most replicates draw
     # some Beta pair whose gammas both underflow to 0
     params = bj.from_ratios(20, 1e-4, 2.0, 3.0)
-    n, flat = params.n, model._shape_arrays(params)[2]
+    n, flat = params.n, model._shape_arrays(params)
     redrawn = 0
     for m in range(200):
         g = model.replicate_stream(11, m).standard_gamma(flat)
@@ -266,20 +268,21 @@ def test_map_replicates_redrawn_rows_match_hand_loop():
 def test_map_replicates_draws_once_and_redraws_only_zero_totals(monkeypatch):
     params = bj.from_ratios(6, 2.0, 2.0, 2.0)
     n, replicates = params.n, 8
-    # replicate 2 gets a zero c total, replicate 5 a zero c' total
+    # the first call on replicate 2's stream gets a zero c total, on 5's a zero c' total
     zero_columns = {2: [1, n + 1], 5: [2 * n, 3 * n - 1]}
     calls = []
     rekeyed = model._rekeyed_streams
 
     class Logged:
         def __init__(self, rng, m):
-            self.rng, self.m = rng, m
+            self.rng, self.m, self.fresh = rng, m, True
 
         def standard_gamma(self, shapes):
             calls.append((self.m, np.shape(shapes)))
             g = self.rng.standard_gamma(shapes)
-            if np.ndim(shapes) == 1 and self.m in zero_columns:
+            if self.fresh and self.m in zero_columns:
                 g[zero_columns[self.m]] = 0.0
+            self.fresh = False
             return g
 
     def logged_streams(seed):
@@ -289,10 +292,14 @@ def test_map_replicates_draws_once_and_redraws_only_zero_totals(monkeypatch):
     monkeypatch.setattr(model, "_rekeyed_streams", logged_streams)
     statistic = lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)
     rows = model.map_replicates(params, 4, replicates, statistic)
-    one_call = [(m, (4 * n - 2,)) for m in range(replicates)]
-    redrawn = [(m, shape) for m in (2, 5) for shape in ((2, n), (2, n - 1))]
-    assert calls == one_call + redrawn
-    assert np.array_equal(rows, _hand_loop(params, 4, replicates, statistic))
+    flat = (4 * n - 2,)
+    assert calls == [(m, flat) for m in range(replicates)] + [(m, flat) for m in (2, 2, 5, 5)]
+    # the same stubbed streams, one sample_factor call per replicate
+    stub = [model.sample_factor(params, Logged(model.replicate_stream(4, m), m))
+            for m in range(replicates)]
+    expected = np.array([statistic(model.assemble_gram(factor)) for factor in stub])
+    assert np.array_equal(rows, expected)
+    assert not np.array_equal(rows, _hand_loop(params, 4, replicates, statistic))
 
 
 def test_map_replicates_checks_its_arguments():
@@ -324,8 +331,8 @@ def test_rekeyed_stream_equals_replicate_stream():
 
 
 class _ZeroedGammas:
-    """Generator stub: the first standard_gamma call has column `zero` set to
-    0 in both rows, so that Beta ratio is 0/0; later calls pass through."""
+    """Generator stub: the first standard_gamma call has the entries at
+    `zero` set to 0, so their Beta ratios are 0/0; later calls pass through."""
 
     def __init__(self, rng, zero):
         self.rng, self.zero, self.calls = rng, zero, []
@@ -334,34 +341,25 @@ class _ZeroedGammas:
         self.calls.append(np.shape(shapes))
         g = self.rng.standard_gamma(shapes)
         if len(self.calls) == 1:
-            g[..., self.zero] = 0.0
+            g[self.zero] = 0.0
         return g
 
 
-def test_beta_draws_resample_zero_totals():
-    shapes = np.array([[0.3, 2.0, 5.0], [0.7, 1.0, 4.0]])
-    stub = _ZeroedGammas(model.replicate_stream(3, 0), zero=1)
-    draws = model._beta_draws(shapes, stub)
-    reference = model.replicate_stream(3, 0)
-    first, second = reference.standard_gamma(shapes), reference.standard_gamma(shapes)
-    kept = np.where([False, True, False], second, first)
-    assert np.array_equal(draws, kept[0] / (kept[0] + kept[1]))
-    assert stub.calls == [(2, 3), (2, 3)]
-
-
-def test_sample_factor_resamples_c_before_drawing_cp():
-    # the resample of the c draws comes before the c' draws, as in the stream's order
+def test_factor_draws_redraw_only_zero_pairs():
+    # c pair 2 and c' pair 1 of n = 5 have both gammas zeroed on the first call
     params = bj.from_ratios(5, 2.0, 2.0, 2.0)
-    stub = _ZeroedGammas(model.replicate_stream(4, 0), zero=slice(None))
+    n, flat = params.n, model._shape_arrays(params)
+    zero = [2, n + 2, 2 * n + 1, 3 * n]
+    stub = _ZeroedGammas(model.replicate_stream(4, 0), zero)
     factor = model.sample_factor(params, stub)
-    assert stub.calls == [(2, 5), (2, 5), (2, 4)]
-    c_shapes, cp_shapes, _ = model._shape_arrays(params)
+    assert stub.calls == [(4 * n - 2,), (4 * n - 2,)]
     reference = model.replicate_stream(4, 0)
-    reference.standard_gamma(c_shapes)  # the draw the stub zeroed
-    c = reference.standard_gamma(c_shapes)
-    cp = reference.standard_gamma(cp_shapes)
-    assert np.array_equal(factor.raw_c, c[0] / (c[0] + c[1]))
-    assert np.array_equal(factor.raw_cp, cp[0] / (cp[0] + cp[1]))
+    first, second = reference.standard_gamma(flat), reference.standard_gamma(flat)
+    kept = first.copy()
+    kept[zero] = second[zero]
+    c = kept[:n] / (kept[:n] + kept[n : 2 * n])
+    cp = kept[2 * n : 3 * n - 1] / (kept[2 * n : 3 * n - 1] + kept[3 * n - 1 :])
+    assert np.array_equal(factor.raw_c, c) and np.array_equal(factor.raw_cp, cp)
 
 
 def _stacked_gram(params, seed, count):

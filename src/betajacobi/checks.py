@@ -14,7 +14,6 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -288,20 +287,20 @@ def _deviation_moment(k: int, support: SupportInterval) -> float:
 
 
 def _deviation(a, b, cases):
-    """cases: (k, alpha, base_n); alpha = 1 or k = 1 predict a zero 1/n term.
+    """cases: (k, beta, base_n); beta = 2 or k = 1 predict a zero 1/n term.
     A kind of case that is not among them reads 0 in its worst-case value."""
-    support = SupportInterval.from_shape(float(a), float(b))
+    support = SupportInterval.from_shape(a, b)
     rows, relative, null, linear, closed = [], [0.0], [0.0], [0.0], [0.0]
-    for k, alpha, base_n in cases:
-        rep = experiments.deviation_check(k, alpha, a, b, (base_n, 2 * base_n, 4 * base_n))
-        closed.append(abs(rep.expected - (float(alpha) - 1.0) * _deviation_moment(k, support)))
+    for k, beta, base_n in cases:
+        rep = experiments.deviation_check(k, beta, a, b, (base_n, 2 * base_n, 4 * base_n))
+        closed.append(abs(rep.expected - (2.0 / beta - 1.0) * _deviation_moment(k, support)))
         if k == 1:
             linear.append(abs(rep.order1))
-        elif alpha == 1:
+        elif beta == 2:
             null.append(abs(rep.order1))
         else:
             relative.append(abs(rep.order1 / rep.expected - 1.0))
-        rows.append({"k": k, "alpha": str(alpha), "base_n": base_n, "order1": rep.order1,
+        rows.append({"k": k, "beta": beta, "base_n": base_n, "order1": rep.order1,
                      "expected": rep.expected, "extrapolation_residual": rep.residual})
     return {"cases": rows, "worst_relative_gap": max(relative), "worst_null_order1": max(null),
             "worst_linear_order1": max(linear), "worst_closed_form_gap": max(closed)}
@@ -309,8 +308,8 @@ def _deviation(a, b, cases):
 
 def _palindromy(a, b, base_n):
     grid = (base_n, 2 * base_n, 4 * base_n)
-    one, two, half = (paths.trace_expansion(2, alpha, a, b, grid).order1
-                      for alpha in (Fraction(1), Fraction(2), Fraction(1, 2)))
+    # alpha = 2/beta = 1, 2 and 1/2
+    one, two, half = (paths.trace_expansion(2, beta, a, b, grid).order1 for beta in (2.0, 1.0, 4.0))
     return {"eta2_alpha_one": one, "eta2_alpha_two": two, "eta2_alpha_half": half,
             "abs_eta2_alpha_one": abs(one), "palindromy_gap": abs(two / (-2.0 * half) - 1.0)}
 
@@ -417,7 +416,7 @@ def _lln(regimes, sizes, func, beta, p, q, reps, seed):
 
 # -- the registry ----------------------------------------------------------
 
-_A, _B = Fraction(1, 4), Fraction(1, 2)
+_A, _B = 0.25, 0.5
 
 REGISTRY = (
     Check(1, "bridge-combinatorics", _bridge_combinatorics,
@@ -449,10 +448,10 @@ REGISTRY = (
     Check(8, "deviation", _deviation,
           (("worst_relative_gap", "<=", 0.01), ("worst_null_order1", "<=", 1e-6),
            ("worst_linear_order1", "<=", 1e-12), ("worst_closed_form_gap", "<=", 1e-12)),
-          full={"a": _A, "b": _B, "cases": ((2, Fraction(1, 2), 512), (1, Fraction(1, 2), 128),
-                                            (2, Fraction(1), 512))},
-          quick={"a": _A, "b": _B, "cases": ((2, Fraction(1, 2), 128), (1, Fraction(1, 2), 128),
-                                             (2, Fraction(1), 64))}),
+          full={"a": _A, "b": _B, "cases": ((2, 4.0, 512), (1, 4.0, 128), (2, 2.0, 512),
+                                            (4, 4.0, 512), (6, 4.0, 512), (8, 4.0, 512))},
+          quick={"a": _A, "b": _B, "cases": ((2, 4.0, 128), (1, 4.0, 128), (2, 2.0, 64),
+                                             (4, 4.0, 128))}),
     Check(9, "palindromy", _palindromy,
           (("abs_eta2_alpha_one", "<=", 1e-6), ("palindromy_gap", "<=", 1e-3)),
           full={"a": _A, "b": _B, "base_n": 512}, quick={"a": _A, "b": _B, "base_n": 64}),

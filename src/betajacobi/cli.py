@@ -7,13 +7,15 @@ inputs their flags give; this module only parses, reports usage errors and
 emits.  Output is JSON with a versioned schema embedding the resolved
 configuration, seed, library version, wall clock and quadrature node
 counts; raw samples go to CSV on request.  Exit codes: 0 success, 1
-validation error, 2 numerical failure or failed verification.
+validation error or stdout closed early, 2 numerical failure or failed
+verification.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -67,7 +69,8 @@ def _build_parser() -> _Parser:
             "func:str beta:float p:float q:float reps:int seed:int")
     p.add_argument("--regime", choices=("sublinear", "proportional", "superlinear"))
     p.add_argument("--sizes", help="comma-separated n values")
-    p = add("expect", "mean-trace deviation via exact rationals", "k:int base_n:int")
+    p = add("expect", "mean-trace deviation of x^k, 1 <= k <= 8, via float bridge sums",
+            "k:int base_n:int")
     p.add_argument("--beta", help="rational, e.g. 4 or 1/2")
     p.add_argument("--a", help="rational, e.g. 1/4")
     p.add_argument("--b", help="rational, e.g. 1/2")
@@ -163,8 +166,10 @@ def _parse_funcs(spec_str: str, params, no_support: str = _EXTREMAL) -> list:
                                                         _need(support, no_support)))
         elif token == "x":
             out.append(spectral.monomial(1))
-        elif token.startswith("x^") or (token.startswith("x") and token[1:].isdigit()):
-            out.append(spectral.monomial(_order(token.lstrip("x^"), token)))
+        elif token.startswith("x^"):
+            out.append(spectral.monomial(_order(token[2:], token)))
+        elif token.startswith("x") and token[1:].isdigit():
+            out.append(spectral.monomial(_order(token[1:], token)))
         elif token == "exp":
             out.append(spectral.exp_function())
         elif token == "pwl":
@@ -192,15 +197,15 @@ def _parse_sizes(spec) -> list:
         raise _UsageError(f"sizes must be comma-separated integers, got {spec!r}")
 
 
-def _parse_rational(text, flag: str) -> Fraction:
-    """A positive rational such as 4 or 1/2."""
+def _parse_rational(text, flag: str) -> float:
+    """A positive rational such as 4 or 1/2, as a float."""
     try:
         value = Fraction(str(text))
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"{flag} must be a rational such as 4 or 1/2, got {text!r}")
     if value <= 0:
         raise _UsageError(f"{flag} must be positive, got {text!r}")
-    return value
+    return float(value)
 
 
 def _order(digits: str, token: str) -> int:
@@ -326,7 +331,7 @@ def _cmd_expect(res: _Resolver) -> tuple[dict, bool]:
     a = _parse_rational(res.get("a", "1/4"), "--a")
     b = _parse_rational(res.get("b", "1/2"), "--b")
     base_n = res.get("base_n", 512, int)
-    return _verdict(_run("deviation", {"a": a, "b": b, "cases": ((k, 2 / beta, base_n),)}))
+    return _verdict(_run("deviation", {"a": a, "b": b, "cases": ((k, beta, base_n),)}))
 
 
 def _cmd_extremal(res: _Resolver) -> tuple[dict, bool]:
@@ -414,7 +419,15 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    """dispatch as a program; a reader that closes stdout early ends it with exit code 1."""
+    try:
+        code = dispatch()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # whatever is still buffered goes to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -294,23 +293,21 @@ class DeviationReport:
 
 def deviation_check(
     k: int,
-    alpha: Fraction,
-    a: Fraction,
-    b: Fraction,
+    beta: float,
+    a: float,
+    b: float,
     n_grid: Sequence[int] = (512, 1024, 2048),
 ) -> DeviationReport:
-    """Exact-rational Richardson deviation vs (alpha - 1) * deviation moment.
+    """Richardson deviation of the bridge-sum mean vs (2/beta - 1) * deviation moment.
 
-    The first-order coefficient of (1/n) E tr A^k is extracted from the
-    exact expectation pipeline and compared with (2/beta - 1) times the
-    k-th moment of the signed deviation measure.
+    The first-order coefficient of (1/n) E tr A^k is extracted from
+    paths.trace_expansion and compared with (2/beta - 1) times the k-th
+    moment of the signed deviation measure.
     """
-    if k > 3:
-        raise ParameterError("deviation check limited to k <= 3")
-    expansion = paths.trace_expansion(k, Fraction(alpha), Fraction(a), Fraction(b), n_grid)
-    support = SupportInterval.from_shape(float(a), float(b))
+    expansion = paths.trace_expansion(k, beta, a, b, n_grid)
+    support = SupportInterval.from_shape(a, b)
     nu_moment = spectral.integrate_deviation(spectral.monomial(k), support)
-    expected = (float(alpha) - 1.0) * nu_moment
+    expected = (2.0 / beta - 1.0) * nu_moment
     return DeviationReport(
         order1=expansion.order1, expected=expected, residual=expansion.residual1
     )

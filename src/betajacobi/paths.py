@@ -3,30 +3,29 @@
 tr A^k expands over closed lattice paths of length 2k whose odd steps never
 go up and whose even steps never go down ("alternating bridges").  The
 module enumerates them, builds their weight polynomial, evaluates path-sum
-traces against a sampled factor, and computes E tr A^k exactly in rational
-arithmetic from the Beta moments of the matrix entries.  Everything here is
-a pure function.
+traces against a sampled factor, and computes E tr A^k for k <= 8 as a float
+sum of the Beta moments of the matrix entries, at the sampler's own Beta
+shapes, from which the 1/n expansion of the mean is extracted.  Everything
+here is a pure function.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
+from . import model
 from .errors import ParameterError
-from .model import TridiagonalFactor
+from .params import EnsembleParams, from_shape
 
 __all__ = [
     "AlternatingBridge",
     "WeightPolynomial",
-    "RationalModel",
     "enumerate_bridges",
     "weight_polynomial",
     "trace_via_paths",
@@ -37,7 +36,6 @@ __all__ = [
 
 _MAX_ENUM_K = 10
 _MAX_PATH_K = 8
-_MAX_EXACT_K = 5
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,7 @@ def weight_polynomial(k: int) -> WeightPolynomial:
     return WeightPolynomial(k=k, coeffs=coeffs)
 
 
-def trace_via_paths(factor: TridiagonalFactor, k: int) -> float:
+def trace_via_paths(factor: model.TridiagonalFactor, k: int) -> float:
     """tr A^k as a sum over shifted bridges of products of factor entries.
 
     Paths that walk off the edge of the matrix contribute zero, which the
@@ -181,142 +179,49 @@ def trace_via_paths(factor: TridiagonalFactor, k: int) -> float:
     return float(total)
 
 
-@dataclass(frozen=True)
-class RationalModel:
-    """Exact-rational ensemble parameters for the expectation pipeline.
-
-    alpha, a and b are ints or Fractions: a float is not exact, and would
-    compare and hash equal to the Fraction it rounds to.
-    """
-
-    n: int
-    alpha: Fraction
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        if not all(isinstance(v, numbers.Rational) for v in (self.alpha, self.a, self.b)):
-            raise ParameterError("alpha, a and b must be exact rationals (int or Fraction)")
-        if self.n < 1:
-            raise ParameterError("n must be >= 1")
-        if self.alpha <= 0 or not (0 < self.a < 1) or not (0 < self.b < 1):
-            raise ParameterError("need alpha > 0 and a, b in (0, 1)")
-
-    def c_shapes(self, i: int) -> tuple[Fraction, Fraction]:
-        base = Fraction(i - self.n) / self.alpha
-        r = Fraction(self.n) * self.b / (self.alpha * self.a) + base
-        s = Fraction(self.n) * (1 - self.b) / (self.alpha * self.a) + base
-        if r <= 0 or s <= 0:
-            raise ParameterError(f"nonpositive Beta shape at i={i}")
-        return r, s
-
-    def cp_shapes(self, j: int) -> tuple[Fraction, Fraction]:
-        r = Fraction(j) / self.alpha
-        s = Fraction(self.n) / (self.alpha * self.a) + Fraction(j - 2 * self.n + 1) / self.alpha
-        if r <= 0 or s <= 0:
-            raise ParameterError(f"nonpositive Beta shape at j={j}")
-        return r, s
-
-
-def _beta_moment(r: Fraction, s: Fraction, u: int, v: int) -> Fraction:
-    """E[z^u (1-z)^v] for z ~ Beta(r, s): (r)_u (s)_v / (r+s)_(u+v)."""
-    num = 1
-    den = 1
-    rn, rd = r.numerator, r.denominator
-    sn, sd = s.numerator, s.denominator
-    # work over the common denominator lcm(rd, sd) to stay in integers
-    for t in range(u):
-        num *= rn + t * rd
-        den *= rd
-    for t in range(v):
-        num *= sn + t * sd
-        den *= sd
-    rs = r + s
-    tn, td = rs.numerator, rs.denominator
-    dnum = 1
-    dden = 1
-    for t in range(u + v):
-        dnum *= tn + t * td
-        dden *= td
-    return Fraction(num * dden, den * dnum)
-
-
-def _pairwise_sum(values: list[Fraction]) -> Fraction:
-    """Balanced pairwise sum keeps intermediate denominators small."""
-    if not values:
-        return Fraction(0)
-    vals = values
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
-def expected_trace_exact(model: RationalModel, k: int) -> Fraction:
-    """E tr A^k in exact rational arithmetic.
+def expected_trace_exact(params: EnsembleParams, k: int) -> float:
+    """E tr A^k as a float sum over alternating bridges.
 
     Every bridge visits each matrix entry an even number of times, so each
     path expectation is a product of independent Beta moments
-    E[z^u (1-z)^v]; signs from the subdiagonal cancel pairwise.  Computed
-    once per (model, k) in a process: the model is frozen and the result
-    exact, so a repeat is the same value.
+    E[z^u (1-z)^v] = (r)_u (s)_v / (r+s)_(u+v), with the shapes (r, s) that
+    the sampler draws from; signs from the subdiagonal cancel pairwise.  A
+    path depends only on the horizontal steps and crossings at each level it
+    visits, so bridges with one level profile share their terms, which are
+    vectorised over the start rows and summed with math.fsum.
     """
-    if not (1 <= k <= _MAX_EXACT_K):
-        raise ParameterError(f"exact expectation limited to 1 <= k <= {_MAX_EXACT_K}")
-    return _exact_trace(model, k)
-
-
-@lru_cache(maxsize=64)
-def _exact_trace(model: RationalModel, k: int) -> Fraction:
-    """expected_trace_exact after its check of k.  The cache sits here so that
-    the public name stays a plain function, which perfbench's tracer wraps."""
-    n = model.n
-    bridges = [b.level_step_counts() for b in enumerate_bridges(k)]
-    c_cache: dict[int, tuple[Fraction, Fraction]] = {}
-    cp_cache: dict[int, tuple[Fraction, Fraction]] = {}
-    terms: list[Fraction] = []
-    for flat, cross in bridges:
-        min_off = min(list(flat) + [lo for lo in cross])
-        max_off = max([m for m in flat] + [lo + 1 for lo in cross])
-        for start in range(1, n + 1):
-            if start + min_off < 1 or start + max_off > n:
-                continue  # walks off the edge of the matrix
-            term = Fraction(1)
-            # horizontal steps at height m use d_m = c_{n-m+1} s'_{n-m};
-            # crossings of (m, m+1) use the row-(m+1) subdiagonal -s_{n-m} c'_{n-m}
-            exps: dict[tuple[str, int], list[int]] = {}
-            for off, cnt in flat.items():
-                m = start + off
-                _bump(exps, ("c", n - m + 1), cnt, 0)
-                if n - m >= 1:
-                    _bump(exps, ("cp", n - m), 0, cnt)
-            for off, cnt in cross.items():
-                m = start + off
-                _bump(exps, ("c", n - m), 0, cnt)
-                _bump(exps, ("cp", n - m), cnt, 0)
-            for (kind, idx), (uu, vv) in exps.items():
-                if uu % 2 or vv % 2:
-                    raise AssertionError("odd entry multiplicity on a bridge")
-                cache = c_cache if kind == "c" else cp_cache
-                if idx not in cache:
-                    cache[idx] = (
-                        model.c_shapes(idx) if kind == "c" else model.cp_shapes(idx)
-                    )
-                r, s = cache[idx]
-                term *= _beta_moment(r, s, uu // 2, vv // 2)
-            terms.append(term)
-    return _pairwise_sum(terms)
-
-
-def _bump(exps: dict, key: tuple, u: int, v: int) -> None:
-    cur = exps.get(key)
-    if cur is None:
-        exps[key] = [u, v]
-    else:
-        cur[0] += u
-        cur[1] += v
+    if not (1 <= k <= _MAX_PATH_K):
+        raise ParameterError(f"expected trace limited to 1 <= k <= {_MAX_PATH_K}")
+    n = params.n
+    shapes = model._shape_arrays(params)
+    c_r, c_s = shapes[:n], shapes[n : 2 * n]
+    # c'_0 = 0 exactly stands for s'_0 = 1 in the diagonal entry of row n
+    cp_r = np.concatenate(([0.0], shapes[2 * n : 3 * n - 1]))
+    cp_s = np.concatenate(([1.0], shapes[3 * n - 1 :]))
+    profiles = Counter()
+    for bridge in enumerate_bridges(k):
+        flat, cross = bridge.level_step_counts()
+        low = min(flat.keys() | cross.keys())
+        high = max(flat.keys() | {lo + 1 for lo in cross})
+        profiles[tuple((flat.get(m, 0), cross.get(m, 0)) for m in range(low, high + 1))] += 1
+    terms = []
+    for profile, count in profiles.items():
+        top = np.arange(n - len(profile) + 1)  # n - m for the top level's row m
+        term = np.full(top.shape, float(count))
+        below = 0
+        for level, (horiz, up) in enumerate(profile):
+            # horizontal steps at row m use d_m = c_{n-m+1} s'_{n-m}; crossings of
+            # (m, m+1) use the row-(m+1) subdiagonal -s_{n-m} c'_{n-m}
+            i = top + len(profile) - 1 - level
+            for r, s, u, v in ((c_r[i], c_s[i], horiz // 2, below // 2),
+                               (cp_r[i], cp_s[i], up // 2, horiz // 2)):
+                for t in range(u):
+                    term *= (r + t) / (r + s + t)
+                for t in range(v):
+                    term *= (s + t) / (r + s + u + t)
+            below = up
+        terms.append(term)
+    return math.fsum(np.concatenate(terms).tolist())
 
 
 @dataclass(frozen=True)
@@ -331,38 +236,27 @@ class TraceExpansion:
 
 def trace_expansion(
     k: int,
-    alpha: Fraction,
-    a: Fraction,
-    b: Fraction,
+    beta: float,
+    a: float,
+    b: float,
     n_grid: Sequence[int] = (512, 1024, 2048),
 ) -> TraceExpansion:
     """Richardson extraction of the 1/n expansion of (1/n) E tr A^k.
 
-    Uses exact rationals throughout: the first stage eliminates the 1/n and
-    1/n^2 terms from v(n), v(2n), v(4n) to get the limit; the second stage
-    forms m * (v(m) - limit) at m = 2n, 4n and eliminates the remaining 1/m
-    term.  Residuals of the last eliminations are reported as error
-    estimates.
+    v(m) is E tr A^k / m at from_shape(m, beta, a, b).  The first stage
+    eliminates the 1/n and 1/n^2 terms from v(n), v(2n), v(4n) to get the
+    limit; the second stage forms m * (v(m) - limit) at m = 2n, 4n and
+    eliminates the remaining 1/m term.  Residuals of the last eliminations
+    are reported as error estimates.
     """
     if len(n_grid) != 3 or n_grid[1] != 2 * n_grid[0] or n_grid[2] != 4 * n_grid[0]:
         raise ParameterError("n_grid must be (n, 2n, 4n)")
-    alpha, a, b = Fraction(alpha), Fraction(a), Fraction(b)
-    v = [
-        expected_trace_exact(RationalModel(n=m, alpha=alpha, a=a, b=b), k) / m
-        for m in n_grid
-    ]
+    v = [expected_trace_exact(from_shape(m, beta, a, b), k) / m for m in n_grid]
     n0 = n_grid[0]
     a1 = 2 * v[1] - v[0]
     a2 = 2 * v[2] - v[1]
     order0 = (4 * a2 - a1) / 3
-    residual0 = abs(a2 - a1) / 3
     b2 = 2 * n0 * (v[1] - order0)
     b4 = 4 * n0 * (v[2] - order0)
-    order1 = 2 * b4 - b2
-    residual1 = abs(b4 - b2)
-    return TraceExpansion(
-        order0=float(order0),
-        order1=float(order1),
-        residual0=float(residual0),
-        residual1=float(residual1),
-    )
+    return TraceExpansion(order0=order0, order1=2 * b4 - b2,
+                          residual0=abs(a2 - a1) / 3, residual1=abs(b4 - b2))

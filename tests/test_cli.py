@@ -190,6 +190,27 @@ def test_module_entry_point_runs_the_cli():
     assert json.loads(proc.stdout)["error"]["type"] == "usage"
 
 
+def test_closed_stdout_exits_without_traceback():
+    # the reader goes away before the report is written
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-m", "betajacobi.cli", "fluct", "--n", "16",
+                             "--funcs", "gamma1..gamma4,x", "--reps", "4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
+def test_power_token_runs(capsys):
+    code, out = _run(capsys, "fluct", "--n", "16", "--funcs", "x^3,x2", "--reps", "4")
+    assert code == 0
+    assert json.loads(out)["results"]["functions"] == ["x^3", "x^2"]
+
+
 def test_coupling_report_records_confirming_rule(capsys):
     code, out = _run(capsys, "concentration", "--check", "coupling", "--sizes", "100,1000")
     assert code == 0
@@ -264,7 +285,7 @@ def test_validation_error_honours_out(tmp_path, capsys):
 
 _BAD_USAGE = [
     pytest.param(["fluct", "--n", "16", "--funcs", funcs, "--reps", "4"], id=funcs)
-    for funcs in ("gamma", "gammaX", "x^", "gamma1..gammaY", "x^²")
+    for funcs in ("gamma", "gammaX", "x^", "gamma1..gammaY", "x^²", "x^x2", "x^^3", "xx^2")
 ] + [
     pytest.param(["lln", "--sizes", "100,abc", "--reps", "4"], id="lln-sizes"),
     pytest.param(["concentration", "--check", "coupling", "--sizes", "100,x"],

@@ -143,38 +143,31 @@ def test_trace_via_paths_dense_oracle():
             )
 
 
+def _close(value, exact):
+    """value within 1e-15 relative of the exact rational."""
+    return abs(value / float(exact) - 1.0) <= 1e-15
+
+
+# beta = 2, a = 1/4, b = 1/2, so n1 = n2 = 2n: c_i^2 ~ Beta(n + i, n + i) and
+# c'_j^2 ~ Beta(j, 2n + 1 + j)
+def _ensemble(n):
+    return bj.from_shape(n, 2.0, 0.25, 0.5)
+
+
 def test_expected_trace_small_cases_exact():
-    rm = paths.RationalModel(n=2, alpha=Fraction(1), a=Fraction(1, 4), b=Fraction(1, 2))
     # (1/2)(6/7) + (1/2)(1/7) + 1/2 = 1 = n b, exactly
-    assert paths.expected_trace_exact(rm, 1) == Fraction(1)
+    assert _close(paths.expected_trace_exact(_ensemble(2), 1), Fraction(1))
 
-    rm1 = paths.RationalModel(n=1, alpha=Fraction(1), a=Fraction(1, 4), b=Fraction(1, 2))
-    r, s = rm1.c_shapes(1)
+    r, s = Fraction(2), Fraction(2)  # c_1 at n = 1
     expected = (r * (r + 1)) / ((r + s) * (r + s + 1))
-    assert paths.expected_trace_exact(rm1, 2) == expected
+    assert _close(paths.expected_trace_exact(_ensemble(1), 2), expected)
 
-    rm64 = paths.RationalModel(n=64, alpha=Fraction(1), a=Fraction(1, 4), b=Fraction(1, 2))
-    assert paths.expected_trace_exact(rm64, 1) == Fraction(32)
-
-
-def test_expected_trace_is_computed_once_per_model():
-    rm = paths.RationalModel(n=40, alpha=Fraction(1, 2), a=Fraction(1, 4), b=Fraction(1, 2))
-    first = paths.expected_trace_exact(rm, 3)
-    hits = paths._exact_trace.cache_info().hits
-    again = paths.expected_trace_exact(
-        paths.RationalModel(n=40, alpha=Fraction(1, 2), a=Fraction(1, 4), b=Fraction(1, 2)), 3)
-    assert paths._exact_trace.cache_info().hits == hits + 1
-    assert again is first
-    assert again == paths._exact_trace.__wrapped__(rm, 3)
-    # a float alpha equals and hashes like Fraction(1, 2), so it must not reach the cache
-    with pytest.raises(ParameterError):
-        paths.RationalModel(n=40, alpha=0.5, a=Fraction(1, 4), b=Fraction(1, 2))
+    assert _close(paths.expected_trace_exact(_ensemble(64), 1), Fraction(32))
 
 
 def test_expected_trace_matches_monte_carlo():
     n, reps = 64, 2000
-    rm = paths.RationalModel(n=n, alpha=Fraction(1), a=Fraction(1, 4), b=Fraction(1, 2))
-    exact = float(paths.expected_trace_exact(rm, 1))
+    exact = paths.expected_trace_exact(_ensemble(n), 1)
     params = bj.from_ratios(n, 2.0, 2.0, 2.0)
     traces = np.empty(reps)
     for m in range(reps):
@@ -188,10 +181,9 @@ def test_expected_trace_matches_dense_brute_force():
     # independent oracle: enumerate E tr A^k from dense Beta moments via
     # Monte Carlo is noisy, so instead check k=2 against a direct
     # closed-form expansion at n=2
-    rm = paths.RationalModel(n=2, alpha=Fraction(1), a=Fraction(1, 4), b=Fraction(1, 2))
-    r1, s1 = rm.c_shapes(1)
-    r2, s2 = rm.c_shapes(2)
-    rp, sp = rm.cp_shapes(1)
+    r1, s1 = Fraction(3), Fraction(3)
+    r2, s2 = Fraction(4), Fraction(4)
+    rp, sp = Fraction(1), Fraction(6)
 
     def mom(r, s, u, v):
         num = Fraction(1)
@@ -217,38 +209,38 @@ def test_expected_trace_matches_dense_brute_force():
             + mom(r1, s1, 2, 0)
         )
     )
-    assert paths.expected_trace_exact(rm, 2) == expected
+    assert _close(paths.expected_trace_exact(_ensemble(2), 2), expected)
 
 
 def test_trace_expansion_first_moment():
-    te = paths.trace_expansion(1, Fraction(1), Fraction(1, 4), Fraction(1, 2), (64, 128, 256))
+    te = paths.trace_expansion(1, 2.0, 0.25, 0.5, (64, 128, 256))
     assert te.order0 == pytest.approx(0.5, abs=1e-12)  # b
     assert abs(te.order1) <= 1e-12
 
 
 def test_trace_expansion_second_moment_alpha_one():
-    te = paths.trace_expansion(2, Fraction(1), Fraction(1, 4), Fraction(1, 2), (512, 1024, 2048))
+    te = paths.trace_expansion(2, 2.0, 0.25, 0.5, (512, 1024, 2048))
     assert abs(te.order1) <= 1e-6
 
 
 def test_trace_expansion_alpha_zero_linear_fit():
-    # first-order coefficient extrapolated linearly in alpha to alpha = 0
+    # first-order coefficient extrapolated linearly in alpha = 2/beta to alpha = 0
     sup = bj.SupportInterval.from_shape(0.25, 0.5)
     vals = {}
-    for alpha in (Fraction(1, 4), Fraction(1, 2)):
-        te = paths.trace_expansion(2, alpha, Fraction(1, 4), Fraction(1, 2), (256, 512, 1024))
+    for alpha in (0.25, 0.5):
+        te = paths.trace_expansion(2, 2.0 / alpha, 0.25, 0.5, (256, 512, 1024))
         vals[alpha] = te.order1
-    slope = (vals[Fraction(1, 2)] - vals[Fraction(1, 4)]) / 0.25
-    at_zero = vals[Fraction(1, 4)] - slope * 0.25
+    slope = (vals[0.5] - vals[0.25]) / 0.25
+    at_zero = vals[0.25] - slope * 0.25
     assert at_zero == pytest.approx(-(sup.half_width**2) / 4.0, rel=1e-4)
 
 
 def test_palindromy_scaling():
-    # first-order coefficient at alpha=2 is -2 times the one at alpha=1/2
-    for k in (1, 2, 3):
-        grid = (256, 512, 1024) if k < 3 else (128, 256, 512)
-        v2 = paths.trace_expansion(k, Fraction(2), Fraction(1, 4), Fraction(1, 2), grid).order1
-        vh = paths.trace_expansion(k, Fraction(1, 2), Fraction(1, 4), Fraction(1, 2), grid).order1
+    # first-order coefficient at alpha=2 (beta=1) is -2 times the one at alpha=1/2 (beta=4)
+    for k in (1, 2, 3, 4):
+        grid = {3: (128, 256, 512), 4: (64, 128, 256)}.get(k, (256, 512, 1024))
+        v2 = paths.trace_expansion(k, 1.0, 0.25, 0.5, grid).order1
+        vh = paths.trace_expansion(k, 4.0, 0.25, 0.5, grid).order1
         if k == 1:
             assert abs(v2) <= 1e-10 and abs(vh) <= 1e-10
         else:
@@ -257,10 +249,16 @@ def test_palindromy_scaling():
 
 def test_trace_expansion_grid_validation():
     with pytest.raises(ParameterError):
-        paths.trace_expansion(1, Fraction(1), Fraction(1, 4), Fraction(1, 2), (64, 128, 200))
+        paths.trace_expansion(1, 2.0, 0.25, 0.5, (64, 128, 200))
+
+
+def test_trace_expansion_shape_guard():
+    for a, b in ((0.0, 0.5), (1.0, 0.5), (1.5, 0.5), (-0.25, 0.5),
+                 (0.25, 0.0), (0.25, 1.0), (0.25, 1.5), (0.25, -0.5)):
+        with pytest.raises(ParameterError):
+            paths.trace_expansion(2, 2.0, a, b, (64, 128, 256))
 
 
 def test_exact_k_guard():
-    rm = paths.RationalModel(n=4, alpha=Fraction(1), a=Fraction(1, 4), b=Fraction(1, 2))
     with pytest.raises(ParameterError):
-        paths.expected_trace_exact(rm, 6)
+        paths.expected_trace_exact(_ensemble(4), 9)

@@ -292,7 +292,7 @@ def _deviation(a, b, cases):
     support = SupportInterval.from_shape(a, b)
     rows, relative, null, linear, closed = [], [0.0], [0.0], [0.0], [0.0]
     for k, beta, base_n in cases:
-        rep = experiments.deviation_check(k, beta, a, b, (base_n, 2 * base_n, 4 * base_n))
+        rep = experiments.deviation_check(k, beta, a, b, base_n)
         closed.append(abs(rep.expected - (2.0 / beta - 1.0) * _deviation_moment(k, support)))
         if k == 1:
             linear.append(abs(rep.order1))
@@ -307,9 +307,9 @@ def _deviation(a, b, cases):
 
 
 def _palindromy(a, b, base_n):
-    grid = (base_n, 2 * base_n, 4 * base_n)
     # alpha = 2/beta = 1, 2 and 1/2
-    one, two, half = (paths.trace_expansion(2, beta, a, b, grid).order1 for beta in (2.0, 1.0, 4.0))
+    one, two, half = (paths.trace_expansion(2, beta, a, b, base_n).order1
+                      for beta in (2.0, 1.0, 4.0))
     return {"eta2_alpha_one": one, "eta2_alpha_two": two, "eta2_alpha_half": half,
             "abs_eta2_alpha_one": abs(one), "palindromy_gap": abs(two / (-2.0 * half) - 1.0)}
 

@@ -117,20 +117,30 @@ class _Resolver:
             elif val is None:
                 val = default
         if cast is not None and val is not None:
-            val = cast(val)
+            try:
+                val = cast(val)
+            except (TypeError, ValueError, OverflowError):
+                raise _UsageError(f"bad value for {name!r}: {val!r}")
         self.resolved[name] = val
         return val
+
+
+def _text(value) -> str:
+    """Cast for string-valued keys: a config file may not give a number or a list."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def _ensemble_from(res: _Resolver) -> EnsembleParams:
     n = res.get("n", 100, int)
     beta = res.get("beta", 2.0, float)
-    n1 = res.get("n1")
-    n2 = res.get("n2")
+    n1 = res.get("n1", None, float)
+    n2 = res.get("n2", None, float)
     if n1 is not None or n2 is not None:
         if n1 is None or n2 is None:
             raise _UsageError("provide both --n1 and --n2 or neither")
-        return EnsembleParams(n=n, beta=beta, n1=float(n1), n2=float(n2))
+        return EnsembleParams(n=n, beta=beta, n1=n1, n2=n2)
     p = res.get("p", 2.0, float)
     q = res.get("q", 2.0, float)
     return from_ratios(n, beta, p, q)
@@ -201,11 +211,12 @@ def _parse_rational(text, flag: str) -> float:
     """A positive rational such as 4 or 1/2, as a float."""
     try:
         value = Fraction(str(text))
-    except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"{flag} must be a rational such as 4 or 1/2, got {text!r}")
+        as_float = float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise _UsageError(f"{flag} must be a float-sized rational such as 4 or 1/2, got {text!r}")
     if value <= 0:
         raise _UsageError(f"{flag} must be positive, got {text!r}")
-    return float(value)
+    return as_float
 
 
 def _order(digits: str, token: str) -> int:
@@ -246,7 +257,7 @@ def _envelope(subcommand: str, res: _Resolver, results: dict, t0: float,
 def _cmd_sample(res: _Resolver) -> tuple[dict, bool]:
     params = _ensemble_from(res)
     seed = res.get("seed", 0, int)
-    return experiments.sample_summary(params, seed, res.get("dump_factor")), True
+    return experiments.sample_summary(params, seed, res.get("dump_factor", None, _text)), True
 
 
 def _run(name: str, inputs=None, seed=None) -> checks.Outcome:
@@ -295,8 +306,8 @@ def _cmd_fluct(res: _Resolver) -> tuple[dict, bool]:
     params = _ensemble_from(res)
     reps = res.get("reps", 10000, int)
     seed = res.get("seed", 0, int)
-    funcs = _parse_funcs(res.get("funcs", "gamma1..gamma4"), params)
-    csv_path = res.get("csv")
+    funcs = _parse_funcs(res.get("funcs", "gamma1..gamma4", _text), params)
+    csv_path = res.get("csv", None, _text)
     config = experiments.ExperimentConfig(
         params=params, test_functions=funcs, replicates=reps, seed=seed
     )
@@ -307,9 +318,9 @@ def _cmd_fluct(res: _Resolver) -> tuple[dict, bool]:
 
 
 def _cmd_lln(res: _Resolver) -> tuple[dict, bool]:
-    regime = res.get("regime", "proportional")
+    regime = res.get("regime", "proportional", _text)
     sizes = _parse_sizes(res.get("sizes", "250,500,1000,2000"))
-    func = res.get("func", "x")
+    func = res.get("func", "x", _text)
     beta = res.get("beta", 2.0, float)
     p = res.get("p", 2.0, float)
     q = res.get("q", 2.0, float)
@@ -343,7 +354,7 @@ def _cmd_extremal(res: _Resolver) -> tuple[dict, bool]:
 
 
 def _cmd_concentration(res: _Resolver) -> tuple[dict, bool]:
-    check = res.get("check", "beta")
+    check = res.get("check", "beta", _text)
     if check == "beta":
         return _verdict(_run("beta-poincare"))
     if check == "jacobi":
@@ -353,7 +364,7 @@ def _cmd_concentration(res: _Resolver) -> tuple[dict, bool]:
         q = res.get("q", 2.0, float)
         reps = res.get("reps", 4000, int)
         seed = res.get("seed", 0, int)
-        f = _parse_func(res.get("func", "x"), from_ratios(n, beta, p, q))
+        f = _parse_func(res.get("func", "x", _text), from_ratios(n, beta, p, q))
         return _verdict(_run("jacobi-poincare", {"sizes": (n,), "beta": beta, "p": p, "q": q,
                                                  "func": f, "reps": reps}, seed))
     # coupling

@@ -291,20 +291,15 @@ class DeviationReport:
     residual: float
 
 
-def deviation_check(
-    k: int,
-    beta: float,
-    a: float,
-    b: float,
-    n_grid: Sequence[int] = (512, 1024, 2048),
-) -> DeviationReport:
+def deviation_check(k: int, beta: float, a: float, b: float, base_n: int = 512) -> DeviationReport:
     """Richardson deviation of the bridge-sum mean vs (2/beta - 1) * deviation moment.
 
     The first-order coefficient of (1/n) E tr A^k is extracted from
-    paths.trace_expansion and compared with (2/beta - 1) times the k-th
-    moment of the signed deviation measure.
+    paths.trace_expansion on the sizes (base_n, 2 base_n, 4 base_n) and
+    compared with (2/beta - 1) times the k-th moment of the signed deviation
+    measure.
     """
-    expansion = paths.trace_expansion(k, beta, a, b, n_grid)
+    expansion = paths.trace_expansion(k, beta, a, b, base_n)
     support = SupportInterval.from_shape(a, b)
     nu_moment = spectral.integrate_deviation(spectral.monomial(k), support)
     expected = (2.0 / beta - 1.0) * nu_moment

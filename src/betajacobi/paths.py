@@ -2,11 +2,13 @@
 
 tr A^k expands over closed lattice paths of length 2k whose odd steps never
 go up and whose even steps never go down ("alternating bridges").  The
-module enumerates them, builds their weight polynomial, evaluates path-sum
-traces against a sampled factor, and computes E tr A^k for k <= 8 as a float
-sum of the Beta moments of the matrix entries, at the sampler's own Beta
-shapes, from which the 1/n expansion of the mean is extracted.  Everything
-here is a pure function.
+module enumerates them and builds their weight polynomial.  A bridge's
+weight depends only on its level profile: the horizontal steps and the
+crossings at each level it visits.  One cached table of profiles and their
+multiplicities serves both bridge sums: path-sum traces against a sampled
+factor, and E tr A^k for k <= 8 as a float sum of the Beta moments of the
+matrix entries, at the sampler's own Beta shapes, from which the 1/n
+expansion of the mean is extracted.  Everything here is a pure function.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -59,13 +61,6 @@ class AlternatingBridge:
     @property
     def k(self) -> int:
         return len(self.steps) // 2
-
-    def heights(self, start: int = 0) -> tuple:
-        """Vertices (h_0 = start, h_1, ..., h_2k)."""
-        out = [start]
-        for s in self.steps:
-            out.append(out[-1] + s)
-        return tuple(out)
 
     def horizontal_count(self) -> int:
         return sum(1 for s in self.steps if s == 0)
@@ -145,36 +140,47 @@ def weight_polynomial(k: int) -> WeightPolynomial:
     return WeightPolynomial(k=k, coeffs=coeffs)
 
 
-def trace_via_paths(factor: model.TridiagonalFactor, k: int) -> float:
-    """tr A^k as a sum over shifted bridges of products of factor entries.
+@lru_cache(maxsize=None)
+def _level_profiles(k: int) -> tuple:
+    """(profile, multiplicity) pairs over the alternating bridges of length 2k.
 
-    Paths that walk off the edge of the matrix contribute zero, which the
-    zero-padded entry arrays realize automatically.
+    A profile lists (horizontal steps, crossings to the level above) at each
+    level a bridge visits, counted up from its lowest level.  There are at
+    most 2^k profiles against C(2k, k) bridges.
+    """
+    profiles = Counter()
+    for bridge in enumerate_bridges(k):
+        flat, cross = bridge.level_step_counts()
+        low = min(flat.keys() | cross.keys())
+        high = max(flat.keys() | {lo + 1 for lo in cross})
+        profiles[tuple((flat.get(m, 0), cross.get(m, 0)) for m in range(low, high + 1))] += 1
+    return tuple(profiles.items())
+
+
+def trace_via_paths(factor: model.TridiagonalFactor, k: int) -> float:
+    """tr A^k as a sum over placed level profiles of products of factor entries.
+
+    A bridge whose lowest level sits at row m weighs, at each level j, the
+    diagonal entry d_(m+j) to the power of its horizontal steps times the
+    subdiagonal entry e_(m+j+1) to the power of its crossings.  A profile of
+    L levels fits in n - L + 1 placements; each level is one vectorised
+    product over them.
     """
     if not (1 <= k <= _MAX_PATH_K):
         raise ParameterError(f"path-sum trace limited to 1 <= k <= {_MAX_PATH_K}")
     n = factor.n
-    pad = k + 1
-    # padded entry arrays indexed by matrix row m = 1..n at position pad+m-1
-    d = np.zeros(n + 2 * pad)
-    d[pad : pad + n] = factor.diag
-    e_row = np.zeros(n + 2 * pad)  # subdiagonal entry sitting in row m
-    e_row[pad + 1 : pad + n] = factor.sub
+    # e[i] is the subdiagonal entry in row i + 1, as d[i] is the diagonal one;
+    # rows 1 and n + 1 have none
+    d = factor.diag
+    e = np.concatenate(([0.0], factor.sub, [0.0]))
     total = 0.0
-    starts = np.arange(pad, pad + n)
-    for bridge in enumerate_bridges(k):
-        prod = np.ones(n)
-        h = starts
-        for idx, s in enumerate(bridge.steps):
-            nxt = h + s
-            odd = idx % 2 == 0
-            if odd:
-                # entry B[h, nxt]: diagonal d_h if flat, else subdiagonal in row h
-                prod = prod * np.where(s == 0, d[h], e_row[h])
-            else:
-                # entry B[nxt, h]: diagonal d_nxt if flat, else subdiagonal in row nxt
-                prod = prod * np.where(s == 0, d[nxt], e_row[nxt])
-            h = nxt
+    for profile, count in _level_profiles(k):
+        places = n - len(profile) + 1
+        if places < 1:
+            continue
+        prod = np.full(places, float(count))
+        for level, (horiz, up) in enumerate(profile):
+            prod *= d[level : level + places] ** horiz * e[level + 1 : level + 1 + places] ** up
         total += prod.sum()
     return float(total)
 
@@ -186,9 +192,9 @@ def expected_trace_exact(params: EnsembleParams, k: int) -> float:
     path expectation is a product of independent Beta moments
     E[z^u (1-z)^v] = (r)_u (s)_v / (r+s)_(u+v), with the shapes (r, s) that
     the sampler draws from; signs from the subdiagonal cancel pairwise.  A
-    path depends only on the horizontal steps and crossings at each level it
-    visits, so bridges with one level profile share their terms, which are
-    vectorised over the start rows and summed with math.fsum.
+    path depends only on its level profile, so the terms of each profile in
+    _level_profiles(k) are vectorised over the start rows and summed with
+    math.fsum.
     """
     if not (1 <= k <= _MAX_PATH_K):
         raise ParameterError(f"expected trace limited to 1 <= k <= {_MAX_PATH_K}")
@@ -198,14 +204,8 @@ def expected_trace_exact(params: EnsembleParams, k: int) -> float:
     # c'_0 = 0 exactly stands for s'_0 = 1 in the diagonal entry of row n
     cp_r = np.concatenate(([0.0], shapes[2 * n : 3 * n - 1]))
     cp_s = np.concatenate(([1.0], shapes[3 * n - 1 :]))
-    profiles = Counter()
-    for bridge in enumerate_bridges(k):
-        flat, cross = bridge.level_step_counts()
-        low = min(flat.keys() | cross.keys())
-        high = max(flat.keys() | {lo + 1 for lo in cross})
-        profiles[tuple((flat.get(m, 0), cross.get(m, 0)) for m in range(low, high + 1))] += 1
     terms = []
-    for profile, count in profiles.items():
+    for profile, count in _level_profiles(k):
         top = np.arange(n - len(profile) + 1)  # n - m for the top level's row m
         term = np.full(top.shape, float(count))
         below = 0
@@ -234,25 +234,17 @@ class TraceExpansion:
     residual1: float
 
 
-def trace_expansion(
-    k: int,
-    beta: float,
-    a: float,
-    b: float,
-    n_grid: Sequence[int] = (512, 1024, 2048),
-) -> TraceExpansion:
+def trace_expansion(k: int, beta: float, a: float, b: float, base_n: int = 512) -> TraceExpansion:
     """Richardson extraction of the 1/n expansion of (1/n) E tr A^k.
 
     v(m) is E tr A^k / m at from_shape(m, beta, a, b).  The first stage
-    eliminates the 1/n and 1/n^2 terms from v(n), v(2n), v(4n) to get the
-    limit; the second stage forms m * (v(m) - limit) at m = 2n, 4n and
-    eliminates the remaining 1/m term.  Residuals of the last eliminations
-    are reported as error estimates.
+    eliminates the 1/n and 1/n^2 terms from v(n), v(2n), v(4n), n = base_n,
+    to get the limit; the second stage forms m * (v(m) - limit) at m = 2n,
+    4n and eliminates the remaining 1/m term.  Residuals of the last
+    eliminations are reported as error estimates.
     """
-    if len(n_grid) != 3 or n_grid[1] != 2 * n_grid[0] or n_grid[2] != 4 * n_grid[0]:
-        raise ParameterError("n_grid must be (n, 2n, 4n)")
-    v = [expected_trace_exact(from_shape(m, beta, a, b), k) / m for m in n_grid]
-    n0 = n_grid[0]
+    n0 = base_n
+    v = [expected_trace_exact(from_shape(m, beta, a, b), k) / m for m in (n0, 2 * n0, 4 * n0)]
     a1 = 2 * v[1] - v[0]
     a2 = 2 * v[2] - v[1]
     order0 = (4 * a2 - a1) / 3

@@ -67,6 +67,17 @@ def test_malformed_config_is_validation_error(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "usage"
 
 
+@pytest.mark.parametrize("cfg", [{"n": "abc"}, {"funcs": 3}, {"n1": "x", "n2": 40}],
+                         ids=["config-n-abc", "config-funcs-3", "config-n1-x"])
+def test_wrong_typed_config_value_is_usage_error(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out = _run(capsys, "--config", str(path), "fluct", "--reps", "4")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "usage" and repr(next(iter(cfg))) in error["message"]
+
+
 def test_invalid_params_exit_one(capsys):
     code, out = _run(capsys, "sample", "--n", "10", "--n1", "5", "--n2", "30")
     assert code == 1
@@ -307,6 +318,8 @@ _BAD_USAGE = [
     pytest.param(["expect", "--beta", "1/0"], id="expect-beta-1/0"),
     pytest.param(["expect", "--a", "x"], id="expect-a-x"),
     pytest.param(["expect", "--b", "x"], id="expect-b-x"),
+    pytest.param(["expect", "--beta", "1e400"], id="expect-beta-1e400"),
+    pytest.param(["expect", "--a", "1e400"], id="expect-a-1e400"),
 ]
 
 

@@ -247,21 +247,21 @@ def test_trotter_gap_properties():
 
 
 def test_deviation_check_vanishing_cases():
-    rep1 = ex.deviation_check(1, 4.0, 0.25, 0.5, (64, 128, 256))
+    rep1 = ex.deviation_check(1, 4.0, 0.25, 0.5, 64)
     assert abs(rep1.order1) <= 1e-10 and abs(rep1.expected) <= 1e-10
-    rep2 = ex.deviation_check(2, 2.0, 0.25, 0.5, (256, 512, 1024))
+    rep2 = ex.deviation_check(2, 2.0, 0.25, 0.5, 256)
     assert abs(rep2.order1) <= 1e-6 and rep2.expected == pytest.approx(0.0, abs=1e-12)
 
 
 def test_deviation_check_beta_four():
-    rep = ex.deviation_check(2, 4.0, 0.25, 0.5, (512, 1024, 2048))
+    rep = ex.deviation_check(2, 4.0, 0.25, 0.5, 512)
     assert rep.expected == pytest.approx(-3.0 / 128.0, abs=1e-10)
     assert rep.order1 == pytest.approx(rep.expected, rel=0.01)
 
 
 def test_deviation_check_quartic():
     # (2/beta - 1) nu(x^4) = -(1/2)(97/512 - 443/4096) at a = 1/4, b = 1/2
-    rep = ex.deviation_check(4, 4.0, 0.25, 0.5, (512, 1024, 2048))
+    rep = ex.deviation_check(4, 4.0, 0.25, 0.5, 512)
     assert rep.expected == pytest.approx(-333.0 / 8192.0, abs=1e-10)
     assert rep.order1 == pytest.approx(rep.expected, rel=0.01)
 

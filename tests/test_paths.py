@@ -136,11 +136,26 @@ def test_trace_via_paths_dense_oracle():
         rng_idx += 1
         A = model.gram_to_dense(model.assemble_gram(factor))
         P = np.eye(n)
-        for k in range(1, 7):
+        for k in range(1, paths._MAX_PATH_K + 1):
             P = P @ A
             assert paths.trace_via_paths(factor, k) == pytest.approx(
                 np.trace(P), rel=1e-10
             )
+
+
+def test_level_profile_table():
+    for k in range(1, paths._MAX_PATH_K + 1):
+        table = paths._level_profiles(k)
+        assert sum(count for _, count in table) == math.comb(2 * k, k)
+        assert len(table) <= 2**k
+        assert len({profile for profile, _ in table}) == len(table)
+
+
+def test_trace_expansion_builds_the_profile_table_once():
+    paths._level_profiles.cache_clear()
+    paths.trace_expansion(3, 4.0, 0.25, 0.5, 16)
+    info = paths._level_profiles.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def _close(value, exact):
@@ -213,13 +228,13 @@ def test_expected_trace_matches_dense_brute_force():
 
 
 def test_trace_expansion_first_moment():
-    te = paths.trace_expansion(1, 2.0, 0.25, 0.5, (64, 128, 256))
+    te = paths.trace_expansion(1, 2.0, 0.25, 0.5, 64)
     assert te.order0 == pytest.approx(0.5, abs=1e-12)  # b
     assert abs(te.order1) <= 1e-12
 
 
 def test_trace_expansion_second_moment_alpha_one():
-    te = paths.trace_expansion(2, 2.0, 0.25, 0.5, (512, 1024, 2048))
+    te = paths.trace_expansion(2, 2.0, 0.25, 0.5, 512)
     assert abs(te.order1) <= 1e-6
 
 
@@ -228,7 +243,7 @@ def test_trace_expansion_alpha_zero_linear_fit():
     sup = bj.SupportInterval.from_shape(0.25, 0.5)
     vals = {}
     for alpha in (0.25, 0.5):
-        te = paths.trace_expansion(2, 2.0 / alpha, 0.25, 0.5, (256, 512, 1024))
+        te = paths.trace_expansion(2, 2.0 / alpha, 0.25, 0.5, 256)
         vals[alpha] = te.order1
     slope = (vals[0.5] - vals[0.25]) / 0.25
     at_zero = vals[0.25] - slope * 0.25
@@ -238,25 +253,20 @@ def test_trace_expansion_alpha_zero_linear_fit():
 def test_palindromy_scaling():
     # first-order coefficient at alpha=2 (beta=1) is -2 times the one at alpha=1/2 (beta=4)
     for k in (1, 2, 3, 4):
-        grid = {3: (128, 256, 512), 4: (64, 128, 256)}.get(k, (256, 512, 1024))
-        v2 = paths.trace_expansion(k, 1.0, 0.25, 0.5, grid).order1
-        vh = paths.trace_expansion(k, 4.0, 0.25, 0.5, grid).order1
+        base_n = {3: 128, 4: 64}.get(k, 256)
+        v2 = paths.trace_expansion(k, 1.0, 0.25, 0.5, base_n).order1
+        vh = paths.trace_expansion(k, 4.0, 0.25, 0.5, base_n).order1
         if k == 1:
             assert abs(v2) <= 1e-10 and abs(vh) <= 1e-10
         else:
             assert v2 == pytest.approx(-2.0 * vh, rel=1e-3)
 
 
-def test_trace_expansion_grid_validation():
-    with pytest.raises(ParameterError):
-        paths.trace_expansion(1, 2.0, 0.25, 0.5, (64, 128, 200))
-
-
 def test_trace_expansion_shape_guard():
     for a, b in ((0.0, 0.5), (1.0, 0.5), (1.5, 0.5), (-0.25, 0.5),
                  (0.25, 0.0), (0.25, 1.0), (0.25, 1.5), (0.25, -0.5)):
         with pytest.raises(ParameterError):
-            paths.trace_expansion(2, 2.0, a, b, (64, 128, 256))
+            paths.trace_expansion(2, 2.0, a, b, 64)
 
 
 def test_exact_k_guard():

@@ -4,11 +4,15 @@ One subcommand per verification family: sample, eig, spectrum, cov, fluct,
 lln, expect, extremal, concentration, verify-all.  The check subcommands
 and verify-all run entries of the check registry (betajacobi.checks) at the
 inputs their flags give; this module only parses, reports usage errors and
-emits.  Output is JSON with a versioned schema embedding the resolved
-configuration, seed, library version, wall clock and quadrature node
-counts; raw samples go to CSV on request.  Exit codes: 0 success, 1
-validation error or stdout closed early, 2 numerical failure or failed
-verification.
+emits.  A subcommand's value is the default its flag declares, then the
+--config file's entry, then the flag.  A config entry goes through the same
+subparser as the flag, so it passes the same type and choice checks, and a
+bad one is a usage error that names its key; keys the subcommand does not
+declare are ignored.  Output is JSON with a versioned schema embedding the
+resolved configuration, seed, library version, wall clock and quadrature
+node counts; raw samples go to CSV on request.  Exit codes: 0 success, 1
+validation error, output file that cannot be written or stdout closed
+early, 2 numerical failure or failed verification.
 """
 
 from __future__ import annotations
@@ -37,47 +41,76 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_KINDS = {"int": int, "float": float, "str": str}
-_ENSEMBLE = "n:int beta:float p:float q:float n1:float n2:float"
+class _Subcommand(argparse._SubParsersAction):
+    """Records the chosen subparser and its tokens; _resolve parses them after the config file."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.subcommand, namespace.tokens = values[0], values[1:]
+        namespace.subparser = self.choices[values[0]]
+
+
+def _rational(text: str) -> float:
+    """A positive rational such as 4 or 1/2, as a float."""
+    try:
+        value = Fraction(str(text))
+        as_float = float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(
+            f"must be a float-sized rational such as 4 or 1/2, got {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return as_float
+
+
+_KINDS = {"int": int, "float": float, "str": str, "rational": _rational}
+_ENSEMBLE = "n:int=100 beta:float=2 p:float=2 q:float=2 n1:float n2:float seed:int=0"
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="betajacobi", description=__doc__)
-    parser.add_argument("--config", help="JSON file with flag defaults (flags override)")
+    parser.add_argument("--config", help="JSON file with flag values (flags override)")
     parser.add_argument("--out", help="write the JSON report to this path")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, action=_Subcommand)
 
     def add(name: str, help_text: str, flags: str = "") -> argparse.ArgumentParser:
-        """A subcommand with flags given as "dest:kind ..."; --max-n for max_n."""
+        """A subcommand with flags given as "dest:kind" or "dest:kind=default", the
+        default written as the flag's text; kind switch is a store_true flag."""
         p = sub.add_parser(name, help=help_text)
         for item in flags.split():
-            dest, kind = item.split(":")
-            p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=_KINDS[kind])
+            spec, _, default = item.partition("=")
+            dest, kind = spec.split(":")
+            flag = "--" + dest.replace("_", "-")
+            if kind == "switch":
+                p.add_argument(flag, dest=dest, action="store_true")
+            else:
+                p.add_argument(flag, dest=dest, type=_KINDS[kind],
+                               default=_KINDS[kind](default) if default else None)
         return p
 
-    p = add("sample", "sample a factor and its spectrum", _ENSEMBLE + " seed:int")
+    p = add("sample", "sample a factor and its spectrum", _ENSEMBLE)
     p.add_argument("--dump-factor", dest="dump_factor", help="CSV dump of raw draws and entries")
-    add("eig", "eigensolver self-checks", "matrices:int max_n:int seed:int")
-    add("spectrum", "limiting measure identities", "a:float b:float nodes:int")
-    p = add("cov", "covariance diagonalization and Laplace forms",
-            "a:float b:float beta:float K:int nodes:int")
-    p.add_argument("--verify", action="store_true")
-    p = add("fluct", "CLT fluctuation run", _ENSEMBLE + " reps:int seed:int")
-    p.add_argument("--funcs", help="e.g. gamma1..gamma4,x")
+    add("eig", "eigensolver self-checks", "matrices:int=1000 max_n:int=512 seed:int=0")
+    add("spectrum", "limiting measure identities",
+        f"a:float=0.25 b:float=0.5 nodes:int={spectral.DEFAULT_NODES}")
+    add("cov", "covariance diagonalization and Laplace forms",
+        f"a:float=0.25 b:float=0.5 beta:float=2 K:int=8 "
+        f"nodes:int={covariance.DEFAULT_SIGMA_NODES} verify:switch")
+    p = add("fluct", "CLT fluctuation run", _ENSEMBLE + " reps:int=10000")
+    p.add_argument("--funcs", default="gamma1..gamma4", help="e.g. gamma1..gamma4,x")
     p.add_argument("--csv", help="write raw samples to this CSV")
     p = add("lln", "law-of-large-numbers distances",
-            "func:str beta:float p:float q:float reps:int seed:int")
-    p.add_argument("--regime", choices=("sublinear", "proportional", "superlinear"))
-    p.add_argument("--sizes", help="comma-separated n values")
-    p = add("expect", "mean-trace deviation of x^k, 1 <= k <= 8, via float bridge sums",
-            "k:int base_n:int")
-    p.add_argument("--beta", help="rational, e.g. 4 or 1/2")
-    p.add_argument("--a", help="rational, e.g. 1/4")
-    p.add_argument("--b", help="rational, e.g. 1/2")
-    add("extremal", "p = q = 1 trace moments", "n:int beta:float reps:int seed:int")
+            "func:str=x beta:float=2 p:float=2 q:float=2 reps:int=64 seed:int=0")
+    p.add_argument("--regime", default="proportional",
+                   choices=("sublinear", "proportional", "superlinear"))
+    p.add_argument("--sizes", default="250,500,1000,2000", help="comma-separated n values")
+    add("expect", "mean-trace deviation of x^k, 1 <= k <= 8, via float bridge sums",
+        "k:int=2 base_n:int=512 beta:rational=4 a:rational=1/4 b:rational=1/2")
+    add("extremal", "p = q = 1 trace moments", "n:int=5000 beta:float=2 reps:int=20000 seed:int=0")
+    # --p and --q default to 2 for --check jacobi and to 1 for coupling
     p = add("concentration", "Poincare and coupling checks",
-            "n:int beta:float p:float q:float func:str reps:int seed:int sizes:str")
-    p.add_argument("--check", choices=("beta", "jacobi", "coupling"))
+            "n:int=256 beta:float=2 p:float q:float func:str=x reps:int=4000 seed:int=0 "
+            "sizes:str=100,1000,10000")
+    p.add_argument("--check", default="beta", choices=("beta", "jacobi", "coupling"))
     p = add("verify-all", "run every acceptance check", "seed:int")
     p.add_argument("--quick", action="store_true",
                    help="reduced inputs; standard-error gates widen to the replicate count")
@@ -100,50 +133,45 @@ def _load_config(path) -> dict:
     return data
 
 
-class _Resolver:
-    """Flag value if given, else config-file value, else default."""
+def _config_tokens(action: argparse.Action, value) -> list:
+    """The command-line form of one config entry.
 
-    def __init__(self, args, cfg: dict):
-        self.args = args
-        self.cfg = cfg
-        self.resolved: dict = {}
+    A switch takes true or false, a text flag a string, and any other flag a
+    number or a string, which is then parsed as the flag's text would be.
+    """
+    flag = action.option_strings[0]
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return [flag] if value else []
+    elif isinstance(value, str) or (action.type not in (None, str)
+                                    and isinstance(value, (int, float))
+                                    and not isinstance(value, bool)):
+        return [f"{flag}={value}"]
+    raise _UsageError(f"{value!r} is not a value of {flag}")
 
-    def get(self, name: str, default=None, cast=None):
-        val = getattr(self.args, name, None)
-        if val is None or val is False:
-            cfg_val = self.cfg.get(name)
-            if cfg_val is not None:
-                val = cfg_val
-            elif val is None:
-                val = default
-        if cast is not None and val is not None:
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """The subcommand's values: each is its declared default, then the
+    config file's entry, then the flag."""
+    cfg = _load_config(args.config) if args.config else {}
+    sub = args.subparser
+    values = sub.parse_args([])
+    flags = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    for key, value in cfg.items():
+        if key in flags and value is not None:  # null stands for the declared default
             try:
-                val = cast(val)
-            except (TypeError, ValueError, OverflowError):
-                raise _UsageError(f"bad value for {name!r}: {val!r}")
-        self.resolved[name] = val
-        return val
+                sub.parse_args(_config_tokens(flags[key], value), values)
+            except _UsageError as exc:
+                raise _UsageError(f"config key {key!r}: {exc}")
+    return vars(sub.parse_args(args.tokens, values))
 
 
-def _text(value) -> str:
-    """Cast for string-valued keys: a config file may not give a number or a list."""
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-def _ensemble_from(res: _Resolver) -> EnsembleParams:
-    n = res.get("n", 100, int)
-    beta = res.get("beta", 2.0, float)
-    n1 = res.get("n1", None, float)
-    n2 = res.get("n2", None, float)
-    if n1 is not None or n2 is not None:
-        if n1 is None or n2 is None:
-            raise _UsageError("provide both --n1 and --n2 or neither")
-        return EnsembleParams(n=n, beta=beta, n1=n1, n2=n2)
-    p = res.get("p", 2.0, float)
-    q = res.get("q", 2.0, float)
-    return from_ratios(n, beta, p, q)
+def _ensemble_from(v: dict) -> EnsembleParams:
+    if v["n1"] is None and v["n2"] is None:
+        return from_ratios(v["n"], v["beta"], v["p"], v["q"])
+    if v["n1"] is None or v["n2"] is None:
+        raise _UsageError("provide both --n1 and --n2 or neither")
+    return EnsembleParams(n=v["n"], beta=v["beta"], n1=v["n1"], n2=v["n2"])
 
 
 _EXTREMAL = "Chebyshev test functions need non-extremal parameters"
@@ -207,18 +235,6 @@ def _parse_sizes(spec) -> list:
         raise _UsageError(f"sizes must be comma-separated integers, got {spec!r}")
 
 
-def _parse_rational(text, flag: str) -> float:
-    """A positive rational such as 4 or 1/2, as a float."""
-    try:
-        value = Fraction(str(text))
-        as_float = float(value)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise _UsageError(f"{flag} must be a float-sized rational such as 4 or 1/2, got {text!r}")
-    if value <= 0:
-        raise _UsageError(f"{flag} must be positive, got {text!r}")
-    return as_float
-
-
 def _order(digits: str, token: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise _UsageError(f"bad order in test function {token!r}")
@@ -240,24 +256,25 @@ def _emit(report: dict, out_path) -> None:
         print(text)
 
 
-def _envelope(subcommand: str, res: _Resolver, results: dict, t0: float,
-              node_counts: dict | None = None) -> dict:
+def _envelope(subcommand: str, values: dict, results: dict, t0: float) -> dict:
     return {
         "schema": 1,
         "subcommand": subcommand,
         "library_version": __version__,
-        "config": dict(res.resolved),
-        "seed": res.resolved.get("seed"),
+        "config": values,
+        "seed": values.get("seed"),
         "wall_clock_s": time.perf_counter() - t0,
-        "node_counts": node_counts or {},
+        "node_counts": {"nodes": values["nodes"]} if values.get("nodes") else {},
         "results": results,
     }
 
 
-def _cmd_sample(res: _Resolver) -> tuple[dict, bool]:
-    params = _ensemble_from(res)
-    seed = res.get("seed", 0, int)
-    return experiments.sample_summary(params, seed, res.get("dump_factor", None, _text)), True
+def _error(kind: str, message: str) -> dict:
+    return {"schema": 1, "error": {"type": kind, "message": message}}
+
+
+def _cmd_sample(v: dict) -> tuple[dict, bool]:
+    return experiments.sample_summary(_ensemble_from(v), v["seed"], v["dump_factor"]), True
 
 
 def _run(name: str, inputs=None, seed=None) -> checks.Outcome:
@@ -269,126 +286,92 @@ def _verdict(*outcomes) -> tuple[dict, bool]:
     return results, results["passed"]
 
 
-def _cmd_eig(res: _Resolver) -> tuple[dict, bool]:
-    matrices = res.get("matrices", 1000, int)
-    max_n = res.get("max_n", 512, int)
-    seed = res.get("seed", 0, int)
-    if matrices < 1:
-        raise _UsageError(f"--matrices must be at least 1, got {matrices}")
-    if max_n < 2:
-        raise _UsageError(f"--max-n must be at least 2, got {max_n}")
-    return _verdict(_run("eigensolver", {"matrices": matrices, "max_n": max_n}, seed))
+def _cmd_eig(v: dict) -> tuple[dict, bool]:
+    if v["matrices"] < 1:
+        raise _UsageError(f"--matrices must be at least 1, got {v['matrices']}")
+    if v["max_n"] < 2:
+        raise _UsageError(f"--max-n must be at least 2, got {v['max_n']}")
+    return _verdict(_run("eigensolver", {"matrices": v["matrices"], "max_n": v["max_n"]},
+                         v["seed"]))
 
 
-def _cmd_spectrum(res: _Resolver) -> tuple[dict, bool]:
-    a = res.get("a", 0.25, float)
-    b = res.get("b", 0.5, float)
-    nodes = res.get("nodes", spectral.DEFAULT_NODES, int)
-    return _verdict(_run("alpha-zero-model", {"a": a, "b": b}),
-                    _run("limit-measures", {"a": a, "b": b, "nodes": nodes}))
+def _cmd_spectrum(v: dict) -> tuple[dict, bool]:
+    shape = {"a": v["a"], "b": v["b"]}
+    return _verdict(_run("alpha-zero-model", shape),
+                    _run("limit-measures", {**shape, "nodes": v["nodes"]}))
 
 
-def _cmd_cov(res: _Resolver) -> tuple[dict, bool]:
-    a = res.get("a", 0.25, float)
-    b = res.get("b", 0.5, float)
-    beta = res.get("beta", 2.0, float)
-    K = res.get("K", 8, int)
-    nodes = res.get("nodes", covariance.DEFAULT_SIGMA_NODES, int)
-    verify = bool(res.get("verify", False))
+def _cmd_cov(v: dict) -> tuple[dict, bool]:
+    shape = {"a": v["a"], "b": v["b"], "nodes": v["nodes"]}
     results, ok = _verdict(
-        _run("covariance-diagonalization", {"a": a, "b": b, "betas": (beta,), "K": K,
-                                            "nodes": nodes}),
-        _run("laplace-certification", {"a": a, "b": b, "beta": beta, "nodes": nodes}))
-    return results, (ok if verify else True)
+        _run("covariance-diagonalization", {**shape, "betas": (v["beta"],), "K": v["K"]}),
+        _run("laplace-certification", {**shape, "beta": v["beta"]}))
+    return results, (ok if v["verify"] else True)
 
 
-def _cmd_fluct(res: _Resolver) -> tuple[dict, bool]:
-    params = _ensemble_from(res)
-    reps = res.get("reps", 10000, int)
-    seed = res.get("seed", 0, int)
-    funcs = _parse_funcs(res.get("funcs", "gamma1..gamma4", _text), params)
-    csv_path = res.get("csv", None, _text)
+def _cmd_fluct(v: dict) -> tuple[dict, bool]:
+    params = _ensemble_from(v)
     config = experiments.ExperimentConfig(
-        params=params, test_functions=funcs, replicates=reps, seed=seed
+        params=params, test_functions=_parse_funcs(v["funcs"], params),
+        replicates=v["reps"], seed=v["seed"],
     )
     result = experiments.run_fluctuations(config)
-    if csv_path:
-        result.write_samples_csv(csv_path)
+    if v["csv"]:
+        result.write_samples_csv(v["csv"])
     return result.to_json_dict(), True
 
 
-def _cmd_lln(res: _Resolver) -> tuple[dict, bool]:
-    regime = res.get("regime", "proportional", _text)
-    sizes = _parse_sizes(res.get("sizes", "250,500,1000,2000"))
-    func = res.get("func", "x", _text)
-    beta = res.get("beta", 2.0, float)
-    p = res.get("p", 2.0, float)
-    q = res.get("q", 2.0, float)
-    reps = res.get("reps", 64, int)
-    seed = res.get("seed", 0, int)
+def _cmd_lln(v: dict) -> tuple[dict, bool]:
+    regime, sizes = v["regime"], _parse_sizes(v["sizes"])
     # --p and --q shape only the proportional schedule, the one regime with a support for gammaK
     if regime == "proportional":
-        f = _parse_func(func, from_ratios(max(sizes), beta, p, q))
+        f = _parse_func(v["func"], from_ratios(max(sizes), v["beta"], v["p"], v["q"]))
     else:
-        f = _parse_func(func, None,
+        f = _parse_func(v["func"], None,
                         f"gammaK test functions need --regime proportional, not {regime!r}")
-    return _verdict(_run("lln", {"regimes": (regime,), "sizes": sizes, "func": f, "beta": beta,
-                                 "p": p, "q": q, "reps": reps}, seed))
+    return _verdict(_run("lln", {"regimes": (regime,), "sizes": sizes, "func": f,
+                                 "beta": v["beta"], "p": v["p"], "q": v["q"],
+                                 "reps": v["reps"]}, v["seed"]))
 
 
-def _cmd_expect(res: _Resolver) -> tuple[dict, bool]:
-    k = res.get("k", 2, int)
-    beta = _parse_rational(res.get("beta", "4"), "--beta")
-    a = _parse_rational(res.get("a", "1/4"), "--a")
-    b = _parse_rational(res.get("b", "1/2"), "--b")
-    base_n = res.get("base_n", 512, int)
-    return _verdict(_run("deviation", {"a": a, "b": b, "cases": ((k, beta, base_n),)}))
+def _cmd_expect(v: dict) -> tuple[dict, bool]:
+    return _verdict(_run("deviation", {"a": v["a"], "b": v["b"],
+                                       "cases": ((v["k"], v["beta"], v["base_n"]),)}))
 
 
-def _cmd_extremal(res: _Resolver) -> tuple[dict, bool]:
-    n = res.get("n", 5000, int)
-    beta = res.get("beta", 2.0, float)
-    reps = res.get("reps", 20000, int)
-    seed = res.get("seed", 0, int)
-    return _verdict(_run("extremal-moments", {"n": n, "beta": beta, "reps": reps}, seed))
+def _cmd_extremal(v: dict) -> tuple[dict, bool]:
+    return _verdict(_run("extremal-moments", {"n": v["n"], "beta": v["beta"], "reps": v["reps"]},
+                         v["seed"]))
 
 
-def _cmd_concentration(res: _Resolver) -> tuple[dict, bool]:
-    check = res.get("check", "beta", _text)
-    if check == "beta":
+def _cmd_concentration(v: dict) -> tuple[dict, bool]:
+    if v["check"] == "beta":
         return _verdict(_run("beta-poincare"))
-    if check == "jacobi":
-        n = res.get("n", 256, int)
-        beta = res.get("beta", 2.0, float)
-        p = res.get("p", 2.0, float)
-        q = res.get("q", 2.0, float)
-        reps = res.get("reps", 4000, int)
-        seed = res.get("seed", 0, int)
-        f = _parse_func(res.get("func", "x", _text), from_ratios(n, beta, p, q))
-        return _verdict(_run("jacobi-poincare", {"sizes": (n,), "beta": beta, "p": p, "q": q,
-                                                 "func": f, "reps": reps}, seed))
-    # coupling
-    p = res.get("p", 1.0, float)
-    q = res.get("q", 1.0, float)
-    sizes = _parse_sizes(res.get("sizes", "100,1000,10000"))
+    for side in ("p", "q"):  # the run's value goes into the config block
+        if v[side] is None:
+            v[side] = 2.0 if v["check"] == "jacobi" else 1.0
+    if v["check"] == "jacobi":
+        f = _parse_func(v["func"], from_ratios(v["n"], v["beta"], v["p"], v["q"]))
+        return _verdict(_run("jacobi-poincare", {"sizes": (v["n"],), "beta": v["beta"],
+                                                 "p": v["p"], "q": v["q"], "func": f,
+                                                 "reps": v["reps"]}, v["seed"]))
+    sizes = _parse_sizes(v["sizes"])
     if len(set(sizes)) < 2:
         raise _UsageError(f"the coupling scaling check needs at least two distinct sizes, got {sizes}")
-    return _verdict(_run("coupling", {"sizes": sizes, "p": p, "q": q}))
+    return _verdict(_run("coupling", {"sizes": sizes, "p": v["p"], "q": v["q"]}))
 
 
-def _cmd_verify_all(res: _Resolver) -> tuple[dict, bool]:
+def _cmd_verify_all(v: dict) -> tuple[dict, bool]:
     """Every registry entry, at its quick or full inputs; --seed replaces each entry's seed."""
-    quick = bool(res.get("quick", False))
-    seed = res.get("seed", None, int)
-    if seed is not None:
-        model.checked_seed(seed)
+    if v["seed"] is not None:
+        model.checked_seed(v["seed"])
     reports = {}
     for check in checks.REGISTRY:
-        outcome = checks.run(check, check.inputs(quick), seed)
+        outcome = checks.run(check, check.inputs(v["quick"]), v["seed"])
         print(outcome.line(), flush=True)
         reports[check.id] = checks.report([outcome])
     ok = all(r["passed"] for r in reports.values())
-    return {"quick": quick, "checks": reports, "passed": ok}, ok
+    return {"quick": v["quick"], "checks": reports, "passed": ok}, ok
 
 
 _HANDLERS = {
@@ -401,32 +384,36 @@ _HANDLERS = {
 def dispatch(argv=None) -> int:
     """Parse argv, run exactly one subcommand, emit the JSON report.
 
-    Exit codes: 0 success, 1 validation error, 2 numerical failure or a
-    verification that did not meet its threshold.
+    Exit codes: 0 success, 1 validation error or an output file that cannot
+    be written, 2 numerical failure or a verification that did not meet its
+    threshold.
     """
     t0 = time.perf_counter()
-    parser = _build_parser()
     out = None
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         out = args.out
-        cfg = _load_config(args.config) if args.config else {}
-        res = _Resolver(args, cfg)
-        handler = _HANDLERS[args.subcommand]
-        results, ok = handler(res)
-        node_counts = {"nodes": res.resolved["nodes"]} if res.resolved.get("nodes") else {}
-        report = _envelope(args.subcommand, res, results, t0, node_counts)
-        _emit(report, out)
-        return 0 if ok else 2
+        values = _resolve(args)
+        results, ok = _HANDLERS[args.subcommand](values)
+        report, code = _envelope(args.subcommand, values, results, t0), (0 if ok else 2)
     except _UsageError as exc:
-        _emit({"schema": 1, "error": {"type": "usage", "message": str(exc)}}, out)
-        return 1
+        report, code = _error("usage", str(exc)), 1
     except ParameterError as exc:
-        _emit({"schema": 1, "error": {"type": "validation", "message": str(exc)}}, out)
-        return 1
+        report, code = _error("validation", str(exc)), 1
     except (NumericalError, BetaJacobiError) as exc:
-        _emit({"schema": 1, "error": {"type": "numerical", "message": str(exc)}}, out)
-        return 2
+        report, code = _error("numerical", str(exc)), 2
+    except OSError as exc:
+        if exc.filename is None:  # stdout closed early, not an output file
+            raise
+        report, code = _error("usage", f"cannot write {exc.filename}: {exc.strerror}"), 1
+    try:
+        _emit(report, out)
+    except OSError as exc:
+        if out is None:
+            raise
+        _emit(_error("usage", f"cannot write {exc.filename}: {exc.strerror}"), None)
+        return 1
+    return code
 
 
 def main() -> None:

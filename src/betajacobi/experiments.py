@@ -48,6 +48,7 @@ __all__ = [
     "ks_normal_distance",
 ]
 
+# Chebyshev terms of a theory series; run_fluctuations lengthens it for polynomials of high degree
 THEORY_N = 64
 
 
@@ -194,11 +195,15 @@ def run_fluctuations(config: ExperimentConfig) -> RunResult:
     nodes = 0
     if support is not None:
         nodes = spectral.DEFAULT_NODES
-        functionals = [spectral.variance_functionals(f, THEORY_N, params.beta, support, nodes=nodes)
+        # twice the top polynomial degree keeps that degree's term out of the
+        # last-decade tail that variance_functionals checks for decay
+        degree = max((len(f.chebyshev.coeffs) - 1 for f in funcs if f.is_polynomial), default=0)
+        terms = max(THEORY_N, 2 * degree)
+        functionals = [spectral.variance_functionals(f, terms, params.beta, support, nodes=nodes)
                        for f in funcs]
         theory_sigma = np.array([vf.sigma_sq for vf in functionals])
         coeff_rows = np.array([vf.coefficients.fhat for vf in functionals])
-        ns = np.arange(1, THEORY_N + 1, dtype=float)
+        ns = np.arange(1, terms + 1, dtype=float)
         theory_cov = (2.0 / params.beta) * (coeff_rows[:, 1:] * ns) @ coeff_rows[:, 1:].T
 
     return RunResult(

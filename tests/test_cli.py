@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -391,3 +392,96 @@ def test_fluct_fixed_seed_matches_monomial_trace_route(tmp_path, capsys):
     results = json.loads(out_path.read_text())["results"]
     assert results["means"] == pytest.approx(means, rel=1e-9)
     assert results["variances"] == pytest.approx(variances, rel=1e-9)
+
+
+@pytest.mark.parametrize("cfg,argv", [
+    ({"check": "bogus"}, ["concentration"]),
+    ({"n": 2.7}, ["sample"]),
+    ({"verify": "no"}, ["cov"]),
+    ({"regime": "bogus"}, ["lln"]),
+], ids=["concentration-check-bogus", "sample-n-2.7", "cov-verify-no", "lln-regime-bogus"])
+def test_config_value_a_flag_would_reject_is_usage_error(tmp_path, capsys, cfg, argv):
+    # a config entry passes the checks of the flag it stands for
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out = _run(capsys, "--config", str(path), *argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "usage" and repr(next(iter(cfg))) in error["message"]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv", "--dump-factor"])
+def test_unwritable_output_file_is_usage_error(tmp_path, capsys, flag):
+    path = str(tmp_path / "missing" / "file")
+    report = tmp_path / "report.json"
+    argv = {
+        "--out": ["--out", path, "sample", "--n", "4"],
+        "--csv": ["--out", str(report), "fluct", "--n", "8", "--funcs", "x", "--reps", "4",
+                  "--csv", path],
+        "--dump-factor": ["--out", str(report), "sample", "--n", "4", "--dump-factor", path],
+    }[flag]
+    code, out = _run(capsys, *argv)
+    assert code == 1
+    # the error goes to --out unless --out itself could not be written
+    error = json.loads(out if flag == "--out" else report.read_text())["error"]
+    assert error["type"] == "usage" and path in error["message"]
+
+
+def _without_wall_clock(node):
+    if isinstance(node, dict):
+        return {k: _without_wall_clock(v) for k, v in node.items() if k != "wall_clock_s"}
+    if isinstance(node, list):
+        return [_without_wall_clock(v) for v in node]
+    return node
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "8", "--seed", "3", "--n1", "10", "--n2", "13.5"],
+    ["eig", "--matrices", "20", "--max-n", "16", "--seed", "2"],
+    ["spectrum", "--a", "0.3", "--b", "0.4", "--nodes", "256"],
+    ["cov", "--K", "4", "--verify"],
+    ["fluct", "--n", "16", "--beta", "1", "--funcs", "gamma1,x2,exp", "--reps", "20", "--seed", "5"],
+    ["lln", "--regime", "sublinear", "--sizes", "40,80", "--reps", "4", "--seed", "1"],
+    ["expect", "--k", "3", "--beta", "1/3", "--base-n", "32"],
+    ["extremal", "--n", "50", "--reps", "50", "--seed", "4"],
+    ["concentration", "--check", "beta"],
+    ["concentration", "--check", "jacobi", "--n", "16", "--reps", "50", "--func", "x2"],
+    ["concentration", "--check", "coupling", "--sizes", "100,1000"],
+], ids=lambda argv: "-".join(argv[:3:2] if argv[0] == "concentration" else argv[:1]))
+def test_rerun_from_config_block_reproduces_the_run(tmp_path, capsys, argv):
+    first_path, second_path = tmp_path / "first.json", tmp_path / "second.json"
+    code = cli.dispatch(["--out", str(first_path), *argv])
+    first = json.loads(first_path.read_text())
+    assert "results" in first
+    again = cli.dispatch(["--config", str(first_path), "--out", str(second_path), argv[0]])
+    second = json.loads(second_path.read_text())
+    assert again == code
+    assert second["config"] == first["config"]
+    assert (json.dumps(_without_wall_clock(second["results"]), sort_keys=True)
+            == json.dumps(_without_wall_clock(first["results"]), sort_keys=True))
+
+
+def test_benchmark_argv_parses():
+    # every call of the benchmark's workloads, as its runner builds it, is a valid command line
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    calls = [call for workload in bench.WORKLOADS.values() for call in workload.calls]
+    assert {call[0] for call in calls} >= {"fluct", "eig", "concentration"}
+    for call in calls:
+        argv = list(call) + (["--seed", "1"] if call[0] in bench.SEEDED else [])
+        args = cli._build_parser().parse_args(argv)
+        assert args.subcommand == call[0]
+        cli._resolve(args)
+
+
+@pytest.mark.parametrize("argv,side", [
+    (["--check", "jacobi", "--n", "16", "--reps", "50"], 2.0),
+    (["--check", "coupling", "--sizes", "100,1000"], 1.0),
+], ids=["jacobi", "coupling"])
+def test_concentration_config_records_the_p_and_q_it_ran(capsys, argv, side):
+    code, out = _run(capsys, "concentration", *argv)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["p"], config["q"]) == (side, side)

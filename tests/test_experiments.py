@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,21 @@ def test_run_fluctuations_computes_coefficients_once_per_function(monkeypatch):
                                                   replicates=4, seed=0))
     assert calls == ["gamma2", "x", "exp"]
     assert res.theory_covariance.diagonal() == pytest.approx(res.theory_sigma_sq, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_theory_reaches_high_chebyshev_degrees(beta):
+    # Gamma_m = 2 T_m has the single coefficient 1 at degree m, so its CLT
+    # variance is (2/beta) m whatever m; a series cut at a fixed length lost m > 64
+    params = bj.from_ratios(32, beta, 2.0, 2.0)
+    support = bj.support_edges(bj.derive_asymptotic(params))
+    orders = (3, 60, 70, 100)
+    funcs = [spectral.chebyshev_test_function(m, support) for m in orders]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a polynomial shows no false "no visible decay"
+        res = ex.run_fluctuations(ex.ExperimentConfig(params=params, test_functions=funcs,
+                                                      replicates=4, seed=0))
+    assert res.theory_sigma_sq == pytest.approx([2.0 / beta * m for m in orders], rel=1e-9)
 
 
 def test_config_accepts_numpy_integer_replicates():

@@ -3,8 +3,9 @@
 The primary solver is the implicit QL/QR iteration with Wilkinson shifts
 (LAPACK sterf, values-only, O(n^2) with small constants).  A hand-written
 Sturm-sequence bisection is kept as an independent oracle and as the
-fallback when the QL iteration fails to converge.  Pure functions; callers
-parallelize across matrices, never within one factorization.
+fallback when the QL iteration fails to converge.  Pure functions, one
+factorization at a time; model.map_replicates shards replicates, hence
+matrices, over processes.
 """
 
 from __future__ import annotations

@@ -25,6 +25,13 @@ __all__ = [
 ]
 
 
+def _checked_beta(beta: float) -> float:
+    """beta itself if it is a positive finite real; else ParameterError."""
+    if not (beta > 0) or not math.isfinite(beta):
+        raise ParameterError(f"beta must be a positive real, got {beta!r}")
+    return beta
+
+
 @dataclass(frozen=True)
 class EnsembleParams:
     """Finite-n ensemble parameters (n, beta, n1, n2).
@@ -41,8 +48,7 @@ class EnsembleParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
-        if not (self.beta > 0) or not math.isfinite(self.beta):
-            raise ParameterError(f"beta must be a positive real, got {self.beta!r}")
+        _checked_beta(self.beta)
         for name in ("n1", "n2"):
             val = getattr(self, name)
             if not math.isfinite(val) or val < self.n - 1:
@@ -149,6 +155,7 @@ def shape_params(a: float, b: float, beta: float) -> AsymptoticParams:
     """AsymptoticParams directly from shapes (a, b) and beta."""
     if not (0.0 < a < 1.0):
         raise ParameterError(f"need 0 < a < 1, got a={a}")
+    _checked_beta(beta)
     p = b / a
     q = (1.0 - b) / a
     return AsymptoticParams(

@@ -85,6 +85,15 @@ def test_invalid_params_exit_one(capsys):
     assert json.loads(out)["error"]["type"] == "validation"
 
 
+@pytest.mark.parametrize("beta", ["0", "-2", "inf"])
+def test_cov_invalid_beta_is_validation_error(capsys, beta):
+    # beta = 0 escaped as a ZeroDivisionError from the limit shapes
+    code, out = _run(capsys, "cov", "--beta", beta)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {"type": "validation", "message": f"beta must be a positive real, got {float(beta)!r}"}
+
+
 @pytest.mark.parametrize("beta", ["1e308", "1e-300"], ids=["beta-overflow", "beta-underflow"])
 def test_beta_edges_exit_one_at_once(capsys, beta):
     # the Beta shapes overflowed to NaN statistics at 1e308; at 1e-300 the

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import betajacobi as bj
-from betajacobi import eig, model
-from betajacobi.errors import ParameterError
+from betajacobi import eig, model, spectral
+from betajacobi.errors import EigenSolverError, ParameterError
 
 
 def _se(x):
@@ -314,6 +318,150 @@ def test_map_replicates_checks_its_arguments():
     # a statistic of one matrix, not of the block, is caught
     with pytest.raises(ParameterError, match="one row per matrix"):
         model.map_replicates(params, 0, 3, lambda gram: gram.diag.sum())
+
+
+def _shard_over(monkeypatch, cpus, block=8, n=20):
+    """Force map_replicates to shard over cpus processes in blocks of block
+    replicates of order n; returns the list of forked ranges, filled as it forks."""
+    monkeypatch.setattr(model, "_SHARD_MIN_S", 1e-12)
+    monkeypatch.setattr(model, "_BLOCK_ELEMENTS", block * n)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forked = []
+    fork_worker = model._fork_worker
+
+    def logged(fill, lo, hi):
+        forked.append((lo, hi))
+        return fork_worker(fill, lo, hi)
+
+    monkeypatch.setattr(model, "_fork_worker", logged)
+    return forked
+
+
+def _sharding_cases():
+    params = bj.from_ratios(20, 2.0, 2.0, 3.0)
+    support = bj.support_edges(bj.derive_asymptotic(params))
+    rows = np.array([[1.0, 0.5, -2.0, 0.0, 3.0, 1.5], [0.0, 1.0, 0.0, 0.0, 0.0, 0.25]])
+    # at beta = 1e-4 most replicates redraw a Beta pair whose gammas underflowed
+    redrawn = bj.from_ratios(20, 1e-4, 2.0, 3.0)
+    return {
+        "chebyshev-sums": (params, lambda gram: model.chebyshev_sums(
+            gram, rows, support.center, support.half_width)),
+        "sterf-spectrum": (params, spectral.trace_statistic(
+            [spectral.exp_function(), spectral.monomial(1)])),
+        "scalar": (params, lambda gram: gram.diag.sum(axis=-1)),
+        "zero-total-redraws": (redrawn, lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)),
+    }
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("case", sorted(_sharding_cases()))
+def test_sharded_rows_equal_serial_rows(monkeypatch, case, cpus):
+    params, statistic = _sharding_cases()[case]
+    replicates = 45  # six blocks of 8, the last one partial
+    forked = _shard_over(monkeypatch, 1)
+    serial = model.map_replicates(params, 11, replicates, statistic)
+    assert forked == []
+    forked = _shard_over(monkeypatch, cpus)
+    sharded = model.map_replicates(params, 11, replicates, statistic)
+    assert forked == [(16, 32), (32, 45)] if cpus == 3 else [(24, 45)]
+    assert sharded.shape == serial.shape and np.array_equal(sharded, serial)
+
+
+def test_small_runs_stay_in_process(monkeypatch):
+    forked = _shard_over(monkeypatch, 2)
+    monkeypatch.setattr(model, "_SHARD_MIN_S", 1e9)
+    params = bj.from_ratios(20, 2.0, 2.0, 3.0)
+    model.map_replicates(params, 11, 45, lambda gram: gram.diag.sum(axis=-1))
+    assert forked == []
+
+
+def test_worker_error_is_raised_as_in_a_serial_run(monkeypatch):
+    params = bj.from_ratios(20, 2.0, 2.0, 3.0)
+    traces = model.map_replicates(params, 11, 45, lambda gram: gram.diag.sum(axis=-1))[:, 0]
+    bad = traces[40]  # in the last worker's range
+
+    def statistic(gram):
+        sums = gram.diag.sum(axis=-1)
+        if np.any(sums == bad):
+            raise EigenSolverError(f"no spectrum for trace {bad!r}")
+        return sums
+
+    message = f"no spectrum for trace {bad!r}"
+    with pytest.raises(EigenSolverError) as serial:
+        model.map_replicates(params, 11, 45, statistic)
+    forked = _shard_over(monkeypatch, 3)
+    with pytest.raises(EigenSolverError) as sharded:
+        model.map_replicates(params, 11, 45, statistic)
+    assert str(serial.value) == str(sharded.value) == message
+    assert forked == [(16, 32), (32, 45)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_worker_range_is_redone_in_process(monkeypatch):
+    params = bj.from_ratios(20, 2.0, 2.0, 3.0)
+    statistic = lambda gram: gram.diag.sum(axis=-1)
+    serial = model.map_replicates(params, 11, 45, statistic)
+    parent = os.getpid()
+
+    def dying(gram):
+        if os.getpid() != parent:
+            os._exit(3)
+        return statistic(gram)
+
+    forked = _shard_over(monkeypatch, 3)
+    assert np.array_equal(model.map_replicates(params, 11, 45, dying), serial)
+    assert len(forked) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_interrupt_kills_and_reaps_workers(monkeypatch):
+    parent, calls = os.getpid(), []
+
+    def interrupted(gram):
+        if os.getpid() == parent:
+            calls.append(1)
+            if len(calls) == 2:  # the first block of this process's own range
+                raise KeyboardInterrupt
+        return gram.diag.sum(axis=-1)
+
+    forked = _shard_over(monkeypatch, 3)
+    with pytest.raises(KeyboardInterrupt):
+        model.map_replicates(bj.from_ratios(20, 2.0, 2.0, 3.0), 11, 45, interrupted)
+    assert len(forked) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_UNFLUSHED_SCRIPT = """
+import os
+import betajacobi as bj
+from betajacobi import model
+
+model._SHARD_MIN_S = 1e-12
+model._BLOCK_ELEMENTS = 64
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+forked = []
+fork_worker = model._fork_worker
+model._fork_worker = lambda *args: forked.append(args) or fork_worker(*args)
+print("printed before the sharded call")
+rows = model.map_replicates(bj.from_ratios(8, 2.0, 2.0, 2.0), 5, 40, lambda g: g.diag.sum(axis=-1))
+print(len(forked), rows.shape[0])
+"""
+
+
+def test_workers_do_not_flush_inherited_stdout():
+    # stdout is a buffered pipe, so the first line is still in its buffer when
+    # the workers fork
+    src = os.path.dirname(os.path.dirname(model.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-c", _UNFLUSHED_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "printed before the sharded call\n2 40\n"
 
 
 def test_rekeyed_stream_equals_replicate_stream():

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dsterf
 
 from .errors import EigenSolverError, ParameterError
 from .model import SymTridiagonal
@@ -47,8 +47,9 @@ def _validate(A: SymTridiagonal) -> None:
 def eigenvalues(A: SymTridiagonal) -> Spectrum:
     """All eigenvalues, ascending; deterministic given the input.
 
-    Falls back to Sturm bisection if the QL sweep cap is exceeded, and
-    raises EigenSolverError if that fails too.  The trace residual is
+    Falls back to Sturm bisection if LAPACK dsterf reports a failure
+    (info != 0, e.g. its QL sweep cap exceeded), and raises
+    EigenSolverError if that fails too.  The trace residual is
     checked against n * scale * max(_TOL, eps) * 100.
     """
     _validate(A)
@@ -56,13 +57,13 @@ def eigenvalues(A: SymTridiagonal) -> Spectrum:
     if n == 1:
         vals = A.diag.astype(float).copy()
     else:
-        try:
-            vals = eigvalsh_tridiagonal(A.diag, A.off, lapack_driver="sterf")
-        except LinAlgError as exc:
+        vals, info = dsterf(A.diag, A.off)
+        if info != 0:
             try:
                 vals = sturm_eigenvalues(A.diag, A.off, tol=_TOL)
             except Exception:
-                raise EigenSolverError(f"QL iteration and bisection both failed: {exc}")
+                raise EigenSolverError(
+                    f"QL iteration (sterf info {info}) and bisection both failed")
     vals = np.sort(vals)
     residual = abs(float(vals.sum() - A.diag.sum()))
     scale = max(float(np.max(np.abs(A.diag), initial=0.0)), float(np.max(np.abs(A.off), initial=0.0)), 1e-300)

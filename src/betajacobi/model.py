@@ -24,12 +24,13 @@ routine on its re-keyed stream.  The block size b = 2^14 // n (at least 1)
 keeps every (b, n) array near 2^14 doubles.  Each row depends on (seed, m)
 alone and every batched operation acts row by row exactly as on one matrix,
 so row m equals sample_factor(params, replicate_stream(seed, m)) bit for
-bit, whatever the block size.  Once the first block, run and timed in this
-process, projects the rest at _SHARD_MIN_S of CPU time or more, the other
-blocks are split into contiguous ranges over forked workers, up to one per
-CPU in the affinity mask, which write their rows into a shared anonymous
-mapping; since rows depend on (seed, m) alone, the result is the same bit for
-bit at any worker count.
+bit, whatever the block size.  Replicate 0 runs first, alone and timed in
+this process, then, unless it alone costs enough to project from, the block
+of replicates 1..b.  Once that projects the rest at _SHARD_MIN_S of CPU time
+or more, the replicates left are split evenly into contiguous ranges over
+forked workers, up to one per CPU in the affinity mask, which write their
+rows into a shared anonymous mapping; since rows depend on (seed, m) alone,
+the result is the same bit for bit at any worker count.
 
 Polynomial linear statistics need no eigensolve: chebyshev_traces returns
 tr T_k((A - cI)/r) for k <= K from the banded Chebyshev recurrence, so any
@@ -91,13 +92,23 @@ _TRACE_ELEMENTS = 1 << 18
 _MAX_SHAPE = 1e300
 _MIN_SHAPE = 1e-9
 # CPU seconds of projected work per process for map_replicates to fork one
-# more.  A bare fork and exit of a process that holds numpy and scipy costs
+# more, projected from replicate 0 or from the first block (_PROBE_MIN_S).
+# A bare fork and exit of a process that holds numpy and scipy costs
 # about 15 ms of wall time, and sharding pays only well above that: on a
 # 2-core host, fluct n = 64, 5000 replicates (0.12-0.20 s) ran slower
 # sharded, n = 2000, 1000 replicates (0.5-0.85 s) 1.6-1.8x faster.  CPU
 # time, not wall time, is projected, so a core shared with other processes
 # does not make a small run look large.
 _SHARD_MIN_S = 0.25
+# CPU seconds of replicate 0, run alone as a block of 1, from which
+# map_replicates projects the rest; a cheaper replicate is followed by a
+# full block, and the projection comes from that.  Alone, a replicate also
+# pays a block's fixed cost of about 0.2 ms: a cheap statistic took 215 us
+# alone against 41 us per replicate in a block at n = 64 (projecting from it
+# would fork fluct n = 64, 5000 replicates, which runs slower sharded), and
+# 0.59 ms against 0.62 ms at n = 2000; a sterf statistic at n = 1000 took
+# 20.6 ms against 19.9 ms.  4 ms is 6x above the one and 5x below the other.
+_PROBE_MIN_S = 4e-3
 
 
 @dataclass(frozen=True)
@@ -311,15 +322,16 @@ def _block_rows(statistic, flat, n, stream, lo, hi, block):
         yield start, rows.reshape(b, -1)
 
 
-def _worker_count(blocks: int, projected_s: float) -> int:
-    """Processes for the blocks left after the first, projected to take projected_s.
+def _worker_count(left: int, projected_s: float) -> int:
+    """Processes for the left replicates not yet run, projected to take projected_s.
 
-    One per _SHARD_MIN_S of projected work, at most one per block and per
-    CPU this process may run on; 1 where fork or the affinity mask is missing.
+    One per _SHARD_MIN_S of projected work, at most one per replicate left
+    and per CPU this process may run on; 1 where fork or the affinity mask
+    is missing.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), blocks, 1 + int(projected_s / _SHARD_MIN_S)))
+    return max(1, min(len(os.sched_getaffinity(0)), left, 1 + int(projected_s / _SHARD_MIN_S)))
 
 
 def _fork_worker(fill: Callable[[int, int], None], lo: int, hi: int) -> int:
@@ -385,12 +397,16 @@ def map_replicates(
     sample_factor(params, replicate_stream(seed, m)) in every case, and the
     (replicates, k) result is bit-identical whatever the block size.
 
-    The first block runs here, timed in CPU seconds.  When the rest is
-    projected to take at least _SHARD_MIN_S, the blocks are split into
-    contiguous ranges, one per process (see _worker_count): this process
-    fills the first range while forked workers fill the others, writing
-    their rows into a shared anonymous mapping.  Rows depend on (seed, m) alone, so the result is
-    bit-identical at any worker count; a worker that fails has its range
+    Replicate 0 runs here first, alone, timed in CPU seconds; it also checks
+    the statistic's row shape.  When it takes at least _PROBE_MIN_S, the
+    rest is projected from it; otherwise replicates 1..b run here as one
+    block and the rest is projected from that block.  When the rest is
+    projected to take at least _SHARD_MIN_S, the replicates left are split
+    evenly into contiguous ranges, one per process (see _worker_count), each
+    run in blocks of b from its own start: this process fills the first
+    range while forked workers fill the others, writing their rows into a
+    shared anonymous mapping.  Rows depend on (seed, m) alone, so the result
+    is bit-identical at any worker count; a worker that fails has its range
     redone here, which gives its rows, or raises its error, as a serial run
     would.
     """
@@ -399,35 +415,44 @@ def map_replicates(
     flat = _shape_arrays(params)
     n = params.n
     block = min(replicates, max(1, _BLOCK_ELEMENTS // n))
-    blocks = _block_rows(statistic, flat, n, stream, 0, replicates, block)
+
+    def run(lo: int, hi: int, size: int = block):
+        return _block_rows(statistic, flat, n, stream, lo, hi, size)
+
     clock = time.process_time()
-    _, first = next(blocks)
-    projected_s = (time.process_time() - clock) * (replicates - block) / block
-    starts = range(0, replicates, block)
-    workers = _worker_count(len(starts) - 1, projected_s)
-    shape = (replicates, first.shape[1])
+    head = [next(run(0, 1, 1))]
+    each = time.process_time() - clock  # CPU seconds per replicate
+    blocks = run(1, replicates)
+    if each < _PROBE_MIN_S:
+        clock = time.process_time()
+        head.append(next(blocks))
+        each = (time.process_time() - clock) / head[-1][1].shape[0]
+    start, rows = head[-1]
+    done = start + rows.shape[0]
+    left = replicates - done
+    workers = _worker_count(left, each * left)
+    shape = (replicates, rows.shape[1])
     if workers > 1:
         shared = mmap.mmap(-1, max(1, 8 * shape[0] * shape[1]))  # MAP_SHARED
         out = np.frombuffer(shared, count=shape[0] * shape[1]).reshape(shape)
     else:
         out = np.empty(shape)
-    out[:block] = first
 
     def put(blocks) -> None:
         for start, rows in blocks:
             out[start : start + rows.shape[0]] = rows
 
+    put(head)
     if workers == 1:
-        # the same generator on, so each block's arrays live until the next
-        # block's replace them, as in a plain loop; freed between blocks, the
-        # allocator handed their memory back and faulted it in again (fluct
-        # n = 64, 5000 replicates: 10k minor faults in place of 4k, 7 % more
-        # wall time)
+        # one generator for every full block, so each block's arrays live
+        # until the next block's replace them, as in a plain loop; freed
+        # between blocks, the allocator handed their memory back and faulted
+        # it in again (fluct n = 64, 5000 replicates: 10k minor faults in
+        # place of 4k, 7 % more wall time)
         put(blocks)
         return out
-    cuts = [starts[len(starts) * w // workers] for w in range(workers)] + [replicates]
-    _sharded(lambda lo, hi: put(_block_rows(statistic, flat, n, stream, lo, hi, block)),
-             [(max(lo, block), hi) for lo, hi in zip(cuts, cuts[1:])])
+    cuts = [done + left * w // workers for w in range(workers + 1)]
+    _sharded(lambda lo, hi: put(run(lo, hi)), list(zip(cuts, cuts[1:])))
     return out.copy()
 
 

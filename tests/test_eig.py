@@ -5,7 +5,7 @@ import pytest
 
 import betajacobi as bj
 from betajacobi import eig, model
-from betajacobi.errors import ParameterError
+from betajacobi.errors import EigenSolverError, ParameterError
 
 
 def test_diagonal_matrix():
@@ -166,3 +166,34 @@ def test_stacked_sturm_count_matches_one_at_a_time(n):
 def test_sturm_oracle_rejects_mismatched_shapes():
     with pytest.raises(ParameterError):
         eig.sturm_eigenvalues(np.zeros((3, 4)), np.zeros((2, 3)))
+
+
+def _failed_sterf(monkeypatch):
+    """A random 40 x 40 matrix whose QL iteration reports no convergence (info > 0)."""
+    rng = np.random.default_rng(5)
+    A = model.SymTridiagonal(diag=rng.uniform(-1, 1, 40), off=rng.uniform(-1, 1, 39))
+    monkeypatch.setattr(eig, "dsterf", lambda d, e: (np.full_like(d, np.nan), 3))
+    return A
+
+
+def test_failed_sterf_falls_back_to_bisection(monkeypatch):
+    A = _failed_sterf(monkeypatch)
+    spectrum = eig.eigenvalues(A)
+    expected = eig.sturm_eigenvalues(A.diag, A.off, tol=eig._TOL)
+    assert np.array_equal(spectrum.values, expected)
+    assert spectrum.residual_trace_error == abs(float(expected.sum() - A.diag.sum()))
+    # the fallback's values face the same trace-residual check
+    monkeypatch.setattr(eig, "sturm_eigenvalues", lambda d, e, tol: expected + 1e-6)
+    with pytest.raises(EigenSolverError, match="trace residual"):
+        eig.eigenvalues(A)
+
+
+def test_failed_sterf_and_bisection_raise(monkeypatch):
+    A = _failed_sterf(monkeypatch)
+
+    def failed_bisection(diag, off, tol):
+        raise FloatingPointError("no convergence")
+
+    monkeypatch.setattr(eig, "sturm_eigenvalues", failed_bisection)
+    with pytest.raises(EigenSolverError, match="both failed"):
+        eig.eigenvalues(A)

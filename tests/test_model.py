@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -320,10 +321,9 @@ def test_map_replicates_checks_its_arguments():
         model.map_replicates(params, 0, 3, lambda gram: gram.diag.sum())
 
 
-def _shard_over(monkeypatch, cpus, block=8, n=20):
-    """Force map_replicates to shard over cpus processes in blocks of block
+def _log_forks(monkeypatch, cpus, block=8, n=20):
+    """Let map_replicates fork up to cpus processes, in blocks of block
     replicates of order n; returns the list of forked ranges, filled as it forks."""
-    monkeypatch.setattr(model, "_SHARD_MIN_S", 1e-12)
     monkeypatch.setattr(model, "_BLOCK_ELEMENTS", block * n)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     forked = []
@@ -335,6 +335,15 @@ def _shard_over(monkeypatch, cpus, block=8, n=20):
 
     monkeypatch.setattr(model, "_fork_worker", logged)
     return forked
+
+
+def _shard_over(monkeypatch, cpus, probe="block"):
+    """Force map_replicates to shard over cpus processes in blocks of 8
+    replicates of order 20, projecting from replicate 0 alone (probe "one")
+    or from the block of replicates 1..8 after it ("block")."""
+    monkeypatch.setattr(model, "_SHARD_MIN_S", 1e-12)
+    monkeypatch.setattr(model, "_PROBE_MIN_S", 0.0 if probe == "one" else np.inf)
+    return _log_forks(monkeypatch, cpus)
 
 
 def _sharding_cases():
@@ -353,18 +362,63 @@ def _sharding_cases():
     }
 
 
+# forked ranges of 45 replicates: the replicates left after replicate 0
+# ("one") or after replicates 0..8 ("block") split evenly, so no worker's
+# range starts on a multiple of the block size 8
+_SHARDED_RANGES = {("one", 2): [(23, 45)], ("one", 3): [(15, 30), (30, 45)],
+                   ("block", 2): [(27, 45)], ("block", 3): [(21, 33), (33, 45)]}
+
+
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("case", sorted(_sharding_cases()))
 def test_sharded_rows_equal_serial_rows(monkeypatch, case, cpus):
     params, statistic = _sharding_cases()[case]
-    replicates = 45  # six blocks of 8, the last one partial
-    forked = _shard_over(monkeypatch, 1)
-    serial = model.map_replicates(params, 11, replicates, statistic)
-    assert forked == []
-    forked = _shard_over(monkeypatch, cpus)
-    sharded = model.map_replicates(params, 11, replicates, statistic)
-    assert forked == [(16, 32), (32, 45)] if cpus == 3 else [(24, 45)]
-    assert sharded.shape == serial.shape and np.array_equal(sharded, serial)
+    replicates = 45
+    for probe in ("one", "block"):
+        forked = _shard_over(monkeypatch, 1, probe)
+        serial = model.map_replicates(params, 11, replicates, statistic)
+        assert forked == []
+        forked = _shard_over(monkeypatch, cpus, probe)
+        sharded = model.map_replicates(params, 11, replicates, statistic)
+        assert forked == _SHARDED_RANGES[probe, cpus]
+        assert sharded.shape == serial.shape and np.array_equal(sharded, serial)
+
+
+# (CPU seconds per replicate in units of _PROBE_MIN_S, replicates, forked
+# ranges, statistic calls here before the first fork): replicate 0 projects
+# 44 x 8 ms; replicates 1..8 project 191 x 2 ms; they project 36 x 1 ms, too
+# little to fork
+@pytest.mark.parametrize("cost, replicates, ranges, calls", [
+    (2.0, 45, [(23, 45)], 1), (0.5, 200, [(104, 200)], 2), (0.25, 45, [], None)])
+def test_fork_decision_follows_the_probe(monkeypatch, cost, replicates, ranges, calls):
+    forked = _log_forks(monkeypatch, 2)
+    clock, sizes, parent = [0.0], [], os.getpid()
+    monkeypatch.setattr(model, "time", types.SimpleNamespace(process_time=lambda: clock[0]))
+    fork_worker = model._fork_worker
+    before_fork = []
+
+    def fork_after(fill, lo, hi):
+        before_fork.append(len(sizes))
+        return fork_worker(fill, lo, hi)
+
+    monkeypatch.setattr(model, "_fork_worker", fork_after)
+
+    def statistic(gram):
+        b = gram.diag.shape[0]
+        if os.getpid() == parent:
+            sizes.append(b)
+        clock[0] += cost * model._PROBE_MIN_S * b
+        return gram.diag.sum(axis=-1)
+
+    params = bj.from_ratios(20, 2.0, 2.0, 3.0)
+    rows = model.map_replicates(params, 11, replicates, statistic)
+    assert forked == ranges
+    assert before_fork == ([calls] if ranges else [])
+    # replicate 0 alone, then blocks of 8 from replicate 1 up to the first fork
+    end = ranges[0][0] if ranges else replicates
+    assert sizes == [1] + [min(8, end - start) for start in range(1, end, 8)]
+    expected = _hand_loop(params, 11, replicates, lambda gram: gram.diag.sum(axis=-1))
+    assert np.array_equal(rows, expected)
 
 
 def test_small_runs_stay_in_process(monkeypatch):
@@ -393,7 +447,7 @@ def test_worker_error_is_raised_as_in_a_serial_run(monkeypatch):
     with pytest.raises(EigenSolverError) as sharded:
         model.map_replicates(params, 11, 45, statistic)
     assert str(serial.value) == str(sharded.value) == message
-    assert forked == [(16, 32), (32, 45)]
+    assert forked == [(21, 33), (33, 45)]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -422,7 +476,9 @@ def test_interrupt_kills_and_reaps_workers(monkeypatch):
     def interrupted(gram):
         if os.getpid() == parent:
             calls.append(1)
-            if len(calls) == 2:  # the first block of this process's own range
+            # after replicate 0 and the block 1..8: the first block of this
+            # process's own range
+            if len(calls) == 3:
                 raise KeyboardInterrupt
         return gram.diag.sum(axis=-1)
 

@@ -357,6 +357,9 @@ def _sin3x():
 
 def _beta_poincare(shapes):
     funcs = (spectral.monomial(1), spectral.monomial(2), spectral.monomial(3), _sin3x())
+    # every rule in one stacked build, which beta_poincare_ratio then finds cached
+    spectral.jacobi_probability_quadratures(concentration.BETA_NODES,
+                                            [(p, q) for p in shapes for q in shapes])
     worst = worst_eq = 0.0
     for p in shapes:
         for q in shapes:

@@ -5,6 +5,10 @@ Beta expectations are computed with Gauss nodes from the spectral module's
 recurrence machinery (no new solver); the coupling uses the comonotone
 (quantile) pairing, which is optimal for squared distance in one dimension,
 integrated as a Gaussian expectation by doubling Gauss-Hermite rules.
+The coupling's Beta quantiles and Hermite rule come from scipy.special,
+imported at the first coupling gap (0.03-0.07 s once scipy.linalg is
+loaded, 0.35 s before), so that importing this module loads no scipy; the
+Beta rules of the Poincare ratios load scipy.linalg through eig.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainccinv, betaincinv, ndtr, roots_hermitenorm
 
 from . import model, spectral
 from .errors import ExtremalRegimeError, ParameterError, QuadratureError
@@ -30,7 +33,7 @@ __all__ = [
 ]
 
 # Gauss nodes of the Beta(p, q) rule behind beta_poincare_ratio
-_BETA_NODES = 160
+BETA_NODES = 160
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ def beta_poincare_ratio(
     """
     if f.derivative is None:
         raise ParameterError("Poincare ratio needs the derivative of f")
-    ynodes, w = spectral.jacobi_probability_quadrature(_BETA_NODES, p, q)
+    ynodes, w = spectral.jacobi_probability_quadrature(BETA_NODES, p, q)
     x = 2.0 * ynodes - 1.0 if weighted else ynodes
     vals = np.asarray(f(x), dtype=float)
     dsq = np.asarray(f.derivative(x), dtype=float) ** 2
@@ -147,6 +150,8 @@ def _gaussian_gap(a: float, b: float, mu: float, slope: float, nodes: int) -> fl
     integrates spectrally.  The upper half inverts the complementary Beta
     function at Phi(-z), so the upper tail keeps its digits.
     """
+    from scipy.special import betainccinv, betaincinv, ndtr, roots_hermitenorm
+
     z, w = roots_hermitenorm(nodes)
     lower = z <= 0
     x = np.empty_like(z)

@@ -17,7 +17,7 @@ import numpy as np
 from . import spectral
 from .errors import ParameterError, QuadratureError
 from .params import AsymptoticParams, SupportInterval
-from .paths import weight_polynomial
+from .paths import power_table, weight_polynomial
 
 __all__ = [
     "CovarianceMatrix",
@@ -94,9 +94,10 @@ def _sigma_rule(nodes: int, lo: float, hi: float):
 def _sigma_integral(k: int, l: int, asym: AsymptoticParams, nodes: int) -> float:
     sig, w = _sigma_rule(nodes, -asym.a, 0.0)
     x, y = entry_weights(sig, asym)
+    powers = power_table(x, y, 2 * max(k, l))
     pk, pl = weight_polynomial(k), weight_polynomial(l)
-    dxk, dyk = pk.dx(x, y), pk.dy(x, y)
-    dxl, dyl = pl.dx(x, y), pl.dy(x, y)
+    dxk, dyk = pk.dx(x, y, powers), pk.dy(x, y, powers)
+    dxl, dyl = pl.dx(x, y, powers), pl.dy(x, y, powers)
     common = (dxk * dxl + dyk * dyl) * (1.0 - x * x - y * y)
     cross = (dxk * dyl + dyk * dxl) * (2.0 * x * y)
     integrand = (common - cross) / (1.0 + 2.0 * sig)
@@ -136,12 +137,10 @@ def covariance_matrix(
     def fill(n_nodes: int) -> np.ndarray:
         sig, w = _sigma_rule(n_nodes, -asym.a, 0.0)
         x, y = entry_weights(sig, asym)
-        dx = np.empty((K, n_nodes))
-        dy = np.empty((K, n_nodes))
-        for k in range(1, K + 1):
-            poly = weight_polynomial(k)
-            dx[k - 1] = poly.dx(x, y)
-            dy[k - 1] = poly.dy(x, y)
+        powers = power_table(x, y, 2 * K)
+        polys = [weight_polynomial(k) for k in range(1, K + 1)]
+        dx = np.array([poly.dx(x, y, powers) for poly in polys])
+        dy = np.array([poly.dy(x, y, powers) for poly in polys])
         base = w / (1.0 + 2.0 * sig)
         w_common = base * (1.0 - x * x - y * y)
         w_cross = base * (2.0 * x * y)

@@ -14,12 +14,12 @@ spectrum otherwise.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import eig, model, paths, spectral
 from ._version import __version__ as _version
@@ -141,6 +141,12 @@ def excess_kurtosis(x: np.ndarray) -> float:
     return float(np.mean(c**4)) / m2**2 - 3.0
 
 
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Phi(z) = erfc(-z / sqrt 2) / 2 by the math module, the argument formed
+    as scipy's ndtr forms it; within 3e-15 relative of ndtr on [-8, 8]."""
+    return 0.5 * np.fromiter(map(math.erfc, (z * -math.sqrt(0.5)).tolist()), float, z.shape[0])
+
+
 def ks_normal_distance(x: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance to the normal fitted to (mean, std).
 
@@ -151,8 +157,7 @@ def ks_normal_distance(x: np.ndarray) -> float:
     sd = float(x.std(ddof=1))
     if sd == 0:
         return 0.0
-    z = np.sort((x - mu) / sd)
-    cdf = ndtr(z)
+    cdf = _normal_cdf(np.sort((x - mu) / sd))
     i = np.arange(1, m + 1)
     return float(max(np.max(i / m - cdf), np.max(cdf - (i - 1) / m)))
 

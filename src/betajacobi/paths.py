@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +30,7 @@ __all__ = [
     "WeightPolynomial",
     "enumerate_bridges",
     "weight_polynomial",
+    "power_table",
     "trace_via_paths",
     "expected_trace_exact",
     "TraceExpansion",
@@ -103,6 +104,22 @@ def enumerate_bridges(k: int) -> list[AlternatingBridge]:
     return out
 
 
+def power_table(x, y, degree: int) -> tuple:
+    """(x^j, y^j) for 0 <= j <= degree, each stacked on a new first axis.
+
+    Built by repeated products, one pass per degree for all points; the
+    WeightPolynomial derivatives of every k <= degree / 2 read it.
+    """
+    def powers(v):
+        v = np.asarray(v, dtype=float)
+        out = np.empty((degree + 1,) + v.shape)
+        out[0] = 1.0
+        out[1:] = v
+        return np.multiply.accumulate(out, axis=0, out=out)
+
+    return powers(x), powers(y)
+
+
 @dataclass(frozen=True)
 class WeightPolynomial:
     """Bridge weight polynomial: sum over l of C(k,l)^2 x^(2l) y^(2(k-l))."""
@@ -117,22 +134,28 @@ class WeightPolynomial:
             acc = acc * x2 + float(self.coeffs[l]) * y2 ** (self.k - l)
         return acc
 
-    def dx(self, x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        acc = 0.0
-        for l in range(1, self.k + 1):
-            acc = acc + 2 * l * float(self.coeffs[l]) * x ** (2 * l - 1) * y ** (2 * (self.k - l))
-        return acc
+    @cached_property
+    def _slopes(self) -> np.ndarray:
+        """2l C(k,l)^2 for l = 1..k, the coefficients of dx."""
+        return np.array([2.0 * l * float(c) for l, c in enumerate(self.coeffs)][1:])
 
-    def dy(self, x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        acc = 0.0
-        for l in range(0, self.k):
-            m = self.k - l
-            acc = acc + 2 * m * float(self.coeffs[l]) * x ** (2 * l) * y ** (2 * m - 1)
-        return acc
+    def dx(self, x, y, powers=None):
+        """d/dx = sum over l >= 1 of 2l C(k,l)^2 x^(2l-1) y^(2(k-l)).
+
+        powers is power_table(x, y, d) for some d >= 2k, which callers that
+        differentiate several k share; by default it is built here.
+        """
+        k = self.k
+        xp, yp = power_table(x, y, 2 * k) if powers is None else powers
+        # x^(2l-1) and y^(2(k-l)) for l = 1..k
+        return np.einsum("l,l...,l...->...", self._slopes, xp[1 : 2 * k : 2], yp[: 2 * k : 2][::-1])
+
+    def dy(self, x, y, powers=None):
+        """d/dy, which is dx with x and y swapped: the polynomial is symmetric."""
+        return self.dx(y, x, None if powers is None else powers[::-1])
 
 
+@lru_cache(maxsize=None)
 def weight_polynomial(k: int) -> WeightPolynomial:
     if k < 0:
         raise ParameterError("k must be nonnegative")

@@ -163,13 +163,51 @@ def test_stacked_sturm_count_matches_one_at_a_time(n):
         assert np.array_equal(shared[row], eig.sturm_count(diag[row], off_sq[row], shifts[0]))
 
 
+def _sturm_count_every_step(diag, off_sq, x):
+    """sturm_count as it read when every step built the nudged pivot."""
+    diag = np.asarray(diag, dtype=float)
+    off_sq = np.asarray(off_sq, dtype=float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = diag.shape[-1]
+    count = np.zeros(np.broadcast_shapes(diag.shape[:-1] + (1,), x.shape), dtype=np.int64)
+    q = np.ones(count.shape)
+    tiny = np.finfo(float).tiny * 4.0
+    for i in range(n):
+        denom = np.where(np.abs(q) < tiny, np.where(q >= 0, tiny, -tiny), q)
+        esq = off_sq[..., i - 1, None] if i > 0 else 0.0
+        q = (diag[..., i, None] - x) - esq / denom
+        count += q < 0
+    return count
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 33])
+def test_sturm_count_pivot_skip_matches_every_step_nudge(n):
+    diag, off = _stack(n, 200 + n)
+    off_sq = off * off
+    shifts = np.linspace(-2.0, 2.0, 9)
+    shifts = np.stack([shifts + 100.0 * (row == 1) for row in range(6)])
+    shifts[3, 4] = 0.0  # exact zero pivots at every step of the zero matrix
+    shifts[0, 0] = diag[0, 0]  # an exact zero first pivot in a coupled matrix
+    diag[4, 0] = -0.0  # at shift 0 a pivot of -0.0, which the nudge makes +tiny
+    for x in (shifts, shifts[0]):
+        expected = _sturm_count_every_step(diag, off_sq, x)
+        assert np.array_equal(eig.sturm_count(diag, off_sq, x), expected)
+    # the bisection that calls it, on the same stack
+    rows = np.array([_sturm_eigenvalues_one(d, e) for d, e in zip(diag, off)])
+    assert np.array_equal(eig.sturm_eigenvalues(diag, off), rows)
+
+
 def test_sturm_oracle_rejects_mismatched_shapes():
     with pytest.raises(ParameterError):
         eig.sturm_eigenvalues(np.zeros((3, 4)), np.zeros((2, 3)))
 
 
 def _failed_sterf(monkeypatch):
-    """A random 40 x 40 matrix whose QL iteration reports no convergence (info > 0)."""
+    """A random 40 x 40 matrix whose QL iteration reports no convergence (info > 0).
+
+    eig.dsterf imports LAPACK's dsterf at its first call and eigenvalues
+    calls it through the module, so replacing it replaces the solver.
+    """
     rng = np.random.default_rng(5)
     A = model.SymTridiagonal(diag=rng.uniform(-1, 1, 40), off=rng.uniform(-1, 1, 39))
     monkeypatch.setattr(eig, "dsterf", lambda d, e: (np.full_like(d, np.nan), 3))

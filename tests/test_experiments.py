@@ -84,6 +84,14 @@ def test_map_replicates_matches_hand_loop(support):
     assert np.array_equal(first.covariance, again.covariance)
 
 
+def test_normal_cdf_matches_scipy_ndtr():
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    z = np.linspace(-8.0, 8.0, 16001)
+    # both evaluate an erfc at the same rounded argument; the gate, fixed
+    # before the first run, allows two implementations a few ulps each
+    assert np.max(np.abs(ex._normal_cdf(z) / ndtr(z) - 1.0)) <= 1e-14
+
+
 def test_fixed_seed_values_pinned():
     # values computed by each check's own replicate loop before the checks
     # shared model.map_replicates; the engine reproduces them exactly

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -336,11 +337,11 @@ def test_beta_rule_is_cached_read_only_and_unchanged():
     assert not nodes.flags.writeable and not w.flags.writeable
     with pytest.raises(ValueError):
         w[0] = 0.0
-    fresh_nodes, fresh_w = spectral._beta_rule.__wrapped__(160, 0.5, 8.0)
+    fresh_nodes, fresh_w = spectral._beta_rules(160, [(0.5, 8.0)])[0]
     assert np.array_equal(fresh_nodes, nodes) and np.array_equal(fresh_w, w)
 
 
-@pytest.mark.parametrize("nodes", [64, 512])
+@pytest.mark.parametrize("nodes", [1, 2, 3, 64, 65, 512, 2048])
 def test_gauss_legendre_rule_matches_numpy(nodes):
     t, w = spectral._gauss_legendre(nodes)
     t_ref, w_ref = np.polynomial.legendre.leggauss(nodes)
@@ -349,6 +350,95 @@ def test_gauss_legendre_rule_matches_numpy(nodes):
     interior = np.abs(t_ref) < 0.9
     assert np.max(np.abs(w[interior] / w_ref[interior] - 1.0)) <= 1e-12
     assert w.sum() == pytest.approx(2.0, rel=1e-13)
+
+
+def _legendre_weight_40_digits(nodes, t):
+    """The Gauss-Legendre weight at the root of P_nodes nearest t: Newton on
+    the three-term recurrence in 40-digit decimal arithmetic."""
+    def legendre(x):  # (P_n(x), P_n'(x))
+        before, p = Decimal(1), x
+        for k in range(1, nodes):
+            before, p = p, ((2 * k + 1) * x * p - k * before) / (k + 1)
+        return p, nodes * (before - x * p) / (1 - x * x)
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(float(t))
+        for _ in range(4):
+            p, dp = legendre(x)
+            x -= p / dp
+        _, dp = legendre(x)
+        return 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("nodes", [400, 2048])
+def test_gauss_legendre_endpoint_weight(nodes):
+    # the outermost weight is the worst conditioned: a node within eps of
+    # the root moves 2 / ((1 - t^2) P'^2) by about eps / (1 - t), and 1 - t
+    # is about 3 / nodes^2; so the gate is nodes^2 * eps, fixed before the
+    # first run (scipy's roots_legendre, 5.2e-10 and 1.4e-7 off, fails it)
+    t, w = spectral._gauss_legendre(nodes)
+    reference = _legendre_weight_40_digits(nodes, t[-1])
+    gate = nodes * nodes * np.finfo(float).eps
+    for weight in (w[0], w[-1]):
+        assert abs(float(Decimal(float(weight)) / reference - 1)) <= gate
+
+
+def _recurrence_by_scalar_loop(nterms, r_param, s_param):
+    """jacobi_recurrence_01 as it read with one Python step per entry."""
+    A, B = float(s_param), float(r_param)
+    diag = np.empty(nterms)
+    offsq = np.zeros(nterms)
+    apb = A + B
+    diag[0] = (B - A) / (apb + 2.0)
+    for k in range(1, nterms):
+        den = (2.0 * k + apb) * (2.0 * k + apb + 2.0)
+        diag[k] = (B * B - A * A) / den
+        if k == 1:
+            offsq[k] = 4.0 * (A + 1.0) * (B + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
+        else:
+            t = 2.0 * k + apb
+            offsq[k] = 4.0 * k * (k + A) * (k + B) * (k + apb) / (t * t * (t + 1.0) * (t - 1.0))
+        if not np.isfinite(diag[k]) or not np.isfinite(offsq[k]):
+            raise QuadratureError("recurrence coefficient overflow")
+    return (1.0 + diag) / 2.0, offsq / 4.0
+
+
+@pytest.mark.parametrize("nterms", [1, 2, 3, 160, 801])
+def test_jacobi_recurrence_matches_scalar_loop(nterms):
+    for r in (-0.999, -0.5, 0.0, 0.3, 7.0, 1e4 - 1, 1e8):
+        for s in (-0.75, 0.0, 2.5, 1e3):
+            diag, offsq = spectral.jacobi_recurrence_01(nterms, r, s)
+            ref_diag, ref_offsq = _recurrence_by_scalar_loop(nterms, r, s)
+            assert np.array_equal(diag, ref_diag) and np.array_equal(offsq, ref_offsq)
+    # 4 k (k + A)(k + B)(k + A + B) overflows at k = 2, and t^4 with it
+    with pytest.raises(QuadratureError):
+        spectral.jacobi_recurrence_01(4, 1e103, 1e103)
+    with pytest.raises(QuadratureError):
+        _recurrence_by_scalar_loop(4, 1e103, 1e103)
+
+
+def test_stacked_beta_rules_match_rules_built_alone():
+    # large shapes rescale their recurrences at some nodes and not at others
+    shapes = [(0.5, 8.0), (2.0, 2.0), (1e4, 1e4), (1e4, 3.0), (1e3, 1e3)]
+    stacked = spectral._beta_rules(800, shapes)
+    for shape, (nodes, w) in zip(shapes, stacked):
+        alone_nodes, alone_w = spectral._beta_rules(800, [shape])[0]
+        assert np.array_equal(nodes, alone_nodes) and np.array_equal(w, alone_w)
+    # the cached route returns the same rules, in the order asked for
+    cached = spectral.jacobi_probability_quadratures(800, shapes[::-1])
+    for (nodes, w), (ref_nodes, ref_w) in zip(cached, stacked[::-1]):
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(w, ref_w)
+    assert spectral.jacobi_probability_quadrature(800, 1e4, 3.0)[1] is cached[1][1]
+
+
+def test_beta_rule_cache_keeps_the_last_rules_built():
+    shapes = [(1.0 + i, 2.0) for i in range(spectral._BETA_RULES_KEPT + 6)]
+    rules = spectral.jacobi_probability_quadratures(8, shapes)
+    assert len(rules) == len(shapes) and len(spectral._BETA_RULES) == spectral._BETA_RULES_KEPT
+    assert spectral.jacobi_probability_quadrature(8, *shapes[-1]) is rules[-1]
+    first = spectral.jacobi_probability_quadrature(8, *shapes[0])
+    assert first is not rules[0] and np.array_equal(first[1], rules[0][1])
 
 
 @pytest.mark.parametrize(

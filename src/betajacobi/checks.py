@@ -287,21 +287,29 @@ def _deviation_moment(k: int, support: SupportInterval) -> float:
 
 
 def _deviation(a, b, cases):
-    """cases: (k, beta, base_n); beta = 2 or k = 1 predict a zero 1/n term.
-    A kind of case that is not among them reads 0 in its worst-case value."""
+    """The 1/n coefficient of (1/n) E tr A^k against (2/beta - 1) times the
+    k-th moment of the signed deviation measure.
+
+    cases: (k, beta, base_n), each Richardson-extrapolated by
+    paths.trace_expansion from the sizes base_n, 2 base_n and 4 base_n;
+    beta = 2 or k = 1 predict a zero 1/n term.  A kind of case that is not
+    among them reads 0 in its worst-case value.
+    """
     support = SupportInterval.from_shape(a, b)
     rows, relative, null, linear, closed = [], [0.0], [0.0], [0.0], [0.0]
     for k, beta, base_n in cases:
-        rep = experiments.deviation_check(k, beta, a, b, base_n)
-        closed.append(abs(rep.expected - (2.0 / beta - 1.0) * _deviation_moment(k, support)))
+        expansion = paths.trace_expansion(k, beta, a, b, base_n)
+        order1 = expansion.order1
+        expected = (2.0 / beta - 1.0) * spectral.integrate_deviation(spectral.monomial(k), support)
+        closed.append(abs(expected - (2.0 / beta - 1.0) * _deviation_moment(k, support)))
         if k == 1:
-            linear.append(abs(rep.order1))
+            linear.append(abs(order1))
         elif beta == 2:
-            null.append(abs(rep.order1))
+            null.append(abs(order1))
         else:
-            relative.append(abs(rep.order1 / rep.expected - 1.0))
-        rows.append({"k": k, "beta": beta, "base_n": base_n, "order1": rep.order1,
-                     "expected": rep.expected, "extrapolation_residual": rep.residual})
+            relative.append(abs(order1 / expected - 1.0))
+        rows.append({"k": k, "beta": beta, "base_n": base_n, "order1": order1,
+                     "expected": expected, "extrapolation_residual": expansion.residual1})
     return {"cases": rows, "worst_relative_gap": max(relative), "worst_null_order1": max(null),
             "worst_linear_order1": max(linear), "worst_closed_form_gap": max(closed)}
 

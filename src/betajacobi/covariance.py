@@ -15,17 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import ParameterError, QuadratureError
+from .errors import ParameterError
 from .params import AsymptoticParams, SupportInterval
 from .paths import power_table, weight_polynomial
 
 __all__ = [
     "CovarianceMatrix",
-    "BasisChange",
     "entry_weights",
-    "covariance_entry",
     "covariance_matrix",
-    "monomial_to_chebyshev",
     "theory_covariance",
     "laplace_closed",
     "laplace_bessel_series",
@@ -43,7 +40,6 @@ class CovarianceMatrix:
 
     K: int
     entries: np.ndarray
-    quadrature_nodes: int
     error_estimate: float = 0.0
 
     def __post_init__(self):
@@ -53,20 +49,6 @@ class CovarianceMatrix:
 
     def entry(self, k: int, l: int) -> float:
         return float(self.entries[k - 1, l - 1])
-
-
-@dataclass(frozen=True)
-class BasisChange:
-    """Lower-triangular L with L[n, k] = coefficient of Gamma_k in x^n."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @property
-    def N(self) -> int:
-        return self.matrix.shape[0] - 1
 
 
 def entry_weights(sigma, asym: AsymptoticParams):
@@ -91,45 +73,16 @@ def _sigma_rule(nodes: int, lo: float, hi: float):
     return mid + half * t, half * w
 
 
-def _sigma_integral(k: int, l: int, asym: AsymptoticParams, nodes: int) -> float:
-    sig, w = _sigma_rule(nodes, -asym.a, 0.0)
-    x, y = entry_weights(sig, asym)
-    powers = power_table(x, y, 2 * max(k, l))
-    pk, pl = weight_polynomial(k), weight_polynomial(l)
-    dxk, dyk = pk.dx(x, y, powers), pk.dy(x, y, powers)
-    dxl, dyl = pl.dx(x, y, powers), pl.dy(x, y, powers)
-    common = (dxk * dxl + dyk * dyl) * (1.0 - x * x - y * y)
-    cross = (dxk * dyl + dyk * dxl) * (2.0 * x * y)
-    integrand = (common - cross) / (1.0 + 2.0 * sig)
-    return asym.alpha / 4.0 * float(np.sum(w * integrand))
-
-
-def covariance_entry(
-    k: int, l: int, asym: AsymptoticParams, nodes: int = DEFAULT_SIGMA_NODES
-) -> float:
-    """C_{k,l} by Gauss-Legendre quadrature over sigma in [-a, 0].
-
-    A node-doubling error estimate guards convergence; the integrand is
-    analytic on the interval (denominator 1 + 2 sigma >= 1 - 2a > 0).
-    """
-    if k < 1 or l < 1:
-        raise ParameterError("trace powers must be >= 1")
-    asym.require_bulk()
-    coarse = _sigma_integral(k, l, asym, nodes)
-    fine = _sigma_integral(k, l, asym, 2 * nodes)
-    err = abs(fine - coarse)
-    scale = max(abs(fine), 1e-30)
-    if err > 1e-6 * scale + 1e-12:
-        raise QuadratureError(
-            f"sigma quadrature not converged for C[{k},{l}]: delta={err:.3e}"
-        )
-    return fine
-
-
 def covariance_matrix(
     K: int, asym: AsymptoticParams, nodes: int = DEFAULT_SIGMA_NODES
 ) -> CovarianceMatrix:
-    """Quadrature covariance matrix for trace powers 1..K (vectorized fill)."""
+    """C_{k,l} for trace powers 1..K by Gauss-Legendre quadrature over sigma
+    in [-a, 0].
+
+    The integrand is analytic on the interval (denominator 1 + 2 sigma >=
+    1 - 2a > 0); error_estimate is the largest change of an entry when the
+    node count doubles.
+    """
     if K < 1:
         raise ParameterError("K must be >= 1")
     asym.require_bulk()
@@ -161,44 +114,19 @@ def covariance_matrix(
     coarse = fill(nodes)
     fine = fill(2 * nodes)
     err = float(np.max(np.abs(fine - coarse)))
-    return CovarianceMatrix(
-        K=K, entries=fine, quadrature_nodes=2 * nodes, error_estimate=err
-    )
-
-
-def monomial_to_chebyshev(N: int, support: SupportInterval) -> BasisChange:
-    """Expand x^n over the shifted Chebyshev basis by iterating x * Gamma_k.
-
-    x Gamma_0 = c Gamma_0 + r Gamma_1 and
-    x Gamma_k = c Gamma_k + (r/2)(Gamma_{k+1} + Gamma_{k-1}) for k >= 1.
-    """
-    if not (0 <= N <= 64):
-        raise ParameterError("basis change limited to N <= 64")
-    c, r = support.center, support.half_width
-    L = np.zeros((N + 1, N + 1))
-    L[0, 0] = 0.5
-    for n in range(1, N + 1):
-        prev = L[n - 1]
-        row = np.zeros(N + 1)
-        row += c * prev
-        row[1] += r * prev[0]
-        for k in range(1, n):
-            row[k + 1] += 0.5 * r * prev[k]
-            row[k - 1] += 0.5 * r * prev[k]
-        L[n] = row
-    return BasisChange(matrix=L)
+    return CovarianceMatrix(K=K, entries=fine, error_estimate=err)
 
 
 def theory_covariance(K: int, beta: float, support: SupportInterval) -> CovarianceMatrix:
-    """Closed-form covariance alpha * (L D L^T) restricted to powers 1..K."""
+    """Closed-form covariance alpha * (L D L^T) restricted to powers 1..K.
+
+    Row n of L holds the coefficients of x^n in the shifted Chebyshev basis
+    Gamma_k = 2 T_k on the support: half the row of spectral.monomial_table.
+    """
     if not (1 <= K <= 32):
         raise ParameterError("theory covariance limited to K <= 32")
-    basis = monomial_to_chebyshev(K, support)
-    L = basis.matrix
-    D = np.arange(K + 1, dtype=float)
-    full = (L * D) @ L.T
-    alpha = 2.0 / beta
-    return CovarianceMatrix(K=K, entries=alpha * full[1:, 1:], quadrature_nodes=0)
+    L = 0.5 * spectral.monomial_table(K, support.center, support.half_width)
+    return CovarianceMatrix(K=K, entries=spectral.limit_covariance(L[1:], beta))
 
 
 def _check_outside(value: float, support: SupportInterval, name: str) -> None:

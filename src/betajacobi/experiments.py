@@ -1,6 +1,5 @@
 """Monte Carlo harness: fluctuation runs, laws of large numbers, the
-deterministic-factor Frobenius gap, mean-trace deviations, and the extremal
-p = q = 1 moments.
+deterministic-factor Frobenius gap and the extremal p = q = 1 moments.
 
 Every check maps a statistic over the replicates with model.map_replicates,
 whose row m depends only on (seed, m), and reduces the rows.  A statistic
@@ -21,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import eig, model, paths, spectral
+from . import eig, model, spectral
 from ._version import __version__ as _version
 from .errors import ParameterError
 from .params import (
@@ -39,8 +38,6 @@ __all__ = [
     "LLNPoint",
     "lln_check",
     "trotter_gap",
-    "DeviationReport",
-    "deviation_check",
     "extremal_moments",
     "sample_summary",
     "skewness",
@@ -180,25 +177,16 @@ def run_fluctuations(config: ExperimentConfig) -> RunResult:
     params = config.params
     funcs = list(config.test_functions)
     asym = derive_asymptotic(params)
+    theory_sigma = None
+    theory_cov = None
+    nodes = 0
     if asym.extremal:
-        support = None
         statistic = spectral.trace_statistic(funcs, 0.5, 0.5)
     else:
         support = SupportInterval.from_shape(asym.a, asym.b)
         statistic = spectral.trace_statistic(funcs, support.center, support.half_width)
-    raw = model.map_replicates(params, config.seed, config.replicates, statistic)
-    means = raw.mean(axis=0)
-    samples = raw - means
-    variances = np.sum(samples**2, axis=0) / (config.replicates - 1)
-    covariance = (samples.T @ samples) / (config.replicates - 1)
-    skew = np.array([skewness(samples[:, j]) for j in range(len(funcs))])
-    kurt = np.array([excess_kurtosis(samples[:, j]) for j in range(len(funcs))])
-    ks = np.array([ks_normal_distance(samples[:, j]) for j in range(len(funcs))])
-
-    theory_sigma = None
-    theory_cov = None
-    nodes = 0
-    if support is not None:
+        # the theory comes before the sampling, so that a function it cannot
+        # resolve is refused before any replicate is drawn
         nodes = spectral.DEFAULT_NODES
         # twice the top polynomial degree keeps that degree's term out of the
         # last-decade tail that variance_functionals checks for decay
@@ -207,9 +195,16 @@ def run_fluctuations(config: ExperimentConfig) -> RunResult:
         functionals = [spectral.variance_functionals(f, terms, params.beta, support, nodes=nodes)
                        for f in funcs]
         theory_sigma = np.array([vf.sigma_sq for vf in functionals])
-        coeff_rows = np.array([vf.coefficients.fhat for vf in functionals])
-        ns = np.arange(1, terms + 1, dtype=float)
-        theory_cov = (2.0 / params.beta) * (coeff_rows[:, 1:] * ns) @ coeff_rows[:, 1:].T
+        theory_cov = spectral.limit_covariance(
+            np.array([vf.coefficients for vf in functionals]), params.beta)
+    raw = model.map_replicates(params, config.seed, config.replicates, statistic)
+    means = raw.mean(axis=0)
+    samples = raw - means
+    variances = np.sum(samples**2, axis=0) / (config.replicates - 1)
+    covariance = (samples.T @ samples) / (config.replicates - 1)
+    skew = np.array([skewness(samples[:, j]) for j in range(len(funcs))])
+    kurt = np.array([excess_kurtosis(samples[:, j]) for j in range(len(funcs))])
+    ks = np.array([ks_normal_distance(samples[:, j]) for j in range(len(funcs))])
 
     return RunResult(
         function_names=[f.name for f in funcs],
@@ -292,40 +287,11 @@ def trotter_gap(params: EnsembleParams, replicates: int, seed: int) -> float:
     return _sequential_mean(gaps[:, 0])
 
 
-@dataclass(frozen=True)
-class DeviationReport:
-    """n * (mean-trace deviation) against its signed-measure prediction."""
-
-    order1: float
-    expected: float
-    residual: float
-
-
-def deviation_check(k: int, beta: float, a: float, b: float, base_n: int = 512) -> DeviationReport:
-    """Richardson deviation of the bridge-sum mean vs (2/beta - 1) * deviation moment.
-
-    The first-order coefficient of (1/n) E tr A^k is extracted from
-    paths.trace_expansion on the sizes (base_n, 2 base_n, 4 base_n) and
-    compared with (2/beta - 1) times the k-th moment of the signed deviation
-    measure.
-    """
-    expansion = paths.trace_expansion(k, beta, a, b, base_n)
-    support = SupportInterval.from_shape(a, b)
-    nu_moment = spectral.integrate_deviation(spectral.monomial(k), support)
-    expected = (2.0 / beta - 1.0) * nu_moment
-    return DeviationReport(
-        order1=expansion.order1, expected=expected, residual=expansion.residual1
-    )
-
-
 def extremal_moments(
     n: int, beta: float, replicates: int, seed: int
 ) -> tuple[float, float]:
     """Second and fourth central moments of tr A at p = q = 1."""
     params = from_ratios(n, beta, 1.0, 1.0)
-    asym = derive_asymptotic(params)
-    if not asym.extremal:
-        raise ParameterError("extremal moments require p = q = 1")
     traces = model.map_replicates(
         params, seed, replicates, lambda grams: grams.diag.sum(axis=-1))[:, 0]
     c = traces - traces.mean()

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebmul
+from numpy.polynomial.chebyshev import chebder, chebmul, chebval
 
 from . import eig, model
 from .errors import ParameterError, QuadratureError
@@ -29,18 +29,17 @@ from .params import AsymptoticParams, SupportInterval
 __all__ = [
     "ChebyshevForm",
     "TestFunction",
-    "ChebyshevCoefficients",
     "VarianceFunctionals",
+    "monomial_table",
     "monomial",
     "exp_function",
     "piecewise_linear",
     "chebyshev_test_function",
-    "shifted_chebyshev",
     "squared_derivative",
     "trace_statistic",
     "chebyshev_coefficients",
     "variance_functionals",
-    "tau_integral",
+    "limit_covariance",
     "integrate_density",
     "edge_weight_integral",
     "integrate_deviation",
@@ -79,6 +78,14 @@ class ChebyshevForm:
         )
         moved = series.convert(domain=[center - half_width, center + half_width])
         return ChebyshevForm(tuple(moved.coef.tolist()), center, half_width)
+
+    def __call__(self, x):
+        """The polynomial at x, by Clenshaw's recurrence."""
+        return chebval((np.asarray(x, dtype=float) - self.center) / self.half_width, self.coeffs)
+
+    def derivative(self) -> "ChebyshevForm":
+        """The derivative in x, on the same map."""
+        return replace(self, coeffs=tuple(chebder(self.coeffs, scl=1.0 / self.half_width).tolist()))
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,24 @@ def _chebyshev_rows(forms: Sequence[ChebyshevForm], center: float, half_width: f
     return rows
 
 
+def monomial_table(K: int, center: float, half_width: float) -> np.ndarray:
+    """Row n, for n <= K: the coefficients of x^n in T_j((x - center) / half_width).
+
+    Each row is the one before times x = center + half_width u, with
+    u T_0 = T_1 and u T_j = (T_{j+1} + T_{j-1}) / 2 for j >= 1.
+    """
+    c, r = center, half_width
+    table = np.zeros((K + 1, K + 1))
+    table[0, 0] = 1.0
+    for n in range(1, K + 1):
+        prev, row = table[n - 1, :n], table[n]
+        row[:n] = c * prev
+        row[1] += r * prev[0]
+        row[2 : n + 1] += 0.5 * r * prev[1:]
+        row[: n - 1] += 0.5 * r * prev[1:]
+    return table
+
+
 def monomial(k: int) -> TestFunction:
     """x^k for 0 <= k <= 12."""
     if not (0 <= k <= 12):
@@ -131,14 +156,11 @@ def monomial(k: int) -> TestFunction:
             name="1",
             chebyshev=ChebyshevForm((1.0,)),
         )
-    coeffs = np.polynomial.Polynomial.basis(k).convert(
-        kind=np.polynomial.Chebyshev, domain=[0.0, 1.0]
-    ).coef
     return TestFunction(
         fn=lambda x, k=k: np.asarray(x, dtype=float) ** k,
         derivative=lambda x, k=k: k * np.asarray(x, dtype=float) ** (k - 1),
         name=f"x^{k}" if k > 1 else "x",
-        chebyshev=ChebyshevForm(tuple(coeffs.tolist())),
+        chebyshev=ChebyshevForm(tuple(monomial_table(k, 0.5, 0.5)[k].tolist())),
     )
 
 
@@ -167,46 +189,16 @@ def piecewise_linear(knots: Sequence[float], values: Sequence[float]) -> TestFun
     )
 
 
-def shifted_chebyshev(m: int, x, support: SupportInterval):
-    """2 T_m((2x - l+ - l-)/(l+ - l-)) by the three-term recurrence."""
-    if m < 0:
-        raise ParameterError("order must be nonnegative")
-    u = (np.asarray(x, dtype=float) - support.center) / support.half_width
-    if m == 0:
-        return 2.0 * np.ones_like(u)
-    t_prev = np.ones_like(u)
-    t_cur = u.copy()
-    for _ in range(m - 1):
-        t_prev, t_cur = t_cur, 2.0 * u * t_cur - t_prev
-    return 2.0 * t_cur
-
-
-def _shifted_chebyshev_derivative(m: int, x, support: SupportInterval):
-    """d/dx 2 T_m(u) = 2 m U_{m-1}(u) / r, by the second-kind recurrence."""
-    u = (np.asarray(x, dtype=float) - support.center) / support.half_width
-    if m == 0:
-        return np.zeros_like(u)
-    u_prev = np.zeros_like(u)  # U_{-1}
-    u_cur = np.ones_like(u)  # U_0
-    for _ in range(m - 1):
-        u_prev, u_cur = u_cur, 2.0 * u * u_cur - u_prev
-    return (2.0 * m / support.half_width) * u_cur
-
-
 def chebyshev_test_function(m: int, support: SupportInterval) -> TestFunction:
     """The m-th shifted Chebyshev polynomial Gamma_m = 2 T_m as a TestFunction.
 
     Its Chebyshev form is exact: the coefficient 2 at degree m on the
-    support's own map.
+    support's own map.  The function and its derivative evaluate that form.
     """
     if m < 0:
         raise ParameterError("order must be nonnegative")
-    return TestFunction(
-        fn=lambda x, m=m, s=support: shifted_chebyshev(m, x, s),
-        derivative=lambda x, m=m, s=support: _shifted_chebyshev_derivative(m, x, s),
-        name=f"gamma{m}",
-        chebyshev=ChebyshevForm((0.0,) * m + (2.0,), support.center, support.half_width),
-    )
+    form = ChebyshevForm((0.0,) * m + (2.0,), support.center, support.half_width)
+    return TestFunction(fn=form, derivative=form.derivative(), name=f"gamma{m}", chebyshev=form)
 
 
 def squared_derivative(f: TestFunction) -> TestFunction:
@@ -219,7 +211,7 @@ def squared_derivative(f: TestFunction) -> TestFunction:
         raise ParameterError("squared derivative needs the derivative of f")
     form = f.chebyshev
     if form is not None:
-        dform = chebder(form.coeffs, scl=1.0 / form.half_width)
+        dform = form.derivative().coeffs
         form = replace(form, coeffs=tuple(chebmul(dform, dform)))
     return TestFunction(
         fn=lambda x, d=f.derivative: np.asarray(d(x), dtype=float) ** 2,
@@ -345,46 +337,40 @@ def _gauss_legendre(nodes: int):
     return t, w
 
 
-@dataclass(frozen=True)
-class ChebyshevCoefficients:
-    """fhat[n] for 0 <= n <= N; fhat[0] is the theta-average of f.
-
-    fhat[0] is the coefficient of (Gamma_0 / 2); the n = 0 basis function
-    has squared norm 2, so it is stored as the plain average instead.
-    """
-
-    fhat: np.ndarray
-    N: int
-
-    def __post_init__(self):
-        self.fhat.setflags(write=False)
-
-
 def chebyshev_coefficients(
     f: Callable,
     N: int,
     support: SupportInterval,
     nodes: int = DEFAULT_NODES,
-) -> ChebyshevCoefficients:
-    """fhat[n] = (1/pi) integral of f(c + r cos t) cos(n t) dt, n >= 1."""
+) -> np.ndarray:
+    """The read-only fhat[n] = (1/pi) integral of f(c + r cos t) cos(n t) dt,
+    0 <= n <= N.
+
+    fhat[n] is the coefficient of Gamma_n for n >= 1.  fhat[0] is the
+    theta-average of f, the coefficient of Gamma_0 / 2: the n = 0 basis
+    function has squared norm 2.  On the grid of `nodes` panels cos(n t)
+    and cos((2 nodes - n) t) agree, so N must stay below `nodes`.
+    """
+    if N >= nodes:
+        raise ParameterError(
+            f"Chebyshev coefficients up to n = {N} alias on {nodes} quadrature panels "
+            f"(need n < {nodes})")
     theta, w, _, vals = _theta_values(f, support.center, support.half_width, nodes)
     wv = w * vals
     ns = np.arange(N + 1)
     fhat = (np.cos(np.outer(ns, theta)) @ wv) / math.pi
-    return ChebyshevCoefficients(fhat=fhat, N=N)
+    fhat.setflags(write=False)
+    return fhat
 
 
 @dataclass(frozen=True)
 class VarianceFunctionals:
-    """CLT variance sigma^2 = (2/beta) sum n fhat_n^2 and tau^2 = sum n^2 fhat_n^2,
-    with the coefficients they were computed from."""
+    """CLT variance sigma^2 = (2/beta) sum n fhat_n^2, with the coefficients
+    it was computed from."""
 
     sigma_sq: float
-    tau_sq: float
-    sigma_tail: float
-    tau_tail: float
     coefficients_decayed: bool
-    coefficients: ChebyshevCoefficients
+    coefficients: np.ndarray
 
 
 def variance_functionals(
@@ -394,22 +380,17 @@ def variance_functionals(
     support: SupportInterval,
     nodes: int = DEFAULT_NODES,
 ) -> VarianceFunctionals:
-    """Variance functionals from the Chebyshev coefficients.
+    """Variance functional from the Chebyshev coefficients.
 
-    The tail fields hold the contribution of the last decade of
-    coefficients; visible non-decay triggers a warning state.
+    Coefficients of the last decade that do not visibly decay trigger a
+    warning and clear coefficients_decayed.
     """
-    coeffs = chebyshev_coefficients(f, N, support, nodes=nodes)
+    fhat = chebyshev_coefficients(f, N, support, nodes=nodes)
     ns = np.arange(1, N + 1)
-    sq = coeffs.fhat[1:] ** 2
-    sigma = (2.0 / beta) * float(np.sum(ns * sq))
-    tau = float(np.sum(ns * ns * sq))
+    sigma = (2.0 / beta) * float(np.sum(ns * fhat[1:] ** 2))
     cut = max(1, N - max(N // 10, 1))
-    tail_idx = ns >= cut
-    sigma_tail = (2.0 / beta) * float(np.sum(ns[tail_idx] * sq[tail_idx]))
-    tau_tail = float(np.sum((ns[tail_idx] ** 2) * sq[tail_idx]))
-    head = float(np.max(np.abs(coeffs.fhat[1:]), initial=0.0))
-    tail_mag = float(np.max(np.abs(coeffs.fhat[1:][tail_idx]), initial=0.0))
+    head = float(np.max(np.abs(fhat[1:]), initial=0.0))
+    tail_mag = float(np.max(np.abs(fhat[1:][ns >= cut]), initial=0.0))
     decayed = tail_mag <= max(1e-6 * head, 1e-13)
     if not decayed:
         warnings.warn(
@@ -417,29 +398,17 @@ def variance_functionals(
             "the function may not be smooth enough for the variance formula",
             stacklevel=2,
         )
-    return VarianceFunctionals(
-        sigma_sq=sigma,
-        tau_sq=tau,
-        sigma_tail=sigma_tail,
-        tau_tail=tau_tail,
-        coefficients_decayed=decayed,
-        coefficients=coeffs,
-    )
+    return VarianceFunctionals(sigma_sq=sigma, coefficients_decayed=decayed, coefficients=fhat)
 
 
-def tau_integral(f: TestFunction, support: SupportInterval, nodes: int = DEFAULT_NODES) -> float:
-    """(1/2pi) integral of |f'|^2 sqrt((l+ - x)(x - l-)) dx, in theta form."""
-    r = support.half_width
-    theta, w, _, vals = _theta_values(squared_derivative(f), support.center, r, nodes)
-    return float(np.sum(w * vals * (r * np.sin(theta)) ** 2) / (2.0 * math.pi))
+def limit_covariance(fhat: np.ndarray, beta: float) -> np.ndarray:
+    """Limiting covariance (2/beta) sum_{n >= 1} n fhat[i, n] fhat[j, n] of
+    the statistics whose Chebyshev coefficients are the rows of fhat."""
+    ns = np.arange(1, fhat.shape[1], dtype=float)
+    return (2.0 / beta) * (fhat[:, 1:] * ns) @ fhat[:, 1:].T
 
 
-def integrate_density(
-    f: Callable,
-    asym: AsymptoticParams,
-    nodes: int = DEFAULT_NODES,
-    support: SupportInterval | None = None,
-) -> float:
+def integrate_density(f: Callable, asym: AsymptoticParams, nodes: int = DEFAULT_NODES) -> float:
     """Integral of f against the limiting spectral density.
 
     The density is sqrt(-(x - l-)(x - l+)) / (2 pi a x (1 - x)); in theta
@@ -447,7 +416,7 @@ def integrate_density(
     Endpoint limits are substituted when an edge sits at 0 or 1.
     """
     asym.require_bulk()
-    sup = support if support is not None else SupportInterval.from_shape(asym.a, asym.b)
+    sup = SupportInterval.from_shape(asym.a, asym.b)
     r = sup.half_width
     theta, w, x, vals = _theta_values(f, sup.center, r, nodes)
     denom = x * (1.0 - x)

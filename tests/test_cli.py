@@ -359,6 +359,14 @@ def test_too_few_replicates_exit_one(capsys, argv):
     assert json.loads(out)["error"]["type"] == "validation"
 
 
+def test_aliased_theory_degree_is_validation_error(capsys):
+    # the theory of gamma1400 read 4096 instead of 1400 after a full run
+    code, out = _run(capsys, "fluct", "--funcs", "gamma1400")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "validation" and "alias" in error["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ["concentration", "--check", "coupling", "--sizes", "0,100"],
     ["eig", "--matrices", "5", "--seed", "-1"],
@@ -483,6 +491,28 @@ def test_benchmark_argv_parses():
         args = cli._build_parser().parse_args(argv)
         assert args.subcommand == call[0]
         cli._resolve(args)
+
+
+@pytest.mark.parametrize("argv,observed", [
+    (["cov", "--verify"], "covariance.covariance_matrix"),
+    (["fluct", "--n", "16", "--funcs", "gamma1,x^2", "--reps", "8"], "spectral.variance_functionals"),
+], ids=["cov", "fluct"])
+def test_traced_benchmark_child_runs(tmp_path, argv, observed):
+    # the traced benchmark wraps library functions and reads fields of their
+    # results; a library change that breaks one of its observers fails here
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    record = tmp_path / "record.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "child.py"), str(record), "1",
+         "--out", str(tmp_path / "report.json"), *argv],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    doc = json.loads(record.read_text())
+    assert doc["exit"] == 0
+    assert {"covariance.max_error_estimate", "spectral.undecayed"} <= set(doc["counters"])
+    assert observed in doc["spans"]
 
 
 @pytest.mark.parametrize("argv,side", [

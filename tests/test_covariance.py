@@ -37,11 +37,10 @@ def test_entry_weights_domain(asym):
 def test_spot_entries(asym, support):
     r = support.half_width
     c = support.center
-    assert covariance.covariance_entry(1, 1, asym) == pytest.approx(3 / 64, abs=1e-10)
-    assert covariance.covariance_entry(2, 2, asym) == pytest.approx(105 / 2048, abs=1e-8)
-    assert covariance.covariance_entry(1, 2, asym) == pytest.approx(
-        (r / 2) * (c * r), abs=1e-10
-    )
+    cov = covariance.covariance_matrix(2, asym)
+    assert cov.entry(1, 1) == pytest.approx(3 / 64, abs=1e-10)
+    assert cov.entry(2, 2) == pytest.approx(105 / 2048, abs=1e-8)
+    assert cov.entry(1, 2) == pytest.approx((r / 2) * (c * r), abs=1e-10)
 
 
 @pytest.mark.parametrize("beta", [4.0, 2.0, 1.0])
@@ -58,15 +57,6 @@ def test_matrix_symmetric_and_psd(asym):
     assert np.linalg.eigvalsh(cov.entries).min() >= -1e-10
 
 
-def test_matrix_agrees_with_entry(asym):
-    cov = covariance.covariance_matrix(4, asym)
-    for k in (1, 3):
-        for l in (2, 4):
-            assert cov.entry(k, l) == pytest.approx(
-                covariance.covariance_entry(k, l, asym), abs=1e-12
-            )
-
-
 def test_quadrature_error_shrinks_geometrically(asym):
     reference = covariance.covariance_matrix(6, asym, nodes=400).entries
     err25 = np.max(np.abs(covariance.covariance_matrix(6, asym, nodes=25).entries - reference))
@@ -75,8 +65,9 @@ def test_quadrature_error_shrinks_geometrically(asym):
 
 
 def test_basis_change_rows(support):
+    # x^n in the shifted Chebyshev basis Gamma_k = 2 T_k: half the table row
     c, r = support.center, support.half_width
-    L = covariance.monomial_to_chebyshev(4, support).matrix
+    L = 0.5 * spectral.monomial_table(4, c, r)
     assert L[0, 0] == 0.5
     assert L[1, 0] == pytest.approx(c / 2) and L[1, 1] == pytest.approx(r / 2)
     assert L[2, 0] == pytest.approx(c * c / 2 + r * r / 4)
@@ -86,9 +77,9 @@ def test_basis_change_rows(support):
 
 def test_basis_change_reconstructs_monomials(support):
     N = 10
-    L = covariance.monomial_to_chebyshev(N, support).matrix
+    L = 0.5 * spectral.monomial_table(N, support.center, support.half_width)
     xs = np.linspace(support.lambda_minus, support.lambda_plus, 9)
-    gammas = np.vstack([spectral.shifted_chebyshev(k, xs, support) for k in range(N + 1)])
+    gammas = np.vstack([spectral.chebyshev_test_function(k, support)(xs) for k in range(N + 1)])
     for n in range(N + 1):
         recon = L[n] @ gammas
         assert np.max(np.abs(recon - xs**n)) <= 1e-12
@@ -114,8 +105,8 @@ def test_constant_shift_changes_nothing(support):
     # covariances depend only on coefficients with index >= 1
     f = spectral.monomial(2)
     shifted = spectral.TestFunction(fn=lambda x: f(x) + 7.5, name="shifted")
-    a1 = spectral.chebyshev_coefficients(f, 8, support).fhat[1:]
-    a2 = spectral.chebyshev_coefficients(shifted, 8, support).fhat[1:]
+    a1 = spectral.chebyshev_coefficients(f, 8, support)[1:]
+    a2 = spectral.chebyshev_coefficients(shifted, 8, support)[1:]
     assert np.max(np.abs(a1 - a2)) <= 1e-12
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import betajacobi as bj
+from betajacobi import checks
 from betajacobi import concentration as conc
 from betajacobi import experiments as ex
 from betajacobi import model, spectral
@@ -150,16 +151,29 @@ def test_run_fluctuations_computes_coefficients_once_per_function(monkeypatch):
 @pytest.mark.parametrize("beta", [1.0, 2.0])
 def test_theory_reaches_high_chebyshev_degrees(beta):
     # Gamma_m = 2 T_m has the single coefficient 1 at degree m, so its CLT
-    # variance is (2/beta) m whatever m; a series cut at a fixed length lost m > 64
+    # variance is (2/beta) m whatever m; a series cut at a fixed length lost
+    # m > 64.  m = 1023 is the top degree whose 2 m terms stay below the panels
     params = bj.from_ratios(32, beta, 2.0, 2.0)
     support = bj.support_edges(bj.derive_asymptotic(params))
-    orders = (3, 60, 70, 100)
+    orders = (3, 60, 70, 100, 1023)
     funcs = [spectral.chebyshev_test_function(m, support) for m in orders]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a polynomial shows no false "no visible decay"
         res = ex.run_fluctuations(ex.ExperimentConfig(params=params, test_functions=funcs,
                                                       replicates=4, seed=0))
     assert res.theory_sigma_sq == pytest.approx([2.0 / beta * m for m in orders], rel=1e-9)
+
+
+def test_theory_refuses_aliased_chebyshev_degrees(monkeypatch):
+    # 2 * 1024 terms alias on the 2048 theory panels (read 4096 before); the
+    # run is refused before any replicate is drawn
+    monkeypatch.setattr(model, "map_replicates", lambda *args: pytest.fail("sampled"))
+    params = bj.from_ratios(32, 2.0, 2.0, 2.0)
+    support = bj.support_edges(bj.derive_asymptotic(params))
+    with pytest.raises(ParameterError, match="alias"):
+        ex.run_fluctuations(ex.ExperimentConfig(
+            params=params, test_functions=[spectral.chebyshev_test_function(1024, support)],
+            replicates=4, seed=0))
 
 
 def test_config_accepts_numpy_integer_replicates():
@@ -270,24 +284,28 @@ def test_trotter_gap_properties():
     assert model.frobenius_gap_sq(det, det) == 0.0
 
 
+def _deviation_case(k, beta, base_n):
+    return checks._deviation(0.25, 0.5, ((k, beta, base_n),))["cases"][0]
+
+
 def test_deviation_check_vanishing_cases():
-    rep1 = ex.deviation_check(1, 4.0, 0.25, 0.5, 64)
-    assert abs(rep1.order1) <= 1e-10 and abs(rep1.expected) <= 1e-10
-    rep2 = ex.deviation_check(2, 2.0, 0.25, 0.5, 256)
-    assert abs(rep2.order1) <= 1e-6 and rep2.expected == pytest.approx(0.0, abs=1e-12)
+    rep1 = _deviation_case(1, 4.0, 64)
+    assert abs(rep1["order1"]) <= 1e-10 and abs(rep1["expected"]) <= 1e-10
+    rep2 = _deviation_case(2, 2.0, 256)
+    assert abs(rep2["order1"]) <= 1e-6 and rep2["expected"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_deviation_check_beta_four():
-    rep = ex.deviation_check(2, 4.0, 0.25, 0.5, 512)
-    assert rep.expected == pytest.approx(-3.0 / 128.0, abs=1e-10)
-    assert rep.order1 == pytest.approx(rep.expected, rel=0.01)
+    rep = _deviation_case(2, 4.0, 512)
+    assert rep["expected"] == pytest.approx(-3.0 / 128.0, abs=1e-10)
+    assert rep["order1"] == pytest.approx(rep["expected"], rel=0.01)
 
 
 def test_deviation_check_quartic():
     # (2/beta - 1) nu(x^4) = -(1/2)(97/512 - 443/4096) at a = 1/4, b = 1/2
-    rep = ex.deviation_check(4, 4.0, 0.25, 0.5, 512)
-    assert rep.expected == pytest.approx(-333.0 / 8192.0, abs=1e-10)
-    assert rep.order1 == pytest.approx(rep.expected, rel=0.01)
+    rep = _deviation_case(4, 4.0, 512)
+    assert rep["expected"] == pytest.approx(-333.0 / 8192.0, abs=1e-10)
+    assert rep["order1"] == pytest.approx(rep["expected"], rel=0.01)
 
 
 def test_extremal_moments_beta_one_and_two():
@@ -297,12 +315,6 @@ def test_extremal_moments_beta_one_and_two():
     assert m4 / m2**2 == pytest.approx(3.0, rel=0.10)  # Gaussian kurtosis
     m2b, _ = ex.extremal_moments(2000, 1.0, 10000, seed=13)
     assert m2b == pytest.approx(1.0 / 8.0, rel=0.05)
-
-
-def test_extremal_moments_requires_unit_ratios():
-    # internal construction pins p = q = 1; the guard trips if not extremal
-    with pytest.raises(ParameterError):
-        ex.extremal_moments(0, 2.0, 10, seed=0)
 
 
 def test_diagnostic_helpers_on_gaussian():

@@ -21,16 +21,20 @@ def support(asym):
 
 def test_shifted_chebyshev_base_cases(support):
     xs = np.linspace(0.0, 1.0, 7)
-    assert np.allclose(spectral.shifted_chebyshev(0, xs, support), 2.0)
-    assert spectral.shifted_chebyshev(1, support.center, support) == pytest.approx(0.0, abs=1e-14)
-    assert spectral.shifted_chebyshev(1, support.lambda_plus, support) == pytest.approx(2.0)
+    gamma0, gamma1 = (spectral.chebyshev_test_function(m, support) for m in (0, 1))
+    assert np.allclose(gamma0(xs), 2.0)
+    assert gamma1(support.center) == pytest.approx(0.0, abs=1e-14)
+    assert gamma1(support.lambda_plus) == pytest.approx(2.0)
 
 
 def test_shifted_chebyshev_cosine_identity(support):
-    x = support.center + support.half_width * math.cos(math.pi / 9)
-    assert spectral.shifted_chebyshev(3, x, support) == pytest.approx(
-        2 * math.cos(math.pi / 3), abs=1e-12
-    )
+    # Gamma_m(c + r cos t) = 2 cos(m t); t is read back from x as the form
+    # reads it, so that rounding x is not charged to the evaluation
+    x = support.center + support.half_width * np.cos(np.linspace(0.0, math.pi, 37))
+    theta = np.arccos((x - support.center) / support.half_width)
+    for m in range(101):
+        got = spectral.chebyshev_test_function(m, support)(x)
+        assert np.max(np.abs(got - 2.0 * np.cos(m * theta))) <= 1e-13, m
 
 
 def test_chebyshev_forms_match_functions(support):
@@ -40,9 +44,7 @@ def test_chebyshev_forms_match_functions(support):
     for m in range(31):
         form = spectral.chebyshev_test_function(m, support).chebyshev
         assert form.coeffs == (0.0,) * m + (2.0,)
-        u = (xs - form.center) / form.half_width
-        ref = spectral.shifted_chebyshev(m, xs, support)
-        assert np.max(np.abs(chebval(u, form.coeffs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert (form.center, form.half_width) == (support.center, support.half_width)
     for k in range(13):
         form = spectral.monomial(k).chebyshev
         assert (form.center, form.half_width) == (0.5, 0.5)
@@ -50,6 +52,14 @@ def test_chebyshev_forms_match_functions(support):
         moved = form.on(support.center, support.half_width)
         u = (xs - support.center) / support.half_width
         assert np.max(np.abs(chebval(u, moved.coeffs) - xs**k)) <= 1e-13
+
+
+def test_monomial_forms_match_numpy_basis_change():
+    # numpy's own basis change is the reference, bit for bit
+    for k in range(13):
+        reference = np.polynomial.Polynomial.basis(k).convert(
+            kind=np.polynomial.Chebyshev, domain=[0.0, 1.0]).coef
+        assert spectral.monomial(k).chebyshev.coeffs == tuple(reference.tolist()), k
 
 
 def test_chebyshev_form_identity_move_is_exact(support):
@@ -72,16 +82,23 @@ def test_chebyshev_derivative_closed_form(support):
 
 def test_coefficients_of_basis_functions(support):
     f2 = spectral.chebyshev_test_function(2, support)
-    coeffs = spectral.chebyshev_coefficients(f2, 6, support)
-    expected = np.zeros(7)
-    expected[2] = 1.0
-    assert np.max(np.abs(coeffs.fhat - np.array([0, 0, 1, 0, 0, 0, 0]))) <= 1e-12
+    fhat = spectral.chebyshev_coefficients(f2, 6, support)
+    assert np.max(np.abs(fhat - np.array([0, 0, 1, 0, 0, 0, 0]))) <= 1e-12
+    assert not fhat.flags.writeable
+
+
+def test_chebyshev_coefficients_refuse_aliased_degrees(support):
+    # cos(n t) and cos((2 nodes - n) t) agree on the grid of `nodes` panels
+    f = spectral.chebyshev_test_function(5, support)
+    assert spectral.chebyshev_coefficients(f, 63, support, nodes=64)[5] == pytest.approx(1.0)
+    with pytest.raises(ParameterError, match="alias"):
+        spectral.chebyshev_coefficients(f, 64, support, nodes=64)
 
 
 def test_orthonormality_grid(support):
     for m in range(1, 11):
         fm = spectral.chebyshev_test_function(m, support)
-        fhat = spectral.chebyshev_coefficients(fm, 10, support).fhat
+        fhat = spectral.chebyshev_coefficients(fm, 10, support)
         expected = np.zeros(11)
         expected[m] = 1.0
         assert np.max(np.abs(fhat - expected)) <= 1e-10
@@ -89,10 +106,10 @@ def test_orthonormality_grid(support):
 
 def test_coefficients_of_linear_and_quadratic(support):
     c, r = support.center, support.half_width
-    lin = spectral.chebyshev_coefficients(spectral.monomial(1), 5, support).fhat
+    lin = spectral.chebyshev_coefficients(spectral.monomial(1), 5, support)
     assert lin[1] == pytest.approx(r / 2, abs=1e-13)
     assert np.max(np.abs(lin[2:])) <= 1e-13
-    quad = spectral.chebyshev_coefficients(spectral.monomial(2), 5, support).fhat
+    quad = spectral.chebyshev_coefficients(spectral.monomial(2), 5, support)
     assert quad[1] == pytest.approx(c * r, abs=1e-13)
     assert quad[2] == pytest.approx(r * r / 4, abs=1e-13)
 
@@ -103,19 +120,11 @@ def test_variance_functionals_basis(support):
             fi = spectral.chebyshev_test_function(i, support)
             vf = spectral.variance_functionals(fi, 32, beta, support)
             assert vf.sigma_sq == pytest.approx(2.0 / beta * i, rel=1e-10)
-            assert vf.tau_sq == pytest.approx(float(i * i), rel=1e-10)
-            assert vf.tau_sq >= vf.sigma_sq * beta / 2 - 1e-12
 
 
 def test_variance_functional_linear(support):
     vf = spectral.variance_functionals(spectral.monomial(1), 32, 2.0, support)
     assert vf.sigma_sq == pytest.approx(support.half_width**2 / 4, rel=1e-12)
-
-
-def test_tau_identity_cubic(support):
-    f = spectral.monomial(3)
-    vf = spectral.variance_functionals(f, 32, 2.0, support)
-    assert vf.tau_sq == pytest.approx(spectral.tau_integral(f, support), abs=1e-8)
 
 
 def test_density_mass_and_moments(asym, support):
@@ -162,22 +171,18 @@ def test_arcsine_integral():
     assert spectral.arcsine_integral(spectral.monomial(1)) == pytest.approx(0.5, abs=1e-12)
 
 
-# log(x - min x) and its derivative: infinite at the lowest node of any grid
-_SINGULAR = spectral.TestFunction(fn=lambda x: np.log(x - np.min(x)),
-                                  derivative=lambda x: 1.0 / (x - np.min(x)), name="log")
-_LOG = spectral.TestFunction(fn=np.log, derivative=lambda x: 1.0 / x, name="log")
+# log(x - min x): infinite at the lowest node of any grid
+_SINGULAR = spectral.TestFunction(fn=lambda x: np.log(x - np.min(x)), name="log")
 
 
 @pytest.mark.parametrize("integral", [
     lambda s, a: spectral.chebyshev_coefficients(_SINGULAR, 8, s),
-    lambda s, a: spectral.tau_integral(_SINGULAR, s),
     lambda s, a: spectral.integrate_density(_SINGULAR, a),
     lambda s, a: spectral.integrate_deviation(_SINGULAR, s),
     lambda s, a: spectral.arcsine_integral(_SINGULAR),
     lambda s, a: spectral.arcsine_integral(np.log),
-    lambda s, a: spectral.tau_integral(_LOG, bj.SupportInterval(0.0, 0.5)),
-], ids=["chebyshev_coefficients", "tau_integral", "integrate_density", "integrate_deviation",
-        "arcsine_integral", "arcsine_integral-log", "tau_integral-log-edge"])
+], ids=["chebyshev_coefficients", "integrate_density", "integrate_deviation",
+        "arcsine_integral", "arcsine_integral-log"])
 def test_non_finite_integrand_raises_quadrature_error(integral, support, asym):
     with np.errstate(divide="ignore"), pytest.raises(QuadratureError):
         integral(support, asym)

@@ -6,6 +6,8 @@ runner that returns the measured values, its gates, each written once as
 (quantity, comparison, threshold), its full (acceptance) and quick inputs
 and its seed.  `verify-all`, the check subcommands and the acceptance
 suite all go through `run`, so no threshold is written anywhere else.
+Each Monte Carlo runner samples with model.map_replicates and reduces the
+rows itself; criterion 7's calls experiments.run_fluctuations, as `fluct` does.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from . import concentration, covariance, eig, experiments, model, paths, spectral
-from .params import EnsembleParams, SupportInterval, from_ratios, shape_params, support_edges
+from .errors import ExtremalRegimeError, ParameterError
+from .params import (EnsembleParams, SupportInterval, derive_asymptotic, from_ratios,
+                     shape_params, support_edges)
 
 __all__ = ["Gate", "Check", "GateResult", "Outcome", "REGISTRY", "CHECKS", "run", "report"]
 
@@ -255,9 +259,7 @@ def _clt(n, betas, reps, seed):
     funcs.append(spectral.monomial(1))
     ratios, cov_z, skew, kurt = {}, 0.0, {}, {}
     for beta in betas:
-        res = experiments.run_fluctuations(experiments.ExperimentConfig(
-            params=from_ratios(n, beta, 2.0, 2.0), test_functions=funcs, replicates=reps,
-            seed=seed))
+        res = experiments.run_fluctuations(from_ratios(n, beta, 2.0, 2.0), funcs, reps, seed)
         # closed forms: (2/beta) m for gamma_m, (2/beta) r^2/4 for x
         targets = [(2.0 / beta) * m for m in (1, 2, 3, 4)]
         targets.append((2.0 / beta) * support.half_width**2 / 4)
@@ -379,14 +381,32 @@ def _beta_poincare(shapes):
 
 
 def _jacobi_poincare(sizes, beta, p, q, func, reps, seed):
+    """Var tr f(A) against (alpha / (4 n min(p-1, q-1))) E tr (f')^2(A) per size,
+    both over the replicates with their standard errors, for p, q > 1; one
+    spectral.trace_statistic gives both traces."""
+    statistics = spectral.trace_statistic([func, spectral.squared_derivative(func)])
     points, worst_z = [], math.inf
     for n in sizes:
-        rep = concentration.jacobi_poincare_check(from_ratios(n, beta, p, q), func, reps, seed)
+        params = from_ratios(n, beta, p, q)
+        asym = derive_asymptotic(params)
+        margin = min(asym.p - 1.0, asym.q - 1.0)
+        if margin <= 0:
+            raise ExtremalRegimeError("variance bound needs p > 1 and q > 1")
+        # contiguous rows, so no reduction below depends on the stride of a column view
+        traces, grads = np.ascontiguousarray(
+            model.map_replicates(params, seed, reps, statistics).T)
+        centered = traces - traces.mean()
+        variance = float(centered @ centered) / (reps - 1)
+        variance_se = math.sqrt(max(float(np.var(centered**2)) / reps, 0.0))
+        prefactor = asym.alpha / (4.0 * params.n * margin)
+        bound = prefactor * float(grads.mean())
+        bound_se = prefactor * float(grads.std(ddof=1)) / math.sqrt(reps)
+        ratio = variance / bound if bound > 0 else (0.0 if variance == 0.0 else math.inf)
         # bound - variance in units of the summed standard errors
-        gap, se = rep.bound - rep.variance, rep.variance_se + rep.bound_se
+        gap, se = bound - variance, variance_se + bound_se
         worst_z = min(worst_z, gap / se if se > 0 else (math.inf if gap > 0 else -math.inf))
-        points.append({"n": n, "variance": rep.variance, "bound": rep.bound, "ratio": rep.ratio,
-                       "variance_se": rep.variance_se, "bound_se": rep.bound_se})
+        points.append({"n": n, "variance": variance, "bound": bound, "ratio": ratio,
+                       "variance_se": variance_se, "bound_se": bound_se})
     return {"points": points, "min_separation_z": worst_z}
 
 
@@ -399,29 +419,68 @@ def _coupling(sizes, p, q):
             "doubling_rel_gap": {str(n): rep.doubling_rel_gap for n, rep in reports.items()}}
 
 
+def _sequential_mean(values: np.ndarray) -> float:
+    """Mean summed left to right in replicate order (not numpy's pairwise sum,
+    which rounds differently and would move fixed-seed results)."""
+    return float(np.add.accumulate(values)[-1]) / values.shape[0]
+
+
 def _frobenius_gap(sizes, reps, seed):
-    ratios = [experiments.trotter_gap(from_ratios(n, 2.0, 2.0, 2.0), reps, seed) / math.log(n)
-              for n in sizes]
+    """Monte Carlo E || B B^T - B_inf B_inf^T ||_F^2 over log n, per size."""
+    ratios = []
+    for n in sizes:
+        params = from_ratios(n, 2.0, 2.0, 2.0)
+        det = model.assemble_gram(model.deterministic_factor(params))
+        gaps = model.map_replicates(
+            params, seed, reps, lambda grams: model.frobenius_gap_sq(grams, det))
+        ratios.append(_sequential_mean(gaps[:, 0]) / math.log(n))
     return {"gap_over_log_n": ratios, "band_ratio": max(ratios) / min(ratios)}
 
 
 def _extremal(n, beta, reps, seed):
-    m2, m4 = experiments.extremal_moments(n, beta, reps, seed)
+    """Second and fourth central moments of tr A at p = q = 1 against their limits."""
+    traces = model.map_replicates(
+        from_ratios(n, beta, 1.0, 1.0), seed, reps, lambda grams: grams.diag.sum(axis=-1))[:, 0]
+    c = traces - traces.mean()
+    m2, m4 = float(np.mean(c**2)), float(np.mean(c**4))
     t2, t4 = 1.0 / (8.0 * beta), 3.0 / (64.0 * beta * beta)
     return {"second_moment": m2, "fourth_moment": m4, "expected_second": t2,
             "expected_fourth": t4, "second_moment_gap": abs(m2 / t2 - 1.0),
             "fourth_moment_gap": abs(m4 / t4 - 1.0)}
 
 
+_REGIMES = ("sublinear", "proportional", "superlinear")
+
+
 def _lln(regimes, sizes, func, beta, p, q, reps, seed):
+    """Distance of the mean of tr f(A) / n to its regime limit, per regime and size.
+
+    The schedules' asymmetric offsets give the finite-n first moment a genuine
+    O(1/n) bias toward the limit; symmetric ones would leave only Monte Carlo noise.
+    """
+    statistic = spectral.trace_statistic([func])
     points, violations = [], 0
     for regime in regimes:
-        pts = experiments.lln_check(regime, sizes, func, beta=beta, p=p, q=q,
-                                    replicates=reps, seed=seed)
-        dists = [pt.distance for pt in pts]
+        if regime not in _REGIMES:
+            raise ParameterError(f"regime must be one of {_REGIMES}")
+        dists = []
+        for n in sizes:
+            if regime == "sublinear":
+                n1, n2 = n + 3.0, n + 5.0
+                target = spectral.arcsine_integral(func)
+            elif regime == "proportional":
+                n1, n2 = p * n + 1.0, q * n
+                target = spectral.integrate_density(
+                    func, shape_params(1.0 / (p + q), p / (p + q), beta))
+            else:
+                n1, n2 = float(n) ** 2, float(n) ** 2 + n
+                target = float(func(np.asarray(0.5)))  # limit of (n1-n)/(n1+n2-2n)
+            params = EnsembleParams(n=n, beta=beta, n1=n1, n2=n2)
+            value = _sequential_mean(model.map_replicates(params, seed, reps, statistic)[:, 0] / n)
+            dists.append(abs(value - target))
+            points.append({"regime": regime, "n": n, "n1": n1, "n2": n2, "value": value,
+                           "target": target, "distance": dists[-1]})
         violations = max(violations, sum(dists[i + 1] >= dists[i] for i in range(len(dists) - 1)))
-        points += [{"regime": regime, "n": pt.n, "n1": pt.n1, "n2": pt.n2, "value": pt.value,
-                    "target": pt.target, "distance": pt.distance} for pt in pts]
     return {"points": points, "monotonicity_violations": violations}
 
 

@@ -175,13 +175,18 @@ def _ensemble_from(v: dict) -> EnsembleParams:
 
 
 _EXTREMAL = "Chebyshev test functions need non-extremal parameters"
+# Top order of a gammaK or xK token: the 2K terms of its theory series stay
+# below the panels of the theory grid.  It is checked before any form is
+# built, as a range gammaI..gammaJ builds J forms at O(J) each.
+_MAX_ORDER = spectral.DEFAULT_NODES // 2 - 1
 
 
 def _parse_funcs(spec_str: str, params, no_support: str = _EXTREMAL) -> list:
     """Tokens: gammaK, gammaI..gammaJ (I <= J), x, xK, exp, pwl.
 
     gammaK lives on the support of params; without params, or with extremal
-    ones, a gammaK token is a usage error that says no_support.
+    ones, a gammaK token is a usage error that says no_support.  An order
+    above _MAX_ORDER is a ParameterError.
     """
     asym = None if params is None else derive_asymptotic(params)
     support = None if asym is None or asym.extremal else support_edges(asym)
@@ -238,6 +243,10 @@ def _parse_sizes(spec) -> list:
 def _order(digits: str, token: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise _UsageError(f"bad order in test function {token!r}")
+    # the length first: int() refuses a string of more than 4300 digits
+    if len(digits.lstrip("0")) > len(str(_MAX_ORDER)) or int(digits) > _MAX_ORDER:
+        raise ParameterError(f"the order of {token!r} is above {_MAX_ORDER}: its theory series "
+                             f"would alias on the {spectral.DEFAULT_NODES} quadrature panels")
     return int(digits)
 
 
@@ -311,11 +320,8 @@ def _cmd_cov(v: dict) -> tuple[dict, bool]:
 
 def _cmd_fluct(v: dict) -> tuple[dict, bool]:
     params = _ensemble_from(v)
-    config = experiments.ExperimentConfig(
-        params=params, test_functions=_parse_funcs(v["funcs"], params),
-        replicates=v["reps"], seed=v["seed"],
-    )
-    result = experiments.run_fluctuations(config)
+    result = experiments.run_fluctuations(params, _parse_funcs(v["funcs"], params), v["reps"],
+                                          v["seed"])
     if v["csv"]:
         result.write_samples_csv(v["csv"])
     return result.to_json_dict(), True

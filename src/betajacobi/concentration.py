@@ -1,5 +1,6 @@
-"""Testable concentration inequalities: Beta Poincare, ensemble variance
-bound, and the sqrt-Beta to Gaussian coupling gap.
+"""Deterministic numerics of the concentration criteria: the Beta Poincare
+ratio and the sqrt-Beta to Gaussian coupling gap.  The Monte Carlo ensemble
+variance bound is a runner of betajacobi.checks.
 
 Beta expectations are computed with Gauss nodes from the spectral module's
 recurrence machinery (no new solver); the coupling uses the comonotone
@@ -18,14 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, spectral
-from .errors import ExtremalRegimeError, ParameterError, QuadratureError
-from .params import EnsembleParams, derive_asymptotic
+from . import spectral
+from .errors import ParameterError, QuadratureError
 
 __all__ = [
     "PoincareReport",
     "beta_poincare_ratio",
-    "jacobi_poincare_check",
     "CouplingReport",
     "coupling_report",
     "coupling_gap",
@@ -43,8 +42,6 @@ class PoincareReport:
     variance: float
     bound: float
     ratio: float
-    variance_se: float = 0.0
-    bound_se: float = 0.0
 
 
 def beta_poincare_ratio(
@@ -73,47 +70,6 @@ def beta_poincare_ratio(
     bound = float(w @ (weight * dsq)) / scale
     ratio = variance / bound if bound > 0 else (0.0 if variance == 0.0 else math.inf)
     return PoincareReport(variance=variance, bound=bound, ratio=ratio)
-
-
-def jacobi_poincare_check(
-    params: EnsembleParams,
-    f: spectral.TestFunction,
-    replicates: int,
-    seed: int,
-) -> PoincareReport:
-    """Monte Carlo check of the ensemble variance bound.
-
-    Compares Var tr f(A) with (alpha / (4 n min(p-1, q-1))) E sum f'(l_i)^2,
-    both estimated over the replicate set; standard errors are attached.
-    Both are linear statistics, tr f(A) and tr (f')^2(A), so one
-    spectral.trace_statistic computes them.  Requires the non-extremal
-    regime p, q > 1.
-    """
-    if f.derivative is None:
-        raise ParameterError("variance bound needs the derivative of f")
-    asym = derive_asymptotic(params)
-    margin = min(asym.p - 1.0, asym.q - 1.0)
-    if margin <= 0:
-        raise ExtremalRegimeError("variance bound needs p > 1 and q > 1")
-    statistics = spectral.trace_statistic([f, spectral.squared_derivative(f)])
-    # contiguous rows, so no reduction below depends on the stride of a column view
-    stats = model.map_replicates(params, seed, replicates, statistics)
-    traces, grads = np.ascontiguousarray(stats.T)
-    centered = traces - traces.mean()
-    variance = float(centered @ centered) / (replicates - 1)
-    m2 = centered**2
-    variance_se = math.sqrt(max(float(np.var(m2)) / replicates, 0.0))
-    prefactor = asym.alpha / (4.0 * params.n * margin)
-    bound = prefactor * float(grads.mean())
-    bound_se = prefactor * float(grads.std(ddof=1)) / math.sqrt(replicates)
-    ratio = variance / bound if bound > 0 else (0.0 if variance == 0.0 else math.inf)
-    return PoincareReport(
-        variance=variance,
-        bound=bound,
-        ratio=ratio,
-        variance_se=variance_se,
-        bound_se=bound_se,
-    )
 
 
 # Doubling schedule of the Gauss-Hermite coupling rule: the first rule, and

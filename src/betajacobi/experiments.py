@@ -1,14 +1,15 @@
-"""Monte Carlo harness: fluctuation runs, laws of large numbers, the
-deterministic-factor Frobenius gap and the extremal p = q = 1 moments.
+"""Monte Carlo harness: the fluctuation run behind `fluct` and criterion 7,
+the one-factor `sample` summary and the moment and KS reductions.
 
-Every check maps a statistic over the replicates with model.map_replicates,
-whose row m depends only on (seed, m), and reduces the rows.  A statistic
-takes a block of b stacked Gram matrices (diag (b, n), b = max(1, 2^14 // n))
-and returns b rows; the rows are bit-identical whatever the block size.
-Linear statistics tr f(A) come from spectral.trace_statistic: banded
-Chebyshev traces on the run's map (the support, or [0, 1] for extremal
-parameters) when every test function is a polynomial, the eigensolver's
-spectrum otherwise.
+run_fluctuations maps a statistic over the replicates with
+model.map_replicates, whose row m depends only on (seed, m), and reduces the
+rows; the registry's other Monte Carlo checks (betajacobi.checks) do the
+same in their own runners.  A statistic takes a block of b stacked Gram
+matrices (diag (b, n), b = max(1, 2^14 // n)) and returns b rows; the rows
+are bit-identical whatever the block size.  Linear statistics tr f(A) come
+from spectral.trace_statistic: banded Chebyshev traces on the run's map (the
+support, or [0, 1] for extremal parameters) when every test function is a
+polynomial, the eigensolver's spectrum otherwise.
 """
 
 from __future__ import annotations
@@ -23,22 +24,11 @@ import numpy as np
 from . import eig, model, spectral
 from ._version import __version__ as _version
 from .errors import ParameterError
-from .params import (
-    EnsembleParams,
-    SupportInterval,
-    derive_asymptotic,
-    from_ratios,
-    shape_params,
-)
+from .params import EnsembleParams, SupportInterval, derive_asymptotic
 
 __all__ = [
-    "ExperimentConfig",
     "RunResult",
     "run_fluctuations",
-    "LLNPoint",
-    "lln_check",
-    "trotter_gap",
-    "extremal_moments",
     "sample_summary",
     "skewness",
     "excess_kurtosis",
@@ -47,19 +37,6 @@ __all__ = [
 
 # Chebyshev terms of a theory series; run_fluctuations lengthens it for polynomials of high degree
 THEORY_N = 64
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    params: EnsembleParams
-    test_functions: Sequence[spectral.TestFunction]
-    replicates: int
-    seed: int
-
-    def __post_init__(self):
-        model._replicate_count(self.replicates)
-        if not self.test_functions:
-            raise ParameterError("need at least one test function")
 
 
 @dataclass
@@ -159,23 +136,25 @@ def ks_normal_distance(x: np.ndarray) -> float:
     return float(max(np.max(i / m - cdf), np.max(cdf - (i - 1) / m)))
 
 
-def _sequential_mean(values: np.ndarray) -> float:
-    """Mean summed left to right in replicate order (not numpy's pairwise sum,
-    which rounds differently and would move fixed-seed results)."""
-    return float(np.add.accumulate(values)[-1]) / values.shape[0]
-
-
-def run_fluctuations(config: ExperimentConfig) -> RunResult:
+def run_fluctuations(
+    params: EnsembleParams,
+    funcs: Sequence[spectral.TestFunction],
+    replicates: int,
+    seed: int,
+) -> RunResult:
     """Sample X_f = tr f(A) - mean(tr f(A)) across replicates.
 
     Centering uses the empirical mean; for the replicate counts used here
     the induced variance bias is O(1/replicates).  Theory columns (CLT
     variances and pairwise covariances in the Chebyshev overlap form) are
-    attached unless the parameters are extremal.
+    attached unless the parameters are extremal.  ParameterError for fewer
+    than two replicates or no function, before any theory is built.
     """
     t0 = time.perf_counter()
-    params = config.params
-    funcs = list(config.test_functions)
+    replicates = model._replicate_count(replicates)
+    funcs = list(funcs)
+    if not funcs:
+        raise ParameterError("need at least one test function")
     asym = derive_asymptotic(params)
     theory_sigma = None
     theory_cov = None
@@ -197,11 +176,11 @@ def run_fluctuations(config: ExperimentConfig) -> RunResult:
         theory_sigma = np.array([vf.sigma_sq for vf in functionals])
         theory_cov = spectral.limit_covariance(
             np.array([vf.coefficients for vf in functionals]), params.beta)
-    raw = model.map_replicates(params, config.seed, config.replicates, statistic)
+    raw = model.map_replicates(params, seed, replicates, statistic)
     means = raw.mean(axis=0)
     samples = raw - means
-    variances = np.sum(samples**2, axis=0) / (config.replicates - 1)
-    covariance = (samples.T @ samples) / (config.replicates - 1)
+    variances = np.sum(samples**2, axis=0) / (replicates - 1)
+    covariance = (samples.T @ samples) / (replicates - 1)
     skew = np.array([skewness(samples[:, j]) for j in range(len(funcs))])
     kurt = np.array([excess_kurtosis(samples[:, j]) for j in range(len(funcs))])
     ks = np.array([ks_normal_distance(samples[:, j]) for j in range(len(funcs))])
@@ -215,8 +194,8 @@ def run_fluctuations(config: ExperimentConfig) -> RunResult:
         skewness=skew,
         excess_kurtosis=kurt,
         ks_distance=ks,
-        seed=config.seed,
-        replicates=config.replicates,
+        seed=seed,
+        replicates=replicates,
         params=params,
         theory_sigma_sq=theory_sigma,
         theory_covariance=theory_cov,
@@ -224,78 +203,6 @@ def run_fluctuations(config: ExperimentConfig) -> RunResult:
         quadrature_nodes=nodes,
         extremal=asym.extremal,
     )
-
-
-@dataclass(frozen=True)
-class LLNPoint:
-    n: int
-    n1: float
-    n2: float
-    value: float
-    target: float
-
-    @property
-    def distance(self) -> float:
-        return abs(self.value - self.target)
-
-
-_REGIMES = ("sublinear", "proportional", "superlinear")
-
-
-def lln_check(
-    regime: str,
-    sizes: Sequence[int],
-    f: spectral.TestFunction,
-    beta: float = 2.0,
-    p: float = 2.0,
-    q: float = 2.0,
-    replicates: int = 64,
-    seed: int = 0,
-) -> list:
-    """Distance of the mean linear statistic to its regime limit, per size.
-
-    Schedules carry asymmetric offsets (n1 = n+3/n+5 sublinear,
-    n1 = pn + 1 proportional, n1 = n^2 vs n2 = n^2 + n superlinear) so the
-    finite-n first moment has a genuine O(1/n) bias toward the limit;
-    symmetric schedules would leave nothing but Monte Carlo noise.
-    """
-    if regime not in _REGIMES:
-        raise ParameterError(f"regime must be one of {_REGIMES}")
-    statistic = spectral.trace_statistic([f])
-    out = []
-    for n in sizes:
-        if regime == "sublinear":
-            n1, n2 = n + 3.0, n + 5.0
-            target = spectral.arcsine_integral(f)
-        elif regime == "proportional":
-            n1, n2 = p * n + 1.0, q * n
-            target = spectral.integrate_density(f, shape_params(1.0 / (p + q), p / (p + q), beta))
-        else:
-            n1, n2 = float(n) ** 2, float(n) ** 2 + n
-            target = float(f(np.asarray(0.5)))  # limit of (n1-n)/(n1+n2-2n)
-        params = EnsembleParams(n=n, beta=beta, n1=n1, n2=n2)
-        values = model.map_replicates(params, seed, replicates, statistic)[:, 0] / n
-        out.append(LLNPoint(n=n, n1=n1, n2=n2, value=_sequential_mean(values), target=target))
-    return out
-
-
-def trotter_gap(params: EnsembleParams, replicates: int, seed: int) -> float:
-    """Monte Carlo estimate of E || B B^T - B_inf B_inf^T ||_F^2."""
-    det = model.assemble_gram(model.deterministic_factor(params))
-    gaps = model.map_replicates(
-        params, seed, replicates, lambda grams: model.frobenius_gap_sq(grams, det))
-    return _sequential_mean(gaps[:, 0])
-
-
-def extremal_moments(
-    n: int, beta: float, replicates: int, seed: int
-) -> tuple[float, float]:
-    """Second and fourth central moments of tr A at p = q = 1."""
-    params = from_ratios(n, beta, 1.0, 1.0)
-    traces = model.map_replicates(
-        params, seed, replicates, lambda grams: grams.diag.sum(axis=-1))[:, 0]
-    c = traces - traces.mean()
-    return float(np.mean(c**2)), float(np.mean(c**4))
 
 
 def sample_summary(params: EnsembleParams, seed: int, dump_path=None) -> dict:

@@ -77,10 +77,10 @@ _MASK64 = (1 << 64) - 1
 # least one replicate.  The trace engine's band arrays are a few times larger,
 # and at 2^16 they fell out of cache: n = 2000 ran no faster than one at a time.
 _BLOCK_ELEMENTS = 1 << 14
-# Doubles in the bands of T_0..T_ceil(K/2) that chebyshev_traces holds for
-# one part of a stack (2 MiB): a larger stack runs in parts, which keeps
-# them in cache at high degree (K = 20 at n = 2000 ran 1.7x slower in blocks
-# of 8 than one matrix at a time).
+# Doubles in the bands of T_{j-1}, T_j and T_{j+1} that chebyshev_traces
+# holds for one part of a stack (2 MiB): a larger stack runs in parts, which
+# keeps them in cache at high degree (K = 20 at n = 2000 ran 1.7x slower in
+# blocks of 8 than one matrix at a time).
 _TRACE_ELEMENTS = 1 << 18
 # Limits on the Beta shapes, checked once per parameter set.  A gamma draw is
 # about its shape, so far above _MAX_SHAPE the total G1 + G2 overflows to inf
@@ -484,10 +484,12 @@ def chebyshev_traces(gram: SymTridiagonal, center: float, half_width: float, K: 
     three-term recurrence T_{j+1} = 2 B T_j - T_{j-1} builds T_0..T_h for
     h = ceil(K/2) in O(n h^2), and every higher trace comes from
     tr T_{i+j} = 2 <T_i, T_j>_F - tr T_{i-j} with i = ceil(k/2), j = floor(k/2)
-    (Weisse et al., Rev. Mod. Phys. 78, 275 (2006)).  When [center -
-    half_width, center + half_width] holds the spectrum, every T_j(B) has
-    entries of size at most one, so the recurrence is stable at any degree,
-    where monomial power traces lose digits to cancellation.
+    (Weisse et al., Rev. Mod. Phys. 78, 275 (2006)).  Those two traces,
+    tr T_{2j-1} and tr T_{2j}, are taken as soon as T_j is built, so only
+    T_{j-1} and T_j are held.  When [center - half_width, center +
+    half_width] holds the spectrum, every T_j(B) has entries of size at most
+    one, so the recurrence is stable at any degree, where monomial power
+    traces lose digits to cancellation.
 
     A stack of Gram matrices gives a (..., K + 1) array, each row equal bit
     for bit to the traces of its matrix alone.  A (b, n) stack runs in parts
@@ -499,23 +501,35 @@ def chebyshev_traces(gram: SymTridiagonal, center: float, half_width: float, K: 
         raise ParameterError(f"half_width must be positive, got {half_width!r}")
     lead, n = gram.diag.shape[:-1], gram.n
     h = (K + 1) // 2
-    part = max(1, _TRACE_ELEMENTS // (n * (h + 1) * (h + 2) // 2))  # T_j has <= j + 1 bands
+    part = max(1, _TRACE_ELEMENTS // (3 * (h + 2) * n))  # T_{j-1}, T_j, T_{j+1}: <= j + 2 bands
     if len(lead) == 1 and lead[0] > part:
         return np.concatenate([
             chebyshev_traces(SymTridiagonal(gram.diag[i : i + part], gram.off[i : i + part]),
                              center, half_width, K)
             for i in range(0, lead[0], part)])
+    out = np.empty(lead + (K + 1,))
+
+    def take(j: int, cur: np.ndarray, prev) -> None:
+        """tr T_j, and tr T_{2j-1}, tr T_{2j} when above h, from T_j and T_{j-1}."""
+        out[..., j] = cur[..., 0, :].sum(axis=-1)
+        for k, other in ((2 * j - 1, prev), (2 * j, cur)):
+            if h < k <= K:
+                band_dots = np.einsum("...ij,...ij->...i", cur[..., : other.shape[-2], :], other)
+                # <T_j, other>_F: band 0 once, each off-diagonal band twice; i - j = k mod 2
+                dot = 2.0 * band_dots.sum(axis=-1) - band_dots[..., 0]
+                out[..., k] = 2.0 * dot - out[..., k % 2]
+
     b0 = ((gram.diag - center) / half_width)[..., None, :]
     b1 = (gram.off / half_width)[..., None, :]
-    bands = [np.ones(lead + (1, n))]
+    cur = np.ones(lead + (1, n))
+    take(0, cur, None)
     if h >= 1:
-        t1 = np.zeros(lead + (min(2, n), n))
-        t1[..., :1, :] = b0
-        t1[..., 1:, :-1] = b1
-        bands.append(t1)
+        prev, cur = cur, np.zeros(lead + (min(2, n), n))
+        cur[..., :1, :] = b0
+        cur[..., 1:, :-1] = b1
+        take(1, cur, prev)
     b0, b1 = 2.0 * b0, 2.0 * b1
     for j in range(1, h):
-        cur, prev = bands[j], bands[j - 1]
         rc, rows = cur.shape[-2], min(j + 2, n)
         # (2 B M)[i, i+o] = b1[i-1] M[i-1, i+o] + b0[i] M[i, i+o] + b1[i] M[i+1, i+o]
         # with b0, b1 doubled; M[i+1, i] on band 0 is read from band 1 by symmetry
@@ -527,16 +541,8 @@ def chebyshev_traces(gram: SymTridiagonal, center: float, half_width: float, K: 
         if rc > 1:
             nxt[..., :1, :-1] += b1 * cur[..., 1:2, :-1]
         nxt[..., : prev.shape[-2], :] -= prev
-        bands.append(nxt)
-    out = np.empty(lead + (K + 1,))
-    for k in range(min(K, h) + 1):
-        out[..., k] = bands[k][..., 0, :].sum(axis=-1)
-    for k in range(h + 1, K + 1):
-        i, j = k - k // 2, k // 2
-        rows = bands[j].shape[-2]
-        band_dots = np.einsum("...ij,...ij->...i", bands[i][..., :rows, :], bands[j])
-        # <T_i, T_j>_F: band 0 once, each off-diagonal band twice
-        out[..., k] = 2.0 * (2.0 * band_dots.sum(axis=-1) - band_dots[..., 0]) - out[..., i - j]
+        prev, cur = cur, nxt
+        take(j + 1, cur, prev)
     return out
 
 

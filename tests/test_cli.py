@@ -7,9 +7,9 @@ import time
 
 import pytest
 
+import betajacobi as bj
 from betajacobi import checks, cli, spectral
 from betajacobi import concentration as conc
-from betajacobi.params import from_ratios
 
 
 def _run(capsys, *argv):
@@ -368,6 +368,26 @@ def test_aliased_theory_degree_is_validation_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["fluct", "--funcs", "gamma1..gamma100000"],
+    ["lln", "--func", "gamma1024"],
+    ["fluct", "--funcs", "gamma" + "9" * 5000],  # beyond int()'s 4300 digits
+], ids=["fluct-gamma-range", "lln-gamma1024", "fluct-gamma-5000-digits"])
+def test_gamma_order_above_theory_grid_refused_before_building(capsys, monkeypatch, argv):
+    # a range gamma1..gammaJ built J forms, quadratic in J, before the theory
+    # refused them; the order is now checked first
+    monkeypatch.setattr(spectral, "chebyshev_test_function", lambda *a: pytest.fail("built"))
+    code, out = _run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "validation"
+
+
+def test_gamma_order_at_the_limit_parses():
+    params = bj.from_ratios(32, 2.0, 2.0, 2.0)
+    (f,) = cli._parse_funcs(f"gamma{cli._MAX_ORDER}", params)
+    assert cli._MAX_ORDER == 1023 and len(f.chebyshev.coeffs) == 1024
+
+
+@pytest.mark.parametrize("argv", [
     ["concentration", "--check", "coupling", "--sizes", "0,100"],
     ["eig", "--matrices", "5", "--seed", "-1"],
     ["verify-all", "--quick", "--seed", "-1"],
@@ -386,10 +406,10 @@ def test_concentration_jacobi_runs_the_named_function(capsys):
         code, out = _run(capsys, *argv, "--func", func)
         assert code == 0
         results[func] = json.loads(out)["results"]
-    rep = conc.jacobi_poincare_check(from_ratios(32, 2.0, 2.0, 2.0), spectral.monomial(2), 50, 3)
-    assert results["x2"]["points"][0]["variance"] == rep.variance
-    assert results["x2"]["points"][0]["bound"] == rep.bound
-    assert results["gamma3"]["points"][0]["variance"] != rep.variance
+    rep = checks._jacobi_poincare((32,), 2.0, 2.0, 2.0, spectral.monomial(2), 50, 3)["points"][0]
+    assert results["x2"]["points"][0]["variance"] == rep["variance"]
+    assert results["x2"]["points"][0]["bound"] == rep["bound"]
+    assert results["gamma3"]["points"][0]["variance"] != rep["variance"]
 
 
 def test_fluct_fixed_seed_matches_monomial_trace_route(tmp_path, capsys):
@@ -496,7 +516,10 @@ def test_benchmark_argv_parses():
 @pytest.mark.parametrize("argv,observed", [
     (["cov", "--verify"], "covariance.covariance_matrix"),
     (["fluct", "--n", "16", "--funcs", "gamma1,x^2", "--reps", "8"], "spectral.variance_functionals"),
-], ids=["cov", "fluct"])
+    (["lln", "--sizes", "40,80", "--reps", "4"], "spectral.trace_statistic"),
+    (["concentration", "--check", "jacobi", "--n", "16", "--reps", "20"],
+     "spectral.squared_derivative"),
+], ids=["cov", "fluct", "lln", "concentration-jacobi"])
 def test_traced_benchmark_child_runs(tmp_path, argv, observed):
     # the traced benchmark wraps library functions and reads fields of their
     # results; a library change that breaks one of its observers fails here

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import betaincinv, ndtri
 
 import betajacobi as bj
+from betajacobi import checks
 from betajacobi import concentration as conc
 from betajacobi import spectral
 from betajacobi.errors import ExtremalRegimeError, ParameterError, QuadratureError
@@ -49,33 +50,35 @@ def test_poincare_requires_derivative():
     f = spectral.TestFunction(fn=lambda x: np.asarray(x) ** 2, name="noderiv")
     with pytest.raises(ParameterError):
         conc.beta_poincare_ratio(2.0, 2.0, f)
+    with pytest.raises(ParameterError, match="derivative"):
+        _jacobi_point(64, 2.0, 2.0, f, 10, 0)
+
+
+def _jacobi_point(n, p, q, f, reps, seed):
+    """The ensemble variance bound of criterion 12 at one size, beta = 2."""
+    return checks._jacobi_poincare((n,), 2.0, p, q, f, reps, seed)["points"][0]
 
 
 def test_jacobi_variance_bound_holds():
-    params = bj.from_ratios(128, 2.0, 2.0, 2.0)
-    rep = conc.jacobi_poincare_check(params, spectral.monomial(1), 2000, seed=17)
-    assert rep.variance + 3 * rep.variance_se < rep.bound - 3 * rep.bound_se
-    assert rep.ratio < 1.0
+    rep = _jacobi_point(128, 2.0, 2.0, spectral.monomial(1), 2000, 17)
+    assert rep["variance"] + 3 * rep["variance_se"] < rep["bound"] - 3 * rep["bound_se"]
+    assert rep["ratio"] < 1.0
 
 
 def test_jacobi_bound_prefactor_n_independent():
     # for f(x) = x the bound is alpha/(4 min(p-1, q-1)) independent of n
     bounds = {}
     for n in (64, 256):
-        rep = conc.jacobi_poincare_check(
-            bj.from_ratios(n, 2.0, 2.0, 2.0), spectral.monomial(1), 400, seed=5
-        )
-        bounds[n] = rep.bound
+        bounds[n] = _jacobi_point(n, 2.0, 2.0, spectral.monomial(1), 400, 5)["bound"]
     assert bounds[64] == pytest.approx(bounds[256], rel=1e-10)
     assert bounds[64] == pytest.approx(0.25, rel=1e-10)  # alpha/4 at beta = 2
 
 
 def test_jacobi_bound_constant_function_degenerate():
-    params = bj.from_ratios(64, 2.0, 2.0, 2.0)
-    rep = conc.jacobi_poincare_check(params, spectral.monomial(0), 200, seed=1)
-    assert rep.variance <= 1e-20
-    assert rep.bound == 0.0
-    assert rep.ratio == 0.0
+    rep = _jacobi_point(64, 2.0, 2.0, spectral.monomial(0), 200, 1)
+    assert rep["variance"] <= 1e-20
+    assert rep["bound"] == 0.0
+    assert rep["ratio"] == 0.0
 
 
 def test_jacobi_bound_trace_route_matches_eigensolver():
@@ -83,17 +86,15 @@ def test_jacobi_bound_trace_route_matches_eigensolver():
     support = bj.support_edges(bj.derive_asymptotic(params))
     for f in (spectral.monomial(3), spectral.chebyshev_test_function(5, support)):
         spectrum_f = spectral.TestFunction(fn=f.fn, derivative=f.derivative, name=f.name)
-        fast = conc.jacobi_poincare_check(params, f, 40, seed=3)
-        slow = conc.jacobi_poincare_check(params, spectrum_f, 40, seed=3)
-        assert fast.variance == pytest.approx(slow.variance, rel=1e-9)
-        assert fast.bound == pytest.approx(slow.bound, rel=1e-11)
+        fast = _jacobi_point(96, 2.0, 3.0, f, 40, 3)
+        slow = _jacobi_point(96, 2.0, 3.0, spectrum_f, 40, 3)
+        assert fast["variance"] == pytest.approx(slow["variance"], rel=1e-9)
+        assert fast["bound"] == pytest.approx(slow["bound"], rel=1e-11)
 
 
 def test_jacobi_bound_rejects_extremal():
     with pytest.raises(ExtremalRegimeError):
-        conc.jacobi_poincare_check(
-            bj.from_ratios(64, 2.0, 1.0, 1.0), spectral.monomial(1), 100, seed=0
-        )
+        _jacobi_point(64, 1.0, 1.0, spectral.monomial(1), 100, 0)
 
 
 def test_coupling_gap_positive_and_scaling():

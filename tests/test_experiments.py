@@ -6,7 +6,6 @@ import pytest
 
 import betajacobi as bj
 from betajacobi import checks
-from betajacobi import concentration as conc
 from betajacobi import experiments as ex
 from betajacobi import model, spectral
 from betajacobi.errors import ParameterError
@@ -21,13 +20,7 @@ def support():
 def small_run(support):
     funcs = [spectral.chebyshev_test_function(i, support) for i in (1, 2, 3)]
     funcs.append(spectral.monomial(1))
-    cfg = ex.ExperimentConfig(
-        params=bj.from_ratios(500, 2.0, 2.0, 2.0),
-        test_functions=funcs,
-        replicates=3000,
-        seed=101,
-    )
-    return ex.run_fluctuations(cfg)
+    return ex.run_fluctuations(bj.from_ratios(500, 2.0, 2.0, 2.0), funcs, 3000, 101)
 
 
 def test_fluctuation_variances_near_theory(small_run):
@@ -52,13 +45,7 @@ def test_normality_diagnostics_small(small_run):
 
 
 def test_constant_function_is_null():
-    cfg = ex.ExperimentConfig(
-        params=bj.from_ratios(200, 2.0, 2.0, 2.0),
-        test_functions=[spectral.monomial(0)],
-        replicates=50,
-        seed=7,
-    )
-    res = ex.run_fluctuations(cfg)
+    res = ex.run_fluctuations(bj.from_ratios(200, 2.0, 2.0, 2.0), [spectral.monomial(0)], 50, 7)
     assert np.max(np.abs(res.samples)) <= 1e-12 * 200
 
 
@@ -79,8 +66,7 @@ def test_map_replicates_matches_hand_loop(support):
     assert scalars.shape == (64, 1)
     assert np.array_equal(scalars[:, 0], traces)
     funcs = [spectral.chebyshev_test_function(1, support), spectral.monomial(2)]
-    config = ex.ExperimentConfig(params=params, test_functions=funcs, replicates=64, seed=99)
-    first, again = ex.run_fluctuations(config), ex.run_fluctuations(config)
+    first, again = (ex.run_fluctuations(params, funcs, 64, 99) for _ in range(2))
     assert np.array_equal(first.samples, again.samples)
     assert np.array_equal(first.covariance, again.covariance)
 
@@ -96,15 +82,17 @@ def test_normal_cdf_matches_scipy_ndtr():
 def test_fixed_seed_values_pinned():
     # values computed by each check's own replicate loop before the checks
     # shared model.map_replicates; the engine reproduces them exactly
-    assert ex.trotter_gap(bj.from_ratios(128, 2.0, 2.0, 2.0), 10, seed=41) == 0.10104380031024267
-    assert ex.extremal_moments(200, 2.0, 500, seed=51) == (
+    gap = checks._frobenius_gap((128,), 10, seed=41)
+    assert gap["gap_over_log_n"] == [0.10104380031024267 / math.log(128)]
+    moments = checks._extremal(200, 2.0, 500, seed=51)
+    assert (moments["second_moment"], moments["fourth_moment"]) == (
         0.05736713133015508, 0.009201598777808332)
-    points = ex.lln_check("proportional", [100, 200], spectral.monomial(1), replicates=8, seed=61)
-    assert [p.value for p in points] == [0.5014124900926948, 0.5007355963343174]
-    rep = conc.jacobi_poincare_check(bj.from_ratios(64, 2.0, 2.0, 2.0), spectral.monomial(1),
-                                     200, seed=31)
-    assert rep.variance == 0.044310163964314454
-    assert rep.bound == 0.25
+    lln = checks._lln(("proportional",), (100, 200), spectral.monomial(1), 2.0, 2.0, 2.0, 8, 61)
+    assert [p["value"] for p in lln["points"]] == [0.5014124900926948, 0.5007355963343174]
+    point = checks._jacobi_poincare(
+        (64,), 2.0, 2.0, 2.0, spectral.monomial(1), 200, 31)["points"][0]
+    assert point["variance"] == 0.044310163964314454
+    assert point["bound"] == 0.25
 
 
 def test_fixed_seed_routes_pinned():
@@ -113,20 +101,19 @@ def test_fixed_seed_routes_pinned():
     params = bj.from_ratios(64, 2.0, 2.0, 2.0)
     support = bj.support_edges(bj.derive_asymptotic(params))
     funcs = [spectral.chebyshev_test_function(m, support) for m in (1, 2)] + [spectral.monomial(1)]
-    res = ex.run_fluctuations(ex.ExperimentConfig(params=params, test_functions=funcs,
-                                                  replicates=300, seed=17))
+    res = ex.run_fluctuations(params, funcs, 300, 17)
     assert res.means.tolist() == [0.015188175732993905, -42.62113950382774, 32.00328833650548]
     assert res.variances.tolist() == [1.069165291349699, 2.0862887840659923, 0.050117123032017284]
-    res = ex.run_fluctuations(ex.ExperimentConfig(
-        params=bj.from_ratios(32, 1.0, 2.0, 3.0),
-        test_functions=[spectral.exp_function(), spectral.monomial(1)], replicates=100, seed=19))
+    res = ex.run_fluctuations(bj.from_ratios(32, 1.0, 2.0, 3.0),
+                              [spectral.exp_function(), spectral.monomial(1)], 100, 19)
     assert res.means.tolist() == [48.95113194347157, 12.801933903498886]
     assert res.variances.tolist() == [0.18764429718401832, 0.07599718956256034]
-    rep = conc.jacobi_poincare_check(bj.from_ratios(48, 2.0, 2.0, 3.0), spectral.monomial(2),
-                                     150, seed=23)
-    assert rep == conc.PoincareReport(
-        variance=0.03467013226956315, bound=0.20814005391079185, ratio=0.16657116983558895,
-        variance_se=0.0040801564863553585, bound_se=0.0003167312263757197)
+    point = checks._jacobi_poincare(
+        (48,), 2.0, 2.0, 3.0, spectral.monomial(2), 150, 23)["points"][0]
+    assert point == {
+        "n": 48, "variance": 0.03467013226956315, "bound": 0.20814005391079185,
+        "ratio": 0.16657116983558895, "variance_se": 0.0040801564863553585,
+        "bound_se": 0.0003167312263757197}
 
 
 def test_run_fluctuations_computes_coefficients_once_per_function(monkeypatch):
@@ -142,8 +129,7 @@ def test_run_fluctuations_computes_coefficients_once_per_function(monkeypatch):
     support = bj.support_edges(bj.derive_asymptotic(params))
     funcs = [spectral.chebyshev_test_function(2, support), spectral.monomial(1),
              spectral.exp_function()]
-    res = ex.run_fluctuations(ex.ExperimentConfig(params=params, test_functions=funcs,
-                                                  replicates=4, seed=0))
+    res = ex.run_fluctuations(params, funcs, 4, 0)
     assert calls == ["gamma2", "x", "exp"]
     assert res.theory_covariance.diagonal() == pytest.approx(res.theory_sigma_sq, rel=1e-12)
 
@@ -159,8 +145,7 @@ def test_theory_reaches_high_chebyshev_degrees(beta):
     funcs = [spectral.chebyshev_test_function(m, support) for m in orders]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a polynomial shows no false "no visible decay"
-        res = ex.run_fluctuations(ex.ExperimentConfig(params=params, test_functions=funcs,
-                                                      replicates=4, seed=0))
+        res = ex.run_fluctuations(params, funcs, 4, 0)
     assert res.theory_sigma_sq == pytest.approx([2.0 / beta * m for m in orders], rel=1e-9)
 
 
@@ -171,27 +156,24 @@ def test_theory_refuses_aliased_chebyshev_degrees(monkeypatch):
     params = bj.from_ratios(32, 2.0, 2.0, 2.0)
     support = bj.support_edges(bj.derive_asymptotic(params))
     with pytest.raises(ParameterError, match="alias"):
-        ex.run_fluctuations(ex.ExperimentConfig(
-            params=params, test_functions=[spectral.chebyshev_test_function(1024, support)],
-            replicates=4, seed=0))
+        ex.run_fluctuations(params, [spectral.chebyshev_test_function(1024, support)], 4, 0)
 
 
 def test_config_accepts_numpy_integer_replicates():
-    cfg = ex.ExperimentConfig(params=bj.from_ratios(16, 2.0, 2.0, 2.0),
-                              test_functions=[spectral.monomial(1)], replicates=np.int32(5), seed=0)
-    assert ex.run_fluctuations(cfg).samples.shape == (5, 1)
+    res = ex.run_fluctuations(bj.from_ratios(16, 2.0, 2.0, 2.0), [spectral.monomial(1)],
+                              np.int32(5), 0)
+    assert res.samples.shape == (5, 1) and res.to_json_dict()["replicates"] == 5
 
 
 _REPLICATE_CALLERS = {
-    "run_fluctuations": lambda r: ex.run_fluctuations(ex.ExperimentConfig(
-        params=bj.from_ratios(16, 2.0, 2.0, 2.0), test_functions=[spectral.monomial(1)],
-        replicates=r, seed=0)),
-    "lln_check": lambda r: ex.lln_check("proportional", [16], spectral.monomial(1),
-                                        replicates=r, seed=0),
-    "trotter_gap": lambda r: ex.trotter_gap(bj.from_ratios(16, 2.0, 2.0, 2.0), r, seed=0),
-    "extremal_moments": lambda r: ex.extremal_moments(16, 2.0, r, seed=0),
-    "jacobi_poincare_check": lambda r: conc.jacobi_poincare_check(
-        bj.from_ratios(16, 2.0, 2.0, 2.0), spectral.monomial(1), r, seed=0),
+    "run_fluctuations": lambda r: ex.run_fluctuations(
+        bj.from_ratios(16, 2.0, 2.0, 2.0), [spectral.monomial(1)], r, 0),
+    "lln_check": lambda r: checks._lln(("proportional",), (16,), spectral.monomial(1),
+                                       2.0, 2.0, 2.0, r, 0),
+    "trotter_gap": lambda r: checks._frobenius_gap((16,), r, 0),
+    "extremal_moments": lambda r: checks._extremal(16, 2.0, r, 0),
+    "jacobi_poincare_check": lambda r: checks._jacobi_poincare(
+        (16,), 2.0, 2.0, 2.0, spectral.monomial(1), r, 0),
 }
 
 
@@ -208,21 +190,14 @@ def test_polynomial_fast_path_matches_eigensolver(support):
         spectral.TestFunction(fn=f.fn, derivative=f.derivative, name=f.name, chebyshev=None)
         for f in poly_funcs
     ]
-    base = dict(params=bj.from_ratios(80, 2.0, 2.0, 2.0), replicates=32, seed=5)
-    fast = ex.run_fluctuations(ex.ExperimentConfig(test_functions=poly_funcs, **base))
-    slow = ex.run_fluctuations(ex.ExperimentConfig(test_functions=eig_funcs, **base))
+    params = bj.from_ratios(80, 2.0, 2.0, 2.0)
+    fast = ex.run_fluctuations(params, poly_funcs, 32, 5)
+    slow = ex.run_fluctuations(params, eig_funcs, 32, 5)
     assert np.max(np.abs(fast.samples - slow.samples)) <= 1e-8 * 80
 
 
 def test_extremal_run_suppresses_theory():
-    res = ex.run_fluctuations(
-        ex.ExperimentConfig(
-            params=bj.from_ratios(100, 2.0, 1.0, 1.0),
-            test_functions=[spectral.monomial(1)],
-            replicates=32,
-            seed=0,
-        )
-    )
+    res = ex.run_fluctuations(bj.from_ratios(100, 2.0, 1.0, 1.0), [spectral.monomial(1)], 32, 0)
     assert res.extremal
     assert res.theory_sigma_sq is None and res.theory_covariance is None
 
@@ -238,48 +213,51 @@ def test_run_result_serialization(small_run, tmp_path):
     assert len(lines) == small_run.replicates + 1
 
 
+def _lln_points(regime, sizes, f, reps, seed):
+    """The points of the LLN runner at beta = p = q = 2."""
+    return checks._lln((regime,), sizes, f, 2.0, 2.0, 2.0, reps, seed)["points"]
+
+
 def test_lln_proportional_first_moment():
-    pts = ex.lln_check("proportional", [5000], spectral.monomial(1), replicates=2, seed=3)
-    assert pts[0].distance <= 0.01
+    pts = _lln_points("proportional", (5000,), spectral.monomial(1), 2, 3)
+    assert pts[0]["distance"] <= 0.01
 
 
 def test_lln_all_regimes_shrink():
-    sizes = [125, 250, 500, 1000]
+    sizes = (125, 250, 500, 1000)
     for regime in ("sublinear", "proportional", "superlinear"):
-        pts = ex.lln_check(regime, sizes, spectral.monomial(1), replicates=48, seed=11)
-        d = [p.distance for p in pts]
+        d = [p["distance"] for p in _lln_points(regime, sizes, spectral.monomial(1), 48, 11)]
         violations = sum(1 for i in range(len(d) - 1) if d[i + 1] >= d[i])
         assert violations <= 1, (regime, d)
 
 
 def test_lln_targets():
-    pts = ex.lln_check("sublinear", [64], spectral.monomial(1), replicates=2, seed=0)
-    assert pts[0].target == pytest.approx(0.5, abs=1e-10)
-    pts = ex.lln_check("superlinear", [64], spectral.monomial(2), replicates=2, seed=0)
-    assert pts[0].target == pytest.approx(0.25, abs=1e-12)
-    pts = ex.lln_check("proportional", [64], spectral.monomial(1), replicates=2, seed=0)
-    assert pts[0].target == pytest.approx(0.5, abs=1e-10)
+    pts = _lln_points("sublinear", (64,), spectral.monomial(1), 2, 0)
+    assert pts[0]["target"] == pytest.approx(0.5, abs=1e-10)
+    pts = _lln_points("superlinear", (64,), spectral.monomial(2), 2, 0)
+    assert pts[0]["target"] == pytest.approx(0.25, abs=1e-12)
+    pts = _lln_points("proportional", (64,), spectral.monomial(1), 2, 0)
+    assert pts[0]["target"] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_lln_trace_route_matches_eigensolver():
     f = spectral.monomial(2)
     spectrum_f = spectral.TestFunction(fn=f.fn, derivative=f.derivative, name=f.name)
     for regime in ("sublinear", "proportional"):
-        fast = ex.lln_check(regime, [50, 200], f, replicates=4, seed=2)
-        slow = ex.lln_check(regime, [50, 200], spectrum_f, replicates=4, seed=2)
+        fast = _lln_points(regime, (50, 200), f, 4, 2)
+        slow = _lln_points(regime, (50, 200), spectrum_f, 4, 2)
         for a, b in zip(fast, slow):
-            assert a.value == pytest.approx(b.value, rel=1e-12)
+            assert a["value"] == pytest.approx(b["value"], rel=1e-12)
 
 
 def test_lln_regime_validation():
     with pytest.raises(ParameterError):
-        ex.lln_check("linearish", [64], spectral.monomial(1))
+        _lln_points("linearish", (64,), spectral.monomial(1), 64, 0)
 
 
 def test_trotter_gap_properties():
     params = bj.from_ratios(128, 2.0, 2.0, 2.0)
-    gap = ex.trotter_gap(params, 10, seed=2)
-    assert gap >= 0.0
+    assert checks._frobenius_gap((128,), 10, seed=2)["gap_over_log_n"][0] >= 0.0
     det = model.assemble_gram(model.deterministic_factor(params))
     assert model.frobenius_gap_sq(det, det) == 0.0
 
@@ -309,11 +287,12 @@ def test_deviation_check_quartic():
 
 
 def test_extremal_moments_beta_one_and_two():
-    m2, m4 = ex.extremal_moments(2000, 2.0, 10000, seed=11)
+    moments = checks._extremal(2000, 2.0, 10000, seed=11)
+    m2, m4 = moments["second_moment"], moments["fourth_moment"]
     assert m2 == pytest.approx(1.0 / 16.0, rel=0.05)
     assert m4 == pytest.approx(3.0 / 256.0, rel=0.10)
     assert m4 / m2**2 == pytest.approx(3.0, rel=0.10)  # Gaussian kurtosis
-    m2b, _ = ex.extremal_moments(2000, 1.0, 10000, seed=13)
+    m2b = checks._extremal(2000, 1.0, 10000, seed=13)["second_moment"]
     assert m2b == pytest.approx(1.0 / 8.0, rel=0.05)
 
 
@@ -327,9 +306,7 @@ def test_diagnostic_helpers_on_gaussian():
 
 def test_config_validation():
     params = bj.from_ratios(16, 2.0, 2.0, 2.0)
-    with pytest.raises(ParameterError):
-        ex.ExperimentConfig(params=params, test_functions=[], replicates=10, seed=0)
-    with pytest.raises(ParameterError):
-        ex.ExperimentConfig(
-            params=params, test_functions=[spectral.monomial(1)], replicates=1, seed=0
-        )
+    with pytest.raises(ParameterError, match="test function"):
+        ex.run_fluctuations(params, [], 10, 0)
+    with pytest.raises(ParameterError, match="two replicates"):
+        ex.run_fluctuations(params, [spectral.monomial(1)], 1, 0)

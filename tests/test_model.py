@@ -596,6 +596,26 @@ def test_chebyshev_traces_of_a_stack_match_each_matrix(monkeypatch, trace_elemen
             assert np.array_equal(row, model.chebyshev_traces(gram, support.center, support.half_width, K))
 
 
+def test_chebyshev_traces_hold_two_band_arrays():
+    # tr T_{2j-1} and tr T_{2j} are taken as T_j is built, so the engine holds
+    # T_{j-1}, T_j and T_{j+1}: 3 (h + 2) n doubles; the gate allows twice
+    # that for the recurrence's temporaries.  All of T_0..T_h is (h + 1) / 6
+    # times the footprint, 33 times at h = 200
+    import tracemalloc
+
+    n, K = 400, 400
+    gram = model.assemble_gram(
+        model.sample_factor(bj.from_ratios(n, 2.0, 2.0, 2.0), model.replicate_stream(3, 0)))
+    h = (K + 1) // 2
+    tracemalloc.start()
+    try:
+        model.chebyshev_traces(gram, 0.5, 0.5, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * 3 * (h + 2) * n
+
+
 def test_factor_arrays_read_only():
     factor = model.sample_factor(bj.from_ratios(4, 2.0, 2.0, 2.0), model.replicate_stream(0, 0))
     with pytest.raises(ValueError):

@@ -41,14 +41,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class _Subcommand(argparse._SubParsersAction):
-    """Records the chosen subparser and its tokens; _resolve parses them after the config file."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        namespace.subcommand, namespace.tokens = values[0], values[1:]
-        namespace.subparser = self.choices[values[0]]
-
-
 def _rational(text: str) -> float:
     """A positive rational such as 4 or 1/2, as a float."""
     try:
@@ -66,55 +58,71 @@ _KINDS = {"int": int, "float": float, "str": str, "rational": _rational}
 _ENSEMBLE = "n:int=100 beta:float=2 p:float=2 q:float=2 n1:float n2:float seed:int=0"
 
 
+# Each subcommand: its help line, its flags as "dest:kind" or "dest:kind=default"
+# (the default written as the flag's text; kind switch is a store_true flag),
+# then the flags that need more keywords, in the order they are declared.
+_SUBCOMMANDS = {
+    "sample": ("sample a factor and its spectrum", _ENSEMBLE,
+               {"--dump-factor": {"help": "CSV dump of raw draws and entries"}}),
+    "eig": ("eigensolver self-checks", "matrices:int=1000 max_n:int=512 seed:int=0", {}),
+    "spectrum": ("limiting measure identities",
+                 f"a:float=0.25 b:float=0.5 nodes:int={spectral.DEFAULT_NODES}", {}),
+    "cov": ("covariance diagonalization and Laplace forms",
+            f"a:float=0.25 b:float=0.5 beta:float=2 K:int=8 "
+            f"nodes:int={covariance.DEFAULT_SIGMA_NODES} verify:switch", {}),
+    "fluct": ("CLT fluctuation run", _ENSEMBLE + " reps:int=10000",
+              {"--funcs": {"default": "gamma1..gamma4", "help": "e.g. gamma1..gamma4,x"},
+               "--csv": {"help": "write raw samples to this CSV"}}),
+    "lln": ("law-of-large-numbers distances",
+            "func:str=x beta:float=2 p:float=2 q:float=2 reps:int=64 seed:int=0",
+            {"--regime": {"default": "proportional",
+                          "choices": ("sublinear", "proportional", "superlinear")},
+             "--sizes": {"default": "250,500,1000,2000", "help": "comma-separated n values"}}),
+    "expect": ("mean-trace deviation of x^k, 1 <= k <= 8, via float bridge sums",
+               "k:int=2 base_n:int=512 beta:rational=4 a:rational=1/4 b:rational=1/2", {}),
+    "extremal": ("p = q = 1 trace moments",
+                 "n:int=5000 beta:float=2 reps:int=20000 seed:int=0", {}),
+    # --p and --q default to 2 for --check jacobi and to 1 for coupling
+    "concentration": ("Poincare and coupling checks",
+                      "n:int=256 beta:float=2 p:float q:float func:str=x reps:int=4000 "
+                      "seed:int=0 sizes:str=100,1000,10000",
+                      {"--check": {"default": "beta", "choices": ("beta", "jacobi", "coupling")}}),
+    "verify-all": ("run every acceptance check", "seed:int",
+                   {"--quick": {"action": "store_true", "help": "reduced inputs; standard-error "
+                                "gates widen to the replicate count"}}),
+}
+
+
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="betajacobi", description=__doc__)
+    """--config, --out, then the subcommand and every token after it, which
+    _resolve parses with that subcommand's parser alone."""
+    parser = _Parser(prog="betajacobi", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter,
+                     epilog="subcommands:\n" + "\n".join(
+                         f"  {name:<15} {spec[0]}" for name, spec in _SUBCOMMANDS.items()))
     parser.add_argument("--config", help="JSON file with flag values (flags override)")
     parser.add_argument("--out", help="write the JSON report to this path")
-    sub = parser.add_subparsers(dest="subcommand", required=True, action=_Subcommand)
-
-    def add(name: str, help_text: str, flags: str = "") -> argparse.ArgumentParser:
-        """A subcommand with flags given as "dest:kind" or "dest:kind=default", the
-        default written as the flag's text; kind switch is a store_true flag."""
-        p = sub.add_parser(name, help=help_text)
-        for item in flags.split():
-            spec, _, default = item.partition("=")
-            dest, kind = spec.split(":")
-            flag = "--" + dest.replace("_", "-")
-            if kind == "switch":
-                p.add_argument(flag, dest=dest, action="store_true")
-            else:
-                p.add_argument(flag, dest=dest, type=_KINDS[kind],
-                               default=_KINDS[kind](default) if default else None)
-        return p
-
-    p = add("sample", "sample a factor and its spectrum", _ENSEMBLE)
-    p.add_argument("--dump-factor", dest="dump_factor", help="CSV dump of raw draws and entries")
-    add("eig", "eigensolver self-checks", "matrices:int=1000 max_n:int=512 seed:int=0")
-    add("spectrum", "limiting measure identities",
-        f"a:float=0.25 b:float=0.5 nodes:int={spectral.DEFAULT_NODES}")
-    add("cov", "covariance diagonalization and Laplace forms",
-        f"a:float=0.25 b:float=0.5 beta:float=2 K:int=8 "
-        f"nodes:int={covariance.DEFAULT_SIGMA_NODES} verify:switch")
-    p = add("fluct", "CLT fluctuation run", _ENSEMBLE + " reps:int=10000")
-    p.add_argument("--funcs", default="gamma1..gamma4", help="e.g. gamma1..gamma4,x")
-    p.add_argument("--csv", help="write raw samples to this CSV")
-    p = add("lln", "law-of-large-numbers distances",
-            "func:str=x beta:float=2 p:float=2 q:float=2 reps:int=64 seed:int=0")
-    p.add_argument("--regime", default="proportional",
-                   choices=("sublinear", "proportional", "superlinear"))
-    p.add_argument("--sizes", default="250,500,1000,2000", help="comma-separated n values")
-    add("expect", "mean-trace deviation of x^k, 1 <= k <= 8, via float bridge sums",
-        "k:int=2 base_n:int=512 beta:rational=4 a:rational=1/4 b:rational=1/2")
-    add("extremal", "p = q = 1 trace moments", "n:int=5000 beta:float=2 reps:int=20000 seed:int=0")
-    # --p and --q default to 2 for --check jacobi and to 1 for coupling
-    p = add("concentration", "Poincare and coupling checks",
-            "n:int=256 beta:float=2 p:float q:float func:str=x reps:int=4000 seed:int=0 "
-            "sizes:str=100,1000,10000")
-    p.add_argument("--check", default="beta", choices=("beta", "jacobi", "coupling"))
-    p = add("verify-all", "run every acceptance check", "seed:int")
-    p.add_argument("--quick", action="store_true",
-                   help="reduced inputs; standard-error gates widen to the replicate count")
+    parser.add_argument("subcommand", nargs=argparse.PARSER, choices=_SUBCOMMANDS,
+                        help="a subcommand below, then its flags (betajacobi SUBCOMMAND -h)")
     return parser
+
+
+def _subparser(name: str) -> _Parser:
+    """The parser of one subcommand's flags, as _SUBCOMMANDS declares them."""
+    _, flags, extra = _SUBCOMMANDS[name]
+    p = _Parser(prog=f"betajacobi {name}")
+    for item in flags.split():
+        spec, _, default = item.partition("=")
+        dest, kind = spec.split(":")
+        flag = "--" + dest.replace("_", "-")
+        if kind == "switch":
+            p.add_argument(flag, dest=dest, action="store_true")
+        else:
+            p.add_argument(flag, dest=dest, type=_KINDS[kind],
+                           default=_KINDS[kind](default) if default else None)
+    for flag, keywords in extra.items():
+        p.add_argument(flag, **keywords)
+    return p
 
 
 def _load_config(path) -> dict:
@@ -150,11 +158,12 @@ def _config_tokens(action: argparse.Action, value) -> list:
     raise _UsageError(f"{value!r} is not a value of {flag}")
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """The subcommand's values: each is its declared default, then the
+def _resolve(args: argparse.Namespace) -> tuple[str, dict]:
+    """The subcommand and its values: each is its declared default, then the
     config file's entry, then the flag."""
+    name, *tokens = args.subcommand
     cfg = _load_config(args.config) if args.config else {}
-    sub = args.subparser
+    sub = _subparser(name)
     values = sub.parse_args([])
     flags = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
     for key, value in cfg.items():
@@ -163,7 +172,7 @@ def _resolve(args: argparse.Namespace) -> dict:
                 sub.parse_args(_config_tokens(flags[key], value), values)
             except _UsageError as exc:
                 raise _UsageError(f"config key {key!r}: {exc}")
-    return vars(sub.parse_args(args.tokens, values))
+    return name, vars(sub.parse_args(tokens, values))
 
 
 def _ensemble_from(v: dict) -> EnsembleParams:
@@ -399,9 +408,9 @@ def dispatch(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         out = args.out
-        values = _resolve(args)
-        results, ok = _HANDLERS[args.subcommand](values)
-        report, code = _envelope(args.subcommand, values, results, t0), (0 if ok else 2)
+        name, values = _resolve(args)
+        results, ok = _HANDLERS[name](values)
+        report, code = _envelope(name, values, results, t0), (0 if ok else 2)
     except _UsageError as exc:
         report, code = _error("usage", str(exc)), 1
     except ParameterError as exc:

@@ -118,32 +118,46 @@ def sturm_eigenvalues(diag: np.ndarray, off: np.ndarray, tol: float = 1e-14) -> 
     """All eigenvalues by bisection with Sturm counts (independent oracle).
 
     Takes leading batch axes, diag (..., n) and off (..., n-1), and returns
-    (..., n) ascending rows.  Each matrix bisects from its own Gershgorin
-    interval and stops at its own iteration cap or width test, so a row is
-    bit-identical to the same matrix solved alone.
+    (..., n) ascending rows; order 0 gives an empty (..., 0) array.  Each
+    matrix bisects from its own Gershgorin interval and stops at its own
+    iteration cap or width test, so a row is bit-identical to the same
+    matrix solved alone.
+
+    Matrices of different orders stack by padding: a +inf diagonal entry
+    whose off-diagonal neighbours are 0 is decoupled and adds no Sturm count
+    below any finite shift.  A row with k finite diagonal entries returns
+    its k eigenvalues, bit-identical to that order-k matrix solved alone,
+    then +inf in place of each padding entry.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
     n = diag.shape[-1]
     if off.shape != diag.shape[:-1] + (max(n - 1, 0),):
         raise ParameterError(f"off shape {off.shape} does not fit diag shape {diag.shape}")
-    if n == 1:
+    if n <= 1:
         return diag.copy()
     # one batch axis, so every per-matrix quantity below is an array
     batch = diag.shape[:-1]
     diag = diag.reshape(-1, n)
     off = off.reshape(-1, n - 1)
+    pad = diag == np.inf
+    order = n - np.count_nonzero(pad, axis=1)
     off_sq = off * off
     edge = np.zeros((diag.shape[0], 1))
     radius = np.concatenate([np.abs(off), edge], axis=1) + np.concatenate([edge, np.abs(off)], axis=1)
+    # the Gershgorin interval of each row's own entries (diag - radius is +inf at padding)
     lo = np.min(diag - radius, axis=1)
-    hi = np.max(diag + radius, axis=1)
+    hi = np.max(np.where(pad, -np.inf, diag + radius), axis=1)
+    # a row of padding alone bisects [0, 0] and returns +inf throughout
+    lo[order == 0] = hi[order == 0] = 0.0
     scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-300)
     lo -= 1e-3 * scale
     hi += 1e-3 * scale
     lows = np.repeat(lo[:, None], n, axis=1)
     highs = np.repeat(hi[:, None], n, axis=1)
     targets = np.arange(1, n + 1)
+    # the columns past a row's order: their widths stay out of its width test
+    beyond = targets > order[:, None]
     width = tol * scale
     # bisection until the interval width is below tol * scale
     max_iter = np.ceil(np.log2((hi - lo) / np.maximum(width, 1e-300))).astype(np.int64) + 4
@@ -157,5 +171,9 @@ def sturm_eigenvalues(diag: np.ndarray, off: np.ndarray, tol: float = 1e-14) -> 
         np.copyto(lows, mids, where=live > below)  # live and not below
         done += 1
         # a row stops after max(max_iter, 1) steps or once its widest interval fits
-        active &= (done < max_iter) & (np.maximum.reduce(highs - lows, axis=1) > width)
-    return (0.5 * (lows + highs)).reshape(batch + (n,))
+        widest = np.max(np.where(beyond, 0.0, highs - lows), axis=1)
+        active &= (done < max_iter) & (widest > width)
+    vals = np.where(beyond, np.inf, 0.5 * (lows + highs))
+    # an order-1 row is its one finite entry, as when solved alone
+    vals[order == 1, 0] = np.min(diag[order == 1], axis=1)
+    return vals.reshape(batch + (n,))

@@ -337,28 +337,39 @@ def _gauss_legendre(nodes: int):
     return t, w
 
 
+def _cosine_table(N: int, nodes: int) -> np.ndarray:
+    """cos(n t), 0 <= n <= N, on the theta grid of _theta_values: (N + 1, nodes + 1).
+
+    On that grid cos(n t) and cos((2 nodes - n) t) agree, so N must stay
+    below `nodes`.
+    """
+    if N >= nodes:
+        raise ParameterError(
+            f"Chebyshev coefficients up to n = {N} alias on {nodes} quadrature panels "
+            f"(need n < {nodes})")
+    return np.cos(np.outer(np.arange(N + 1), np.linspace(0.0, math.pi, nodes + 1)))
+
+
 def chebyshev_coefficients(
     f: Callable,
     N: int,
     support: SupportInterval,
     nodes: int = DEFAULT_NODES,
+    *,
+    _cosines: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The read-only fhat[n] = (1/pi) integral of f(c + r cos t) cos(n t) dt,
     0 <= n <= N.
 
     fhat[n] is the coefficient of Gamma_n for n >= 1.  fhat[0] is the
     theta-average of f, the coefficient of Gamma_0 / 2: the n = 0 basis
-    function has squared norm 2.  On the grid of `nodes` panels cos(n t)
-    and cos((2 nodes - n) t) agree, so N must stay below `nodes`.
+    function has squared norm 2.  N must stay below `nodes` (see
+    _cosine_table); a caller with several functions may pass the table
+    _cosine_table(N, nodes) once as _cosines.
     """
-    if N >= nodes:
-        raise ParameterError(
-            f"Chebyshev coefficients up to n = {N} alias on {nodes} quadrature panels "
-            f"(need n < {nodes})")
-    theta, w, _, vals = _theta_values(f, support.center, support.half_width, nodes)
-    wv = w * vals
-    ns = np.arange(N + 1)
-    fhat = (np.cos(np.outer(ns, theta)) @ wv) / math.pi
+    cosines = _cosine_table(N, nodes) if _cosines is None else _cosines
+    _, w, _, vals = _theta_values(f, support.center, support.half_width, nodes)
+    fhat = (cosines @ (w * vals)) / math.pi
     fhat.setflags(write=False)
     return fhat
 
@@ -379,13 +390,16 @@ def variance_functionals(
     beta: float,
     support: SupportInterval,
     nodes: int = DEFAULT_NODES,
+    *,
+    _cosines: Optional[np.ndarray] = None,
 ) -> VarianceFunctionals:
-    """Variance functional from the Chebyshev coefficients.
+    """Variance functional from the Chebyshev coefficients (_cosines as in
+    chebyshev_coefficients).
 
     Coefficients of the last decade that do not visibly decay trigger a
     warning and clear coefficients_decayed.
     """
-    fhat = chebyshev_coefficients(f, N, support, nodes=nodes)
+    fhat = chebyshev_coefficients(f, N, support, nodes=nodes, _cosines=_cosines)
     ns = np.arange(1, N + 1)
     sigma = (2.0 / beta) * float(np.sum(ns * fhat[1:] ** 2))
     cut = max(1, N - max(N // 10, 1))

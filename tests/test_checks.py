@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from betajacobi import checks
+from betajacobi import checks, eig
 
 
 @pytest.mark.slow
@@ -76,3 +76,17 @@ def test_failed_gate_fails_the_check():
     outcome = checks.run(check)
     assert not outcome.passed and outcome.gates[0].margin == -1.0
     assert outcome.line().startswith("[FAIL] criterion 00-toy")
+
+
+def test_eigensolver_check_makes_one_oracle_call(monkeypatch):
+    shapes = []
+    oracle = eig.sturm_eigenvalues
+
+    def counted(diag, off, *args, **kwargs):
+        shapes.append(diag.shape)
+        return oracle(diag, off, *args, **kwargs)
+
+    monkeypatch.setattr(eig, "sturm_eigenvalues", counted)
+    outcome = checks.run(checks.CHECKS["eigensolver"], {"matrices": 5, "max_n": 16})
+    assert outcome.passed
+    assert shapes == [(100, 10)]

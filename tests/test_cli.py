@@ -189,7 +189,7 @@ def test_eig_seed_one_report(capsys):
     results = json.loads(out)["results"]
     # the value of the one-matrix-at-a-time oracle; 100 matrices of orders 2..10
     assert results["worst_sturm_gap"] == 9.103828801926284e-15
-    assert results["sturm_oracle_calls"] == 9
+    assert results["sturm_oracle_calls"] == 1
 
 
 def test_eig_usage_error_honours_out(tmp_path, capsys):
@@ -508,9 +508,7 @@ def test_benchmark_argv_parses():
     assert {call[0] for call in calls} >= {"fluct", "eig", "concentration"}
     for call in calls:
         argv = list(call) + (["--seed", "1"] if call[0] in bench.SEEDED else [])
-        args = cli._build_parser().parse_args(argv)
-        assert args.subcommand == call[0]
-        cli._resolve(args)
+        assert cli._resolve(cli._build_parser().parse_args(argv))[0] == call[0]
 
 
 @pytest.mark.parametrize("argv,observed", [
@@ -547,3 +545,45 @@ def test_concentration_config_records_the_p_and_q_it_ran(capsys, argv, side):
     assert code == 0
     config = json.loads(out)["config"]
     assert (config["p"], config["q"]) == (side, side)
+
+
+# Each subcommand's values with no flag and no config file, as they resolved
+# when one parser declared all ten subcommands' flags at once.
+_DEFAULTS = {
+    "sample": {"n": 100, "beta": 2.0, "p": 2.0, "q": 2.0, "n1": None, "n2": None, "seed": 0,
+               "dump_factor": None},
+    "eig": {"matrices": 1000, "max_n": 512, "seed": 0},
+    "spectrum": {"a": 0.25, "b": 0.5, "nodes": 2048},
+    "cov": {"a": 0.25, "b": 0.5, "beta": 2.0, "K": 8, "nodes": 200, "verify": False},
+    "fluct": {"n": 100, "beta": 2.0, "p": 2.0, "q": 2.0, "n1": None, "n2": None, "seed": 0,
+              "reps": 10000, "funcs": "gamma1..gamma4", "csv": None},
+    "lln": {"func": "x", "beta": 2.0, "p": 2.0, "q": 2.0, "reps": 64, "seed": 0,
+            "regime": "proportional", "sizes": "250,500,1000,2000"},
+    "expect": {"k": 2, "base_n": 512, "beta": 4.0, "a": 0.25, "b": 0.5},
+    "extremal": {"n": 5000, "beta": 2.0, "reps": 20000, "seed": 0},
+    "concentration": {"n": 256, "beta": 2.0, "p": None, "q": None, "func": "x", "reps": 4000,
+                      "seed": 0, "sizes": "100,1000,10000", "check": "beta"},
+    "verify-all": {"seed": None, "quick": False},
+}
+
+
+@pytest.mark.parametrize("name", list(_DEFAULTS))
+def test_resolved_defaults(name):
+    name_, values = cli._resolve(cli._build_parser().parse_args([name]))
+    assert name_ == name
+    assert list(values.items()) == list(_DEFAULTS[name].items())
+
+
+def test_help_lists_the_subcommands_and_their_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.dispatch(["-h"])
+    assert exc.value.code == 0
+    listing = capsys.readouterr().out.split("subcommands:\n")[1].splitlines()
+    assert [line.split()[0] for line in listing] == list(_DEFAULTS)
+    for name, values in _DEFAULTS.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.dispatch([name, "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: betajacobi {name} ")
+        assert all("--" + key.replace("_", "-") in out for key in values)

@@ -197,6 +197,26 @@ def test_sturm_count_pivot_skip_matches_every_step_nudge(n):
     assert np.array_equal(eig.sturm_eigenvalues(diag, off), rows)
 
 
+def test_padded_stack_of_mixed_orders_matches_one_at_a_time():
+    # _stack's rows at every order 1..33, padded to order 33 with +inf diagonal
+    # entries beside zero off-diagonals, then one row of padding alone
+    top = 33
+    rows = [row for n in range(1, top + 1) for row in zip(*_stack(n, 300 + n))]
+    diag, off = np.full((len(rows) + 1, top), np.inf), np.zeros((len(rows) + 1, top - 1))
+    for i, (d, e) in enumerate(rows):
+        diag[i, :d.shape[0]], off[i, :e.shape[0]] = d, e
+    stacked = eig.sturm_eigenvalues(diag, off)
+    for i, (d, e) in enumerate(rows):
+        assert np.array_equal(stacked[i, :d.shape[0]], _sturm_eigenvalues_one(d, e))
+        assert np.all(stacked[i, d.shape[0]:] == np.inf)
+    assert np.all(stacked[-1] == np.inf)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+def test_sturm_oracle_of_order_zero_is_empty(shape):
+    assert eig.sturm_eigenvalues(np.zeros(shape), np.zeros(shape)).shape == shape
+
+
 def test_sturm_oracle_rejects_mismatched_shapes():
     with pytest.raises(ParameterError):
         eig.sturm_eigenvalues(np.zeros((3, 4)), np.zeros((2, 3)))

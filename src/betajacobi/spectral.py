@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -264,79 +263,6 @@ def _theta_values(f: Callable, center: float, half_width: float, nodes: int):
     return theta, w, x, values
 
 
-# The first zeros of the Bessel function J_0, behind the guesses of the
-# Gauss-Legendre nodes nearest the ends; McMahon's expansion gives the rest.
-_J0_ZEROS = (2.4048255576957724, 5.520078110286311, 8.653727912911013)
-# Newton passes of the Gauss-Legendre rule: the guesses leave 1e-9 or less
-# from 64 nodes on, so two passes converge there, a few more below
-_NEWTON_PASSES = 8
-
-
-def _legendre_guess(nodes: int) -> np.ndarray:
-    """Descending guesses of the nonnegative Gauss-Legendre nodes.
-
-    Gatteschi's Bessel-zero formula at angles below pi/3, Tricomi's
-    expansion beyond, each where it is the more accurate one (Hale and
-    Townsend, SIAM J. Sci. Comput. 35, 2013): from 64 nodes on, within 1e-9.
-    """
-    k = np.arange(1, (nodes + 1) // 2 + 1)
-    theta = math.pi * (4 * k - 1) / (4 * nodes + 2)
-    tricomi = (1.0 - (nodes - 1) / (8.0 * nodes**3)
-               - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * nodes**4)) * np.cos(theta)
-    u = 1.0 / (8.0 * math.pi * (k - 0.25))
-    j0 = (1.0 / (8.0 * u) + u - 124.0 / 3.0 * u**3 + 120928.0 / 15.0 * u**5
-          - 401743168.0 / 105.0 * u**7 + 1071187749376.0 / 315.0 * u**9)
-    head = min(len(_J0_ZEROS), k.shape[0])
-    j0[:head] = _J0_ZEROS[:head]
-    rho = nodes + 0.5
-    psi = j0 / rho
-    gatteschi = np.cos(psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * rho * rho))
-    return np.where(theta < math.pi / 3.0, gatteschi, tricomi)
-
-
-@lru_cache(maxsize=8)
-def _gauss_legendre(nodes: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], ascending, cached per node count.
-
-    Newton's method on the Legendre three-term recurrence, from the
-    guesses of _legendre_guess, over the nonnegative nodes; the rest
-    follow by symmetry.  The weight 2 / ((1 - t^2) P_n'(t)^2) comes from
-    the pass whose Newton step fell below the double spacing at 1, so it
-    is taken within rounding of the node.  O(nodes^2) time and O(nodes)
-    memory, with numpy alone.  Nodes agree with numpy's leggauss to about
-    1e-16; the outermost weight keeps a relative error below
-    nodes^2 * eps (against a 40-digit reference, 2.9e-12 at 400 nodes and
-    5.0e-11 at 2048, where scipy's roots_legendre lost 5.2e-10 and
-    1.4e-7).  The arrays are shared by every caller, so they are read-only.
-    """
-    if nodes < 1:
-        raise ParameterError("need at least one Gauss-Legendre node")
-    x = _legendre_guess(nodes)
-    # P_{k+1} = a_k x P_k - b_k P_{k-1}
-    steps = [((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(1, nodes)]
-    for _ in range(_NEWTON_PASSES):
-        before, p = np.ones_like(x), x
-        for a, b in steps:
-            before, p = p, a * (x * p) - b * before
-        one_minus_sq = (1.0 - x) * (1.0 + x)
-        derivative = nodes * (before - x * p) / one_minus_sq
-        step = p / derivative
-        x = x - step
-        if np.max(np.abs(step)) <= np.finfo(float).eps:
-            break
-    else:
-        raise QuadratureError(f"Gauss-Legendre nodes did not converge at {nodes} nodes")
-    w = 2.0 / (one_minus_sq * derivative * derivative)
-    mirror = slice(-2 if nodes % 2 else -1, None, -1)  # an odd rule's middle node once
-    t = np.concatenate([-x, x[mirror]])
-    w = np.concatenate([w, w[mirror]])
-    if nodes % 2:
-        t[nodes // 2] = 0.0
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
-
-
 def _cosine_table(N: int, nodes: int) -> np.ndarray:
     """cos(n t), 0 <= n <= N, on the theta grid of _theta_values: (N + 1, nodes + 1).
 
@@ -468,6 +394,8 @@ def edge_weight_integral(support: SupportInterval, nodes: int = DEFAULT_NODES) -
     of the theta-trapezoid route used by integrate_density; the value
     should be 2 pi a.
     """
+    if nodes < 1:
+        raise ParameterError(f"need at least one quadrature node, got {nodes}")
     j = np.arange(1, nodes + 1)
     t = j * math.pi / (nodes + 1)
     u = np.cos(t)
@@ -559,6 +487,8 @@ def jacobi_probability_quadratures(nnodes: int, shapes) -> list:
     run as one stacked recurrence, so a Python step serves every rule.
     Each rule is bit-identical to the same rule built alone.
     """
+    if nnodes < 1:
+        raise ParameterError(f"need at least one quadrature node, got {nnodes}")
     keys = [(int(nnodes), float(p), float(q)) for p, q in shapes]
     if any(p <= 0 or q <= 0 for _, p, q in keys):
         raise ParameterError("Beta shapes must be positive")

@@ -54,6 +54,13 @@ def test_cov_verify_fails_with_bad_nodes(capsys):
     assert not json.loads(out)["results"]["passed"]
 
 
+def test_cov_zero_nodes_is_validation_error(capsys):
+    code, out = _run(capsys, "cov", "--nodes", "0")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "validation", "message": "nodes must be an integer >= 1, got 0"}
+
+
 def test_unknown_flag_is_validation_error(capsys):
     code, out = _run(capsys, "sample", "--frobnicate", "1")
     assert code == 1

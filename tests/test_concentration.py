@@ -120,12 +120,12 @@ def test_coupling_gap_domain():
 
 
 def _legendre_coupling_gap(n, p, q, nodes):
-    """The quantile-grid route: Gauss-Legendre in u on (0, 1), O(nodes^-2)."""
-    t, w = spectral._gauss_legendre(nodes)
-    u = 0.5 * (1.0 + t)
+    """The quantile-grid route: Gauss-Legendre in u on (0, 1), the Beta(1, 1)
+    Gauss rule, O(nodes^-2)."""
+    u, w = spectral.jacobi_probability_quadrature(nodes, 1.0, 1.0)
     sigma = math.sqrt(q) / (2.0 * (p + q) * math.sqrt(n))
     diff = np.sqrt(betaincinv(n * p, n * q, u)) - math.sqrt(p / (p + q)) - sigma * ndtri(u)
-    return float(0.5 * w @ (diff * diff))
+    return float(w @ (diff * diff))
 
 
 # Gauss-Hermite values; the 4096-node Gauss-Legendre rule gave
@@ -172,10 +172,12 @@ def test_coupling_gap_confirms_by_doubling(monkeypatch):
 
 
 def test_coupling_gap_builds_no_legendre_rule(monkeypatch):
-    def forbidden(nodes):
-        raise AssertionError(f"Gauss-Legendre rule of {nodes} nodes built")
+    def forbidden(nnodes, shapes):
+        raise AssertionError(f"Gauss rules of {nnodes} nodes built for {shapes}")
 
-    monkeypatch.setattr(spectral, "_gauss_legendre", forbidden)
+    # an empty cache, so that a rule cached by an earlier test is built again
+    monkeypatch.setattr(spectral, "_BETA_RULES", {})
+    monkeypatch.setattr(spectral, "_beta_rules", forbidden)
     assert conc.coupling_gap(10000, 1.0, 1.0) > 0.0
     assert conc.independent_coupling_gap(10000, 1.0, 1.0) > 0.0
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import betajacobi as bj
-from betajacobi import covariance, spectral
+from betajacobi import covariance, paths, spectral
 from betajacobi.errors import ParameterError
 
 
@@ -155,10 +155,86 @@ def test_partial_sum_converges_monotonically(asym, support):
     assert errs[-1] <= 1e-6
 
 
+def _leggauss_rule(nodes, lo, hi):
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return mid + half * t, half * w
+
+
 @pytest.mark.parametrize("K", [8, 40])
 def test_covariance_matrix_matches_numpy_rule(asym, monkeypatch, K):
-    cov = covariance.covariance_matrix(K, asym)
-    monkeypatch.setattr(spectral, "_gauss_legendre", np.polynomial.legendre.leggauss)
-    ref = covariance.covariance_matrix(K, asym)
-    assert np.max(np.abs(cov.entries - ref.entries)) <= 1e-13
-    assert cov.error_estimate == pytest.approx(ref.error_estimate, abs=1e-13)
+    points = [asym] + [bj.shape_params(a, b, beta)
+                       for beta, a, b in ((2.0, 0.45, 0.5), (1.0, 0.3, 0.35), (4.0, 0.2, 0.7))]
+    covs = [covariance.covariance_matrix(K, point) for point in points]
+    monkeypatch.setattr(covariance, "_sigma_rule", _leggauss_rule)
+    half = covariance.DEFAULT_SIGMA_NODES // 2
+    for point, cov in zip(points, covs):
+        ref = covariance.covariance_matrix(K, point)
+        assert np.max(np.abs(cov.entries - ref.entries)) <= 1e-13
+        # Gauss rules do not nest: the reference error estimate is the gap
+        # between the rules of 2 * nodes and nodes points, each built alone
+        coarse = covariance.covariance_matrix(K, point, nodes=half)
+        ref_error = float(np.max(np.abs(ref.entries - coarse.entries)))
+        assert cov.error_estimate == pytest.approx(ref_error, abs=1e-13)
+
+
+def _direct_weights(N):
+    """Clenshaw-Curtis weights on [-1, 1] by the direct cosine sum."""
+    theta = np.arange(N + 1) * np.pi / N
+    w = np.empty(N + 1)
+    for j, t in enumerate(theta):
+        total = 1.0
+        for k in range(1, N // 2 + 1):
+            b = 1.0 if 2 * k == N else 2.0
+            total -= b * np.cos(2 * k * t) / (4 * k * k - 1)
+        w[j] = (1.0 if j in (0, N) else 2.0) / N * total
+    return w
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 25, 200, 401])
+def test_sigma_rule_is_clenshaw_curtis(N):
+    x, w = covariance._sigma_rule(N, -1.0, 1.0)
+    assert np.all(w > 0.0) and abs(w.sum() - 2.0) <= 1e-15 * N
+    assert np.array_equal(x, np.cos(np.linspace(0.0, np.pi, N + 1)))
+    for k in range(N + 1):
+        exact = 2.0 / (1.0 - k * k) if k % 2 == 0 else 0.0
+        t_k = np.polynomial.chebyshev.Chebyshev.basis(k)(x)
+        assert abs(w @ t_k - exact) <= 1e-15 * N
+    assert np.max(np.abs(w - _direct_weights(N))) <= 1e-15
+
+
+@pytest.mark.parametrize("nodes", [26, 200])
+def test_nested_rule_keeps_the_fine_entries(asym, nodes):
+    # entries are the 2 * nodes panel rule alone; the coarse rule only sets
+    # error_estimate, from the even-index nodes
+    K = 8
+    sig, w = covariance._sigma_rule(2 * nodes, -asym.a, 0.0)
+    x, y = covariance.entry_weights(sig, asym)
+    powers = paths.power_table(x, y, 2 * K)
+    polys = [paths.weight_polynomial(k) for k in range(1, K + 1)]
+    dx = np.array([poly.dx(x, y, powers) for poly in polys])
+    dy = np.array([poly.dy(x, y, powers) for poly in polys])
+    inverse = 1.0 / (1.0 + 2.0 * sig)
+    w_common = w * (inverse * (1.0 - x * x - y * y))
+    w_cross = w * (inverse * (2.0 * x * y))
+
+    def dot(u, v):
+        return np.einsum("kn,ln->kl", u, v)
+
+    out = asym.alpha / 4.0 * (dot(dx * w_common, dx) + dot(dy * w_common, dy)
+                              - (dot(dx * w_cross, dy) + dot(dy * w_cross, dx)))
+    cov = covariance.covariance_matrix(K, asym, nodes=nodes)
+    assert np.array_equal(cov.entries, 0.5 * (out + out.T))
+    # the coarse rule of nodes panels is the fine rule of nodes / 2, up to
+    # the order of the sums
+    coarse = covariance.covariance_matrix(K, asym, nodes=nodes // 2)
+    gap = float(np.max(np.abs(cov.entries - coarse.entries)))
+    assert cov.error_estimate == pytest.approx(gap, abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [{"K": 1.5}, {"nodes": 1.5}, {"K": 0}, {"nodes": 0}],
+                         ids=["K-1.5", "nodes-1.5", "K-0", "nodes-0"])
+def test_covariance_matrix_rejects_bad_counts(asym, bad):
+    args = {"K": 2, "nodes": covariance.DEFAULT_SIGMA_NODES, **bad}
+    with pytest.raises(ParameterError):
+        covariance.covariance_matrix(args["K"], asym, nodes=args["nodes"])

@@ -1,5 +1,4 @@
 import math
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -166,6 +165,14 @@ def test_edge_weight_integral_value(support, asym):
     )
 
 
+def test_quadratures_reject_zero_nodes(support):
+    # an empty rule returned 0.0 here, and an IndexError from the Beta rule
+    with pytest.raises(ParameterError):
+        spectral.edge_weight_integral(support, nodes=0)
+    with pytest.raises(ParameterError):
+        spectral.jacobi_probability_quadrature(0, 1.0, 1.0)
+
+
 def test_arcsine_integral():
     assert spectral.arcsine_integral(spectral.monomial(0)) == pytest.approx(1.0, abs=1e-12)
     assert spectral.arcsine_integral(spectral.monomial(1)) == pytest.approx(0.5, abs=1e-12)
@@ -324,17 +331,6 @@ def test_quadrature_rejects_nonfinite(asym):
         spectral.integrate_density(bad, asym)
 
 
-def test_gauss_legendre_rule_is_cached_and_read_only():
-    t, w = spectral._gauss_legendre(64)
-    t2, w2 = spectral._gauss_legendre(64)
-    assert t2 is t and w2 is w
-    assert not t.flags.writeable and not w.flags.writeable
-    with pytest.raises(ValueError):
-        t[0] = 0.0
-    with pytest.raises(ParameterError):
-        spectral._gauss_legendre(0)
-
-
 def test_beta_rule_is_cached_read_only_and_unchanged():
     nodes, w = spectral.jacobi_probability_quadrature(160, 0.5, 8.0)
     again = spectral.jacobi_probability_quadrature(160, 0.5, 8.0)
@@ -344,49 +340,6 @@ def test_beta_rule_is_cached_read_only_and_unchanged():
         w[0] = 0.0
     fresh_nodes, fresh_w = spectral._beta_rules(160, [(0.5, 8.0)])[0]
     assert np.array_equal(fresh_nodes, nodes) and np.array_equal(fresh_w, w)
-
-
-@pytest.mark.parametrize("nodes", [1, 2, 3, 64, 65, 512, 2048])
-def test_gauss_legendre_rule_matches_numpy(nodes):
-    t, w = spectral._gauss_legendre(nodes)
-    t_ref, w_ref = np.polynomial.legendre.leggauss(nodes)
-    assert np.max(np.abs(t - t_ref)) <= 1e-15
-    # both rules lose digits in the weights of the outermost nodes
-    interior = np.abs(t_ref) < 0.9
-    assert np.max(np.abs(w[interior] / w_ref[interior] - 1.0)) <= 1e-12
-    assert w.sum() == pytest.approx(2.0, rel=1e-13)
-
-
-def _legendre_weight_40_digits(nodes, t):
-    """The Gauss-Legendre weight at the root of P_nodes nearest t: Newton on
-    the three-term recurrence in 40-digit decimal arithmetic."""
-    def legendre(x):  # (P_n(x), P_n'(x))
-        before, p = Decimal(1), x
-        for k in range(1, nodes):
-            before, p = p, ((2 * k + 1) * x * p - k * before) / (k + 1)
-        return p, nodes * (before - x * p) / (1 - x * x)
-
-    with localcontext() as ctx:
-        ctx.prec = 40
-        x = Decimal(float(t))
-        for _ in range(4):
-            p, dp = legendre(x)
-            x -= p / dp
-        _, dp = legendre(x)
-        return 2 / ((1 - x * x) * dp * dp)
-
-
-@pytest.mark.parametrize("nodes", [400, 2048])
-def test_gauss_legendre_endpoint_weight(nodes):
-    # the outermost weight is the worst conditioned: a node within eps of
-    # the root moves 2 / ((1 - t^2) P'^2) by about eps / (1 - t), and 1 - t
-    # is about 3 / nodes^2; so the gate is nodes^2 * eps, fixed before the
-    # first run (scipy's roots_legendre, 5.2e-10 and 1.4e-7 off, fails it)
-    t, w = spectral._gauss_legendre(nodes)
-    reference = _legendre_weight_40_digits(nodes, t[-1])
-    gate = nodes * nodes * np.finfo(float).eps
-    for weight in (w[0], w[-1]):
-        assert abs(float(Decimal(float(weight)) / reference - 1)) <= gate
 
 
 def _recurrence_by_scalar_loop(nterms, r_param, s_param):

@@ -10,14 +10,13 @@ transforms certify the identity numerically.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
 from .errors import ParameterError
-from .params import AsymptoticParams, SupportInterval
+from .params import AsymptoticParams, SupportInterval, checked_int
 from .paths import power_table, weight_polynomial
 
 __all__ = [
@@ -100,9 +99,7 @@ def covariance_matrix(
     rule of `nodes` panels, whose nodes are the even-index ones of the
     rule used.
     """
-    for name, value in (("K", K), ("nodes", nodes)):
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+    K, nodes = checked_int("K", K, 1), checked_int("nodes", nodes, 1)
     asym.require_bulk()
     sig, w_fine = _sigma_rule(2 * nodes, -asym.a, 0.0)
     _, w_coarse = _sigma_rule(nodes, -asym.a, 0.0)
@@ -145,8 +142,7 @@ def theory_covariance(K: int, beta: float, support: SupportInterval) -> Covarian
     Row n of L holds the coefficients of x^n in the shifted Chebyshev basis
     Gamma_k = 2 T_k on the support: half the row of spectral.monomial_table.
     """
-    if not (1 <= K <= 32):
-        raise ParameterError("theory covariance limited to K <= 32")
+    K = checked_int("K", K, 1, 32)
     L = 0.5 * spectral.monomial_table(K, support.center, support.half_width)
     return CovarianceMatrix(K=K, entries=spectral.limit_covariance(L[1:], beta))
 
@@ -221,8 +217,7 @@ def laplace_partial_sum(
     K: int, eta: float, omega: float, cov: CovarianceMatrix
 ) -> float:
     """Direct tail: sum over k, l <= K of C_{k,l} eta^-(k+1) omega^-(l+1)."""
-    if K > cov.K:
-        raise ParameterError(f"K={K} exceeds covariance table size {cov.K}")
+    K = checked_int("K", K, 0, cov.K)
     ks = np.arange(1, K + 1)
     ve = eta ** (-(ks + 1.0))
     vw = omega ** (-(ks + 1.0))

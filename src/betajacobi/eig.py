@@ -35,10 +35,6 @@ class Spectrum:
     def __post_init__(self):
         self.values.setflags(write=False)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
 
 def dsterf(diag: np.ndarray, off: np.ndarray):
     """LAPACK dsterf: (eigenvalues, info) of the symmetric tridiagonal (diag, off).

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from . import eig, model, spectral
 from ._version import __version__ as _version
 from .errors import ParameterError
-from .params import EnsembleParams, SupportInterval, derive_asymptotic
+from .params import EnsembleParams, SupportInterval, checked_int, derive_asymptotic
 
 __all__ = [
     "RunResult",
@@ -61,32 +61,17 @@ class RunResult:
     extremal: bool = False
 
     def to_json_dict(self) -> dict:
-        out = {
-            "schema": 1,
-            "library_version": _version,
-            "seed": self.seed,
-            "replicates": self.replicates,
-            "params": {
-                "n": self.params.n,
-                "beta": self.params.beta,
-                "n1": self.params.n1,
-                "n2": self.params.n2,
-            },
-            "functions": list(self.function_names),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-            "covariance": self.covariance.tolist(),
-            "skewness": self.skewness.tolist(),
-            "excess_kurtosis": self.excess_kurtosis.tolist(),
-            "ks_distance": self.ks_distance.tolist(),
-            "wall_clock_s": self.wall_clock_s,
-            "quadrature_nodes": self.quadrature_nodes,
-            "extremal": self.extremal,
-        }
-        if self.theory_sigma_sq is not None:
-            out["theory_sigma_sq"] = self.theory_sigma_sq.tolist()
-        if self.theory_covariance is not None:
-            out["theory_covariance"] = self.theory_covariance.tolist()
+        """Every field but the samples, function_names as "functions"; theory fields when set."""
+        out = {"schema": 1, "library_version": _version}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name == "samples" or value is None:
+                continue
+            if field.name == "params":
+                value = asdict(value)
+            elif isinstance(value, np.ndarray):
+                value = value.tolist()
+            out["functions" if field.name == "function_names" else field.name] = value
         return out
 
     def write_samples_csv(self, path) -> None:
@@ -147,11 +132,13 @@ def run_fluctuations(
     Centering uses the empirical mean; for the replicate counts used here
     the induced variance bias is O(1/replicates).  Theory columns (CLT
     variances and pairwise covariances in the Chebyshev overlap form) are
-    attached unless the parameters are extremal.  ParameterError for fewer
-    than two replicates or no function, before any theory is built.
+    attached unless the parameters are extremal.  ParameterError for a
+    replicate count that is not an integer >= 2, a seed outside the range of
+    model.checked_seed or no function, before any theory is built.
     """
     t0 = time.perf_counter()
-    replicates = model._replicate_count(replicates)
+    replicates = checked_int("replicates", replicates, 2)
+    seed = model.checked_seed(seed)
     funcs = list(funcs)
     if not funcs:
         raise ParameterError("need at least one test function")

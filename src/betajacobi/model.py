@@ -42,7 +42,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import mmap
-import numbers
 import os
 import signal
 import time
@@ -53,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .params import EnsembleParams
+from .params import EnsembleParams, checked_int
 
 __all__ = [
     "TridiagonalFactor",
@@ -164,10 +163,8 @@ class SymTridiagonal:
 
 
 def checked_seed(seed: int) -> int:
-    """seed itself if 0 <= seed < 2^64, the range of every seeded stream; else ParameterError."""
-    if not (0 <= seed <= _MASK64):
-        raise ParameterError(f"seed must fit in 64 bits, got {seed!r}")
-    return seed
+    """seed as an int if it is an integer in [0, 2^64), the range of every seeded stream."""
+    return checked_int("seed (64 bits)", seed, 0, _MASK64)
 
 
 def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
@@ -176,10 +173,8 @@ def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
     Streams for distinct replicates are independent by construction, so a
     run is bit-reproducible no matter how replicates are scheduled.
     """
-    checked_seed(seed)
-    if replicate < 0:
-        raise ParameterError(f"replicate index must be nonnegative, got {replicate}")
-    key = np.array([seed, replicate & _MASK64], dtype=np.uint64)
+    key = np.array([checked_seed(seed), checked_int("replicate", replicate, 0, _MASK64)],
+                   dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -204,14 +199,6 @@ def _rekeyed_streams(seed: int) -> Callable[[int], np.random.Generator]:
         return rng
 
     return stream
-
-
-def _replicate_count(replicates) -> int:
-    """The replicate count as an int; anything but an integer >= 2 is a ParameterError."""
-    if not isinstance(replicates, numbers.Integral) or replicates < 2:
-        raise ParameterError(
-            f"need an integer count of at least two replicates, got {replicates!r}")
-    return int(replicates)
 
 
 @lru_cache(maxsize=16)
@@ -410,7 +397,7 @@ def map_replicates(
     redone here, which gives its rows, or raises its error, as a serial run
     would.
     """
-    replicates = _replicate_count(replicates)
+    replicates = checked_int("replicates", replicates, 2)
     stream = _rekeyed_streams(seed)
     flat = _shape_arrays(params)
     n = params.n
@@ -495,8 +482,7 @@ def chebyshev_traces(gram: SymTridiagonal, center: float, half_width: float, K: 
     for bit to the traces of its matrix alone.  A (b, n) stack runs in parts
     whose bands hold at most about _TRACE_ELEMENTS doubles.
     """
-    if K < 0:
-        raise ParameterError("Chebyshev degree K must be >= 0")
+    K = checked_int("K", K, 0)
     if not half_width > 0:
         raise ParameterError(f"half_width must be positive, got {half_width!r}")
     lead, n = gram.diag.shape[:-1], gram.n

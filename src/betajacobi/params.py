@@ -8,7 +8,9 @@ b = p/(p+q); the spectral support is the interval [lambda_minus, lambda_plus].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import ExtremalRegimeError, ParameterError
 
@@ -22,7 +24,21 @@ __all__ = [
     "derive_asymptotic",
     "involute",
     "support_edges",
+    "checked_int",
 ]
+
+
+def checked_int(name: str, value, low: int, high: Optional[int] = None) -> int:
+    """int(value) if value is an integer in [low, high]; else ParameterError.
+
+    numpy integers count, bool does not.  Every public count, order, node
+    count, replicate count and seed goes through this one rule.
+    """
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        return int(value)
+    bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ParameterError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def _checked_beta(beta: float) -> float:
@@ -46,8 +62,7 @@ class EnsembleParams:
     n2: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", checked_int("n", self.n, 1))
         _checked_beta(self.beta)
         for name in ("n1", "n2"):
             val = getattr(self, name)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import model
 from .errors import ParameterError
-from .params import EnsembleParams, from_shape
+from .params import EnsembleParams, checked_int, from_shape
 
 __all__ = [
     "AlternatingBridge",
@@ -59,10 +59,6 @@ class AlternatingBridge:
             if not odd and s == -1:
                 raise ParameterError("even steps must not travel down")
 
-    @property
-    def k(self) -> int:
-        return len(self.steps) // 2
-
     def horizontal_count(self) -> int:
         return sum(1 for s in self.steps if s == 0)
 
@@ -87,8 +83,7 @@ def enumerate_bridges(k: int) -> list[AlternatingBridge]:
     Down-steps occupy odd positions, up-steps even positions, equal counts;
     the two placements are independent.
     """
-    if not (0 <= k <= _MAX_ENUM_K):
-        raise ParameterError(f"bridge enumeration limited to k <= {_MAX_ENUM_K}")
+    k = checked_int("k", k, 0, _MAX_ENUM_K)
     odd_slots = list(range(0, 2 * k, 2))
     even_slots = list(range(1, 2 * k, 2))
     out = []
@@ -110,6 +105,8 @@ def power_table(x, y, degree: int) -> tuple:
     Built by repeated products, one pass per degree for all points; the
     WeightPolynomial derivatives of every k <= degree / 2 read it.
     """
+    degree = checked_int("degree", degree, 0)
+
     def powers(v):
         v = np.asarray(v, dtype=float)
         out = np.empty((degree + 1,) + v.shape)
@@ -157,8 +154,7 @@ class WeightPolynomial:
 
 @lru_cache(maxsize=None)
 def weight_polynomial(k: int) -> WeightPolynomial:
-    if k < 0:
-        raise ParameterError("k must be nonnegative")
+    k = checked_int("k", k, 0)
     coeffs = tuple(math.comb(k, l) ** 2 for l in range(k + 1))
     return WeightPolynomial(k=k, coeffs=coeffs)
 
@@ -189,8 +185,7 @@ def trace_via_paths(factor: model.TridiagonalFactor, k: int) -> float:
     L levels fits in n - L + 1 placements; each level is one vectorised
     product over them.
     """
-    if not (1 <= k <= _MAX_PATH_K):
-        raise ParameterError(f"path-sum trace limited to 1 <= k <= {_MAX_PATH_K}")
+    k = checked_int("k", k, 1, _MAX_PATH_K)
     n = factor.n
     # e[i] is the subdiagonal entry in row i + 1, as d[i] is the diagonal one;
     # rows 1 and n + 1 have none
@@ -219,8 +214,7 @@ def expected_trace_exact(params: EnsembleParams, k: int) -> float:
     _level_profiles(k) are vectorised over the start rows and summed with
     math.fsum.
     """
-    if not (1 <= k <= _MAX_PATH_K):
-        raise ParameterError(f"expected trace limited to 1 <= k <= {_MAX_PATH_K}")
+    k = checked_int("k", k, 1, _MAX_PATH_K)
     n = params.n
     shapes = model._shape_arrays(params)
     c_r, c_s = shapes[:n], shapes[n : 2 * n]
@@ -266,7 +260,7 @@ def trace_expansion(k: int, beta: float, a: float, b: float, base_n: int = 512) 
     4n and eliminates the remaining 1/m term.  Residuals of the last
     eliminations are reported as error estimates.
     """
-    n0 = base_n
+    n0 = checked_int("base_n", base_n, 1)
     v = [expected_trace_exact(from_shape(m, beta, a, b), k) / m for m in (n0, 2 * n0, 4 * n0)]
     a1 = 2 * v[1] - v[0]
     a2 = 2 * v[2] - v[1]

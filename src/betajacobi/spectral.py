@@ -23,7 +23,7 @@ from numpy.polynomial.chebyshev import chebder, chebmul, chebval
 from . import eig, model
 from .errors import ParameterError, QuadratureError
 from .model import SymTridiagonal
-from .params import AsymptoticParams, SupportInterval
+from .params import AsymptoticParams, SupportInterval, checked_int
 
 __all__ = [
     "ChebyshevForm",
@@ -132,6 +132,7 @@ def monomial_table(K: int, center: float, half_width: float) -> np.ndarray:
     Each row is the one before times x = center + half_width u, with
     u T_0 = T_1 and u T_j = (T_{j+1} + T_{j-1}) / 2 for j >= 1.
     """
+    K = checked_int("K", K, 0)
     c, r = center, half_width
     table = np.zeros((K + 1, K + 1))
     table[0, 0] = 1.0
@@ -146,8 +147,7 @@ def monomial_table(K: int, center: float, half_width: float) -> np.ndarray:
 
 def monomial(k: int) -> TestFunction:
     """x^k for 0 <= k <= 12."""
-    if not (0 <= k <= 12):
-        raise ParameterError("monomial degree limited to 0..12")
+    k = checked_int("k", k, 0, 12)
     if k == 0:
         return TestFunction(
             fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
@@ -194,8 +194,7 @@ def chebyshev_test_function(m: int, support: SupportInterval) -> TestFunction:
     Its Chebyshev form is exact: the coefficient 2 at degree m on the
     support's own map.  The function and its derivative evaluate that form.
     """
-    if m < 0:
-        raise ParameterError("order must be nonnegative")
+    m = checked_int("m", m, 0)
     form = ChebyshevForm((0.0,) * m + (2.0,), support.center, support.half_width)
     return TestFunction(fn=form, derivative=form.derivative(), name=f"gamma{m}", chebyshev=form)
 
@@ -250,8 +249,7 @@ def _theta_values(f: Callable, center: float, half_width: float, nodes: int):
 
     QuadratureError if f is not finite at every node.
     """
-    if nodes < 8:
-        raise ParameterError("need at least 8 quadrature panels")
+    nodes = checked_int("nodes", nodes, 8)
     theta = np.linspace(0.0, math.pi, nodes + 1)
     w = np.full(nodes + 1, math.pi / nodes)
     w[0] *= 0.5
@@ -293,6 +291,7 @@ def chebyshev_coefficients(
     _cosine_table); a caller with several functions may pass the table
     _cosine_table(N, nodes) once as _cosines.
     """
+    N, nodes = checked_int("N", N, 0), checked_int("nodes", nodes, 8)
     cosines = _cosine_table(N, nodes) if _cosines is None else _cosines
     _, w, _, vals = _theta_values(f, support.center, support.half_width, nodes)
     fhat = (cosines @ (w * vals)) / math.pi
@@ -394,8 +393,7 @@ def edge_weight_integral(support: SupportInterval, nodes: int = DEFAULT_NODES) -
     of the theta-trapezoid route used by integrate_density; the value
     should be 2 pi a.
     """
-    if nodes < 1:
-        raise ParameterError(f"need at least one quadrature node, got {nodes}")
+    nodes = checked_int("nodes", nodes, 1)
     j = np.arange(1, nodes + 1)
     t = j * math.pi / (nodes + 1)
     u = np.cos(t)
@@ -435,6 +433,7 @@ def jacobi_recurrence_01(nterms: int, r_param: float, s_param: float):
     the squared off-diagonals (offsq[0] unused).  Every entry is the same
     chain of float operations, in the same order, as a scalar loop over k.
     """
+    nterms = checked_int("nterms", nterms, 1)
     if r_param <= -1 or s_param <= -1:
         raise ParameterError("weight exponents must exceed -1")
     A, B = float(s_param), float(r_param)  # [-1,1] convention (1-u)^A (1+u)^B
@@ -460,8 +459,7 @@ def jacobi_roots(n: int, r_param: float, s_param: float) -> np.ndarray:
 
     Computed as eigenvalues of the symmetric recurrence matrix.
     """
-    if n < 1:
-        raise ParameterError("need n >= 1")
+    n = checked_int("n", n, 1)
     diag, offsq = jacobi_recurrence_01(n, r_param, s_param)
     A = SymTridiagonal(diag=diag, off=np.sqrt(offsq[1:n]))
     return eig.eigenvalues(A).values
@@ -487,14 +485,13 @@ def jacobi_probability_quadratures(nnodes: int, shapes) -> list:
     run as one stacked recurrence, so a Python step serves every rule.
     Each rule is bit-identical to the same rule built alone.
     """
-    if nnodes < 1:
-        raise ParameterError(f"need at least one quadrature node, got {nnodes}")
-    keys = [(int(nnodes), float(p), float(q)) for p, q in shapes]
+    nnodes = checked_int("nnodes", nnodes, 1)
+    keys = [(nnodes, float(p), float(q)) for p, q in shapes]
     if any(p <= 0 or q <= 0 for _, p, q in keys):
         raise ParameterError("Beta shapes must be positive")
     missing = [key for key in dict.fromkeys(keys) if key not in _BETA_RULES]
     if missing:
-        _BETA_RULES.update(zip(missing, _beta_rules(int(nnodes), [key[1:] for key in missing])))
+        _BETA_RULES.update(zip(missing, _beta_rules(nnodes, [key[1:] for key in missing])))
     rules = [_BETA_RULES[key] for key in keys]
     while len(_BETA_RULES) > _BETA_RULES_KEPT:
         del _BETA_RULES[next(iter(_BETA_RULES))]

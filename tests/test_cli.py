@@ -419,6 +419,18 @@ def test_concentration_jacobi_runs_the_named_function(capsys):
     assert results["gamma3"]["points"][0]["variance"] != rep["variance"]
 
 
+def test_piecewise_linear_derivative_and_its_jacobi_check(capsys):
+    # slope 2 on [0, 0.5), -2 from the middle knot on (the right-hand slope),
+    # and the end slopes outside [0, 1]; `pwl` reaches it through squared_derivative
+    pwl = spectral.piecewise_linear([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
+    x = [-0.3, 0.0, 0.2, 0.4999, 0.5, 0.7, 1.0, 1.4]
+    assert pwl.derivative(x).tolist() == [2.0] * 4 + [-2.0] * 4
+    code, out = _run(capsys, "concentration", "--check", "jacobi", "--func", "pwl",
+                     "--n", "64", "--reps", "400", "--seed", "1")
+    assert code == 0
+    assert json.loads(out)["results"]["passed"] is True
+
+
 def test_fluct_fixed_seed_matches_monomial_trace_route(tmp_path, capsys):
     # means and variances of this run as computed through monomial power
     # traces contracted with monomial coefficients, before the Chebyshev

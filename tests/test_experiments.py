@@ -191,7 +191,7 @@ _REPLICATE_CALLERS = {
 @pytest.mark.parametrize("replicates", [0, 1, -3, 2.5])
 @pytest.mark.parametrize("caller", sorted(_REPLICATE_CALLERS))
 def test_too_few_replicates_raise_parameter_error(caller, replicates):
-    with pytest.raises(ParameterError, match="two replicates"):
+    with pytest.raises(ParameterError, match="replicates must be an integer >= 2"):
         _REPLICATE_CALLERS[caller](replicates)
 
 
@@ -319,5 +319,5 @@ def test_config_validation():
     params = bj.from_ratios(16, 2.0, 2.0, 2.0)
     with pytest.raises(ParameterError, match="test function"):
         ex.run_fluctuations(params, [], 10, 0)
-    with pytest.raises(ParameterError, match="two replicates"):
+    with pytest.raises(ParameterError, match="replicates must be an integer >= 2"):
         ex.run_fluctuations(params, [spectral.monomial(1)], 1, 0)

@@ -312,7 +312,7 @@ def test_map_replicates_checks_its_arguments():
     traces = model.map_replicates(params, 0, np.int64(3), lambda gram: gram.diag.sum(axis=-1))
     assert traces.shape == (3, 1)
     for count in (2.5, 3.0, "3", None):
-        with pytest.raises(ParameterError, match="two replicates"):
+        with pytest.raises(ParameterError, match="replicates must be an integer >= 2"):
             model.map_replicates(params, 0, count, lambda gram: gram.diag.sum(axis=-1))
     with pytest.raises(ParameterError, match="64 bits"):
         model.map_replicates(params, -1, 3, lambda gram: gram.diag.sum(axis=-1))

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import concentration, covariance, eig, experiments, model, paths, spectral
 from .errors import ExtremalRegimeError, ParameterError
-from .params import (EnsembleParams, SupportInterval, derive_asymptotic, from_ratios,
-                     shape_params, support_edges)
+from .params import (EnsembleParams, SupportInterval, checked_int, derive_asymptotic,
+                     from_ratios, shape_params, support_edges)
 
 __all__ = ["Gate", "Check", "GateResult", "Outcome", "REGISTRY", "CHECKS", "run", "report"]
 
@@ -148,7 +148,7 @@ def report(outcomes) -> dict:
 
 def _bridge_combinatorics(max_k):
     count = weight = odd = 0
-    for k in range(1, max_k + 1):
+    for k in range(1, checked_int("max_k", max_k, 1) + 1):
         bridges = paths.enumerate_bridges(k)
         count += len(bridges) != math.comb(2 * k, k)
         counts = {}
@@ -163,6 +163,7 @@ def _bridge_combinatorics(max_k):
 
 
 def _path_sum_oracle(matrices, stream, seed):
+    matrices = checked_int("matrices", matrices, 1)
     rng = np.random.default_rng(model.checked_seed(seed))
     worst = 0.0
     for idx in range(matrices):
@@ -189,7 +190,7 @@ def _generating_function(x, y, t, terms):
         i0 += term
         term *= (z * z / 4.0) / (m * m)
     partial = sum(t**k / math.factorial(k) * paths.weight_polynomial(k).value(x, y)
-                  for k in range(terms))
+                  for k in range(checked_int("terms", terms, 1)))
     return {"generating_function_gap": abs(partial - math.exp(t * (x * x + y * y)) * i0)}
 
 
@@ -199,6 +200,7 @@ def _random_tridiagonal(rng, max_n):
 
 
 def _eigensolver(matrices, max_n, seed):
+    matrices, max_n = checked_int("matrices", matrices, 1), checked_int("max_n", max_n, 2)
     rng = np.random.default_rng(model.checked_seed(seed))
     worst_trace = worst_frob = 0.0
     for _ in range(matrices):
@@ -457,11 +459,12 @@ def _lln(regimes, sizes, func, beta, p, q, reps, seed):
     The schedules' asymmetric offsets give the finite-n first moment a genuine
     O(1/n) bias toward the limit; symmetric ones would leave only Monte Carlo noise.
     """
+    unknown = [regime for regime in regimes if regime not in _REGIMES]
+    if unknown:
+        raise ParameterError(f"regime must be one of {_REGIMES}, got {unknown[0]!r}")
     statistic = spectral.trace_statistic([func])
     points, violations = [], 0
     for regime in regimes:
-        if regime not in _REGIMES:
-            raise ParameterError(f"regime must be one of {_REGIMES}")
         dists = []
         for n in sizes:
             if regime == "sublinear":
@@ -550,7 +553,7 @@ REGISTRY = (
           full={"n": 5000, "beta": 2.0, "reps": 20_000},
           quick={"n": 1000, "beta": 2.0, "reps": 2000}, seed=51, slow=True),
     Check(16, "lln", _lln, (("monotonicity_violations", "<=", 1),),
-          full={"regimes": ("sublinear", "proportional", "superlinear"),
+          full={"regimes": _REGIMES,
                 "sizes": (250, 500, 1000, 2000), "func": spectral.monomial(1), "beta": 2.0,
                 "p": 2.0, "q": 2.0, "reps": 64},
           quick={"regimes": ("proportional",), "sizes": (125, 250, 500),

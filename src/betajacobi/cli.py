@@ -75,8 +75,9 @@ _SUBCOMMANDS = {
                "--csv": {"help": "write raw samples to this CSV"}}),
     "lln": ("law-of-large-numbers distances",
             "func:str=x beta:float=2 p:float=2 q:float=2 reps:int=64 seed:int=0",
+            # the regimes that criterion 16 runs at its full inputs: all of them
             {"--regime": {"default": "proportional",
-                          "choices": ("sublinear", "proportional", "superlinear")},
+                          "choices": checks.CHECKS["lln"].full["regimes"]},
              "--sizes": {"default": "250,500,1000,2000", "help": "comma-separated n values"}}),
     "expect": ("mean-trace deviation of x^k, 1 <= k <= 8, via float bridge sums",
                "k:int=2 base_n:int=512 beta:rational=4 a:rational=1/4 b:rational=1/2", {}),

@@ -4,10 +4,10 @@ tr A^k expands over closed lattice paths of length 2k whose odd steps never
 go up and whose even steps never go down ("alternating bridges").  The
 module enumerates them and builds their weight polynomial.  A bridge's
 weight depends only on its level profile: the horizontal steps and the
-crossings at each level it visits.  One cached table of profiles and their
-multiplicities serves both bridge sums: path-sum traces against a sampled
-factor, and E tr A^k for k <= 8 as a float sum of the Beta moments of the
-matrix entries, at the sampler's own Beta shapes, from which the 1/n
+crossings at each level it visits.  One walk over the placed profiles
+serves both bridge sums, and each supplies only its moment map: powers of
+a sampled factor's raw Beta draws for path-sum traces, and Beta moments at
+the sampler's own shapes for E tr A^k, k <= 8, from which the 1/n
 expansion of the mean is extracted.  Everything here is a pure function.
 """
 
@@ -176,69 +176,68 @@ def _level_profiles(k: int) -> tuple:
     return tuple(profiles.items())
 
 
-def trace_via_paths(factor: model.TridiagonalFactor, k: int) -> float:
-    """tr A^k as a sum over placed level profiles of products of factor entries.
+def _bridge_sum(k: int, n: int, moment) -> float:
+    """Sum over the bridges of length 2k placed in an n x n factor.
 
-    A bridge whose lowest level sits at row m weighs, at each level j, the
-    diagonal entry d_(m+j) to the power of its horizontal steps times the
-    subdiagonal entry e_(m+j+1) to the power of its crossings.  A profile of
-    L levels fits in n - L + 1 placements; each level is one vectorised
-    product over them.
+    Its variables are z_j = c_(j+1)^2 and z_(n+j) = c'_j^2, 0 <= j < n, with
+    c'_0 = 0 for s'_0 = 1.  A level at row n - i, with h horizontal steps on
+    d = c_(i+1) s'_i and b and a crossings below and above it on entries -s c',
+    takes z_i^(h/2) (1 - z_i)^(b/2) z_(n+i)^(a/2) (1 - z_(n+i))^(h/2); all
+    counts are even.  moment(term, rows, u, v) multiplies term, one entry per
+    placement, in place by the moment of z^u (1 - z)^v of the variable slice
+    rows, for u + v > 0.  The terms are summed with math.fsum.
     """
-    k = checked_int("k", k, 1, _MAX_PATH_K)
-    n = factor.n
-    # e[i] is the subdiagonal entry in row i + 1, as d[i] is the diagonal one;
-    # rows 1 and n + 1 have none
-    d = factor.diag
-    e = np.concatenate(([0.0], factor.sub, [0.0]))
-    total = 0.0
+    terms = []
     for profile, count in _level_profiles(k):
         places = n - len(profile) + 1
         if places < 1:
             continue
-        prod = np.full(places, float(count))
-        for level, (horiz, up) in enumerate(profile):
-            prod *= d[level : level + places] ** horiz * e[level + 1 : level + 1 + places] ** up
-        total += prod.sum()
-    return float(total)
+        term = np.full(places, float(count))
+        below = 0
+        for level, (horiz, above) in enumerate(profile):
+            i = len(profile) - 1 - level  # variable of the first placement
+            for j, u, v in ((i, horiz // 2, below // 2), (n + i, above // 2, horiz // 2)):
+                if u or v:
+                    moment(term, slice(j, j + places), u, v)
+            below = above
+        terms.append(term)
+    return math.fsum(np.concatenate(terms).tolist())
+
+
+def trace_via_paths(factor: model.TridiagonalFactor, k: int) -> float:
+    """tr A^k of one factor as a bridge sum over its raw Beta draws z."""
+    k = checked_int("k", k, 1, _MAX_PATH_K)
+    z = np.concatenate((factor.raw_c, [0.0], factor.raw_cp))
+    zu, wv = power_table(z, 1.0 - z, k)
+
+    def powers(term, rows, u, v):
+        term *= zu[u, rows] * wv[v, rows]
+
+    return _bridge_sum(k, factor.n, powers)
 
 
 def expected_trace_exact(params: EnsembleParams, k: int) -> float:
-    """E tr A^k as a float sum over alternating bridges.
+    """E tr A^k as a float bridge sum of the Beta moments
+    E[z^u (1-z)^v] = (r)_u (s)_v / (r+s)_(u+v) at the sampler's shapes (r, s).
 
-    Every bridge visits each matrix entry an even number of times, so each
-    path expectation is a product of independent Beta moments
-    E[z^u (1-z)^v] = (r)_u (s)_v / (r+s)_(u+v), with the shapes (r, s) that
-    the sampler draws from; signs from the subdiagonal cancel pairwise.  A
-    path depends only on its level profile, so the terms of each profile in
-    _level_profiles(k) are vectorised over the start rows and summed with
-    math.fsum.
+    Each bridge visits each variable an even number of times, so signs from
+    the subdiagonal cancel and its expectation is a product of moments.
     """
     k = checked_int("k", k, 1, _MAX_PATH_K)
     n = params.n
     shapes = model._shape_arrays(params)
-    c_r, c_s = shapes[:n], shapes[n : 2 * n]
-    # c'_0 = 0 exactly stands for s'_0 = 1 in the diagonal entry of row n
-    cp_r = np.concatenate(([0.0], shapes[2 * n : 3 * n - 1]))
-    cp_s = np.concatenate(([1.0], shapes[3 * n - 1 :]))
-    terms = []
-    for profile, count in _level_profiles(k):
-        top = np.arange(n - len(profile) + 1)  # n - m for the top level's row m
-        term = np.full(top.shape, float(count))
-        below = 0
-        for level, (horiz, up) in enumerate(profile):
-            # horizontal steps at row m use d_m = c_{n-m+1} s'_{n-m}; crossings of
-            # (m, m+1) use the row-(m+1) subdiagonal -s_{n-m} c'_{n-m}
-            i = top + len(profile) - 1 - level
-            for r, s, u, v in ((c_r[i], c_s[i], horiz // 2, below // 2),
-                               (cp_r[i], cp_s[i], up // 2, horiz // 2)):
-                for t in range(u):
-                    term *= (r + t) / (r + s + t)
-                for t in range(v):
-                    term *= (s + t) / (r + s + u + t)
-            below = up
-        terms.append(term)
-    return math.fsum(np.concatenate(terms).tolist())
+    # c'_0 = 0 exactly: Beta shapes (0, 1)
+    r = np.concatenate((shapes[:n], [0.0], shapes[2 * n : 3 * n - 1]))
+    s = np.concatenate((shapes[n : 2 * n], [1.0], shapes[3 * n - 1 :]))
+
+    def beta_moments(term, rows, u, v):
+        r_, s_ = r[rows], s[rows]
+        for t in range(u):
+            term *= (r_ + t) / (r_ + s_ + t)
+        for t in range(v):
+            term *= (s_ + t) / (r_ + s_ + u + t)
+
+    return _bridge_sum(k, n, beta_moments)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import betajacobi as bj
-from betajacobi import concentration, covariance, eig, model, paths, spectral
+from betajacobi import checks, concentration, covariance, eig, model, paths, spectral
 from betajacobi import experiments as ex
 from betajacobi import params as P
 from betajacobi.errors import ParameterError
@@ -164,6 +164,28 @@ def test_every_public_count_parameter_is_in_the_table_or_exempt():
     assert uncovered == []
     stale = [_label(key) for key in (*_TABLE, *_EXEMPT) if key[1] not in key[0].__all__]
     assert stale == []
+
+
+def _runner_inputs(check):
+    """A registry entry's quick inputs with its seed, as checks.run passes them."""
+    inputs = dict(check.inputs(quick=True))
+    if check.seed is not None:
+        inputs["seed"] = check.seed
+    return inputs
+
+
+# (check id, input name) for every integer input of a registry runner
+_RUNNER_INTS = [(check.id, name) for check in checks.REGISTRY
+                for name, value in _runner_inputs(check).items() if type(value) is int]
+
+
+@pytest.mark.parametrize("check_id, name", _RUNNER_INTS, ids=[f"{c}:{n}" for c, n in _RUNNER_INTS])
+def test_every_runner_integer_input_is_checked(check_id, name):
+    check = next(c for c in checks.REGISTRY if c.id == check_id)
+    inputs = _runner_inputs(check)
+    for value in (2.5, True):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            check.runner(**{**inputs, name: value})
 
 
 def test_checked_int_rule():

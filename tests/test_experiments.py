@@ -266,6 +266,16 @@ def test_lln_regime_validation():
         _lln_points("linearish", (64,), spectral.monomial(1), 64, 0)
 
 
+def test_lln_checks_every_regime_before_sampling(monkeypatch):
+    def sample(*args):
+        raise AssertionError("sampled before the regimes were checked")
+
+    monkeypatch.setattr(model, "map_replicates", sample)
+    with pytest.raises(ParameterError, match="got 'bogus'"):
+        checks._lln(("proportional", "bogus"), (40, 80), spectral.monomial(1),
+                    2.0, 2.0, 2.0, 4, 0)
+
+
 def test_trotter_gap_properties():
     params = bj.from_ratios(128, 2.0, 2.0, 2.0)
     assert checks._frobenius_gap((128,), 10, seed=2)["gap_over_log_n"][0] >= 0.0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -128,12 +129,11 @@ def test_trace_via_paths_two_by_two_hand_formula():
 
 
 def test_trace_via_paths_dense_oracle():
-    rng_idx = 0
-    for n in (4, 8, 12):
+    # at n = 1, 2, 3 some profiles of every k >= 2 have more levels than n
+    for rng_idx, n in enumerate((4, 8, 12, 1, 2, 3)):
         factor = model.sample_factor(
             bj.from_ratios(n, 1.3, 2.1, 3.4), model.replicate_stream(2, rng_idx)
         )
-        rng_idx += 1
         A = model.gram_to_dense(model.assemble_gram(factor))
         P = np.eye(n)
         for k in range(1, paths._MAX_PATH_K + 1):
@@ -178,6 +178,21 @@ def test_expected_trace_small_cases_exact():
     assert _close(paths.expected_trace_exact(_ensemble(1), 2), expected)
 
     assert _close(paths.expected_trace_exact(_ensemble(64), 1), Fraction(32))
+
+
+# sha256 of the float.hex strings, space-separated, of E tr A^k at
+# from_shape(n, beta, 1/4, 1/2) for n in _PINNED_SIZES, beta in (1, 2, 4) and
+# k = 1..8, in that nesting order.  A route change to expected_trace_exact
+# moves these bits and must be recorded with the sizes of its changes.
+_PINNED_SIZES = (1, 2, 3, 5, 17, 64, 257)
+_PINNED_SHA256 = "0149fa376e5719420e37ea61a46dbb98704cde3395b5273c9f80dc768fc41e73"
+
+
+def test_expected_trace_bits_are_pinned():
+    values = [paths.expected_trace_exact(bj.from_shape(n, beta, 0.25, 0.5), k)
+              for n in _PINNED_SIZES for beta in (1.0, 2.0, 4.0) for k in range(1, 9)]
+    digest = hashlib.sha256(" ".join(map(float.hex, values)).encode()).hexdigest()
+    assert digest == _PINNED_SHA256, values
 
 
 def test_expected_trace_matches_monte_carlo():

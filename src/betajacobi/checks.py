@@ -164,6 +164,7 @@ def _bridge_combinatorics(max_k):
 
 def _path_sum_oracle(matrices, stream, seed):
     matrices = checked_int("matrices", matrices, 1)
+    stream = checked_int("stream", stream, 0, 2**64 - 1)
     rng = np.random.default_rng(model.checked_seed(seed))
     worst = 0.0
     for idx in range(matrices):

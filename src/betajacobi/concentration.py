@@ -6,14 +6,15 @@ Beta expectations are computed with Gauss nodes from the spectral module's
 recurrence machinery (no new solver); the coupling uses the comonotone
 (quantile) pairing, which is optimal for squared distance in one dimension,
 integrated as a Gaussian expectation by doubling Gauss-Hermite rules.
-The coupling's Beta quantiles and Hermite rule come from scipy.special,
-imported at the first coupling gap (0.03-0.07 s once scipy.linalg is
-loaded, 0.35 s before), so that importing this module loads no scipy; the
-Beta rules of the Poincare ratios load scipy.linalg through eig.
+The coupling's Hermite rule comes from spectral and its Beta quantiles are
+solved here with numpy and the math module (the incomplete Beta function
+of DiDonato and Morris's Algorithm 708), so the coupling gap loads no
+scipy; the Beta rules of the Poincare ratios load scipy.linalg through eig.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,9 +82,11 @@ _MAX_NODES = 1024
 # is larger.  The integrand (Y - mu - c z)^2 is O(gap) while Y ~ mu = O(1), so
 # a relative error kappa in the sqrt-Beta quantiles moves the gap by about
 # 2 kappa mu sqrt(gap).  Successive rules of 32..1024 nodes at n <= 1e6 and
-# p, q in {1/4, 1/2, 1, 2, 4, 8} differ by up to kappa ~ 4.4e-14 in this sense
-# (3.8e-7 relative at n = 1e6, p = 1/2, q = 4); _QUANTILE_RTOL is twice that,
-# rounded up.
+# p, q in {1/4, 1/2, 1, 2, 4, 8} differ by up to kappa = 1.0e-16 in this
+# sense at n = 10..1e6 (1.6e-9 relative at n = 1e6, p = 1, q = 2), and by
+# 1.8e-14 at n = 5, p = q = 1/4, where 32 and 64 nodes still differ by
+# quadrature error.  _QUANTILE_RTOL keeps the margin it was set with when
+# scipy's quantiles reached kappa ~ 4.4e-14: twice that, rounded up.
 _GAP_RTOL = 1e-8
 _QUANTILE_RTOL = 1e-13
 
@@ -103,20 +106,196 @@ def _gaussian_gap(a: float, b: float, mu: float, slope: float, nodes: int) -> fl
     F is the law of sqrt(Beta(a, b)).  Substituting u = Phi(z) turns the
     quantile integral over u in (0, 1), singular at both ends, into a
     Gaussian expectation with a smooth integrand, which Gauss-Hermite
-    integrates spectrally.  The upper half inverts the complementary Beta
-    function at Phi(-z), so the upper tail keeps its digits.
+    integrates spectrally.
     """
-    from scipy.special import betainccinv, betaincinv, ndtr, roots_hermitenorm
-
-    z, w = roots_hermitenorm(nodes)
-    lower = z <= 0
-    x = np.empty_like(z)
-    x[lower] = betaincinv(a, b, ndtr(z[lower]))
-    x[~lower] = betainccinv(a, b, ndtr(-z[~lower]))
-    if not np.all(np.isfinite(x)):
-        raise QuadratureError(f"Beta quantile inversion failed at {nodes} Gauss-Hermite nodes")
+    z, w = spectral.hermite_quadrature(nodes)
+    x = np.array([_beta_quantile(a, b, zi) for zi in z.tolist()])
     diff = np.sqrt(x) - mu - slope * z
     return float(w @ (diff * diff)) / math.sqrt(2.0 * math.pi)
+
+
+def _beta_quantile(a: float, b: float, z: float) -> float:
+    """The Beta(a, b) quantile x at Phi(z), for a, b > 1.
+
+    Each half solves in its own small tail: the lower half I_x(a, b) =
+    Phi(z), the upper half I_(1-x)(b, a) = Phi(-z), so the upper tail keeps
+    its digits; the solver carries both t and 1 - t, so x keeps its own.
+    """
+    return _tail_quantile(a, b, z)[0] if z <= 0.0 else _tail_quantile(b, a, -z)[1]
+
+
+# Steps of the quantile solver before it gives up
+_SOLVER_STEPS = 100
+
+
+@functools.lru_cache(maxsize=4096)
+def _tail_quantile(a: float, b: float, z: float) -> tuple[float, float]:
+    """(t, 1 - t) with I_t(a, b) = Phi(z), for z <= 0 and a, b > 1.
+
+    (0, 1) where Phi(z) underflows.  Safeguarded Halley steps on
+    G(s) = ln I_(e^s)(a, b) - ln Phi(z) in s = ln t, applied to the smaller
+    of t and 1 - t, so that both keep their relative digits.  G is concave
+    in s (t times the Beta density is log-concave in s for b >= 1), so a
+    Newton step from below the root stays below it; a Halley step is taken
+    when its factor lies in [1/2, 2] and it stays inside the bracket of the
+    values of s seen so far.  Cached, so that the mirrored node of a
+    symmetric rule at a = b, and the independent gap after the coupled one,
+    reuse each solve.
+    """
+    u = 0.5 * math.erfc(z * -math.sqrt(0.5))  # formed as experiments._normal_cdf forms it
+    if u == 0.0:
+        return 0.0, 1.0
+    # the tail's leading term t^a / (a B(a, b)) = u, which lies below the
+    # quantile as (1 - t)^(b - 1) <= 1 ...
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    t = math.exp((math.log(u) + math.log(a) + log_beta) / a)
+    y = 1.0 - t
+    # ... or the Cornish-Fisher start of Abramowitz and Stegun 26.5.22, if larger
+    r = (z * z - 3.0) / 6.0
+    inv_a, inv_b = 1.0 / (2.0 * a - 1.0), 1.0 / (2.0 * b - 1.0)
+    h = 2.0 / (inv_a + inv_b)
+    if h + r > 0.0:
+        w = -z * math.sqrt(h + r) / h - (inv_b - inv_a) * (r + 5.0 / 6.0 - 2.0 / (3.0 * h))
+        odds = b * math.exp(min(2.0 * w, 700.0))
+        if a / (a + odds) > t:
+            t, y = a / (a + odds), odds / (a + odds)
+    if t == 0.0:
+        return 0.0, 1.0
+    lo, hi = -math.inf, 0.0
+    for _ in range(_SOLVER_STEPS):
+        g, g1 = _log_cdf_ratio(a, b, t, y, u)
+        s = math.log(t) if t <= 0.5 else math.log1p(-y)
+        if g < 0.0:
+            lo = s
+        else:
+            hi = s
+        step = g / g1
+        # half of G'' / G', from G'' = G' (a - (b - 1) t / (1 - t) - G')
+        k = 0.5 * (a - (b - 1.0) * t / y - g1)
+        factor = 1.0 - step * k
+        halley = 0.5 <= factor <= 2.0 and lo < s - step / factor < hi
+        if halley:
+            step /= factor
+        if t <= 0.5:
+            t *= math.exp(-step)
+            y = 1.0 - t
+        else:
+            y -= t * math.expm1(-step)
+            t = 1.0 - y
+        # the error left is about k^2 |step|^3 after a Halley step and
+        # |k| step^2 after a Newton step, far below the rounding of t
+        if abs(step) <= 1e-9 / (1.0 + abs(k)):
+            return t, y
+    raise QuadratureError(
+        f"Beta({a}, {b}) quantile at Phi({z}) not converged in {_SOLVER_STEPS} steps")
+
+
+# Stirling-series coefficients B_2k / (2k (2k - 1)), k = 1..10; from s = 8 on,
+# the terms past the tenth are below 1e-17
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400, 43867 / 244188, -174611 / 125400)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LN2 = math.log(2.0)
+_EPS = float(np.finfo(float).eps)
+# Steps of the Beta continued fraction before it gives up
+_FRACTION_STEPS = 100000
+
+
+def _stirling_correction(s: float) -> float:
+    """lgamma(s) - ((s - 1/2) ln s - s + ln(2 pi) / 2), for s > 0."""
+    if s < 8.0:
+        return math.lgamma(s) - (s - 0.5) * math.log(s) + s - _HALF_LOG_2PI
+    r = 1.0 / (s * s)
+    acc = 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * r + c
+    return acc / s
+
+
+def _log_cdf_ratio(a: float, b: float, t: float, y: float, u: float) -> tuple[float, float]:
+    """(ln(I_t(a, b) / u), d ln I_t(a, b) / d ln t) for 0 < t = 1 - y < 1 and a, b > 1.
+
+    Up to the mean, I_t = P r with the power term P = t^a (1 - t)^b / B(a, b)
+    and the continued fraction r of _beta_fraction; above it, I_t =
+    1 - I_(1-t)(b, a) (DiDonato and Morris, ACM TOMS 18, 1992, Algorithm
+    708).  ln P is their deviation form: with lam = a - (a + b) t and
+    rlog1(e) = e - ln(1 + e),
+
+        ln P = -a rlog1(-lam / a) - b rlog1(lam / b)
+               + ln sqrt(a b / (2 pi (a + b))) - (d(a) + d(b) - d(a + b)),
+
+    d the Stirling correction, so no difference of large lgamma values
+    cancels.  Far below the mean, where rlog1(-lam / a) holds -ln t, the
+    binary exponents of t^a and u are summed exactly (_log_power_over).
+    """
+    lam = a - (a + b) * t if t <= 0.5 else (a + b) * y - b
+    log_t, log_y = (math.log(t), math.log1p(-t)) if t <= 0.5 else (math.log1p(-y), math.log(y))
+    e = lam / b  # y / y0 - 1 with y0 = b / (a + b)
+    rlog1 = e - (math.log1p(e) if abs(e) <= 0.6 else log_y + math.log1p(a / b))
+    rest = (0.5 * math.log(a * b / (a + b)) - _HALF_LOG_2PI - b * rlog1
+            - _stirling_correction(a) - _stirling_correction(b) + _stirling_correction(a + b))
+    e = -lam / a  # t / x0 - 1 with x0 = a / (a + b)
+    if abs(e) <= 0.6:
+        log_p = rest - a * (e - math.log1p(e))
+        log_p_over_u = log_p - math.log(u)
+    else:
+        rest -= a * (e - math.log1p(b / a))  # ln(t / x0) = ln t + ln(1 + b / a)
+        log_p = rest + a * log_t
+        log_p_over_u = rest + _log_power_over(a, t, u)
+    if lam >= 0.0:
+        r = _beta_fraction(a, b, t, y, lam)
+        return log_p_over_u + math.log(r), 1.0 / (r * y)
+    p = math.exp(log_p)
+    w = p * _beta_fraction(b, a, y, t, -lam)  # I_(1-t)(b, a) < 0.64 above the mean
+    return math.log1p(-w) - math.log(u), p / ((1.0 - w) * y)
+
+
+def _log_power_over(a: float, t: float, u: float) -> float:
+    """a ln t - ln u, with the binary exponents of t and u summed exactly.
+
+    a is split into two halves of at most 27 bits, so each times an
+    exponent is exact; the digits of a ln t - ln u then do not depend on
+    the size of ln u.
+    """
+    mt, kt = math.frexp(t)
+    mu, ku = math.frexp(u)
+    split = a * 134217729.0  # 2^27 + 1 (Veltkamp)
+    high = split - (split - a)
+    exponent = math.fsum((high * kt, (a - high) * kt, -ku))
+    return a * math.log(mt) - math.log(mu) + _LN2 * exponent
+
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """r with I_x(a, b) = x^a y^b r / B(a, b), for y = 1 - x, a, b > 1 and
+    lam = (a + b) y - b >= 0, i.e. x at most the mean.
+
+    The continued fraction BFRAC of Algorithm 708, contracted so that its
+    first terms are formed from lam and keep their digits next to the
+    mean; it stops once a convergent moves r by at most eps r.  It takes
+    550 steps at the mean of Beta(1e6, 1e6), 89 two deviations below it and
+    24 five below.
+    """
+    c, c0, c1, yp1 = lam + 1.0, b / a, 1.0 / a + 1.0, y + 1.0
+    p, s = 1.0, a + 1.0
+    an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
+    r = c1 / c
+    for n in range(1, _FRACTION_STEPS):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        beta = n + w / s + (t + 1.0) / (c1 + t + t) * (c + n * yp1)
+        p = t + 1.0
+        s += 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0, r = r, anp1 / bnp1
+        if abs(r - r0) <= _EPS * r:
+            return r
+        # rescaled so that bnp1 = 1
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
+    raise QuadratureError(f"Beta({a}, {b}) continued fraction at {x} not converged")
 
 
 def _check_coupling(n: float, p: float, q: float) -> None:

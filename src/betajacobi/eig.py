@@ -89,8 +89,9 @@ def sturm_count(diag: np.ndarray, off_sq: np.ndarray, x: np.ndarray) -> np.ndarr
 
     Standard Sturm sequence on the shifted LDL^T recurrence, vectorized
     across shifts and leading batch axes: diag (..., n), off_sq (..., n-1)
-    and x (..., m) give counts (..., m).  Zero pivots are nudged by a tiny
-    epsilon.
+    and x (..., m) give counts (..., m).  A pivot below pivmin = 4 tiny
+    max(1, max off_sq) of its matrix is nudged to +-pivmin, as LAPACK
+    dstebz does, so that off_sq / pivot stays finite.
     """
     diag = np.asarray(diag, dtype=float)
     off_sq = np.asarray(off_sq, dtype=float)
@@ -98,7 +99,8 @@ def sturm_count(diag: np.ndarray, off_sq: np.ndarray, x: np.ndarray) -> np.ndarr
     n = diag.shape[-1]
     if n == 0:
         return np.zeros(np.broadcast_shapes(diag.shape[:-1] + (1,), x.shape), dtype=np.int64)
-    tiny = np.finfo(float).tiny * 4.0
+    # a (..., 1) column, 4 tiny exactly wherever every off_sq <= 1
+    tiny = np.finfo(float).tiny * 4.0 * np.max(off_sq, axis=-1, initial=1.0)[..., None]
     q = diag[..., 0, None] - x
     count = (q < 0).astype(np.int64)
     for i in range(1, n):

@@ -48,6 +48,7 @@ __all__ = [
     "jacobi_roots",
     "jacobi_probability_quadrature",
     "jacobi_probability_quadratures",
+    "hermite_quadrature",
 ]
 
 DEFAULT_NODES = 2048
@@ -510,18 +511,32 @@ def _beta_rules(nnodes: int, shapes) -> list:
     off = np.sqrt(np.array([offsq[1:nnodes] for _, offsq in recurrences]))
     nodes = np.array([eig.eigenvalues(SymTridiagonal(diag=d, off=e)).values
                       for d, e in zip(diag, off)])
+    weights = _christoffel_weights(nodes, diag, off)[0]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return list(zip(nodes, weights))
+
+
+def _christoffel_weights(nodes: np.ndarray, diag: np.ndarray, off: np.ndarray):
+    """Gauss weights 1 / sum_k q_k(x)^2 of probability measures, a row per rule.
+
+    q_k are the polynomials orthonormal for the measure whose Jacobi matrix
+    has diagonal diag (rules, m) and off-diagonal off (rules, m - 1); nodes
+    (rules, m) are its eigenvalues.  Returns (weights, q_(m-2), q_(m-1)),
+    the last two at the nodes divided by the same power of two (q_(-1) = 0).
+    """
     # orthonormal recurrence evaluated at the nodes, a row per rule; at large
-    # shapes the values grow past the float range, so once |q| at a node
-    # passes _RESCALE_AT its q's and sum are divided by a power of two
+    # shapes or nodes the values grow past the float range, so once |q| at a
+    # node passes _RESCALE_AT its q's and sum are divided by a power of two
     # (exact), whose exponent is carried in `scale` and restored in the weight
-    qprev = np.ones_like(nodes)
-    total = qprev.copy()
+    qprev, qcur = np.zeros_like(nodes), np.ones_like(nodes)
+    total = qcur.copy()
     scale = np.zeros(nodes.shape, dtype=int)
-    if nnodes > 1:
+    if nodes.shape[1] > 1:
         centers, steps = diag.T[:, :, None], off.T[:, :, None]  # step k of every rule
-        qcur = (nodes - centers[0]) / steps[0]
+        qprev, qcur = qcur, (nodes - centers[0]) / steps[0]
         total += qcur * qcur
-        for k in range(1, nnodes - 1):
+        for k in range(1, nodes.shape[1] - 1):
             qnext = ((nodes - centers[k]) * qcur - steps[k - 1] * qprev) / steps[k]
             qprev, qcur = qcur, qnext
             total += qcur * qcur
@@ -536,7 +551,39 @@ def _beta_rules(nnodes: int, shapes) -> list:
                 qcur = np.ldexp(qcur, -shift)
                 total = np.ldexp(total, -2 * shift)
                 scale += shift
-    weights = np.ldexp(1.0 / total, -2 * scale)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return list(zip(nodes, weights))
+    return np.ldexp(1.0 / total, -2 * scale), qprev, qcur
+
+
+def hermite_quadrature(nnodes: int):
+    """Gauss-Hermite nodes and weights for the weight exp(-z^2 / 2) on the line.
+
+    The probabilists' rule: the nodes are the eigenvalues of the Jacobi
+    matrix of the Hermite polynomials He_k (zero diagonal, off-diagonal
+    sqrt(k)), made exactly symmetric about 0 and refined by one Newton
+    step on He_n; the weights are sqrt(2 pi) times its Christoffel weights,
+    so they sum to sqrt(2 pi), and underflow to 0 in the far tails of large
+    rules.  Cached per node count; the arrays are shared by every caller, so
+    they are read-only.
+    """
+    nnodes = checked_int("nnodes", nnodes, 1)
+    rule = _HERMITE_RULES.get(nnodes)
+    if rule is None:
+        off = np.sqrt(np.arange(1.0, nnodes))
+        diag = np.zeros((1, nnodes))
+        # eigvalsh, not eigh: the eigenvector path costs 100 times more
+        nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+        nodes = 0.5 * (nodes - nodes[::-1])
+        # eigvalsh's nodes are off by up to 7e-13 at 1024 nodes; Newton on
+        # He_n = sqrt(n!) q_n with q_n = (z q_(n-1) - sqrt(n-1) q_(n-2)) / sqrt(n)
+        # and He_n' = n He_(n-1) takes them to the float grid
+        _, qprev, qcur = _christoffel_weights(nodes[None], diag, off[None])
+        nodes = nodes - ((nodes * qcur - math.sqrt(nnodes - 1) * qprev) / (nnodes * qcur))[0]
+        weights = math.sqrt(2.0 * math.pi) * _christoffel_weights(nodes[None], diag, off[None])[0][0]
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        rule = _HERMITE_RULES[nnodes] = (nodes, weights)
+    return rule
+
+
+# Cached Gauss-Hermite rules by node count
+_HERMITE_RULES: dict = {}

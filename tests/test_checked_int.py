@@ -84,6 +84,7 @@ _TABLE = {
         lambda v: spectral.jacobi_probability_quadrature(v, 1.0, 1.0), 0, 5),
     (spectral, "jacobi_probability_quadratures", "nnodes"): (
         lambda v: spectral.jacobi_probability_quadratures(v, [(1.0, 1.0), (2.0, 3.0)]), 0, 5),
+    (spectral, "hermite_quadrature", "nnodes"): (spectral.hermite_quadrature, 0, 5),
     (covariance, "covariance_matrix", "K"): (
         lambda v: covariance.covariance_matrix(v, _ASYM, nodes=20), 0, 3),
     (covariance, "covariance_matrix", "nodes"): (

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from betajacobi import checks, eig
+from betajacobi.errors import ParameterError
 
 
 @pytest.mark.slow
@@ -90,3 +91,10 @@ def test_eigensolver_check_makes_one_oracle_call(monkeypatch):
     outcome = checks.run(checks.CHECKS["eigensolver"], {"matrices": 5, "max_n": 16})
     assert outcome.passed
     assert shapes == [(100, 10)]
+
+
+def test_path_sum_oracle_checks_stream_under_its_own_name():
+    # stream was handed to model.replicate_stream as its seed, so the message named "seed"
+    for stream in (2.5, True, -1, 2**64):
+        with pytest.raises(ParameterError, match=r"^stream must be an integer in \[0, "):
+            checks._path_sum_oracle(5, stream, 0)

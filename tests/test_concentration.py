@@ -1,8 +1,10 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import betaincinv, ndtri
+from scipy.special import betainccinv, betaincinv, ndtr, ndtri
 
 import betajacobi as bj
 from betajacobi import checks
@@ -193,3 +195,116 @@ def test_coupling_gaps_reject_nonpositive_shapes(n, p, q):
     for gap in (conc.coupling_gap, conc.independent_coupling_gap):
         with pytest.raises(ParameterError):
             gap(n, p, q)
+
+
+def _mp_betainc(mpmath, a, b, x):
+    """I_x(a, b) at the working precision: the power term by loggamma and the
+    Lentz form of the continued fraction, not the BFRAC form of the route."""
+    a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+    if x > (a + 1) / (a + b + 2):
+        return 1 - _mp_betainc(mpmath, b, a, 1 - x)
+    tol = mpmath.mpf(10) ** (5 - mpmath.mp.dps)
+    c, d = mpmath.mpf(1), 1 / (1 - (a + b) * x / (a + 1))
+    fraction, m = d, 1
+    while True:
+        for num in (m * (b - m) * x / ((a - 1 + 2 * m) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1 + 2 * m))):
+            d, c = 1 / (1 + num * d), 1 + num / c
+            fraction *= d * c
+        if abs(d * c - 1) < tol:
+            break
+        m += 1
+    log_power = a * mpmath.log(x) + b * mpmath.log1p(-x) - mpmath.log(a) - mpmath.log(mpmath.beta(a, b))
+    return mpmath.exp(log_power) * fraction
+
+
+def _mp_tail_quantile(mpmath, a, b, u, t):
+    """t with I_t(a, b) = u, by Newton steps in ln t from t (ln I is concave in ln t)."""
+    a, b, u, s = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(u), mpmath.log(t)
+    for _ in range(20):
+        t = mpmath.exp(s)
+        i = _mp_betainc(mpmath, a, b, t)
+        slope = t ** a * (1 - t) ** (b - 1) / mpmath.beta(a, b) / i
+        step = (mpmath.log(i) - mpmath.log(u)) / slope
+        s -= step
+        if abs(step) < mpmath.mpf(10) ** -30:
+            return mpmath.exp(s)
+    raise AssertionError(f"no 40-digit quantile of Beta({a}, {b}) at {u}")
+
+
+_SPOT_SHAPES = (1.25, 2.5, 100.0, 1000.0, 8000.0, 1e6)
+_SPOT_PAIRS = [(a, a) for a in _SPOT_SHAPES] + [
+    (1.25, 2.5), (2.5, 100.0), (100.0, 1000.0), (8000.0, 1000.0), (1000.0, 8000.0),
+    (8000.0, 1e6), (1.25, 1e6), (1e6, 1.25), (2.5, 8000.0), (1e6, 100.0)]
+
+
+@pytest.mark.parametrize("a,b", _SPOT_PAIRS, ids=[f"{a:g}-{b:g}" for a, b in _SPOT_PAIRS])
+def test_beta_quantile_matches_40_digits(a, b):
+    """The route's quantile against the 40-digit quantile of the same Phi(z).
+
+    Phi(z) is the float 0.5 erfc(-z / sqrt 2) that the route inverts; at
+    z = -37.5 it is still a normal float.  math.erfc is itself up to 9e-14
+    off there, which moves the quantile at a = 1.25 by 7e-14; this test
+    measures the inversion.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    assert 0.5 * math.erfc(37.5 * math.sqrt(0.5)) >= sys.float_info.min
+    for z in (-37.5, -37.0, -20.0, -8.0, -2.76, -0.3, 0.0, 0.3, 2.76, 8.0, 20.0, 37.0, 37.5):
+        x = conc._beta_quantile(a, b, z)
+        u = 0.5 * math.erfc(-abs(z) * -math.sqrt(0.5))  # the tail probability solved for
+        if z <= 0:
+            exact = _mp_tail_quantile(mpmath, a, b, u, x)
+        else:
+            exact = 1 - _mp_tail_quantile(mpmath, b, a, u, max(1.0 - x, 1e-300))
+        assert abs(x - exact) <= 4e-14 * exact, (z, x, exact)
+
+
+def test_mp_reference_matches_mpmath_betainc():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for a, b, x in ((1.25, 2.5, 0.3), (2.5, 1.25, 0.9), (100.0, 20.0, 0.8), (8000.0, 1000.0, 0.88)):
+        ours = _mp_betainc(mpmath, a, b, x)
+        assert abs(ours / mpmath.betainc(a, b, 0, x, regularized=True) - 1) < 1e-30
+
+
+def test_beta_quantiles_match_scipy_over_the_coupling_sweep():
+    """Every node of the 64-node rule at every sweep point, against scipy.
+
+    The largest difference, 9e-12 at (1000, 8000), is scipy's own error:
+    there the route is within 4e-14 of 40 digits.
+    """
+    z = spectral.hermite_quadrature(64)[0]
+    worst = (0.0,)
+    for n in (5, 10, 100, 1000, 10**4, 10**5, 10**6):
+        for p in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+            for q in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+                if n <= max(1.0 / p, 1.0 / q):
+                    continue
+                a, b = n * p, n * q
+                x = np.array([conc._beta_quantile(a, b, zi) for zi in z.tolist()])
+                ref = np.where(z <= 0, betaincinv(a, b, ndtr(z)), betainccinv(a, b, ndtr(-z)))
+                rel = np.abs(x / ref - 1.0)
+                i = int(np.argmax(rel))
+                if rel[i] > worst[0]:
+                    worst = (rel[i], a, b, float(z[i]), x[i])
+    rel, a, b, zi, xi = worst
+    assert rel <= 2e-11, worst
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    u = 0.5 * math.erfc(-abs(zi) * -math.sqrt(0.5))
+    exact = (_mp_tail_quantile(mpmath, a, b, u, xi) if zi <= 0
+             else 1 - _mp_tail_quantile(mpmath, b, a, u, max(1.0 - xi, 1e-300)))
+    assert abs(xi - exact) <= 4e-14 * exact
+
+
+def test_coupling_rule_of_1024_nodes_warns_nothing():
+    z = spectral.hermite_quadrature(1024)[0]
+    a, b = 100.0, 100.0
+    assert 0.5 * math.erfc(-z[0] * math.sqrt(0.5)) == 0.0  # Phi underflows at the ends
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert conc._beta_quantile(a, b, z[0]) == 0.0
+        assert conc._beta_quantile(a, b, z[-1]) == 1.0
+        gap = conc._gaussian_gap(a, b, math.sqrt(0.5), conc._sigma(100, 1.0, 1.0), 1024)
+    assert gap == pytest.approx(conc.coupling_gap(100, 1.0, 1.0), rel=1e-9)

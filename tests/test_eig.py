@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermitenorm
 
 import betajacobi as bj
 from betajacobi import eig, model
@@ -255,3 +257,16 @@ def test_failed_sterf_and_bisection_raise(monkeypatch):
     monkeypatch.setattr(eig, "sturm_eigenvalues", failed_bisection)
     with pytest.raises(EigenSolverError, match="both failed"):
         eig.eigenvalues(A)
+
+
+def test_sturm_pivot_nudge_scales_with_the_off_diagonal():
+    # an exact zero pivot was nudged to 4 tiny, and off_sq / (4 tiny)
+    # overflowed once off_sq passed 16; both calls warned under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = eig.sturm_eigenvalues(np.zeros(3), np.array([100.0, 100.0]))
+        # the Hermite Jacobi matrix of order 1024, off_sq = k, at the shift 0
+        count = eig.sturm_count(np.zeros(1024), np.arange(1.0, 1024.0), np.array([0.0, 1.0]))
+    assert vals == pytest.approx([-100.0 * math.sqrt(2.0), 0.0, 100.0 * math.sqrt(2.0)],
+                                 rel=1e-14, abs=1e-11)
+    assert count.tolist() == [512, 512 + int(np.sum(roots_hermitenorm(1024)[0][512:] < 1.0))]

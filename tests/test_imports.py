@@ -1,4 +1,5 @@
-"""The command line imports no scipy module; a route loads it when it calls it.
+"""The command line imports no scipy module; a route loads it when it calls it,
+and the polynomial routes and the coupling gap load none.
 
 Each case runs in a fresh interpreter, so no other test's imports count.
 """
@@ -49,9 +50,13 @@ def test_polynomial_routes_load_no_scipy(argv):
     assert _fresh(*argv) == [0, []]
 
 
+def test_coupling_route_loads_no_scipy():
+    # its Beta quantiles and Gauss-Hermite rule are numpy and math code
+    assert _fresh("concentration", "--check", "coupling", "--sizes", "100,1000") == [0, []]
+
+
 @pytest.mark.parametrize("argv,module", [
     (("eig", "--matrices", "5", "--max-n", "16"), "scipy.linalg"),
-    (("concentration", "--check", "coupling", "--sizes", "100,1000"), "scipy.special"),
 ])
 def test_scipy_routes_import_it_and_pass(argv, module):
     code, loaded = _fresh(*argv)

@@ -411,3 +411,46 @@ def test_jacobi_probability_quadrature_large_shapes(nnodes, p, q):
     assert float(w @ nodes) == pytest.approx(mean, rel=1e-10)
     exact_var = p * q / ((p + q) ** 2 * (p + q + 1))
     assert float(w @ (nodes - mean) ** 2) == pytest.approx(exact_var, rel=1e-9)
+
+
+@pytest.mark.parametrize("nnodes", [1, 2, 3, 16, 17, 32, 64, 256, 512, 1024])
+def test_hermite_rule_matches_scipy(nnodes):
+    from scipy.special import roots_hermitenorm
+
+    nodes, w = spectral.hermite_quadrature(nnodes)
+    ref_nodes, ref_w = roots_hermitenorm(nnodes)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-13
+    kept = ref_w >= 1e-300
+    assert np.max(np.abs(w[kept] / ref_w[kept] - 1.0)) <= 1e-12
+    assert w.sum() == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-14)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(w, w[::-1])
+
+
+def test_hermite_rule_weights_match_40_digits():
+    """At 128 nodes, where scipy's weights are 1.2e-12 off at the outer nodes.
+
+    The weight of a root z of He_n is sqrt(2 pi) n! / (n He_(n-1)(z))^2.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    nnodes = 128
+    nodes, w = spectral.hermite_quadrature(nnodes)
+
+    def he(k, x):
+        return mpmath.hermite(k, x / mpmath.sqrt(2)) / mpmath.sqrt(2) ** k
+
+    for i in (0, 1, 40, 63, 64):
+        root = mpmath.findroot(lambda x: he(nnodes, x) / he(nnodes - 1, x), mpmath.mpf(nodes[i]))
+        exact = mpmath.sqrt(2 * mpmath.pi) * mpmath.factorial(nnodes) / (nnodes * he(nnodes - 1, root)) ** 2
+        assert abs(nodes[i] - root) <= 1e-14 * max(1.0, abs(float(root)))
+        assert abs(w[i] / exact - 1) <= 1e-13
+
+
+def test_hermite_rule_is_cached_read_only():
+    nodes, w = spectral.hermite_quadrature(16)
+    again = spectral.hermite_quadrature(np.int64(16))
+    assert again[0] is nodes and again[1] is w
+    assert not nodes.flags.writeable and not w.flags.writeable
+    # a polynomial of degree 2 * 16 - 1 is integrated exactly: E Z^30 = 29!!
+    assert float(w @ nodes**30) / math.sqrt(2.0 * math.pi) == pytest.approx(
+        math.prod(range(1, 30, 2)), rel=1e-12)

@@ -102,7 +102,12 @@ def excess_kurtosis(x: np.ndarray) -> float:
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
     """Phi(z) = erfc(-z / sqrt 2) / 2 by the math module, the argument formed
-    as scipy's ndtr forms it; within 3e-15 relative of ndtr on [-8, 8]."""
+    as scipy's ndtr forms it; within 3e-15 relative of ndtr on [-8, 8].
+
+    The rounding of the argument is left uncorrected, as in ndtr: it costs
+    up to 9.4e-15 relative on [-8, 8], where the KS distance calls this, and
+    concentration._phi corrects it for the far tails of the coupling.
+    """
     return 0.5 * np.fromiter(map(math.erfc, (z * -math.sqrt(0.5)).tolist()), float, z.shape[0])
 
 

@@ -92,21 +92,25 @@ _MAX_SHAPE = 1e300
 _MIN_SHAPE = 1e-9
 # CPU seconds of projected work per process for map_replicates to fork one
 # more, projected from replicate 0 or from the first block (_PROBE_MIN_S).
-# A bare fork and exit of a process that holds numpy and scipy costs
-# about 15 ms of wall time, and sharding pays only well above that: on a
-# 2-core host, fluct n = 64, 5000 replicates (0.12-0.20 s) ran slower
-# sharded, n = 2000, 1000 replicates (0.5-0.85 s) 1.6-1.8x faster.  CPU
-# time, not wall time, is projected, so a core shared with other processes
-# does not make a small run look large.
-_SHARD_MIN_S = 0.25
+# A fork, _exit and waitpid of a process that holds numpy, scipy.linalg and
+# the library (59 MB resident) costs 2.2-3.1 ms of wall and CPU time.  On a
+# 2-core host, fluct n = 64 (Gamma_1, Gamma_2, x) sharded over 2 processes
+# took 1.16x the serial wall time with 0.009 s of CPU projected, 0.83x at
+# 0.027 s, 0.79x at 0.057 s and 0.68x at 0.14 s (medians of 30 alternated
+# pairs); at 5000 replicates (0.11 s) the CLI call took 0.079 s in place of
+# 0.118 s, for 10 % more CPU time.  CPU time, not wall time, is projected,
+# so a core shared with other processes does not make a small run look
+# large.
+_SHARD_MIN_S = 0.05
 # CPU seconds of replicate 0, run alone as a block of 1, from which
 # map_replicates projects the rest; a cheaper replicate is followed by a
 # full block, and the projection comes from that.  Alone, a replicate also
-# pays a block's fixed cost of about 0.2 ms: a cheap statistic took 215 us
-# alone against 41 us per replicate in a block at n = 64 (projecting from it
-# would fork fluct n = 64, 5000 replicates, which runs slower sharded), and
-# 0.59 ms against 0.62 ms at n = 2000; a sterf statistic at n = 1000 took
-# 20.6 ms against 19.9 ms.  4 ms is 6x above the one and 5x below the other.
+# pays a block's fixed cost of about 0.2 ms: the statistic of fluct n = 64
+# (Gamma_1, Gamma_2, x) took 190-410 us alone against 20-27 us per
+# replicate in a block (projecting from it would fork runs of a tenth of
+# _SHARD_MIN_S, which run slower sharded), and 0.44-0.52 ms against
+# 0.32-0.35 ms at n = 2000; a sterf statistic at n = 1000 took 17 ms alone
+# and in a block.  4 ms is 8x above the one and 4x below the other.
 _PROBE_MIN_S = 4e-3
 
 

@@ -232,6 +232,14 @@ def _mp_tail_quantile(mpmath, a, b, u, t):
     raise AssertionError(f"no 40-digit quantile of Beta({a}, {b}) at {u}")
 
 
+def _mp_quantile(mpmath, a, b, z, x, u):
+    """The 40-digit Beta(a, b) quantile at z, from the route's x, with u = Phi(-|z|) given."""
+    if z <= 0:
+        return _mp_tail_quantile(mpmath, a, b, u, x)
+    return 1 - _mp_tail_quantile(mpmath, b, a, u, max(1.0 - x, 1e-300))
+
+
+_SPOT_Z = (-37.5, -37.0, -20.0, -8.0, -2.76, -0.3, 0.0, 0.3, 2.76, 8.0, 20.0, 37.0, 37.5)
 _SPOT_SHAPES = (1.25, 2.5, 100.0, 1000.0, 8000.0, 1e6)
 _SPOT_PAIRS = [(a, a) for a in _SPOT_SHAPES] + [
     (1.25, 2.5), (2.5, 100.0), (100.0, 1000.0), (8000.0, 1000.0), (1000.0, 8000.0),
@@ -242,21 +250,47 @@ _SPOT_PAIRS = [(a, a) for a in _SPOT_SHAPES] + [
 def test_beta_quantile_matches_40_digits(a, b):
     """The route's quantile against the 40-digit quantile of the same Phi(z).
 
-    Phi(z) is the float 0.5 erfc(-z / sqrt 2) that the route inverts; at
-    z = -37.5 it is still a normal float.  math.erfc is itself up to 9e-14
-    off there, which moves the quantile at a = 1.25 by 7e-14; this test
-    measures the inversion.
+    Phi(z) is the float conc._phi(z) that the route inverts; at z = -37.5
+    it is still a normal float.  This test measures the inversion;
+    test_beta_quantile_at_the_exact_phi measures Phi and the inversion.
     """
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
-    assert 0.5 * math.erfc(37.5 * math.sqrt(0.5)) >= sys.float_info.min
-    for z in (-37.5, -37.0, -20.0, -8.0, -2.76, -0.3, 0.0, 0.3, 2.76, 8.0, 20.0, 37.0, 37.5):
+    assert conc._phi(-37.5) >= sys.float_info.min
+    for z in _SPOT_Z:
         x = conc._beta_quantile(a, b, z)
-        u = 0.5 * math.erfc(-abs(z) * -math.sqrt(0.5))  # the tail probability solved for
-        if z <= 0:
-            exact = _mp_tail_quantile(mpmath, a, b, u, x)
-        else:
-            exact = 1 - _mp_tail_quantile(mpmath, b, a, u, max(1.0 - x, 1e-300))
+        u = conc._phi(-abs(z))  # the tail probability solved for
+        exact = _mp_quantile(mpmath, a, b, z, x, u)
+        assert abs(x - exact) <= 4e-14 * exact, (z, x, exact)
+
+
+def test_phi_matches_40_digits():
+    """Phi from math.erfc at the rounded -z / sqrt 2 alone is 1.9e-13 off at
+    z = -37.5; with the rounding corrected, a few ulps."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    worst = max((abs(conc._phi(z) / mpmath.ncdf(z) - 1), z)
+                for z in np.linspace(-37.5, 8.0, 4551).tolist())
+    assert worst[0] <= 1e-15, worst
+    assert conc._phi(-38.7) == 0.0 and conc._phi(-1e308) == 0.0 and conc._phi(1e308) == 1.0
+
+
+_SMALL_SHAPE_PAIRS = [(a, b) for a, b in _SPOT_PAIRS if min(a, b) <= 2.5]
+
+
+@pytest.mark.parametrize("a,b", _SMALL_SHAPE_PAIRS, ids=[f"{a:g}-{b:g}" for a, b in _SMALL_SHAPE_PAIRS])
+def test_beta_quantile_at_the_exact_phi(a, b):
+    """The route's quantile against the 40-digit quantile of the exact Phi(z).
+
+    At a shape near 1 the quantile moves with Phi almost one for one, so
+    the error of Phi shows here in full.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for z in _SPOT_Z:
+        x = conc._beta_quantile(a, b, z)
+        u = mpmath.ncdf(-abs(z))
+        exact = _mp_quantile(mpmath, a, b, z, x, u)
         assert abs(x - exact) <= 4e-14 * exact, (z, x, exact)
 
 
@@ -292,16 +326,15 @@ def test_beta_quantiles_match_scipy_over_the_coupling_sweep():
     assert rel <= 2e-11, worst
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
-    u = 0.5 * math.erfc(-abs(zi) * -math.sqrt(0.5))
-    exact = (_mp_tail_quantile(mpmath, a, b, u, xi) if zi <= 0
-             else 1 - _mp_tail_quantile(mpmath, b, a, u, max(1.0 - xi, 1e-300)))
+    u = conc._phi(-abs(zi))
+    exact = _mp_quantile(mpmath, a, b, zi, xi, u)
     assert abs(xi - exact) <= 4e-14 * exact
 
 
 def test_coupling_rule_of_1024_nodes_warns_nothing():
     z = spectral.hermite_quadrature(1024)[0]
     a, b = 100.0, 100.0
-    assert 0.5 * math.erfc(-z[0] * math.sqrt(0.5)) == 0.0  # Phi underflows at the ends
+    assert conc._phi(z[0]) == 0.0  # Phi underflows at the ends
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert conc._beta_quantile(a, b, z[0]) == 0.0

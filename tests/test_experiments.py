@@ -1,11 +1,13 @@
+import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 import betajacobi as bj
-from betajacobi import checks
+from betajacobi import checks, cli
 from betajacobi import experiments as ex
 from betajacobi import model, spectral
 from betajacobi.errors import ParameterError
@@ -77,6 +79,34 @@ def test_normal_cdf_matches_scipy_ndtr():
     # both evaluate an erfc at the same rounded argument; the gate, fixed
     # before the first run, allows two implementations a few ulps each
     assert np.max(np.abs(ex._normal_cdf(z) / ndtr(z) - 1.0)) <= 1e-14
+
+
+def test_sharded_run_is_bit_identical_at_the_small_clt_inputs(monkeypatch):
+    # fluct --n 64 --beta 2 --p 2 --q 2 --funcs gamma1..gamma2,x --reps 5000
+    # --seed 1, sharded over 2 processes whatever this host's clock says, and
+    # on 1 CPU
+    params = bj.from_ratios(64, 2.0, 2.0, 2.0)
+    funcs = cli._parse_funcs("gamma1..gamma2,x", params)
+    monkeypatch.setattr(model, "_SHARD_MIN_S", 1e-12)
+    forked = []
+    fork_worker = model._fork_worker
+    monkeypatch.setattr(model, "_fork_worker",
+                        lambda fill, lo, hi: forked.append((lo, hi)) or fork_worker(fill, lo, hi))
+    runs = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        runs[cpus] = ex.run_fluctuations(params, funcs, 5000, 1)
+    assert len(forked) == 1
+    arrays = 0
+    for field in dataclasses.fields(ex.RunResult):
+        sharded, serial = getattr(runs[2], field.name), getattr(runs[1], field.name)
+        if isinstance(serial, np.ndarray):
+            arrays += 1
+            assert sharded.dtype == serial.dtype and sharded.shape == serial.shape, field.name
+            assert sharded.tobytes() == serial.tobytes(), field.name
+        elif field.name != "wall_clock_s":
+            assert sharded == serial, field.name
+    assert arrays == 9
 
 
 def test_fixed_seed_values_pinned():

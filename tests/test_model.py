@@ -384,14 +384,20 @@ def test_sharded_rows_equal_serial_rows(monkeypatch, case, cpus):
         assert sharded.shape == serial.shape and np.array_equal(sharded, serial)
 
 
-# (CPU seconds per replicate in units of _PROBE_MIN_S, replicates, forked
-# ranges, statistic calls here before the first fork): replicate 0 projects
-# 44 x 8 ms; replicates 1..8 project 191 x 2 ms; they project 36 x 1 ms, too
-# little to fork
-@pytest.mark.parametrize("cost, replicates, ranges, calls", [
-    (2.0, 45, [(23, 45)], 1), (0.5, 200, [(104, 200)], 2), (0.25, 45, [], None)])
-def test_fork_decision_follows_the_probe(monkeypatch, cost, replicates, ranges, calls):
-    forked = _log_forks(monkeypatch, 2)
+# (the probe the rest is projected from: replicate 0 alone ("one") or the
+# block of replicates 1..8 after it ("block"); the CPU time of the rest, in
+# units of _SHARD_MIN_S; CPUs; replicates; forked ranges).  Each replicate
+# costs that time over the replicates left after the probe.  1.5 units fork
+# one worker, on 3 CPUs as on 2: one process more runs per whole unit.
+@pytest.mark.parametrize("probe, units, cpus, replicates, ranges", [
+    ("one", 4.5, 2, 45, [(23, 45)]), ("block", 4.5, 2, 200, [(104, 200)]),
+    ("block", 2.5, 3, 45, [(21, 33), (33, 45)]), ("block", 1.5, 2, 45, [(27, 45)]),
+    ("block", 1.5, 3, 45, [(27, 45)]), ("block", 0.5, 2, 45, [])])
+def test_fork_decision_follows_the_probe(monkeypatch, probe, units, cpus, replicates, ranges):
+    forked = _log_forks(monkeypatch, cpus)
+    done = 1 if probe == "one" else 9
+    cost = units * model._SHARD_MIN_S / (replicates - done)
+    assert (cost >= model._PROBE_MIN_S) == (probe == "one")
     clock, sizes, parent = [0.0], [], os.getpid()
     monkeypatch.setattr(model, "time", types.SimpleNamespace(process_time=lambda: clock[0]))
     fork_worker = model._fork_worker
@@ -407,13 +413,14 @@ def test_fork_decision_follows_the_probe(monkeypatch, cost, replicates, ranges, 
         b = gram.diag.shape[0]
         if os.getpid() == parent:
             sizes.append(b)
-        clock[0] += cost * model._PROBE_MIN_S * b
+        clock[0] += cost * b
         return gram.diag.sum(axis=-1)
 
     params = bj.from_ratios(20, 2.0, 2.0, 3.0)
     rows = model.map_replicates(params, 11, replicates, statistic)
     assert forked == ranges
-    assert before_fork == ([calls] if ranges else [])
+    # the statistic runs here on the probe alone before the first fork
+    assert before_fork == [1 if probe == "one" else 2] * len(ranges)
     # replicate 0 alone, then blocks of 8 from replicate 1 up to the first fork
     end = ranges[0][0] if ranges else replicates
     assert sizes == [1] + [min(8, end - start) for start in range(1, end, 8)]

@@ -522,7 +522,8 @@ REGISTRY = (
           (("worst_relative_gap", "<=", 0.01), ("worst_null_order1", "<=", 1e-6),
            ("worst_linear_order1", "<=", 1e-12), ("worst_closed_form_gap", "<=", 1e-12)),
           full={"a": _A, "b": _B, "cases": ((2, 4.0, 512), (1, 4.0, 128), (2, 2.0, 512),
-                                            (4, 4.0, 512), (6, 4.0, 512), (8, 4.0, 512))},
+                                            (4, 4.0, 512), (6, 4.0, 512), (8, 4.0, 512),
+                                            (12, 1.0, 512), (12, 2.0, 512))},
           quick={"a": _A, "b": _B, "cases": ((2, 4.0, 128), (1, 4.0, 128), (2, 2.0, 64),
                                              (4, 4.0, 128))}),
     Check(9, "palindromy", _palindromy,

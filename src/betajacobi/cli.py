@@ -79,7 +79,7 @@ _SUBCOMMANDS = {
             {"--regime": {"default": "proportional",
                           "choices": checks.CHECKS["lln"].full["regimes"]},
              "--sizes": {"default": "250,500,1000,2000", "help": "comma-separated n values"}}),
-    "expect": ("mean-trace deviation of x^k, 1 <= k <= 8, via float bridge sums",
+    "expect": ("mean-trace deviation of x^k, 1 <= k <= 12, via a float chain sum",
                "k:int=2 base_n:int=512 beta:rational=4 a:rational=1/4 b:rational=1/2", {}),
     "extremal": ("p = q = 1 trace moments",
                  "n:int=5000 beta:float=2 reps:int=20000 seed:int=0", {}),

@@ -1,20 +1,20 @@
-"""Lattice-bridge combinatorics behind traces of powers of the Gram matrix.
+"""Path counting behind traces of powers of the Gram matrix.
 
 tr A^k expands over closed lattice paths of length 2k whose odd steps never
 go up and whose even steps never go down ("alternating bridges").  The
-module enumerates them and builds their weight polynomial.  A bridge's
-weight depends only on its level profile: the horizontal steps and the
-crossings at each level it visits.  One walk over the placed profiles
-serves both bridge sums, and each supplies only its moment map: powers of
-a sampled factor's raw Beta draws for path-sum traces, and Beta moments at
-the sampler's own shapes for E tr A^k, k <= 8, from which the 1/n
+module enumerates them and builds their weight polynomial.  The same trace
+is a sum over the closed walks on the factor's bipartite graph, a path of
+its 2n Beta variables; the BEST theorem counts those walks in closed form,
+so one chain sum along the path, with nothing enumerated, serves both
+exact sums.  Each supplies only its table of vertex moments: powers of a
+sampled factor's raw Beta draws for path-sum traces, and Beta moments at
+the sampler's own shapes for E tr A^k, k <= 12, from which the 1/n
 expansion of the mean is extracted.  Everything here is a pure function.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 _MAX_ENUM_K = 10
-_MAX_PATH_K = 8
+_MAX_PATH_K = 12
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,6 @@ class AlternatingBridge:
 
     def horizontal_count(self) -> int:
         return sum(1 for s in self.steps if s == 0)
-
-    def level_step_counts(self):
-        """(horizontal steps at height m, crossings between m and m+1) maps."""
-        flat: dict[int, int] = {}
-        cross: dict[int, int] = {}
-        h = 0
-        for s in self.steps:
-            if s == 0:
-                flat[h] = flat.get(h, 0) + 1
-            else:
-                lower = min(h, h + s)
-                cross[lower] = cross.get(lower, 0) + 1
-            h += s
-        return flat, cross
 
 
 def enumerate_bridges(k: int) -> list[AlternatingBridge]:
@@ -159,85 +145,70 @@ def weight_polynomial(k: int) -> WeightPolynomial:
     return WeightPolynomial(k=k, coeffs=coeffs)
 
 
-@lru_cache(maxsize=None)
-def _level_profiles(k: int) -> tuple:
-    """(profile, multiplicity) pairs over the alternating bridges of length 2k.
+def _on_path(z: np.ndarray) -> np.ndarray:
+    """z_0..z_(2n-1) in the order of the factor's bipartite path:
+    z_(n-1), z_(2n-1), z_(n-2), z_(2n-2), ..., z_0, z_n."""
+    return z.reshape(2, -1)[:, ::-1].T.ravel()
 
-    A profile lists (horizontal steps, crossings to the level above) at each
-    level a bridge visits, counted up from its lowest level.  There are at
-    most 2^k profiles against C(2k, k) bridges.
+
+def _chain_sum(k: int, table: np.ndarray) -> float:
+    """Sum over the closed walks of length 2k from the rows of the factor's
+    bipartite graph, the path of its 2n variables in the order of _on_path.
+
+    The squared entry on the edge from vertex v to the next vertex w is
+    z_v (1 - z_w), and the last vertex is c'_0 = 0.  table[v, u, w], for
+    0 <= u, w <= k, is the moment of z_v^u (1 - z_v)^w.  A walk that crosses
+    a run of edges m_1, ..., m_L >= 1 times each way, sum m = k, takes
+    z^(m next) (1 - z)^(m prev) at each vertex of the run.  By the BEST
+    theorem on a tree (van Aardenne-Ehrenfest and de Bruijn, 1951) there are
+    k prod_v (deg_v - 1)! / prod_e m_e! (m_e - 1)! such walks, deg_v the sum
+    of m at v: k / m_L times C(a + b - 1, a) at each inner vertex crossed a
+    times in and b times out, all integers but the last division.  The runs
+    from every start vertex are walked at once, one edge per step; the state
+    is (last multiplicity, budget used).
     """
-    profiles = Counter()
-    for bridge in enumerate_bridges(k):
-        flat, cross = bridge.level_step_counts()
-        low = min(flat.keys() | cross.keys())
-        high = max(flat.keys() | {lo + 1 for lo in cross})
-        profiles[tuple((flat.get(m, 0), cross.get(m, 0)) for m in range(low, high + 1))] += 1
-    return tuple(profiles.items())
-
-
-def _bridge_sum(k: int, n: int, moment) -> float:
-    """Sum over the bridges of length 2k placed in an n x n factor.
-
-    Its variables are z_j = c_(j+1)^2 and z_(n+j) = c'_j^2, 0 <= j < n, with
-    c'_0 = 0 for s'_0 = 1.  A level at row n - i, with h horizontal steps on
-    d = c_(i+1) s'_i and b and a crossings below and above it on entries -s c',
-    takes z_i^(h/2) (1 - z_i)^(b/2) z_(n+i)^(a/2) (1 - z_(n+i))^(h/2); all
-    counts are even.  moment(term, rows, u, v) multiplies term, one entry per
-    placement, in place by the moment of z^u (1 - z)^v of the variable slice
-    rows, for u + v > 0.  The terms are summed with math.fsum.
-    """
-    terms = []
-    for profile, count in _level_profiles(k):
-        places = n - len(profile) + 1
-        if places < 1:
-            continue
-        term = np.full(places, float(count))
-        below = 0
-        for level, (horiz, above) in enumerate(profile):
-            i = len(profile) - 1 - level  # variable of the first placement
-            for j, u, v in ((i, horiz // 2, below // 2), (n + i, above // 2, horiz // 2)):
-                if u or v:
-                    moment(term, slice(j, j + places), u, v)
-            below = above
-        terms.append(term)
-    return math.fsum(np.concatenate(terms).tolist())
+    counts = np.arange(1, k + 1)
+    inner = np.array([[math.comb(a + b - 1, a) for a in counts] for b in counts], dtype=float)
+    # state[p, a - 1, s]: runs from vertex p, their last edge crossed a times, s = sum of m
+    state = np.zeros((len(table) - 1, k, k + 1))
+    state[:, counts - 1, counts] = table[:-1, 1:, 0]
+    closed = []  # per step: the runs that end there, in numpy's pairwise sum
+    for t in range(1, min(k, len(table) - 1) + 1):
+        end = table[t:]  # the vertex each run has reached
+        closed.append((state[:, :, k] * end[:, 0, 1:] * k / counts).sum())
+        flow = (end[:-1, 1:, 1:] * inner) @ state[:-1]
+        state = np.zeros_like(flow)
+        for b in range(1, k - t + 1):
+            state[:, b - 1, b:] = flow[:, b - 1, : k + 1 - b]
+    return math.fsum(closed)
 
 
 def trace_via_paths(factor: model.TridiagonalFactor, k: int) -> float:
-    """tr A^k of one factor as a bridge sum over its raw Beta draws z."""
+    """tr A^k of one factor as a chain sum over the powers of its raw Beta draws z."""
     k = checked_int("k", k, 1, _MAX_PATH_K)
-    z = np.concatenate((factor.raw_c, [0.0], factor.raw_cp))
+    z = _on_path(np.concatenate((factor.raw_c, [0.0], factor.raw_cp)))
     zu, wv = power_table(z, 1.0 - z, k)
-
-    def powers(term, rows, u, v):
-        term *= zu[u, rows] * wv[v, rows]
-
-    return _bridge_sum(k, factor.n, powers)
+    return _chain_sum(k, zu.T[:, :, None] * wv.T[:, None, :])
 
 
 def expected_trace_exact(params: EnsembleParams, k: int) -> float:
-    """E tr A^k as a float bridge sum of the Beta moments
-    E[z^u (1-z)^v] = (r)_u (s)_v / (r+s)_(u+v) at the sampler's shapes (r, s).
+    """E tr A^k as a float chain sum of the Beta moments
+    E[z^u (1-z)^w] = (r)_u (s)_w / (r+s)_(u+w) at the sampler's shapes (r, s).
 
-    Each bridge visits each variable an even number of times, so signs from
+    A closed walk crosses each edge an even number of times, so signs from
     the subdiagonal cancel and its expectation is a product of moments.
     """
     k = checked_int("k", k, 1, _MAX_PATH_K)
     n = params.n
     shapes = model._shape_arrays(params)
     # c'_0 = 0 exactly: Beta shapes (0, 1)
-    r = np.concatenate((shapes[:n], [0.0], shapes[2 * n : 3 * n - 1]))
-    s = np.concatenate((shapes[n : 2 * n], [1.0], shapes[3 * n - 1 :]))
-
-    def beta_moments(term, rows, u, v):
-        r_, s_ = r[rows], s[rows]
-        for t in range(u):
-            term *= (r_ + t) / (r_ + s_ + t)
-        for t in range(v):
-            term *= (s_ + t) / (r_ + s_ + u + t)
-
-    return _bridge_sum(k, n, beta_moments)
+    r = _on_path(np.concatenate((shapes[:n], [0.0], shapes[2 * n : 3 * n - 1])))[:, None, None]
+    s = _on_path(np.concatenate((shapes[n : 2 * n], [1.0], shapes[3 * n - 1 :])))[:, None, None]
+    u, w = np.arange(k + 1.0)[:, None], np.arange(float(k))
+    table = np.ones((2 * n, k + 1, k + 1))
+    table[:, 1:, :1] = np.cumprod((r + u[:-1]) / (r + s + u[:-1]), axis=1)  # E z^u
+    table[:, :, 1:] = (s + w) / (r + s + u + w)
+    return _chain_sum(k, np.cumprod(table, axis=2))
 
 
 @dataclass(frozen=True)

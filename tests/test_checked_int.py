@@ -97,10 +97,11 @@ _TABLE = {
         lambda v: [b.steps for b in paths.enumerate_bridges(v)], 11, 3),
     (paths, "weight_polynomial", "k"): (paths.weight_polynomial, -1, 3),
     (paths, "power_table", "degree"): (lambda v: paths.power_table(0.3, 0.7, v), -1, 4),
-    (paths, "trace_via_paths", "k"): (lambda v: paths.trace_via_paths(_FACTOR, v), 9, 3),
+    (paths, "trace_via_paths", "k"): (
+        lambda v: paths.trace_via_paths(_FACTOR, v), paths._MAX_PATH_K + 1, 3),
     (paths, "expected_trace_exact", "k"): (lambda v: paths.expected_trace_exact(_P8, v), 0, 3),
     (paths, "trace_expansion", "k"): (
-        lambda v: paths.trace_expansion(v, 2.0, 0.25, 0.5, base_n=8), 9, 2),
+        lambda v: paths.trace_expansion(v, 2.0, 0.25, 0.5, base_n=8), paths._MAX_PATH_K + 1, 2),
     (paths, "trace_expansion", "base_n"): (
         lambda v: paths.trace_expansion(2, 2.0, 0.25, 0.5, base_n=v), 0, 8),
 }

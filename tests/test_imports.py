@@ -1,5 +1,6 @@
 """The command line imports no scipy module; a route loads it when it calls it,
-and the polynomial routes and the coupling gap load none.
+and the polynomial routes and the coupling gap load none.  A sterf statistic
+loads it when it is built, before map_replicates times its first replicate.
 
 Each case runs in a fresh interpreter, so no other test's imports count.
 """
@@ -26,10 +27,10 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 """
 
 
-def _fresh(*argv):
+def _fresh(*argv, script=PROBE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -61,3 +62,27 @@ def test_coupling_route_loads_no_scipy():
 def test_scipy_routes_import_it_and_pass(argv, module):
     code, loaded = _fresh(*argv)
     assert code == 0 and module in loaded
+
+
+# Builds a sterf statistic, then records the CPU seconds that map_replicates
+# projects for the replicates left after its probe.
+SHARD_PROBE = """
+import json, sys
+import betajacobi as bj
+from betajacobi import model, spectral
+projected = []
+count = model._worker_count
+model._worker_count = lambda left, s: projected.append(s) or count(left, s)
+statistic = spectral.trace_statistic([spectral.exp_function()])
+loaded = "scipy.linalg" in sys.modules
+model.map_replicates(bj.from_ratios(128, 1.0, 2.0, 2.0), 1, 136, statistic)
+print(json.dumps([loaded, projected, model._SHARD_MIN_S]))
+"""
+
+
+def test_sterf_run_projects_its_solves_not_the_scipy_import():
+    # 7 replicates of about 0.5 ms each are left after the probe of replicates
+    # 0..128; a replicate 0 that paid the 0.2-0.35 s import would project them
+    # from it alone, to 1.5 s or more
+    loaded, projected, shard_min_s = _fresh(script=SHARD_PROBE)
+    assert loaded and len(projected) == 1 and projected[0] < shard_min_s

@@ -34,16 +34,6 @@ def test_bridge_validation():
         paths.AlternatingBridge(steps=(0, 0, 0))  # odd length
 
 
-def test_level_counts_even_for_all_bridges():
-    # every bridge walks each level horizontally an even number of times and
-    # crosses each unit gap an even number of times
-    for k in range(1, 9):
-        for bridge in paths.enumerate_bridges(k):
-            flat, cross = bridge.level_step_counts()
-            assert all(v % 2 == 0 for v in flat.values())
-            assert all(v % 2 == 0 for v in cross.values())
-
-
 def test_weight_polynomial_small_cases():
     assert paths.weight_polynomial(1).coeffs == (1, 1)  # x^2 + y^2
     assert paths.weight_polynomial(2).coeffs == (1, 4, 1)  # x^4 + 4x^2y^2 + y^4
@@ -129,7 +119,7 @@ def test_trace_via_paths_two_by_two_hand_formula():
 
 
 def test_trace_via_paths_dense_oracle():
-    # at n = 1, 2, 3 some profiles of every k >= 2 have more levels than n
+    # at n = 1, 2, 3 the factor's path of 2n - 1 edges is shorter than some runs
     for rng_idx, n in enumerate((4, 8, 12, 1, 2, 3)):
         factor = model.sample_factor(
             bj.from_ratios(n, 1.3, 2.1, 3.4), model.replicate_stream(2, rng_idx)
@@ -143,19 +133,20 @@ def test_trace_via_paths_dense_oracle():
             )
 
 
-def test_level_profile_table():
-    for k in range(1, paths._MAX_PATH_K + 1):
-        table = paths._level_profiles(k)
-        assert sum(count for _, count in table) == math.comb(2 * k, k)
-        assert len(table) <= 2**k
-        assert len({profile for profile, _ in table}) == len(table)
-
-
-def test_trace_expansion_builds_the_profile_table_once():
-    paths._level_profiles.cache_clear()
-    paths.trace_expansion(3, 4.0, 0.25, 0.5, 16)
-    info = paths._level_profiles.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+def test_chain_sum_counts_the_walks_of_the_all_ones_factor():
+    # every moment 1, except z = 0 at the last vertex, counts the closed
+    # walks of tr (BB^T)^k for the all-ones n x n lower bidiagonal B: exact
+    # integers, so the BEST multiplicities are checked exactly
+    for n in range(1, 13):
+        factor = [[int(i - j in (0, 1)) for j in range(n)] for i in range(n)]
+        gram = [[sum(x * y for x, y in zip(row, col)) for col in factor] for row in factor]
+        power = [[int(i == j) for j in range(n)] for i in range(n)]
+        for k in range(1, paths._MAX_PATH_K + 1):
+            power = [[sum(power[i][m] * gram[m][j] for m in range(n)) for j in range(n)]
+                     for i in range(n)]
+            table = np.ones((2 * n, k + 1, k + 1))
+            table[-1, 1:] = 0.0
+            assert paths._chain_sum(k, table) == sum(power[i][i] for i in range(n))
 
 
 def _close(value, exact):
@@ -182,10 +173,11 @@ def test_expected_trace_small_cases_exact():
 
 # sha256 of the float.hex strings, space-separated, of E tr A^k at
 # from_shape(n, beta, 1/4, 1/2) for n in _PINNED_SIZES, beta in (1, 2, 4) and
-# k = 1..8, in that nesting order.  A route change to expected_trace_exact
-# moves these bits and must be recorded with the sizes of its changes.
+# k = 1..8, in that nesting order, taken on the chain-sum route.  A route
+# change to expected_trace_exact moves these bits and must be recorded with
+# the sizes of its changes.
 _PINNED_SIZES = (1, 2, 3, 5, 17, 64, 257)
-_PINNED_SHA256 = "0149fa376e5719420e37ea61a46dbb98704cde3395b5273c9f80dc768fc41e73"
+_PINNED_SHA256 = "21593ea15ce9c94f8e990bed20627be6e054db17ba57e6fc5a4e01ff70a9611d"
 
 
 def test_expected_trace_bits_are_pinned():
@@ -286,4 +278,4 @@ def test_trace_expansion_shape_guard():
 
 def test_exact_k_guard():
     with pytest.raises(ParameterError):
-        paths.expected_trace_exact(_ensemble(4), 9)
+        paths.expected_trace_exact(_ensemble(4), paths._MAX_PATH_K + 1)

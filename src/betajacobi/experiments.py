@@ -163,12 +163,8 @@ def run_fluctuations(
         # last-decade tail that variance_functionals checks for decay
         degree = max((len(f.chebyshev.coeffs) - 1 for f in funcs if f.is_polynomial), default=0)
         terms = max(THEORY_N, 2 * degree)
-        # one cosine table serves every function; it is dropped before sampling,
-        # as at Gamma_1023 it takes 33 MB
-        cosines = spectral._cosine_table(terms, nodes)
-        functionals = [spectral.variance_functionals(f, terms, params.beta, support, nodes=nodes,
-                                                     _cosines=cosines) for f in funcs]
-        del cosines
+        functionals = [spectral.variance_functionals(f, terms, params.beta, support, nodes=nodes)
+                       for f in funcs]
         theory_sigma = np.array([vf.sigma_sq for vf in functionals])
         theory_cov = spectral.limit_covariance(
             np.array([vf.coefficients for vf in functionals]), params.beta)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import mmap
 import os
 import signal
@@ -58,6 +59,7 @@ __all__ = [
     "TridiagonalFactor",
     "SymTridiagonal",
     "checked_seed",
+    "beta_shapes",
     "replicate_stream",
     "map_replicates",
     "sample_factor",
@@ -112,6 +114,13 @@ _SHARD_MIN_S = 0.05
 # 0.32-0.35 ms at n = 2000; a sterf statistic at n = 1000 took 17 ms alone
 # and in a block.  4 ms is 8x above the one and 4x below the other.
 _PROBE_MIN_S = 4e-3
+# glibc maps each allocation of 128 KiB or more on its own and trims the heap
+# past 128 KiB free, so every block of map_replicates faulted in its gamma
+# draws and trace bands afresh (fluct n = 2000, Gamma_1..Gamma_4 and x, 1000
+# replicates: 33k minor faults, 3.8k with these limits, and 0.1 s less CPU).
+with contextlib.suppress(AttributeError, OSError, TypeError):  # no mallopt: no change
+    ctypes.CDLL(None).mallopt(-3, 8 * _TRACE_ELEMENTS)  # M_MMAP_THRESHOLD, bytes
+    ctypes.CDLL(None).mallopt(-1, 16 * _TRACE_ELEMENTS)  # M_TRIM_THRESHOLD, bytes
 
 
 @dataclass(frozen=True)
@@ -232,6 +241,14 @@ def _shape_arrays(params: EnsembleParams):
                              f"the gamma draws underflow; increase beta or n1, n2")
     flat.setflags(write=False)
     return flat
+
+
+def beta_shapes(params: EnsembleParams):
+    """(r, s): the Beta(r, s) shapes of the 2n - 1 draws, in the order of
+    raw_c then raw_cp.  ParameterError as in sample_factor."""
+    n = params.n
+    c1, c2, cp1, cp2 = np.split(_shape_arrays(params), [n, 2 * n, 3 * n - 1])
+    return np.concatenate((c1, cp1)), np.concatenate((c2, cp2))
 
 
 def _ratios(g: np.ndarray, n: int):

@@ -76,8 +76,9 @@ class EnsembleParams:
 class AsymptoticParams:
     """Proportional-regime parameters (p, q) and shapes (a, b, alpha).
 
-    extremal is True when p + q <= 2 (equivalently a >= 1/2); the model is
-    still simulable there but the asymptotic formulas do not apply.
+    extremal is True when p + q <= 2 (equivalently a >= 1/2) or p or q is
+    below 1; the model is still simulable there but the asymptotic formulas
+    do not apply.  Bulk parameters need p, q >= 1.
     """
 
     p: float
@@ -88,7 +89,7 @@ class AsymptoticParams:
     extremal: bool = False
 
     def __post_init__(self):
-        if self.p < 1.0 - 1e-12 or self.q < 1.0 - 1e-12:
+        if not self.extremal and (self.p < 1.0 - 1e-12 or self.q < 1.0 - 1e-12):
             raise ParameterError(f"need p, q >= 1, got p={self.p}, q={self.q}")
         if not (self.alpha > 0):
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
@@ -97,7 +98,7 @@ class AsymptoticParams:
         """Return self, or raise if the parameters are extremal."""
         if self.extremal:
             raise ExtremalRegimeError(
-                f"asymptotic formula needs p + q > 2, got p={self.p}, q={self.q}"
+                f"asymptotic formula needs p, q >= 1 and p + q > 2, got p={self.p}, q={self.q}"
             )
         return self
 
@@ -149,20 +150,23 @@ def from_shape(n: int, beta: float, a: float, b: float) -> EnsembleParams:
 def derive_asymptotic(params: EnsembleParams) -> AsymptoticParams:
     """Ratios p = n1/n, q = n2/n and shapes a, b, alpha = 2/beta.
 
-    The extremal regime p + q <= 2 is flagged rather than rejected: the
-    matrix model remains simulable there, while formulas that require
-    p + q > 2 must call require_bulk().
+    The extremal regime, p + q <= 2 or p or q below 1, is flagged rather
+    than rejected: the matrix model remains simulable there (n1, n2 >= n - 1),
+    while formulas that require p, q >= 1 and p + q > 2 must call
+    require_bulk().  n1 + n2 = 0 has no shapes: ParameterError.
     """
     p = params.n1 / params.n
     q = params.n2 / params.n
     s = p + q
+    if s == 0:
+        raise ParameterError("n1 + n2 = 0 gives no shapes a = 1/(p + q), b = p/(p + q)")
     return AsymptoticParams(
         p=p,
         q=q,
         a=1.0 / s,
         b=p / s,
         alpha=2.0 / params.beta,
-        extremal=(s <= 2.0 + 1e-12),
+        extremal=(s <= 2.0 + 1e-12 or min(p, q) < 1.0 - 1e-12),
     )
 
 
@@ -173,6 +177,8 @@ def shape_params(a: float, b: float, beta: float) -> AsymptoticParams:
     _checked_beta(beta)
     p = b / a
     q = (1.0 - b) / a
+    if p < 1.0 - 1e-12 or q < 1.0 - 1e-12:
+        raise ParameterError(f"need p, q >= 1, got p={p}, q={q}")
     return AsymptoticParams(
         p=p, q=q, a=a, b=b, alpha=2.0 / beta, extremal=(p + q <= 2.0 + 1e-12)
     )

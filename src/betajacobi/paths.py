@@ -200,10 +200,10 @@ def expected_trace_exact(params: EnsembleParams, k: int) -> float:
     """
     k = checked_int("k", k, 1, _MAX_PATH_K)
     n = params.n
-    shapes = model._shape_arrays(params)
+    r, s = model.beta_shapes(params)
     # c'_0 = 0 exactly: Beta shapes (0, 1)
-    r = _on_path(np.concatenate((shapes[:n], [0.0], shapes[2 * n : 3 * n - 1])))[:, None, None]
-    s = _on_path(np.concatenate((shapes[n : 2 * n], [1.0], shapes[3 * n - 1 :])))[:, None, None]
+    r = _on_path(np.insert(r, n, 0.0))[:, None, None]
+    s = _on_path(np.insert(s, n, 1.0))[:, None, None]
     u, w = np.arange(k + 1.0)[:, None], np.arange(float(k))
     table = np.ones((2 * n, k + 1, k + 1))
     table[:, 1:, :1] = np.cumprod((r + u[:-1]) / (r + s + u[:-1]), axis=1)  # E z^u

@@ -266,40 +266,27 @@ def _theta_values(f: Callable, center: float, half_width: float, nodes: int):
     return theta, w, x, values
 
 
-def _cosine_table(N: int, nodes: int) -> np.ndarray:
-    """cos(n t), 0 <= n <= N, on the theta grid of _theta_values: (N + 1, nodes + 1).
-
-    On that grid cos(n t) and cos((2 nodes - n) t) agree, so N must stay
-    below `nodes`.
-    """
-    if N >= nodes:
-        raise ParameterError(
-            f"Chebyshev coefficients up to n = {N} alias on {nodes} quadrature panels "
-            f"(need n < {nodes})")
-    return np.cos(np.outer(np.arange(N + 1), np.linspace(0.0, math.pi, nodes + 1)))
-
-
 def chebyshev_coefficients(
-    f: Callable,
-    N: int,
-    support: SupportInterval,
-    nodes: int = DEFAULT_NODES,
-    *,
-    _cosines: Optional[np.ndarray] = None,
+    f: Callable, N: int, support: SupportInterval, nodes: int = DEFAULT_NODES
 ) -> np.ndarray:
     """The read-only fhat[n] = (1/pi) integral of f(c + r cos t) cos(n t) dt,
     0 <= n <= N.
 
     fhat[n] is the coefficient of Gamma_n for n >= 1.  fhat[0] is the
     theta-average of f, the coefficient of Gamma_0 / 2: the n = 0 basis
-    function has squared norm 2.  N must stay below `nodes` (see
-    _cosine_table); a caller with several functions may pass the table
-    _cosine_table(N, nodes) once as _cosines.
+    function has squared norm 2.  On the closed theta grid of
+    _theta_values these trapezoid sums are a DCT-I, one real FFT of the
+    values' even extension (Trefethen, ATAP, ch. 3).  cos(n t) and
+    cos((2 nodes - n) t) agree on that grid, so N must stay below `nodes`.
     """
     N, nodes = checked_int("N", N, 0), checked_int("nodes", nodes, 8)
-    cosines = _cosine_table(N, nodes) if _cosines is None else _cosines
-    _, w, _, vals = _theta_values(f, support.center, support.half_width, nodes)
-    fhat = (cosines @ (w * vals)) / math.pi
+    if N >= nodes:
+        raise ParameterError(
+            f"Chebyshev coefficients up to n = {N} alias on {nodes} quadrature panels "
+            f"(need n < {nodes})")
+    _, _, x, vals = _theta_values(f, support.center, support.half_width, nodes)
+    vals = np.broadcast_to(vals, x.shape)
+    fhat = np.fft.rfft(np.concatenate((vals, vals[-2:0:-1])))[: N + 1].real / (2 * nodes)
     fhat.setflags(write=False)
     return fhat
 
@@ -315,21 +302,14 @@ class VarianceFunctionals:
 
 
 def variance_functionals(
-    f: Callable,
-    N: int,
-    beta: float,
-    support: SupportInterval,
-    nodes: int = DEFAULT_NODES,
-    *,
-    _cosines: Optional[np.ndarray] = None,
+    f: Callable, N: int, beta: float, support: SupportInterval, nodes: int = DEFAULT_NODES
 ) -> VarianceFunctionals:
-    """Variance functional from the Chebyshev coefficients (_cosines as in
-    chebyshev_coefficients).
+    """Variance functional from the Chebyshev coefficients.
 
     Coefficients of the last decade that do not visibly decay trigger a
     warning and clear coefficients_decayed.
     """
-    fhat = chebyshev_coefficients(f, N, support, nodes=nodes, _cosines=_cosines)
+    fhat = chebyshev_coefficients(f, N, support, nodes=nodes)
     ns = np.arange(1, N + 1)
     sigma = (2.0 / beta) * float(np.sum(ns * fhat[1:] ** 2))
     cut = max(1, N - max(N // 10, 1))

@@ -92,6 +92,21 @@ def test_invalid_params_exit_one(capsys):
     assert json.loads(out)["error"]["type"] == "validation"
 
 
+@pytest.mark.parametrize("command", ["fluct", "sample"])
+def test_finite_n_edge_parameters(capsys, command):
+    # n1 + n2 = 0 is refused as a validation error; p = q = 0.95 (n1, n2 >= n - 1)
+    # runs, fluct as Monte Carlo only on the [0, 1] map
+    funcs = ("--funcs", "x", "--reps", "3") if command == "fluct" else ()
+    code, out = _run(capsys, command, "--n", "1", "--n1", "0", "--n2", "0", *funcs)
+    assert code == 1 and json.loads(out)["error"]["type"] == "validation"
+    code, out = _run(capsys, command, "--n", "10", "--n1", "9.5", "--n2", "9.5", *funcs)
+    results = json.loads(out)["results"]
+    assert code == 0
+    if command == "fluct":
+        assert results["extremal"] is True and results["quadrature_nodes"] == 0
+        assert "theory_sigma_sq" not in results and "theory_covariance" not in results
+
+
 @pytest.mark.parametrize("beta", ["0", "-2", "inf"])
 def test_cov_invalid_beta_is_validation_error(capsys, beta):
     # beta = 0 escaped as a ZeroDivisionError from the limit shapes

@@ -148,27 +148,21 @@ def test_fixed_seed_routes_pinned():
 
 def test_run_fluctuations_computes_coefficients_once_per_function(monkeypatch):
     calls = []
-    coefficients, table = spectral.chebyshev_coefficients, spectral._cosine_table
+    coefficients = spectral.chebyshev_coefficients
 
     def counted(f, *args, **kwargs):
         calls.append(f.name)
         return coefficients(f, *args, **kwargs)
 
-    def counted_table(N, nodes):
-        calls.append((N, nodes))
-        return table(N, nodes)
-
     monkeypatch.setattr(spectral, "chebyshev_coefficients", counted)
-    monkeypatch.setattr(spectral, "_cosine_table", counted_table)
     params = bj.from_ratios(32, 2.0, 2.0, 2.0)
     support = bj.support_edges(bj.derive_asymptotic(params))
     funcs = [spectral.chebyshev_test_function(2, support), spectral.monomial(1),
              spectral.exp_function()]
     res = ex.run_fluctuations(params, funcs, 4, 0)
-    # one cosine table for the run, shared by the three functions
-    assert calls == [(64, spectral.DEFAULT_NODES), "gamma2", "x", "exp"]
+    assert calls == ["gamma2", "x", "exp"]
     assert res.theory_covariance.diagonal() == pytest.approx(res.theory_sigma_sq, rel=1e-12)
-    # bit-identical to each function building its own table
+    # bit-identical to each function run alone
     alone = [spectral.variance_functionals(f, 64, 2.0, support) for f in funcs]
     assert res.theory_sigma_sq.tolist() == [vf.sigma_sq for vf in alone]
     assert np.array_equal(res.theory_covariance, spectral.limit_covariance(

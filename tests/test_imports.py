@@ -3,8 +3,11 @@ and the polynomial routes and the coupling gap load none.  A sterf statistic
 loads it when it is built, before map_replicates times its first replicate.
 
 Each case runs in a fresh interpreter, so no other test's imports count.
+No module of the package reads another's private names: a module's layout
+stays behind its public functions.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -86,3 +89,27 @@ def test_sterf_run_projects_its_solves_not_the_scipy_import():
     # from it alone, to 1.5 s or more
     loaded, projected, shard_min_s = _fresh(script=SHARD_PROBE)
     assert loaded and len(projected) == 1 and projected[0] < shard_min_s
+
+
+def _private_reaches(path):
+    """(module, name) for each attribute module._name in the file at path,
+    where module is a betajacobi module that the file imports."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 and node.module is None
+                                                 or node.module == "betajacobi"):
+            modules.update(alias.asname or alias.name for alias in node.names)
+    return sorted(
+        (node.value.id, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+        and not node.attr.startswith("__"))
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    package = os.path.join(SRC, "betajacobi")
+    reaches = {name: _private_reaches(os.path.join(package, name))
+               for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    assert {name: found for name, found in reaches.items() if found} == {}

@@ -24,6 +24,20 @@ def test_extremal_flagged_not_rejected():
         asym.require_bulk()
     with pytest.raises(ExtremalRegimeError):
         bj.support_edges(asym)
+    # p or q below 1, which n1, n2 >= n - 1 allows, is extremal too: p = q = 0.95
+    # (p + q <= 2), p = 0 (n1 = 0 at n = 1) and p = 0.96, q = 3 (p + q > 2)
+    for n, n1, n2 in ((10, 9.5, 9.5), (1, 0.0, 2.0), (25, 24.0, 75.0)):
+        asym = bj.derive_asymptotic(bj.EnsembleParams(n=n, beta=2.0, n1=n1, n2=n2))
+        assert asym.extremal and min(asym.p, asym.q) < 1.0
+        with pytest.raises(ExtremalRegimeError):
+            bj.support_edges(asym)
+    # n1 + n2 = 0 has no shapes
+    with pytest.raises(ParameterError, match="n1 \\+ n2 = 0"):
+        bj.derive_asymptotic(bj.EnsembleParams(n=1, beta=2.0, n1=0.0, n2=0.0))
+    # shapes outside the triangle a <= b <= 1 - a stay refused, extremal or not
+    for a, b in ((0.3, 0.1), (0.6, 0.1), (0.6, 0.9)):
+        with pytest.raises(ParameterError, match="need p, q >= 1"):
+            bj.shape_params(a, b, 2.0)
 
 
 def test_involution_swaps_shapes():

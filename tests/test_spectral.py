@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,40 @@ def test_chebyshev_coefficients_refuse_aliased_degrees(support):
     assert spectral.chebyshev_coefficients(f, 63, support, nodes=64)[5] == pytest.approx(1.0)
     with pytest.raises(ParameterError, match="alias"):
         spectral.chebyshev_coefficients(f, 64, support, nodes=64)
+    with pytest.raises(ParameterError, match="alias"):  # refused before f is evaluated
+        spectral.chebyshev_coefficients(lambda x: pytest.fail("evaluated"), 64, support, nodes=64)
+
+
+@pytest.mark.parametrize("f", [
+    spectral.exp_function(),
+    spectral.piecewise_linear([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]),
+    spectral.TestFunction(fn=lambda x: 3.0, name="constant"),
+], ids=["exp", "pwl", "scalar-constant"])
+def test_chebyshev_coefficients_match_the_cosine_sum(f, support):
+    # the trapezoid sum (1/pi) sum_j w_j f(x_j) cos(n t_j), written out
+    nodes, N = 256, 40
+    t = np.linspace(0.0, math.pi, nodes + 1)
+    w = np.full(nodes + 1, math.pi / nodes)
+    w[[0, -1]] *= 0.5
+    vals = np.broadcast_to(f(support.center + support.half_width * np.cos(t)), t.shape)
+    expected = [math.fsum(w * vals * np.cos(n * t)) / math.pi for n in range(N + 1)]
+    fhat = spectral.chebyshev_coefficients(f, N, support, nodes=nodes)
+    assert fhat.shape == (N + 1,) and fhat.flags.c_contiguous and not fhat.flags.writeable
+    assert np.max(np.abs(fhat - expected)) <= 1e-14 * max(1.0, np.max(np.abs(vals)))
+
+
+def test_chebyshev_coefficients_peak_memory(support):
+    # the transform holds a few arrays of 2 nodes doubles (32 KiB at 2048
+    # nodes); an (N + 1) x (nodes + 1) cosine table at N = 2046 took 33 MB
+    f = spectral.chebyshev_test_function(1023, support)
+    tracemalloc.start()
+    try:
+        fhat = spectral.chebyshev_coefficients(f, 2046, support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fhat[1023] == pytest.approx(1.0, abs=1e-12)
+    assert peak <= 1 << 20
 
 
 def test_orthonormality_grid(support):

@@ -17,7 +17,6 @@ from .params import (
     derive_asymptotic,
     from_ratios,
     from_shape,
-    involute,
     shape_params,
     support_edges,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "derive_asymptotic",
     "from_ratios",
     "from_shape",
-    "involute",
     "shape_params",
     "support_edges",
 ]

@@ -227,18 +227,18 @@ def _eigensolver(matrices, max_n, seed):
             "worst_sturm_gap": worst_sturm, "sturm_oracle_calls": 1}
 
 
-def _diagonalization(a, b, betas, K, nodes):
+def _diagonalization(a, b, betas, K):
     worst = error = 0.0
     for beta in betas:
         asym = shape_params(a, b, beta)
-        num = covariance.covariance_matrix(K, asym, nodes=nodes)
+        num = covariance.covariance_matrix(K, asym)
         theo = covariance.theory_covariance(K, beta, support_edges(asym))
         worst = max(worst, float(np.max(np.abs(num.entries - theo.entries))))
         error = max(error, num.error_estimate)
     return {"max_diagonalization_gap": worst, "quadrature_error_estimate": error}
 
 
-def _laplace(a, b, beta, nodes):
+def _laplace(a, b, beta):
     asym = shape_params(a, b, beta)
     support = support_edges(asym)
     grid = np.linspace(support.lambda_plus + 0.3, support.lambda_plus + 2.3, 5)
@@ -248,7 +248,7 @@ def _laplace(a, b, beta, nodes):
             c_form, t_form = covariance.laplace_closed(eta, om, support, beta)
             ident = max(ident, abs(c_form - (2.0 / beta) * t_form))
             bessel = max(bessel, abs(covariance.laplace_bessel_series(eta, om, support) - t_form))
-    cov40 = covariance.covariance_matrix(40, asym, nodes=nodes)
+    cov40 = covariance.covariance_matrix(40, asym)
     c_form, _ = covariance.laplace_closed(2.0, 3.0, support, beta)
     partial = abs(covariance.laplace_partial_sum(40, 2.0, 3.0, cov40) - c_form)
     return {"laplace_identity_gap": ident, "bessel_series_gap": bessel, "partial_sum_gap": partial}
@@ -339,13 +339,13 @@ def _alpha_zero_model(a, b):
             "min_residual_ratio": min(ratios), "max_residual_ratio": max(ratios)}
 
 
-def _limit_measures(a, b, nodes):
+def _limit_measures(a, b):
     asym = shape_params(a, b, 2.0)
     support = support_edges(asym)
-    mass_mu = spectral.integrate_density(spectral.monomial(0), asym, nodes=nodes)
-    mass_nu = spectral.integrate_deviation(spectral.monomial(0), support, nodes=nodes)
+    mass_mu = spectral.integrate_density(spectral.monomial(0), asym)
+    mass_nu = spectral.integrate_deviation(spectral.monomial(0), support)
     # independent x-space route for the edge-weight normalization 2 pi a
-    edge = spectral.edge_weight_integral(support, nodes=nodes)
+    edge = spectral.edge_weight_integral(support)
     quadratic = 0.0  # the Stieltjes transform of mu solves its quadratic
     for x in (support.lambda_plus + 0.25, support.lambda_plus + 1.0, -0.5):
         m0, _ = spectral.stieltjes_pair(x, asym)
@@ -507,12 +507,11 @@ REGISTRY = (
           full={"matrices": 1000, "max_n": 512}, quick={"matrices": 100, "max_n": 128}, seed=1),
     Check(5, "covariance-diagonalization", _diagonalization,
           (("max_diagonalization_gap", "<=", 1e-8), ("wall_clock_s", "<", 30.0)),
-          full={"a": 0.25, "b": 0.5, "betas": (4.0, 2.0, 1.0), "K": 8,
-                "nodes": covariance.DEFAULT_SIGMA_NODES}),
+          full={"a": 0.25, "b": 0.5, "betas": (4.0, 2.0, 1.0), "K": 8}),
     Check(6, "laplace-certification", _laplace,
           (("laplace_identity_gap", "<=", 1e-12), ("bessel_series_gap", "<=", 1e-10),
            ("partial_sum_gap", "<=", 1e-6)),
-          full={"a": 0.25, "b": 0.5, "beta": 2.0, "nodes": covariance.DEFAULT_SIGMA_NODES}),
+          full={"a": 0.25, "b": 0.5, "beta": 2.0}),
     Check(7, "clt", _clt,
           (("worst_variance_ratio_gap", "<=", 0.05), ("worst_covariance_z", "<=", 3.0),
            ("worst_abs_skewness", "<=", 0.1, True), ("worst_abs_excess_kurtosis", "<=", 0.2, True)),
@@ -535,7 +534,7 @@ REGISTRY = (
     Check(11, "limit-measures", _limit_measures,
           (("density_mass_error", "<=", 1e-10), ("deviation_mass_error", "<=", 1e-10),
            ("edge_normalization_error", "<=", 1e-8), ("stieltjes_quadratic_residual", "<=", 1e-10)),
-          full={"a": 0.25, "b": 0.5, "nodes": spectral.DEFAULT_NODES}),
+          full={"a": 0.25, "b": 0.5}),
     Check(12, "beta-poincare", _beta_poincare,
           (("worst_ratio", "<=", 1.0 + 1e-8), ("worst_weighted_equality_gap", "<=", 1e-6)),
           full={"shapes": (0.5, 1.0, 2.0, 8.0)}),

@@ -9,10 +9,10 @@ emits.  A subcommand's value is the default its flag declares, then the
 subparser as the flag, so it passes the same type and choice checks, and a
 bad one is a usage error that names its key; keys the subcommand does not
 declare are ignored.  Output is JSON with a versioned schema embedding the
-resolved configuration, seed, library version, wall clock and quadrature
-node counts; raw samples go to CSV on request.  Exit codes: 0 success, 1
-validation error, output file that cannot be written or stdout closed
-early, 2 numerical failure or failed verification.
+resolved configuration, seed, library version and wall clock; raw samples
+go to CSV on request.  Exit codes: 0 success, 1 validation error, output
+file that cannot be written or stdout closed early, 2 numerical failure or
+failed verification.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import checks, covariance, experiments, model, spectral
+from . import checks, experiments, model, spectral
 from ._version import __version__
 from .errors import BetaJacobiError, NumericalError, ParameterError
 from .params import EnsembleParams, derive_asymptotic, from_ratios, support_edges
@@ -65,11 +65,9 @@ _SUBCOMMANDS = {
     "sample": ("sample a factor and its spectrum", _ENSEMBLE,
                {"--dump-factor": {"help": "CSV dump of raw draws and entries"}}),
     "eig": ("eigensolver self-checks", "matrices:int=1000 max_n:int=512 seed:int=0", {}),
-    "spectrum": ("limiting measure identities",
-                 f"a:float=0.25 b:float=0.5 nodes:int={spectral.DEFAULT_NODES}", {}),
+    "spectrum": ("limiting measure identities", "a:float=0.25 b:float=0.5", {}),
     "cov": ("covariance diagonalization and Laplace forms",
-            f"a:float=0.25 b:float=0.5 beta:float=2 K:int=8 "
-            f"nodes:int={covariance.DEFAULT_SIGMA_NODES} verify:switch", {}),
+            "a:float=0.25 b:float=0.5 beta:float=2 K:int=8 verify:switch", {}),
     "fluct": ("CLT fluctuation run", _ENSEMBLE + " reps:int=10000",
               {"--funcs": {"default": "gamma1..gamma4", "help": "e.g. gamma1..gamma4,x"},
                "--csv": {"help": "write raw samples to this CSV"}}),
@@ -188,7 +186,7 @@ _EXTREMAL = "Chebyshev test functions need non-extremal parameters"
 # Top order of a gammaK or xK token: the 2K terms of its theory series stay
 # below the panels of the theory grid.  It is checked before any form is
 # built, as a range gammaI..gammaJ builds J forms at O(J) each.
-_MAX_ORDER = spectral.DEFAULT_NODES // 2 - 1
+_MAX_ORDER = spectral.THETA_NODES // 2 - 1
 
 
 def _parse_funcs(spec_str: str, params, no_support: str = _EXTREMAL) -> list:
@@ -256,7 +254,7 @@ def _order(digits: str, token: str) -> int:
     # the length first: int() refuses a string of more than 4300 digits
     if len(digits.lstrip("0")) > len(str(_MAX_ORDER)) or int(digits) > _MAX_ORDER:
         raise ParameterError(f"the order of {token!r} is above {_MAX_ORDER}: its theory series "
-                             f"would alias on the {spectral.DEFAULT_NODES} quadrature panels")
+                             f"would alias on the {spectral.THETA_NODES} quadrature panels")
     return int(digits)
 
 
@@ -283,7 +281,6 @@ def _envelope(subcommand: str, values: dict, results: dict, t0: float) -> dict:
         "config": values,
         "seed": values.get("seed"),
         "wall_clock_s": time.perf_counter() - t0,
-        "node_counts": {"nodes": values["nodes"]} if values.get("nodes") else {},
         "results": results,
     }
 
@@ -316,12 +313,11 @@ def _cmd_eig(v: dict) -> tuple[dict, bool]:
 
 def _cmd_spectrum(v: dict) -> tuple[dict, bool]:
     shape = {"a": v["a"], "b": v["b"]}
-    return _verdict(_run("alpha-zero-model", shape),
-                    _run("limit-measures", {**shape, "nodes": v["nodes"]}))
+    return _verdict(_run("alpha-zero-model", shape), _run("limit-measures", shape))
 
 
 def _cmd_cov(v: dict) -> tuple[dict, bool]:
-    shape = {"a": v["a"], "b": v["b"], "nodes": v["nodes"]}
+    shape = {"a": v["a"], "b": v["b"]}
     results, ok = _verdict(
         _run("covariance-diagonalization", {**shape, "betas": (v["beta"],), "K": v["K"]}),
         _run("laplace-certification", {**shape, "beta": v["beta"]}))

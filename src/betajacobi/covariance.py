@@ -29,7 +29,9 @@ __all__ = [
     "laplace_partial_sum",
 ]
 
-DEFAULT_SIGMA_NODES = 200
+# Panels of the coarse sigma-rule of covariance_matrix, whose fine rule has
+# twice as many; read at call time, so a test may patch it
+SIGMA_NODES = 200
 # Terms of the Bessel series oracle laplace_bessel_series
 _BESSEL_TERMS = 60
 
@@ -88,21 +90,19 @@ def _sigma_rule(nodes: int, lo: float, hi: float):
     return mid + half * x, half * w
 
 
-def covariance_matrix(
-    K: int, asym: AsymptoticParams, nodes: int = DEFAULT_SIGMA_NODES
-) -> CovarianceMatrix:
+def covariance_matrix(K: int, asym: AsymptoticParams) -> CovarianceMatrix:
     """C_{k,l} for trace powers 1..K by Clenshaw-Curtis quadrature over sigma
-    in [-a, 0], on 2 * nodes panels.
+    in [-a, 0], on 2 * SIGMA_NODES panels.
 
     The integrand is analytic on the interval (denominator 1 + 2 sigma >=
     1 - 2a > 0); error_estimate is the largest change of an entry from the
-    rule of `nodes` panels, whose nodes are the even-index ones of the
+    rule of SIGMA_NODES panels, whose nodes are the even-index ones of the
     rule used.
     """
-    K, nodes = checked_int("K", K, 1), checked_int("nodes", nodes, 1)
+    K = checked_int("K", K, 1)
     asym.require_bulk()
-    sig, w_fine = _sigma_rule(2 * nodes, -asym.a, 0.0)
-    _, w_coarse = _sigma_rule(nodes, -asym.a, 0.0)
+    sig, w_fine = _sigma_rule(2 * SIGMA_NODES, -asym.a, 0.0)
+    _, w_coarse = _sigma_rule(SIGMA_NODES, -asym.a, 0.0)
     x, y = entry_weights(sig, asym)
     powers = power_table(x, y, 2 * K)
     polys = [weight_polynomial(k) for k in range(1, K + 1)]

@@ -158,13 +158,12 @@ def run_fluctuations(
         statistic = spectral.trace_statistic(funcs, support.center, support.half_width)
         # the theory comes before the sampling, so that a function it cannot
         # resolve is refused before any replicate is drawn
-        nodes = spectral.DEFAULT_NODES
+        nodes = spectral.THETA_NODES
         # twice the top polynomial degree keeps that degree's term out of the
         # last-decade tail that variance_functionals checks for decay
         degree = max((len(f.chebyshev.coeffs) - 1 for f in funcs if f.is_polynomial), default=0)
         terms = max(THEORY_N, 2 * degree)
-        functionals = [spectral.variance_functionals(f, terms, params.beta, support, nodes=nodes)
-                       for f in funcs]
+        functionals = [spectral.variance_functionals(f, terms, params.beta, support) for f in funcs]
         theory_sigma = np.array([vf.sigma_sq for vf in functionals])
         theory_cov = spectral.limit_covariance(
             np.array([vf.coefficients for vf in functionals]), params.beta)

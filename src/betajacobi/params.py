@@ -22,7 +22,6 @@ __all__ = [
     "from_shape",
     "shape_params",
     "derive_asymptotic",
-    "involute",
     "support_edges",
     "checked_int",
 ]
@@ -52,8 +51,9 @@ def _checked_beta(beta: float) -> float:
 class EnsembleParams:
     """Finite-n ensemble parameters (n, beta, n1, n2).
 
-    n1 and n2 may be non-integer reals; integrability requires
-    n1, n2 >= n - 1.  Immutable and hashable.
+    n1 and n2 may be non-integer reals; the density is integrable only for
+    n1, n2 > n - 1, where the Selberg shape beta/2 (n1 - n + 1) is positive.
+    Immutable and hashable.
     """
 
     n: int
@@ -66,9 +66,9 @@ class EnsembleParams:
         _checked_beta(self.beta)
         for name in ("n1", "n2"):
             val = getattr(self, name)
-            if not math.isfinite(val) or val < self.n - 1:
+            if not math.isfinite(val) or val <= self.n - 1:
                 raise ParameterError(
-                    f"{name} must satisfy {name} >= n - 1 = {self.n - 1}, got {val!r}"
+                    f"{name} must satisfy {name} > n - 1 = {self.n - 1}, got {val!r}"
                 )
 
 
@@ -151,15 +151,13 @@ def derive_asymptotic(params: EnsembleParams) -> AsymptoticParams:
     """Ratios p = n1/n, q = n2/n and shapes a, b, alpha = 2/beta.
 
     The extremal regime, p + q <= 2 or p or q below 1, is flagged rather
-    than rejected: the matrix model remains simulable there (n1, n2 >= n - 1),
+    than rejected: the matrix model remains simulable there (n1, n2 > n - 1),
     while formulas that require p, q >= 1 and p + q > 2 must call
-    require_bulk().  n1 + n2 = 0 has no shapes: ParameterError.
+    require_bulk().
     """
     p = params.n1 / params.n
     q = params.n2 / params.n
     s = p + q
-    if s == 0:
-        raise ParameterError("n1 + n2 = 0 gives no shapes a = 1/(p + q), b = p/(p + q)")
     return AsymptoticParams(
         p=p,
         q=q,
@@ -182,16 +180,6 @@ def shape_params(a: float, b: float, beta: float) -> AsymptoticParams:
     return AsymptoticParams(
         p=p, q=q, a=a, b=b, alpha=2.0 / beta, extremal=(p + q <= 2.0 + 1e-12)
     )
-
-
-def involute(a: float, b: float) -> tuple[float, float]:
-    """The formula symmetry a -> 1-b, b -> 1-a.
-
-    It leaves the support-edge expressions invariant but maps the valid
-    shape triangle outside itself (the image has q < 1), so it acts on raw
-    shape pairs rather than validated parameters.
-    """
-    return 1.0 - b, 1.0 - a
 
 
 def support_edges(asym: AsymptoticParams) -> SupportInterval:

@@ -3,7 +3,7 @@
 All integrals over the support are computed in theta coordinates,
 x = c + r cos(theta), where the Chebyshev weight is flat and the closed
 trapezoid rule is spectrally accurate (and exact for polynomials of degree
-below half the panel count).  Default node count is 2048.
+below half the panel count).  The grid has THETA_NODES panels.
 
 trace_statistic is the one map from test functions to rows of tr f(A) over
 stacked Gram matrices: banded Chebyshev traces when every function is a
@@ -51,7 +51,8 @@ __all__ = [
     "hermite_quadrature",
 ]
 
-DEFAULT_NODES = 2048
+# Panels of the closed theta grid; read at call time, so a test may patch it
+THETA_NODES = 2048
 # |q| past which jacobi_probability_quadrature rescales its recurrence; its
 # square, summed over every recurrence step, stays far inside the float range
 _RESCALE_AT = 2.0**256
@@ -108,13 +109,6 @@ class TestFunction:
     @property
     def is_polynomial(self) -> bool:
         return self.chebyshev is not None
-
-    def check_derivative(self, grid: np.ndarray, tol: float = 1e-5, h: float = 1e-6) -> bool:
-        """Central finite-difference check of the stored derivative."""
-        if self.derivative is None:
-            return True
-        fd = (self.fn(grid + h) - self.fn(grid - h)) / (2 * h)
-        return bool(np.max(np.abs(fd - self.derivative(grid))) <= tol)
 
 
 def _chebyshev_rows(forms: Sequence[ChebyshevForm], center: float, half_width: float) -> np.ndarray:
@@ -248,15 +242,14 @@ def trace_statistic(
     return spectrum_sums
 
 
-def _theta_values(f: Callable, center: float, half_width: float, nodes: int):
-    """(theta, w, x, f(x)) on the closed trapezoid grid of nodes panels on
-    [0, pi], weights summing to pi, at x = center + half_width cos(theta).
+def _theta_values(f: Callable, center: float, half_width: float):
+    """(theta, w, x, f(x)) on the closed trapezoid grid of THETA_NODES
+    panels on [0, pi], weights summing to pi, at x = center + half_width cos(theta).
 
     QuadratureError if f is not finite at every node.
     """
-    nodes = checked_int("nodes", nodes, 8)
-    theta = np.linspace(0.0, math.pi, nodes + 1)
-    w = np.full(nodes + 1, math.pi / nodes)
+    theta = np.linspace(0.0, math.pi, THETA_NODES + 1)
+    w = np.full(THETA_NODES + 1, math.pi / THETA_NODES)
     w[0] *= 0.5
     w[-1] *= 0.5
     x = center + half_width * np.cos(theta)
@@ -266,9 +259,7 @@ def _theta_values(f: Callable, center: float, half_width: float, nodes: int):
     return theta, w, x, values
 
 
-def chebyshev_coefficients(
-    f: Callable, N: int, support: SupportInterval, nodes: int = DEFAULT_NODES
-) -> np.ndarray:
+def chebyshev_coefficients(f: Callable, N: int, support: SupportInterval) -> np.ndarray:
     """The read-only fhat[n] = (1/pi) integral of f(c + r cos t) cos(n t) dt,
     0 <= n <= N.
 
@@ -277,14 +268,15 @@ def chebyshev_coefficients(
     function has squared norm 2.  On the closed theta grid of
     _theta_values these trapezoid sums are a DCT-I, one real FFT of the
     values' even extension (Trefethen, ATAP, ch. 3).  cos(n t) and
-    cos((2 nodes - n) t) agree on that grid, so N must stay below `nodes`.
+    cos((2 THETA_NODES - n) t) agree on that grid, so N must stay below
+    THETA_NODES.
     """
-    N, nodes = checked_int("N", N, 0), checked_int("nodes", nodes, 8)
+    N, nodes = checked_int("N", N, 0), THETA_NODES
     if N >= nodes:
         raise ParameterError(
             f"Chebyshev coefficients up to n = {N} alias on {nodes} quadrature panels "
             f"(need n < {nodes})")
-    _, _, x, vals = _theta_values(f, support.center, support.half_width, nodes)
+    _, _, x, vals = _theta_values(f, support.center, support.half_width)
     vals = np.broadcast_to(vals, x.shape)
     fhat = np.fft.rfft(np.concatenate((vals, vals[-2:0:-1])))[: N + 1].real / (2 * nodes)
     fhat.setflags(write=False)
@@ -302,14 +294,14 @@ class VarianceFunctionals:
 
 
 def variance_functionals(
-    f: Callable, N: int, beta: float, support: SupportInterval, nodes: int = DEFAULT_NODES
+    f: Callable, N: int, beta: float, support: SupportInterval
 ) -> VarianceFunctionals:
     """Variance functional from the Chebyshev coefficients.
 
     Coefficients of the last decade that do not visibly decay trigger a
     warning and clear coefficients_decayed.
     """
-    fhat = chebyshev_coefficients(f, N, support, nodes=nodes)
+    fhat = chebyshev_coefficients(f, N, support)
     ns = np.arange(1, N + 1)
     sigma = (2.0 / beta) * float(np.sum(ns * fhat[1:] ** 2))
     cut = max(1, N - max(N // 10, 1))
@@ -332,7 +324,7 @@ def limit_covariance(fhat: np.ndarray, beta: float) -> np.ndarray:
     return (2.0 / beta) * (fhat[:, 1:] * ns) @ fhat[:, 1:].T
 
 
-def integrate_density(f: Callable, asym: AsymptoticParams, nodes: int = DEFAULT_NODES) -> float:
+def integrate_density(f: Callable, asym: AsymptoticParams) -> float:
     """Integral of f against the limiting spectral density.
 
     The density is sqrt(-(x - l-)(x - l+)) / (2 pi a x (1 - x)); in theta
@@ -342,7 +334,7 @@ def integrate_density(f: Callable, asym: AsymptoticParams, nodes: int = DEFAULT_
     asym.require_bulk()
     sup = SupportInterval.from_shape(asym.a, asym.b)
     r = sup.half_width
-    theta, w, x, vals = _theta_values(f, sup.center, r, nodes)
+    theta, w, x, vals = _theta_values(f, sup.center, r)
     denom = x * (1.0 - x)
     ratio = np.empty_like(x)
     interior = slice(1, -1)
@@ -356,29 +348,29 @@ def integrate_density(f: Callable, asym: AsymptoticParams, nodes: int = DEFAULT_
     return r * r * total / (2.0 * math.pi * asym.a)
 
 
-def integrate_deviation(f: Callable, support: SupportInterval, nodes: int = DEFAULT_NODES) -> float:
+def integrate_deviation(f: Callable, support: SupportInterval) -> float:
     """f(l-)/4 + f(l+)/4 - (1/2pi) integral of f(c + r cos t) dt."""
-    _, w, _, vals = _theta_values(f, support.center, support.half_width, nodes)
+    _, w, _, vals = _theta_values(f, support.center, support.half_width)
     edge = float(f(np.asarray(support.lambda_minus))) / 4.0 + float(
         f(np.asarray(support.lambda_plus))
     ) / 4.0
     return edge - float(np.sum(w * vals)) / (2.0 * math.pi)
 
 
-def arcsine_integral(f: Callable, nodes: int = DEFAULT_NODES) -> float:
+def arcsine_integral(f: Callable) -> float:
     """(1/pi) integral of f(x)/sqrt(x(1-x)) dx over [0, 1], in theta form."""
-    _, w, _, vals = _theta_values(f, 0.5, 0.5, nodes)
+    _, w, _, vals = _theta_values(f, 0.5, 0.5)
     return float(np.sum(w * vals) / math.pi)
 
 
-def edge_weight_integral(support: SupportInterval, nodes: int = DEFAULT_NODES) -> float:
+def edge_weight_integral(support: SupportInterval) -> float:
     """Integral of sqrt(-(x - l-)(x - l+)) / (x(1-x)) over the support.
 
-    Second-kind Gauss-Chebyshev rule in x space (open nodes), independent
-    of the theta-trapezoid route used by integrate_density; the value
-    should be 2 pi a.
+    Second-kind Gauss-Chebyshev rule of THETA_NODES open nodes in x space,
+    independent of the theta-trapezoid route used by integrate_density;
+    the value should be 2 pi a.
     """
-    nodes = checked_int("nodes", nodes, 1)
+    nodes = THETA_NODES
     j = np.arange(1, nodes + 1)
     t = j * math.pi / (nodes + 1)
     u = np.cos(t)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import betajacobi as bj
-from betajacobi import checks, concentration, covariance, eig, model, paths, spectral
+from betajacobi import checks, cli, concentration, covariance, eig, model, paths, spectral
 from betajacobi import experiments as ex
 from betajacobi import params as P
 from betajacobi.errors import ParameterError
@@ -62,21 +62,9 @@ _TABLE = {
     (spectral, "chebyshev_test_function", "m"): (
         lambda v: spectral.chebyshev_test_function(v, _SUP).chebyshev, -1, 3),
     (spectral, "chebyshev_coefficients", "N"): (
-        lambda v: spectral.chebyshev_coefficients(np.exp, v, _SUP, nodes=64), -1, 20),
-    (spectral, "chebyshev_coefficients", "nodes"): (
-        lambda v: spectral.chebyshev_coefficients(np.exp, 20, _SUP, nodes=v), 7, 64),
+        lambda v: spectral.chebyshev_coefficients(np.exp, v, _SUP), -1, 20),
     (spectral, "variance_functionals", "N"): (
-        lambda v: spectral.variance_functionals(np.exp, v, 2.0, _SUP, nodes=64), -1, 20),
-    (spectral, "variance_functionals", "nodes"): (
-        lambda v: spectral.variance_functionals(np.exp, 20, 2.0, _SUP, nodes=v), 7, 64),
-    (spectral, "integrate_density", "nodes"): (
-        lambda v: spectral.integrate_density(np.exp, _ASYM, nodes=v), 7, 64),
-    (spectral, "integrate_deviation", "nodes"): (
-        lambda v: spectral.integrate_deviation(np.exp, _SUP, nodes=v), 7, 64),
-    (spectral, "arcsine_integral", "nodes"): (
-        lambda v: spectral.arcsine_integral(np.exp, nodes=v), 7, 64),
-    (spectral, "edge_weight_integral", "nodes"): (
-        lambda v: spectral.edge_weight_integral(_SUP, nodes=v), 0, 16),
+        lambda v: spectral.variance_functionals(np.exp, v, 2.0, _SUP), -1, 20),
     (spectral, "jacobi_recurrence_01", "nterms"): (
         lambda v: spectral.jacobi_recurrence_01(v, 0.5, 1.5), 0, 5),
     (spectral, "jacobi_roots", "n"): (lambda v: spectral.jacobi_roots(v, 0.5, 1.5), 0, 4),
@@ -86,9 +74,7 @@ _TABLE = {
         lambda v: spectral.jacobi_probability_quadratures(v, [(1.0, 1.0), (2.0, 3.0)]), 0, 5),
     (spectral, "hermite_quadrature", "nnodes"): (spectral.hermite_quadrature, 0, 5),
     (covariance, "covariance_matrix", "K"): (
-        lambda v: covariance.covariance_matrix(v, _ASYM, nodes=20), 0, 3),
-    (covariance, "covariance_matrix", "nodes"): (
-        lambda v: covariance.covariance_matrix(3, _ASYM, nodes=v), 0, 20),
+        lambda v: covariance.covariance_matrix(v, _ASYM), 0, 3),
     (covariance, "theory_covariance", "K"): (
         lambda v: covariance.theory_covariance(v, 2.0, _SUP), 33, 3),
     (covariance, "laplace_partial_sum", "K"): (
@@ -166,6 +152,20 @@ def test_every_public_count_parameter_is_in_the_table_or_exempt():
     assert uncovered == []
     stale = [_label(key) for key in (*_TABLE, *_EXEMPT) if key[1] not in key[0].__all__]
     assert stale == []
+
+
+def test_no_public_callable_takes_a_node_count():
+    # the theta grid and the sigma-rule are the module constants
+    # spectral.THETA_NODES and covariance.SIGMA_NODES, set by no caller
+    takers = [_label((module, name, "nodes"))
+              for module in (spectral, covariance, ex) for name in module.__all__
+              if callable(getattr(module, name))
+              and "nodes" in inspect.signature(getattr(module, name)).parameters]
+    takers += [check.id for check in checks.REGISTRY
+               if "nodes" in inspect.signature(check.runner).parameters]
+    takers += [f"cli {name}" for name in cli._SUBCOMMANDS
+               if "nodes" in {action.dest for action in cli._subparser(name)._actions}]
+    assert takers == []
 
 
 def _runner_inputs(check):

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import betajacobi as bj
-from betajacobi import checks, cli, spectral
+from betajacobi import checks, cli, covariance, spectral
 from betajacobi import concentration as conc
 
 
@@ -45,20 +45,37 @@ def test_cov_verify_passes(capsys):
     assert doc["results"]["max_diagonalization_gap"] <= 1e-8
 
 
-def test_cov_verify_fails_with_bad_nodes(capsys):
-    code, out = _run(
-        capsys, "cov", "--a", "0.25", "--b", "0.5", "--beta", "2", "--K", "6",
-        "--verify", "--nodes", "2",
-    )
+def test_cov_verify_fails_with_bad_nodes(capsys, monkeypatch):
+    # a sigma-rule of 4 panels misses the diagonalization gate
+    monkeypatch.setattr(covariance, "SIGMA_NODES", 2)
+    code, out = _run(capsys, "cov", "--a", "0.25", "--b", "0.5", "--beta", "2", "--K", "6",
+                     "--verify")
     assert code == 2
     assert not json.loads(out)["results"]["passed"]
 
 
-def test_cov_zero_nodes_is_validation_error(capsys):
-    code, out = _run(capsys, "cov", "--nodes", "0")
+@pytest.mark.parametrize("argv", [["spectrum", "--nodes", "256"], ["cov", "--nodes", "200"]],
+                         ids=["spectrum", "cov"])
+def test_nodes_flag_removed(capsys, argv):
+    code, out = _run(capsys, *argv)
     assert code == 1
-    assert json.loads(out)["error"] == {
-        "type": "validation", "message": "nodes must be an integer >= 1, got 0"}
+    error = json.loads(out)["error"]
+    assert error["type"] == "usage" and "--nodes" in error["message"]
+
+
+def test_nodes_config_key_runs_at_the_fixed_grid(tmp_path, capsys):
+    # an artifact written while the node count was a flag still reruns, at the fixed grid
+    code, out = _run(capsys, "spectrum", "--a", "0.3", "--b", "0.4")
+    assert code == 0
+    first = json.loads(out)
+    first["config"]["nodes"] = 256
+    artifact = tmp_path / "old.json"
+    artifact.write_text(json.dumps(first))
+    code, out = _run(capsys, "--config", str(artifact), "spectrum")
+    assert code == 0
+    again = json.loads(out)
+    assert _without_wall_clock(again["results"]) == _without_wall_clock(first["results"])
+    assert "nodes" not in again["config"]
 
 
 def test_unknown_flag_is_validation_error(capsys):
@@ -86,6 +103,16 @@ def test_wrong_typed_config_value_is_usage_error(tmp_path, capsys, cfg):
     assert error["type"] == "usage" and repr(next(iter(cfg))) in error["message"]
 
 
+@pytest.mark.parametrize("command", ["sample", "fluct"])
+def test_n1_at_n_minus_one_is_refused_with_its_bound(capsys, command):
+    # the parameters refuse n1 = n - 1, naming the bound, before any draw
+    reps = ("--reps", "3") if command == "fluct" else ()
+    code, out = _run(capsys, command, "--n", "10", "--n1", "9", "--n2", "20", *reps)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "validation", "message": "n1 must satisfy n1 > n - 1 = 9, got 9.0"}
+
+
 def test_invalid_params_exit_one(capsys):
     code, out = _run(capsys, "sample", "--n", "10", "--n1", "5", "--n2", "30")
     assert code == 1
@@ -94,8 +121,8 @@ def test_invalid_params_exit_one(capsys):
 
 @pytest.mark.parametrize("command", ["fluct", "sample"])
 def test_finite_n_edge_parameters(capsys, command):
-    # n1 + n2 = 0 is refused as a validation error; p = q = 0.95 (n1, n2 >= n - 1)
-    # runs, fluct as Monte Carlo only on the [0, 1] map
+    # n1 = n2 = 0 at n = 1 is refused as a validation error; p = q = 0.95
+    # (n1, n2 > n - 1) runs, fluct as Monte Carlo only on the [0, 1] map
     funcs = ("--funcs", "x", "--reps", "3") if command == "fluct" else ()
     code, out = _run(capsys, command, "--n", "1", "--n1", "0", "--n2", "0", *funcs)
     assert code == 1 and json.loads(out)["error"]["type"] == "validation"
@@ -509,7 +536,7 @@ def _without_wall_clock(node):
 @pytest.mark.parametrize("argv", [
     ["sample", "--n", "8", "--seed", "3", "--n1", "10", "--n2", "13.5"],
     ["eig", "--matrices", "20", "--max-n", "16", "--seed", "2"],
-    ["spectrum", "--a", "0.3", "--b", "0.4", "--nodes", "256"],
+    ["spectrum", "--a", "0.3", "--b", "0.4"],
     ["cov", "--K", "4", "--verify"],
     ["fluct", "--n", "16", "--beta", "1", "--funcs", "gamma1,x2,exp", "--reps", "20", "--seed", "5"],
     ["lln", "--regime", "sublinear", "--sizes", "40,80", "--reps", "4", "--seed", "1"],
@@ -587,8 +614,8 @@ _DEFAULTS = {
     "sample": {"n": 100, "beta": 2.0, "p": 2.0, "q": 2.0, "n1": None, "n2": None, "seed": 0,
                "dump_factor": None},
     "eig": {"matrices": 1000, "max_n": 512, "seed": 0},
-    "spectrum": {"a": 0.25, "b": 0.5, "nodes": 2048},
-    "cov": {"a": 0.25, "b": 0.5, "beta": 2.0, "K": 8, "nodes": 200, "verify": False},
+    "spectrum": {"a": 0.25, "b": 0.5},
+    "cov": {"a": 0.25, "b": 0.5, "beta": 2.0, "K": 8, "verify": False},
     "fluct": {"n": 100, "beta": 2.0, "p": 2.0, "q": 2.0, "n1": None, "n2": None, "seed": 0,
               "reps": 10000, "funcs": "gamma1..gamma4", "csv": None},
     "lln": {"func": "x", "beta": 2.0, "p": 2.0, "q": 2.0, "reps": 64, "seed": 0,

@@ -57,10 +57,17 @@ def test_matrix_symmetric_and_psd(asym):
     assert np.linalg.eigvalsh(cov.entries).min() >= -1e-10
 
 
-def test_quadrature_error_shrinks_geometrically(asym):
-    reference = covariance.covariance_matrix(6, asym, nodes=400).entries
-    err25 = np.max(np.abs(covariance.covariance_matrix(6, asym, nodes=25).entries - reference))
-    err50 = np.max(np.abs(covariance.covariance_matrix(6, asym, nodes=50).entries - reference))
+def _covariance_on(monkeypatch, nodes, K, asym):
+    """covariance_matrix with SIGMA_NODES set to nodes for this call."""
+    with monkeypatch.context() as patch:
+        patch.setattr(covariance, "SIGMA_NODES", nodes)
+        return covariance.covariance_matrix(K, asym)
+
+
+def test_quadrature_error_shrinks_geometrically(asym, monkeypatch):
+    reference = _covariance_on(monkeypatch, 400, 6, asym).entries
+    err25 = np.max(np.abs(_covariance_on(monkeypatch, 25, 6, asym).entries - reference))
+    err50 = np.max(np.abs(_covariance_on(monkeypatch, 50, 6, asym).entries - reference))
     assert err50 <= err25 / 4 or err50 <= 1e-14
 
 
@@ -167,13 +174,13 @@ def test_covariance_matrix_matches_numpy_rule(asym, monkeypatch, K):
                        for beta, a, b in ((2.0, 0.45, 0.5), (1.0, 0.3, 0.35), (4.0, 0.2, 0.7))]
     covs = [covariance.covariance_matrix(K, point) for point in points]
     monkeypatch.setattr(covariance, "_sigma_rule", _leggauss_rule)
-    half = covariance.DEFAULT_SIGMA_NODES // 2
+    half = covariance.SIGMA_NODES // 2
     for point, cov in zip(points, covs):
         ref = covariance.covariance_matrix(K, point)
         assert np.max(np.abs(cov.entries - ref.entries)) <= 1e-13
         # Gauss rules do not nest: the reference error estimate is the gap
         # between the rules of 2 * nodes and nodes points, each built alone
-        coarse = covariance.covariance_matrix(K, point, nodes=half)
+        coarse = _covariance_on(monkeypatch, half, K, point)
         ref_error = float(np.max(np.abs(ref.entries - coarse.entries)))
         assert cov.error_estimate == pytest.approx(ref_error, abs=1e-13)
 
@@ -204,7 +211,7 @@ def test_sigma_rule_is_clenshaw_curtis(N):
 
 
 @pytest.mark.parametrize("nodes", [26, 200])
-def test_nested_rule_keeps_the_fine_entries(asym, nodes):
+def test_nested_rule_keeps_the_fine_entries(asym, monkeypatch, nodes):
     # entries are the 2 * nodes panel rule alone; the coarse rule only sets
     # error_estimate, from the even-index nodes
     K = 8
@@ -223,18 +230,16 @@ def test_nested_rule_keeps_the_fine_entries(asym, nodes):
 
     out = asym.alpha / 4.0 * (dot(dx * w_common, dx) + dot(dy * w_common, dy)
                               - (dot(dx * w_cross, dy) + dot(dy * w_cross, dx)))
-    cov = covariance.covariance_matrix(K, asym, nodes=nodes)
+    cov = _covariance_on(monkeypatch, nodes, K, asym)
     assert np.array_equal(cov.entries, 0.5 * (out + out.T))
     # the coarse rule of nodes panels is the fine rule of nodes / 2, up to
     # the order of the sums
-    coarse = covariance.covariance_matrix(K, asym, nodes=nodes // 2)
+    coarse = _covariance_on(monkeypatch, nodes // 2, K, asym)
     gap = float(np.max(np.abs(cov.entries - coarse.entries)))
     assert cov.error_estimate == pytest.approx(gap, abs=1e-15)
 
 
-@pytest.mark.parametrize("bad", [{"K": 1.5}, {"nodes": 1.5}, {"K": 0}, {"nodes": 0}],
-                         ids=["K-1.5", "nodes-1.5", "K-0", "nodes-0"])
-def test_covariance_matrix_rejects_bad_counts(asym, bad):
-    args = {"K": 2, "nodes": covariance.DEFAULT_SIGMA_NODES, **bad}
+@pytest.mark.parametrize("K", [1.5, 0], ids=["K-1.5", "K-0"])
+def test_covariance_matrix_rejects_bad_counts(asym, K):
     with pytest.raises(ParameterError):
-        covariance.covariance_matrix(args["K"], asym, nodes=args["nodes"])
+        covariance.covariance_matrix(K, asym)

@@ -48,8 +48,9 @@ def test_shape_arrays_small_case():
 
 
 def test_shape_positivity_guard():
-    params = bj.EnsembleParams(n=4, beta=2.0, n1=3.0, n2=6.0)  # n1 = n - 1 exactly
-    with pytest.raises(ParameterError):
+    # a valid parameter set whose first shape n1 - n + 1 rounds to 0
+    params = bj.EnsembleParams(n=1, beta=2.0, n1=1e-30, n2=6.0)
+    with pytest.raises(ParameterError, match="nonpositive Beta shape"):
         model.sample_factor(params, model.replicate_stream(0, 0))
 
 

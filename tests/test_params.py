@@ -24,16 +24,14 @@ def test_extremal_flagged_not_rejected():
         asym.require_bulk()
     with pytest.raises(ExtremalRegimeError):
         bj.support_edges(asym)
-    # p or q below 1, which n1, n2 >= n - 1 allows, is extremal too: p = q = 0.95
-    # (p + q <= 2), p = 0 (n1 = 0 at n = 1) and p = 0.96, q = 3 (p + q > 2)
-    for n, n1, n2 in ((10, 9.5, 9.5), (1, 0.0, 2.0), (25, 24.0, 75.0)):
+    # p or q below 1, which n1, n2 > n - 1 allows, is extremal too: p = q = 0.95
+    # (p + q <= 2), p = 1/2 (n1 = 1/2 at n = 1), p = q = 1e-3 (n1 + n2 near 0
+    # at n = 1) and p = 0.98, q = 3 (p + q > 2)
+    for n, n1, n2 in ((10, 9.5, 9.5), (1, 0.5, 2.0), (1, 1e-3, 1e-3), (25, 24.5, 75.0)):
         asym = bj.derive_asymptotic(bj.EnsembleParams(n=n, beta=2.0, n1=n1, n2=n2))
         assert asym.extremal and min(asym.p, asym.q) < 1.0
         with pytest.raises(ExtremalRegimeError):
             bj.support_edges(asym)
-    # n1 + n2 = 0 has no shapes
-    with pytest.raises(ParameterError, match="n1 \\+ n2 = 0"):
-        bj.derive_asymptotic(bj.EnsembleParams(n=1, beta=2.0, n1=0.0, n2=0.0))
     # shapes outside the triangle a <= b <= 1 - a stay refused, extremal or not
     for a, b in ((0.3, 0.1), (0.6, 0.1), (0.6, 0.9)):
         with pytest.raises(ParameterError, match="need p, q >= 1"):
@@ -41,12 +39,11 @@ def test_extremal_flagged_not_rejected():
 
 
 def test_involution_swaps_shapes():
-    assert bj.involute(0.2, 0.3) == pytest.approx((0.7, 0.8))
-    assert bj.involute(*bj.involute(0.2, 0.3)) == pytest.approx((0.2, 0.3))
-    # the edge formula [sqrt(b(1-a)) +- sqrt(a(1-b))]^2 is invariant, even
-    # though the image pair is not a valid ensemble shape
+    # the edge formula [sqrt(b(1-a)) +- sqrt(a(1-b))]^2 is invariant under
+    # (a, b) -> (1 - b, 1 - a), even though the image pair is not a valid
+    # ensemble shape
     s1 = bj.SupportInterval.from_shape(0.2, 0.3)
-    a2, b2 = bj.involute(0.2, 0.3)
+    a2, b2 = 0.7, 0.8
     lo = (math.sqrt(b2 * (1 - a2)) - math.sqrt(a2 * (1 - b2))) ** 2
     hi = (math.sqrt(b2 * (1 - a2)) + math.sqrt(a2 * (1 - b2))) ** 2
     assert s1.lambda_minus == pytest.approx(lo, abs=1e-15)
@@ -116,8 +113,12 @@ def test_validation_errors():
         bj.EnsembleParams(n=0, beta=2.0, n1=20, n2=20)
     with pytest.raises(ParameterError):
         bj.SupportInterval.from_shape(0.25, 0.1)  # b < a
-    # n1 = n - 1 is representable (boundary of integrability)
-    bj.EnsembleParams(n=10, beta=2.0, n1=9, n2=9)
+    # integrability needs n1, n2 > n - 1: the boundary itself, where the
+    # sampler's first Beta shape beta/2 (n1 - n + 1) is 0, is refused
+    for n1, n2, name in ((9, 20, "n1"), (20, 9, "n2")):
+        with pytest.raises(ParameterError, match=f"^{name} must satisfy {name} > n - 1 = 9, got "):
+            bj.EnsembleParams(n=10, beta=2.0, n1=n1, n2=n2)
+    bj.EnsembleParams(n=10, beta=2.0, n1=9.001, n2=9.001)
 
 
 def test_nonsquare_ratio_shapes():

@@ -14,19 +14,29 @@ Sampling is pure given an explicit generator stream; factors are immutable.
 Factors and Gram matrices may carry leading batch axes: diag (..., n) and
 sub/off (..., n - 1) hold one matrix per leading index.
 
+The 2n - 1 Beta variables come from Cheng's algorithm BA (Comm. ACM 21,
+1978) when every shape of the parameter set lies in [1/2, 2^24]: each try
+takes one pair of uniforms and is accepted with probability 0.52 to 1 over
+that range, so the tries of many draws run as one array operation.  Other
+parameter sets draw each Beta as a gamma ratio G1 / (G1 + G2).
+
 Every Monte Carlo check runs through map_replicates.  It draws replicate m
-from the counter-based stream keyed by (seed, m) with one standard_gamma call
-on the flat shape array, the first call sample_factor makes.  The Beta
-ratios, factors and Gram matrices of a whole (b, n) block are then formed at
-once; the statistic maps the block to (b, k) rows.  A replicate with a Beta
-total of 0 (both gammas underflowed) is redone by sample_factor's draw
-routine on its re-keyed stream.  The block size b = 2^14 // n (at least 1)
-keeps every (b, n) array near 2^14 doubles.  Each row depends on (seed, m)
-alone and every batched operation acts row by row exactly as on one matrix,
-so row m equals sample_factor(params, replicate_stream(seed, m)) bit for
-bit, whatever the block size.  Replicate 0 runs first, alone and timed in
-this process, then, unless it alone costs enough to project from, the block
-of replicates 1..b.  Once that projects the rest at _SHARD_MIN_S of CPU time
+from the counter-based stream keyed by (seed, m) with the first call
+sample_factor makes: one random call for the uniform pool of Cheng's route,
+one standard_gamma call on the flat shape array on the gamma route.  The
+Beta draws, factors and Gram matrices of a whole (b, n) block are then
+formed at once; the statistic maps the block to (b, k) rows.  A replicate
+whose pool runs out, or with a Beta total of 0 (both gammas underflowed),
+is redone by sample_factor's draw routine on its re-keyed stream.  The
+block size b = 2^14 // n (at least 1) keeps every (b, n) array near 2^14
+doubles.  Each row depends on (seed, m) alone and every batched operation
+acts row by row exactly as on one matrix (numpy's elementwise log, log1p,
+expm1 and exp give an element the same result at any position in an array
+of any length, which the tests check against one try at a time), so row m
+equals sample_factor(params, replicate_stream(seed, m)) bit for bit,
+whatever the block size.  Replicate 0 runs first, alone and timed in this
+process, then, unless it alone costs enough to project from, the block of
+replicates 1..b.  Once that projects the rest at _SHARD_MIN_S of CPU time
 or more, the replicates left are split evenly into contiguous ranges over
 forked workers, up to one per CPU in the affinity mask, which write their
 rows into a shared anonymous mapping; since rows depend on (seed, m) alone,
@@ -92,6 +102,15 @@ _TRACE_ELEMENTS = 1 << 18
 # lift the floor.
 _MAX_SHAPE = 1e300
 _MIN_SHAPE = 1e-9
+# Shape range of Cheng's algorithm BA, which draws every Beta of a parameter
+# set whose shapes all lie in it; the others keep the gamma ratio.  Here
+# v = beta logit(u1) stays within 74 in size, so expm1 cannot overflow, and
+# the acceptance statistic is rounded by about 1e-12 (1e-10 at worst, at
+# |logit u1| = 37 and shape 2^24).  Above 2^24 that statistic loses digits;
+# below 1/2 the acceptance rate falls toward 1/4.
+_CHENG_MIN_SHAPE = 0.5
+_CHENG_MAX_SHAPE = 2.0**24
+_LOG4 = float(np.log(4.0))
 # CPU seconds of projected work per process for map_replicates to fork one
 # more, projected from replicate 0 or from the first block (_PROBE_MIN_S).
 # A fork, _exit and waitpid of a process that holds numpy, scipy.linalg and
@@ -115,7 +134,7 @@ _SHARD_MIN_S = 0.05
 # and in a block.  4 ms is 8x above the one and 4x below the other.
 _PROBE_MIN_S = 4e-3
 # glibc maps each allocation of 128 KiB or more on its own and trims the heap
-# past 128 KiB free, so every block of map_replicates faulted in its gamma
+# past 128 KiB free, so every block of map_replicates faulted in its Beta
 # draws and trace bands afresh (fluct n = 2000, Gamma_1..Gamma_4 and x, 1000
 # replicates: 33k minor faults, 3.8k with these limits, and 0.1 s less CPU).
 with contextlib.suppress(AttributeError, OSError, TypeError):  # no mallopt: no change
@@ -281,6 +300,138 @@ def _factor_draws(flat: np.ndarray, n: int, rng: np.random.Generator):
         g = np.where(zero, rng.standard_gamma(flat), g)
 
 
+def _cheng_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(5, M) rows alpha, beta, gamma, p, ln p: Cheng's BA constants of each Beta(a, b).
+
+    beta is 1 / min(a, b) when min(a, b) <= 1, else sqrt((alpha - 2) /
+    (2ab - alpha)) in a form that cannot overflow; p = a / alpha.
+    """
+    alpha = a + b
+    small = np.minimum(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):  # taken only where small > 1
+        wide = np.sqrt((1.0 - 2.0 / alpha) / (2.0 * a * (b / alpha) - 1.0))
+    beta = np.where(small <= 1.0, 1.0 / small, wide)
+    p = a / alpha
+    table = np.stack([alpha, beta, a + 1.0 / beta, p, np.log(p)])
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=16)
+def _cheng_constants(params: EnsembleParams):
+    """Cheng's BA table of the 2n - 1 draws in beta_shapes order, or None when
+    some shape lies outside [_CHENG_MIN_SHAPE, _CHENG_MAX_SHAPE] and the
+    parameter set keeps the gamma ratio.  ParameterError as in sample_factor."""
+    a, b = beta_shapes(params)
+    if min(a.min(), b.min()) < _CHENG_MIN_SHAPE or max(a.max(), b.max()) > _CHENG_MAX_SHAPE:
+        return None
+    return _cheng_table(a, b)
+
+
+def _pool_pairs(draws: int) -> int:
+    """Spare uniform pairs a replicate of `draws` Beta draws takes for its retries."""
+    return draws // 4 + 64
+
+
+def _cheng_step(u1: np.ndarray, u2: np.ndarray, table: np.ndarray):
+    """(accepted, x): one try of Cheng's BA per draw from the pair (u1, u2).
+
+    The columns of table hold each draw's constants; a (5, M) table
+    broadcasts against (b, M) pairs.  With v = beta logit(u1) and the
+    spread L = log1p(p expm1(v)) = ln((b + a e^v) / alpha), free of
+    cancellation, a try is accepted when gamma v - alpha L - ln 4 >
+    2 ln u1 + ln u2, which fails at u1 = 0, and then x = exp(ln p + v - L).
+    x is capped at 1, which it passes by rounding near 1 (at Beta(2^24, 1)
+    and u1 within 4096 ulps of 1, about half the tries did).
+    """
+    alpha, beta, gamma, p, log_p = table
+    with np.errstate(divide="ignore"):  # u1 or u2 = 0: a logarithm of -inf
+        log_u1 = np.log(u1)
+        bound = np.log(u2)
+    v = np.negative(u1)
+    np.log1p(v, out=v)
+    np.subtract(log_u1, v, out=v)
+    v *= beta
+    spread = np.expm1(v)
+    spread *= p
+    np.log1p(spread, out=spread)
+    log_u1 *= 2.0
+    bound += log_u1
+    bound += _LOG4
+    stat = np.multiply(gamma, v)
+    stat -= np.multiply(alpha, spread, out=log_u1)
+    accepted = np.greater(stat, bound)
+    x = np.add(log_p, v, out=v)
+    x -= spread
+    np.exp(x, out=x)
+    np.minimum(x, 1.0, out=x)
+    return accepted, x
+
+
+def _cheng_rounds(table: np.ndarray, uniforms: np.ndarray):
+    """(x, stopped): Cheng's BA draws of a stack of replicates from their uniform pools.
+
+    uniforms is (b, 2, M + P): row 0 of replicate r holds its u1 values and
+    row 1 its u2 values.  Draw j first tries pair j; the draws a replicate
+    rejects then take its pairs M, M + 1, ... in column order, round after
+    round.  A replicate whose next round does not fit in its pool stops:
+    its draws still rejected are marked in the (b, M) mask stopped, and
+    their entries of the (b, M) array x hold no draw.
+    """
+    b, _, width = uniforms.shape
+    draws = table.shape[1]
+    accepted, x = _cheng_step(uniforms[:, 0, :draws], uniforms[:, 1, :draws], table)
+    stopped = np.zeros(x.shape, dtype=bool)
+    # flat indexes: draw j of replicate r at r M + j, its pair k at r 2(M + P) + k
+    flat_u, flat_x = uniforms.reshape(-1), x.reshape(-1)
+    pending = np.flatnonzero(~accepted)
+    rows = pending // draws
+    next_pair = np.arange(0, b * 2 * width, 2 * width) + draws
+    end = next_pair + (width - draws)
+    while pending.size:
+        counts = np.bincount(rows, minlength=b)
+        full = next_pair + counts > end
+        if full.any():
+            stop = full[rows]
+            stopped.reshape(-1)[pending[stop]] = True
+            pending, rows = pending[~stop], rows[~stop]
+            counts[full] = 0
+        # rows is sorted, so the draws of a replicate take consecutive pairs
+        at = (next_pair - np.cumsum(counts) + counts)[rows] + np.arange(rows.size)
+        next_pair += counts
+        accepted, tries = _cheng_step(flat_u[at], flat_u[at + width], table[:, pending - rows * draws])
+        flat_x[pending[accepted]] = tries[accepted]
+        pending, rows = pending[~accepted], rows[~accepted]
+    return x, stopped
+
+
+def _cheng_draws(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The M Beta draws of one replicate by Cheng's BA, table as in _cheng_table.
+
+    One rng.random((2, M + P)) call gives the pool of _cheng_rounds; if that
+    pool runs out, each further round takes fresh rng.random((2, k)) pairs
+    for its k draws still rejected.
+    """
+    draws = table.shape[1]
+    x, stopped = _cheng_rounds(table, rng.random((1, 2, draws + _pool_pairs(draws))))
+    x, cols = x[0], np.flatnonzero(stopped[0])
+    while cols.size:
+        u1, u2 = rng.random((2, cols.size))
+        accepted, tries = _cheng_step(u1, u2, table[:, cols])
+        x[cols[accepted]] = tries[accepted]
+        cols = cols[~accepted]
+    return x
+
+
+def _draws(params: EnsembleParams, rng: np.random.Generator):
+    """(c^2, c'^2) of one replicate: Cheng's BA inside its shape range, else the gamma ratio."""
+    n, table = params.n, _cheng_constants(params)
+    if table is None:
+        return _factor_draws(_shape_arrays(params), n, rng)
+    x = _cheng_draws(table, rng)
+    return x[:n], x[n:]
+
+
 def _build_factor(raw_c: np.ndarray, raw_cp: np.ndarray) -> TridiagonalFactor:
     c = np.sqrt(raw_c)
     s = np.sqrt(1.0 - raw_c)
@@ -294,8 +445,16 @@ def _build_factor(raw_c: np.ndarray, raw_cp: np.ndarray) -> TridiagonalFactor:
 
 
 def sample_factor(params: EnsembleParams, rng: np.random.Generator) -> TridiagonalFactor:
-    """Draw the 2n-1 independent Beta variables and lay out the factor."""
-    return _build_factor(*_factor_draws(_shape_arrays(params), params.n, rng))
+    """Draw the 2n-1 independent Beta variables and lay out the factor.
+
+    When every Beta shape of params lies in [1/2, 2^24], the draws come from
+    Cheng's algorithm BA (R. C. H. Cheng, Comm. ACM 21, 1978): one
+    rng.random((2, M + P)) call gives M = 2n - 1 first tries and a pool of
+    P spare pairs for the retries, and fresh pairs follow if the pool runs
+    out (_cheng_draws).  Otherwise each Beta is a gamma ratio, all gammas
+    from one standard_gamma call on the flat shape array (_factor_draws).
+    """
+    return _build_factor(*_draws(params, rng))
 
 
 def deterministic_factor(params: EnsembleParams) -> TridiagonalFactor:
@@ -312,18 +471,43 @@ def assemble_gram(factor: TridiagonalFactor) -> SymTridiagonal:
     return SymTridiagonal(diag=diag, off=off)
 
 
-def _block_rows(statistic, flat, n, stream, lo, hi, block):
+def _draw_block(params: EnsembleParams, stream, start: int, b: int):
+    """(c^2, c'^2) of replicates start..start + b - 1, row r as _draws gives it from stream(start + r).
+
+    Each replicate makes the first call of _draws on its stream into one
+    (b, ...) buffer: its random pool on Cheng's route, its standard_gamma
+    call on the gamma route.  The draws of the whole block are then formed
+    at once.  A replicate whose pool runs out, or with a Beta total of 0
+    (both gammas underflowed), is redone by _draws on its re-keyed stream.
+    """
+    n, table = params.n, _cheng_constants(params)
+    if table is None:
+        flat = _shape_arrays(params)
+        g = np.empty((b, flat.size))
+        for r in range(b):
+            g[r] = stream(start + r).standard_gamma(flat)
+        raw_c, raw_cp = _ratios(g, n)
+        redo = np.isnan(raw_c).any(axis=1) | np.isnan(raw_cp).any(axis=1)
+    else:
+        draws = table.shape[1]
+        uniforms = np.empty((b, 2, draws + _pool_pairs(draws)))
+        for r in range(b):
+            stream(start + r).random(out=uniforms[r])
+        x, stopped = _cheng_rounds(table, uniforms)
+        raw_c, raw_cp = x[:, :n], x[:, n:]
+        redo = stopped.any(axis=1)
+    for r in np.flatnonzero(redo):
+        raw_c[r], raw_cp[r] = _draws(params, stream(start + r))
+    return raw_c, raw_cp
+
+
+def _block_rows(statistic, params, stream, lo, hi, block):
     """(start, rows): the (b, k) rows of the statistic for each block of
     replicates start..start + b - 1 that tiles lo..hi - 1."""
     for start in range(lo, hi, block):
         b = min(block, hi - start)
-        g = np.empty((b, 4 * n - 2))
-        for r in range(b):
-            g[r] = stream(start + r).standard_gamma(flat)
-        raw_c, raw_cp = _ratios(g, n)
-        for r in np.flatnonzero(np.isnan(raw_c).any(axis=1) | np.isnan(raw_cp).any(axis=1)):
-            raw_c[r], raw_cp[r] = _factor_draws(flat, n, stream(start + r))
-        rows = np.asarray(statistic(assemble_gram(_build_factor(raw_c, raw_cp))))
+        gram = assemble_gram(_build_factor(*_draw_block(params, stream, start, b)))
+        rows = np.asarray(statistic(gram))
         if rows.shape[:1] != (b,):
             raise ParameterError(f"statistic must return one row per matrix of the block: "
                                  f"{b} rows, got shape {rows.shape}")
@@ -394,16 +578,19 @@ def map_replicates(
     """Row m is the statistic of the Gram matrix A_m of replicate m.
 
     Replicate m samples its factor from replicate_stream(seed, m).  The
-    replicates run in blocks of b = max(1, 2^14 // n).  Row r of a
-    (b, 4n - 2) block buffer takes all the gammas of its replicate from one
-    standard_gamma call on the flat shape array, the first call of
-    sample_factor's draw routine.  The Beta ratios, factors and Gram
-    matrices of the block are then formed in one pass, and statistic maps
-    the stacked Gram matrices (diag (b, n), off (b, n - 1)) to b values or
-    a (b, k) array.  A replicate with any Beta total of 0 is redone by that
-    draw routine on its re-keyed stream, so row m is bit-identical to
-    sample_factor(params, replicate_stream(seed, m)) in every case, and the
-    (replicates, k) result is bit-identical whatever the block size.
+    replicates run in blocks of b = max(1, 2^14 // n).  Each replicate
+    makes the first call of sample_factor's draw routine into a block
+    buffer: on Cheng's route, row r of a (b, 2, M + P) buffer takes the
+    uniform pool of its M = 2n - 1 draws from one random call, and the
+    accept/reject rounds run over the whole block; on the gamma route, row
+    r of a (b, 4n - 2) buffer takes all its gammas from one standard_gamma
+    call.  The factors and Gram matrices of the block are then formed in
+    one pass, and statistic maps the stacked Gram matrices (diag (b, n),
+    off (b, n - 1)) to b values or a (b, k) array.  A replicate whose pool
+    runs out, or with any Beta total of 0, is redone by that draw routine on
+    its re-keyed stream, so row m is bit-identical to sample_factor(params,
+    replicate_stream(seed, m)) in every case, and the (replicates, k)
+    result is bit-identical whatever the block size.
 
     Replicate 0 runs here first, alone, timed in CPU seconds; it also checks
     the statistic's row shape.  When it takes at least _PROBE_MIN_S, the
@@ -420,12 +607,11 @@ def map_replicates(
     """
     replicates = checked_int("replicates", replicates, 2)
     stream = _rekeyed_streams(seed)
-    flat = _shape_arrays(params)
-    n = params.n
-    block = min(replicates, max(1, _BLOCK_ELEMENTS // n))
+    _shape_arrays(params)  # a ParameterError before any work
+    block = min(replicates, max(1, _BLOCK_ELEMENTS // params.n))
 
     def run(lo: int, hi: int, size: int = block):
-        return _block_rows(statistic, flat, n, stream, lo, hi, size)
+        return _block_rows(statistic, params, stream, lo, hi, size)
 
     clock = time.process_time()
     head = [next(run(0, 1, 1))]

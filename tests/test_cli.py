@@ -474,13 +474,13 @@ def test_piecewise_linear_derivative_and_its_jacobi_check(capsys):
 
 
 def test_fluct_fixed_seed_matches_monomial_trace_route(tmp_path, capsys):
-    # means and variances of this run as computed through monomial power
-    # traces contracted with monomial coefficients, before the Chebyshev
-    # trace engine; the two routes differ by rounding only
-    means = [-0.08359857620265189, -266.7080875300771, -0.0137665426177864,
-             -89.03455632237103, 199.981900377322]
-    variances = [0.9789679616600143, 1.70019108282363, 2.9871182446211715,
-                 4.713589814530081, 0.04588912320281308]
+    # means and variances of this run on Cheng's Beta draws; the pin was
+    # first taken through monomial power traces contracted with monomial
+    # coefficients, which differ from the Chebyshev trace engine by rounding only
+    means = [-0.04078991080733389, -266.5852440295117, -0.043298414554070845,
+             -88.78651353497428, 199.99116872525548]
+    variances = [0.8485791455845055, 2.1530990474557083, 2.951074611059,
+                 4.213123721793829, 0.03977714744927343]
     out_path = tmp_path / "run.json"
     code, _ = _run(
         capsys, "--out", str(out_path), "fluct", "--n", "400", "--beta", "2", "--p", "2",

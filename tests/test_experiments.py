@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import warnings
@@ -110,40 +111,55 @@ def test_sharded_run_is_bit_identical_at_the_small_clt_inputs(monkeypatch):
 
 
 def test_fixed_seed_values_pinned():
-    # values computed by each check's own replicate loop before the checks
-    # shared model.map_replicates; the engine reproduces them exactly
+    # values first computed by each check's own replicate loop before the
+    # checks shared model.map_replicates, re-taken on Cheng's Beta draws
     gap = checks._frobenius_gap((128,), 10, seed=41)
-    assert gap["gap_over_log_n"] == [0.10104380031024267 / math.log(128)]
+    assert gap["gap_over_log_n"] == [0.09732572695577854 / math.log(128)]
     moments = checks._extremal(200, 2.0, 500, seed=51)
     assert (moments["second_moment"], moments["fourth_moment"]) == (
-        0.05736713133015508, 0.009201598777808332)
+        0.06635279350233486, 0.012645378449283247)
     lln = checks._lln(("proportional",), (100, 200), spectral.monomial(1), 2.0, 2.0, 2.0, 8, 61)
-    assert [p["value"] for p in lln["points"]] == [0.5014124900926948, 0.5007355963343174]
+    assert [p["value"] for p in lln["points"]] == [0.5007261323292439, 0.5004812999829856]
     point = checks._jacobi_poincare(
         (64,), 2.0, 2.0, 2.0, spectral.monomial(1), 200, 31)["points"][0]
-    assert point["variance"] == 0.044310163964314454
+    assert point["variance"] == 0.049633262315540036
     assert point["bound"] == 0.25
 
 
 def test_fixed_seed_routes_pinned():
-    # means, variances and the Poincare report as computed one replicate at
-    # a time, before the replicate engine ran in blocks
+    # means, variances and the Poincare report, first computed one replicate
+    # at a time before the replicate engine ran in blocks, re-taken on
+    # Cheng's Beta draws
     params = bj.from_ratios(64, 2.0, 2.0, 2.0)
     support = bj.support_edges(bj.derive_asymptotic(params))
     funcs = [spectral.chebyshev_test_function(m, support) for m in (1, 2)] + [spectral.monomial(1)]
     res = ex.run_fluctuations(params, funcs, 300, 17)
-    assert res.means.tolist() == [0.015188175732993905, -42.62113950382774, 32.00328833650548]
-    assert res.variances.tolist() == [1.069165291349699, 2.0862887840659923, 0.050117123032017284]
+    assert res.means.tolist() == [0.06201543821614094, -42.65459735454776, 32.0134267362305]
+    assert res.variances.tolist() == [1.0284149514920693, 1.9716560383814592, 0.04820695085119078]
     res = ex.run_fluctuations(bj.from_ratios(32, 1.0, 2.0, 3.0),
                               [spectral.exp_function(), spectral.monomial(1)], 100, 19)
-    assert res.means.tolist() == [48.95113194347157, 12.801933903498886]
-    assert res.variances.tolist() == [0.18764429718401832, 0.07599718956256034]
+    assert res.means.tolist() == [49.045177995770835, 12.870287746430312]
+    assert res.variances.tolist() == [0.2063382451125643, 0.07978690996831152]
     point = checks._jacobi_poincare(
         (48,), 2.0, 2.0, 3.0, spectral.monomial(2), 150, 23)["points"][0]
     assert point == {
-        "n": 48, "variance": 0.03467013226956315, "bound": 0.20814005391079185,
-        "ratio": 0.16657116983558895, "variance_se": 0.0040801564863553585,
-        "bound_se": 0.0003167312263757197}
+        "n": 48, "variance": 0.03157416519110849, "bound": 0.20832763730835574,
+        "ratio": 0.15156013671087745, "variance_se": 0.003764257678739204,
+        "bound_se": 0.0003022588818996643}
+
+
+def test_gamma_route_values_pinned():
+    # beta = 1/2 puts the first c' shape at 1/4, outside Cheng's range, so
+    # every draw is a gamma ratio; the values were taken before Cheng's route
+    # was added, and that change leaves the gamma route bit-identical
+    params = bj.from_ratios(64, 0.5, 2.0, 2.0)
+    support = bj.support_edges(bj.derive_asymptotic(params))
+    funcs = [spectral.chebyshev_test_function(m, support) for m in (1, 2)] + [spectral.monomial(1)]
+    res = ex.run_fluctuations(params, funcs, 300, 17)
+    assert res.means.tolist() == [0.037545049304450656, -39.72669665477002, 32.00812874162099]
+    assert res.variances.tolist() == [4.336656256930433, 7.670391542495049, 0.20328076204361403]
+    assert hashlib.sha256(res.samples.tobytes()).hexdigest() == (
+        "10f26dc6fae4246e157a335388207cf3c27209e76537b9508f24d07850d8a614")
 
 
 def test_run_fluctuations_computes_coefficients_once_per_function(monkeypatch):

@@ -85,7 +85,9 @@ def test_single_row_factor():
     factor = model.sample_factor(params, model.replicate_stream(0, 0))
     gram = model.assemble_gram(factor)
     assert gram.diag.shape == (1,) and gram.off.shape == (0,)
-    assert gram.diag[0] == factor.raw_c[0]
+    # the Gram entry is (sqrt x)^2, which rounds back to x only for some x
+    assert factor.diag[0] == np.sqrt(factor.raw_c[0])
+    assert gram.diag[0] == factor.diag[0] ** 2
     assert 0.0 <= gram.diag[0] <= 1.0
 
 
@@ -272,7 +274,7 @@ def test_map_replicates_redrawn_rows_match_hand_loop():
 
 
 def test_map_replicates_draws_once_and_redraws_only_zero_totals(monkeypatch):
-    params = bj.from_ratios(6, 2.0, 2.0, 2.0)
+    params = bj.from_ratios(6, 0.5, 2.0, 2.0)
     n, replicates = params.n, 8
     # the first call on replicate 2's stream gets a zero c total, on 5's a zero c' total
     zero_columns = {2: [1, n + 1], 5: [2 * n, 3 * n - 1]}
@@ -559,7 +561,7 @@ class _ZeroedGammas:
 
 def test_factor_draws_redraw_only_zero_pairs():
     # c pair 2 and c' pair 1 of n = 5 have both gammas zeroed on the first call
-    params = bj.from_ratios(5, 2.0, 2.0, 2.0)
+    params = bj.from_ratios(5, 0.5, 2.0, 2.0)
     n, flat = params.n, model._shape_arrays(params)
     zero = [2, n + 2, 2 * n + 1, 3 * n]
     stub = _ZeroedGammas(model.replicate_stream(4, 0), zero)
@@ -572,6 +574,143 @@ def test_factor_draws_redraw_only_zero_pairs():
     c = kept[:n] / (kept[:n] + kept[n : 2 * n])
     cp = kept[2 * n : 3 * n - 1] / (kept[2 * n : 3 * n - 1] + kept[3 * n - 1 :])
     assert np.array_equal(factor.raw_c, c) and np.array_equal(factor.raw_cp, cp)
+
+
+# the corners of Cheng's shape range, asymmetric pairs, and a shape just
+# above 1, where beta switches from 1 / min(a, b) to the square-root form
+_CHENG_PAIRS = [(0.5, 0.5), (0.5, 2.0**24), (2.0**24, 0.5), (2.0**24, 2.0**24), (2.0**24, 1.0),
+                (1.0, 6000.0), (3000.0, 4000.0), (0.7, 3.0), (1.0 + 1e-7, 1.0)]
+
+
+@pytest.mark.parametrize("a, b", _CHENG_PAIRS)
+def test_cheng_draws_follow_the_beta_law(a, b):
+    # gates fixed before the first run: over the 9 pairs, the KS gate
+    # sqrt(N) D <= 2.23 and the two |z| <= 4.4 gates fail with probability
+    # about 1e-3 in all on correct draws
+    from scipy import stats
+
+    count = 200_000
+    table = model._cheng_table(np.full(count, a), np.full(count, b))
+    draws = model._cheng_draws(table, model.replicate_stream(2024, 0))
+    assert np.all((draws > 0.0) & (draws <= 1.0))
+    law = stats.beta(a, b)
+    mean, var, kurt = (float(m) for m in law.stats(moments="mvk"))
+    assert np.sqrt(count) * stats.kstest(draws, law.cdf).statistic <= 2.23
+    assert abs(draws.mean() - mean) / np.sqrt(var / count) <= 4.4
+    fourth_minus_var_sq = (kurt + 2.0) * var * var
+    assert abs(draws.var(ddof=1) - var) / np.sqrt(fourth_minus_var_sq / count) <= 4.4
+
+
+def test_cheng_step_caps_draws_at_one():
+    # at Beta(2^24, 1) and u1 within 4096 ulps of 1, ln p + v - L rounds
+    # above 0 for about half of the tries, all of them accepted
+    table = model._cheng_table(np.array([2.0**24]), np.array([1.0]))
+    u1 = 1.0 - np.arange(1, 4097) * 2.0**-53
+    accepted, x = model._cheng_step(u1, np.full(u1.size, 0.5), table)
+    assert accepted.all() and np.all(x == 1.0)
+
+
+# the ends of the range and the next float beyond each (n1 - 1 + 1 is
+# exact at 1/2 - 2^-53, where the next float below 1/2 would round to 1/2)
+@pytest.mark.parametrize("first, second, cheng", [
+    (0.5, 2.0, True), (0.5 - 2.0**-53, 2.0, False),
+    (2.0, 2.0**24, True), (2.0, np.nextafter(2.0**24, np.inf), False)])
+def test_route_is_chosen_by_the_shape_range(first, second, cheng):
+    # at n = 1 and beta = 2 the one draw is Beta(n1, n2)
+    params = bj.EnsembleParams(n=1, beta=2.0, n1=first, n2=second)
+    assert [s.tolist() for s in model.beta_shapes(params)] == [[first], [second]]
+    table = model._cheng_constants(params)
+    assert (table is not None) == cheng
+    factor = model.sample_factor(params, model.replicate_stream(3, 0))
+    rng = model.replicate_stream(3, 0)
+    if cheng:
+        expected = model._cheng_draws(model._cheng_table(np.array([first]), np.array([second])), rng)
+    else:
+        expected = model._factor_draws(model._shape_arrays(params), 1, rng)[0]
+    assert np.array_equal(factor.raw_c, expected)
+
+
+def _layout_oracle(table, rng, pool):
+    """Cheng's draws of one replicate by the stream layout, one try at a time."""
+    draws = table.shape[1]
+    x, pairs = np.empty(draws), rng.random((2, draws + pool))
+
+    def accepted(j, u1, u2):
+        ok, value = model._cheng_step(np.array([u1]), np.array([u2]), table[:, j : j + 1])
+        x[j] = value[0]
+        return ok[0]
+
+    pending = [j for j in range(draws) if not accepted(j, *pairs[:, j])]
+    used = draws
+    while pending and used + len(pending) <= draws + pool:
+        tries = zip(pending, range(used, used + len(pending)))
+        used += len(pending)
+        pending = [j for j, k in tries if not accepted(j, *pairs[:, k])]
+    while pending:
+        fresh = rng.random((2, len(pending)))
+        pending = [j for i, j in enumerate(pending) if not accepted(j, *fresh[:, i])]
+    return x
+
+
+@pytest.mark.parametrize("pool", [None, 0, 3, 5, 10])
+def test_cheng_draws_follow_the_stream_layout(monkeypatch, pool):
+    # pair j first, then the pool's pairs in column order round after round,
+    # then fresh pairs once a round does not fit.  3 to 10 of the 59 first
+    # tries fail in these replicates; with 5 spare pairs, the 5 of replicate
+    # 1 fill its pool exactly, and with 10, replicate 2 runs out
+    table = model._cheng_constants(bj.from_ratios(30, 1.0, 2.0, 3.0))
+    if pool is None:
+        pool = model._pool_pairs(table.shape[1])
+    monkeypatch.setattr(model, "_pool_pairs", lambda draws: pool)
+    for m in range(4):
+        expected = _layout_oracle(table, model.replicate_stream(8, m), pool)
+        assert np.array_equal(model._cheng_draws(table, model.replicate_stream(8, m)), expected)
+
+
+# spare pairs per replicate: none, so that every replicate with a rejected
+# draw stops; one and three, so that replicates stop in their first retry
+# round or in a later one
+@pytest.mark.parametrize("pool", [0, 1, 3])
+def test_map_replicates_rows_match_sample_factor_when_pools_run_out(monkeypatch, pool):
+    monkeypatch.setattr(model, "_pool_pairs", lambda draws: pool)
+    params = bj.from_ratios(20, 1.0, 2.0, 3.0)
+    table, replicates = model._cheng_constants(params), 45
+    draws = table.shape[1]
+    stopped = [model._cheng_rounds(table, model.replicate_stream(11, m).random((1, 2, draws + pool)))[1]
+               for m in range(replicates)]
+    assert any(s.any() for s in stopped)
+    statistic = lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)
+    expected = _hand_loop(params, 11, replicates, statistic)
+    for block in (1, 7, model._BLOCK_ELEMENTS // 20):
+        monkeypatch.setattr(model, "_BLOCK_ELEMENTS", block * 20)
+        assert np.array_equal(model.map_replicates(params, 11, replicates, statistic), expected)
+    forked = _shard_over(monkeypatch, 2)
+    assert np.array_equal(model.map_replicates(params, 11, replicates, statistic), expected)
+    assert forked == [(27, 45)]
+
+
+def test_map_replicates_makes_one_random_call_per_replicate(monkeypatch):
+    params = bj.from_ratios(24, 2.0, 2.0, 3.0)
+    replicates, calls = 40, []
+    rekeyed = model._rekeyed_streams
+
+    class Logged:
+        def __init__(self, rng, m):
+            self.rng, self.m = rng, m
+
+        def random(self, *args, **kwargs):
+            calls.append(self.m)
+            return self.rng.random(*args, **kwargs)
+
+    def logged_streams(seed):
+        stream = rekeyed(seed)
+        return lambda m: Logged(stream(m), m)
+
+    monkeypatch.setattr(model, "_rekeyed_streams", logged_streams)
+    statistic = lambda gram: gram.diag.sum(axis=-1)
+    rows = model.map_replicates(params, 6, replicates, statistic)
+    assert calls == list(range(replicates))
+    assert np.array_equal(rows, _hand_loop(params, 6, replicates, statistic))
 
 
 def _stacked_gram(params, seed, count):

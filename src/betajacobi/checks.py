@@ -23,7 +23,7 @@ import numpy as np
 from . import concentration, covariance, eig, experiments, model, paths, spectral
 from .errors import ExtremalRegimeError, ParameterError
 from .params import (EnsembleParams, SupportInterval, checked_int, derive_asymptotic,
-                     from_ratios, shape_params, support_edges)
+                     from_ratios, from_shape, shape_params, support_edges)
 
 __all__ = ["Gate", "Check", "GateResult", "Outcome", "REGISTRY", "CHECKS", "run", "report"]
 
@@ -331,7 +331,9 @@ def _alpha_zero_model(a, b):
     m0, m1 = spectral.stieltjes_pair(2.0, asym)
     resid = {}
     for n in (100, 200, 400):
-        roots = spectral.jacobi_roots(n, n * (b / a - 1.0), n * ((1 - b) / a - 1.0))
+        # the alpha = 0 (beta -> infinity) matrix model: the frozen Gram's spectrum
+        frozen = model.assemble_gram(model.deterministic_factor(from_shape(n, 2.0, a, b)))
+        roots = eig.eigenvalues(frozen).values
         resid[n] = abs(float(np.mean(1.0 / (2.0 - roots))) - m0 - m1 / n)
     ratios = [resid[100] / resid[200], resid[200] / resid[400]]
     return {"alpha_zero_residuals": {str(k): v for k, v in resid.items()},

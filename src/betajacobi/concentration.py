@@ -2,10 +2,11 @@
 ratio and the sqrt-Beta to Gaussian coupling gap.  The Monte Carlo ensemble
 variance bound is a runner of betajacobi.checks.
 
-Beta expectations are computed with Gauss nodes from the spectral module's
-recurrence machinery (no new solver); the coupling uses the comonotone
-(quantile) pairing, which is optimal for squared distance in one dimension,
-integrated as a Gaussian expectation by doubling Gauss-Hermite rules.
+Beta expectations are computed with spectral's Gauss rules, whose nodes
+are the spectrum of model.jacobi_matrix (no new solver); the coupling uses
+the comonotone (quantile) pairing, which is optimal for squared distance
+in one dimension, integrated as a Gaussian expectation by doubling
+Gauss-Hermite rules.
 The coupling's Hermite rule comes from spectral and its Beta quantiles are
 solved here with numpy and the math module (the incomplete Beta function
 of DiDonato and Morris's Algorithm 708), so the coupling gap loads no

@@ -74,6 +74,7 @@ __all__ = [
     "map_replicates",
     "sample_factor",
     "deterministic_factor",
+    "jacobi_matrix",
     "assemble_gram",
     "factor_to_dense",
     "gram_to_dense",
@@ -458,8 +459,30 @@ def sample_factor(params: EnsembleParams, rng: np.random.Generator) -> Tridiagon
 
 
 def deterministic_factor(params: EnsembleParams) -> TridiagonalFactor:
-    """Factor with every Beta(x, y) draw replaced by its mean x/(x+y)."""
+    """Factor with every Beta(x, y) draw replaced by its mean x/(x+y).
+
+    The beta -> infinity model: its BB^T is the frozen Gram, and P B^T B P,
+    with P the order reversal, the Jacobi matrix of the Jacobi polynomials
+    (jacobi_matrix), since the means are canonical moments (Killip and
+    Nenciu, IMRN 2004; Dette and Studden, The Theory of Canonical Moments,
+    1997).  The means depend on beta only through rounding.
+    """
     return _build_factor(*_ratios(_shape_arrays(params), params.n))
+
+
+def jacobi_matrix(params: EnsembleParams) -> SymTridiagonal:
+    """Jacobi matrix of the polynomials orthonormal for x^(n1 - n) (1 - x)^(n2 - n) on [0, 1].
+
+    P B^T B P with a positive off-diagonal, where B = deterministic_factor(params)
+    and P reverses the order: (B^T B)_kk = d_k^2 + e_k^2 (no e in the last
+    column) and (B^T B)_(k,k+1) = d_(k+1) e_k.  B^T B and the frozen Gram
+    BB^T share their eigenvalues, the zeros of the degree-n polynomial.
+    """
+    factor = deterministic_factor(params)
+    d, e = factor.diag, factor.sub
+    diag = d * d
+    diag[:-1] += e * e
+    return SymTridiagonal(diag=diag[::-1], off=-(d[1:] * e)[::-1])
 
 
 def assemble_gram(factor: TridiagonalFactor) -> SymTridiagonal:

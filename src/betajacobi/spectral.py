@@ -22,8 +22,7 @@ from numpy.polynomial.chebyshev import chebder, chebmul, chebval
 
 from . import eig, model
 from .errors import ParameterError, QuadratureError
-from .model import SymTridiagonal
-from .params import AsymptoticParams, SupportInterval, checked_int
+from .params import AsymptoticParams, EnsembleParams, SupportInterval, checked_int
 
 __all__ = [
     "ChebyshevForm",
@@ -44,8 +43,6 @@ __all__ = [
     "integrate_deviation",
     "arcsine_integral",
     "stieltjes_pair",
-    "jacobi_recurrence_01",
-    "jacobi_roots",
     "jacobi_probability_quadrature",
     "jacobi_probability_quadratures",
     "hermite_quadrature",
@@ -53,8 +50,8 @@ __all__ = [
 
 # Panels of the closed theta grid; read at call time, so a test may patch it
 THETA_NODES = 2048
-# |q| past which jacobi_probability_quadrature rescales its recurrence; its
-# square, summed over every recurrence step, stays far inside the float range
+# |q| past which _christoffel_weights rescales its recurrence; its square,
+# summed over every recurrence step, stays far inside the float range
 _RESCALE_AT = 2.0**256
 
 
@@ -368,7 +365,9 @@ def edge_weight_integral(support: SupportInterval) -> float:
 
     Second-kind Gauss-Chebyshev rule of THETA_NODES open nodes in x space,
     independent of the theta-trapezoid route used by integrate_density;
-    the value should be 2 pi a.
+    the value should be 2 pi a.  Where an edge touches 0 or 1 the integrand
+    tends to 2 r there, so the end term h r of the closed rule of step
+    h = pi / (THETA_NODES + 1), which the open nodes miss, is added.
     """
     nodes = THETA_NODES
     j = np.arange(1, nodes + 1)
@@ -380,7 +379,8 @@ def edge_weight_integral(support: SupportInterval) -> float:
     denom = x * (1.0 - x)
     if np.any(denom <= 0):
         raise QuadratureError("support node fell outside (0, 1)")
-    return r * r * float(np.sum(w / denom))
+    edges = (abs(1.0 - support.lambda_plus) < 1e-14) + (abs(support.lambda_minus) < 1e-14)
+    return r * r * float(np.sum(w / denom)) + edges * math.pi / (nodes + 1) * r
 
 
 def stieltjes_pair(x: float, asym: AsymptoticParams) -> tuple[float, float]:
@@ -403,54 +403,18 @@ def stieltjes_pair(x: float, asym: AsymptoticParams) -> tuple[float, float]:
     return m0, m1
 
 
-def jacobi_recurrence_01(nterms: int, r_param: float, s_param: float):
-    """Symmetric three-term recurrence for the weight x^r (1-x)^s on [0, 1].
-
-    Returns (diag, offsq): diag[k] are the recurrence centers and offsq[k]
-    the squared off-diagonals (offsq[0] unused).  Every entry is the same
-    chain of float operations, in the same order, as a scalar loop over k.
-    """
-    nterms = checked_int("nterms", nterms, 1)
-    if r_param <= -1 or s_param <= -1:
-        raise ParameterError("weight exponents must exceed -1")
-    A, B = float(s_param), float(r_param)  # [-1,1] convention (1-u)^A (1+u)^B
-    apb = A + B
-    k = np.arange(1.0, nterms)
-    t = 2.0 * k + apb
-    diag = np.empty(nterms)
-    offsq = np.zeros(nterms)
-    diag[0] = (B - A) / (apb + 2.0)
-    with np.errstate(all="ignore"):  # a non-finite entry raises below
-        diag[1:] = (B * B - A * A) / (t * (t + 2.0))
-        offsq[1:] = 4.0 * k * (k + A) * (k + B) * (k + apb) / (t * t * (t + 1.0) * (t - 1.0))
-    if nterms > 1:
-        offsq[1] = 4.0 * (A + 1.0) * (B + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
-    if not (np.all(np.isfinite(diag[1:])) and np.all(np.isfinite(offsq[1:]))):
-        raise QuadratureError("recurrence coefficient overflow")
-    # map u in [-1, 1] to x = (1 + u)/2
-    return (1.0 + diag) / 2.0, offsq / 4.0
-
-
-def jacobi_roots(n: int, r_param: float, s_param: float) -> np.ndarray:
-    """Roots in (0, 1) of the degree-n polynomial orthogonal for x^r (1-x)^s.
-
-    Computed as eigenvalues of the symmetric recurrence matrix.
-    """
-    n = checked_int("n", n, 1)
-    diag, offsq = jacobi_recurrence_01(n, r_param, s_param)
-    A = SymTridiagonal(diag=diag, off=np.sqrt(offsq[1:n]))
-    return eig.eigenvalues(A).values
-
-
 def jacobi_probability_quadrature(nnodes: int, p_shape: float, q_shape: float):
     """Gauss nodes and weights for the Beta(p, q) probability measure.
 
-    Weights come from the Christoffel sums of the recurrence orthonormal
-    with respect to the probability measure, so they sum to one and no Beta
-    normalization constant is ever formed.  Handles p or q below one (the
-    endpoint-singular weights).  Cached per (nnodes, p, q), the last
-    _BETA_RULES_KEPT rules built; the arrays are shared by every caller, so
-    they are read-only.
+    The nodes are the spectrum of model.jacobi_matrix for n = nnodes,
+    n1 = n - 1 + p, n2 = n - 1 + q, whose weight is the Beta(p, q) density;
+    the weights are the Christoffel sums of the orthonormal polynomials, so
+    no Beta normalization constant is ever formed.  Handles p or q below one
+    (the endpoint-singular weights).  Shapes outside the model's [1e-9, 1e300]
+    are a ParameterError; weights that are not finite, nonnegative and of
+    sum 1 within _RULE_MASS_TOL are a QuadratureError.  Cached per
+    (nnodes, p, q), the last _BETA_RULES_KEPT rules built; the arrays are
+    shared by every caller, so they are read-only.
     """
     return jacobi_probability_quadratures(nnodes, [(p_shape, q_shape)])[0]
 
@@ -478,16 +442,25 @@ def jacobi_probability_quadratures(nnodes: int, shapes) -> list:
 # Cached Beta rules by (nnodes, p, q), oldest first; the oldest go past _BETA_RULES_KEPT
 _BETA_RULES: dict = {}
 _BETA_RULES_KEPT = 64
+# Largest |sum of weights - 1| of a Beta rule; good rules stay below 4e-9
+# (160 nodes at (1e6, 0.5)), while rounded shapes past about 1e15 miss by 0.1
+_RULE_MASS_TOL = 1e-6
 
 
 def _beta_rules(nnodes: int, shapes) -> list:
     """Uncached (nodes, weights) of the Beta(p, q) rule for each (p, q) in shapes."""
-    recurrences = [jacobi_recurrence_01(nnodes, p - 1.0, q - 1.0) for p, q in shapes]
-    diag = np.array([d for d, _ in recurrences])
-    off = np.sqrt(np.array([offsq[1:nnodes] for _, offsq in recurrences]))
-    nodes = np.array([eig.eigenvalues(SymTridiagonal(diag=d, off=e)).values
-                      for d, e in zip(diag, off)])
-    weights = _christoffel_weights(nodes, diag, off)[0]
+    # beta = 2 makes every Beta shape of the model the plain n1 - n + i
+    matrices = [model.jacobi_matrix(EnsembleParams(nnodes, 2.0, nnodes - 1 + p, nnodes - 1 + q))
+                for p, q in shapes]
+    diag = np.array([jac.diag for jac in matrices])
+    off = np.array([jac.off for jac in matrices])
+    nodes = np.array([eig.eigenvalues(jac).values for jac in matrices])
+    with np.errstate(all="ignore"):  # a NaN or infinite weight fails both tests
+        weights = _christoffel_weights(nodes, diag, off)[0]
+        good = np.all(weights >= 0.0, axis=1) & (abs(weights.sum(axis=1) - 1.0) <= _RULE_MASS_TOL)
+    if not good.all():
+        bad = [shape for shape, ok in zip(shapes, good) if not ok]
+        raise QuadratureError(f"the {nnodes}-node Beta rules at (p, q) = {bad} lost their accuracy")
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return list(zip(nodes, weights))

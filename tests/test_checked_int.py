@@ -65,9 +65,6 @@ _TABLE = {
         lambda v: spectral.chebyshev_coefficients(np.exp, v, _SUP), -1, 20),
     (spectral, "variance_functionals", "N"): (
         lambda v: spectral.variance_functionals(np.exp, v, 2.0, _SUP), -1, 20),
-    (spectral, "jacobi_recurrence_01", "nterms"): (
-        lambda v: spectral.jacobi_recurrence_01(v, 0.5, 1.5), 0, 5),
-    (spectral, "jacobi_roots", "n"): (lambda v: spectral.jacobi_roots(v, 0.5, 1.5), 0, 4),
     (spectral, "jacobi_probability_quadrature", "nnodes"): (
         lambda v: spectral.jacobi_probability_quadrature(v, 1.0, 1.0), 0, 5),
     (spectral, "jacobi_probability_quadratures", "nnodes"): (

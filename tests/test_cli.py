@@ -304,6 +304,15 @@ def test_spectrum_subcommand(capsys):
     assert abs(doc["results"]["density_mass"] - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("b", ["0.9", "0.1"])
+def test_spectrum_with_an_edge_at_zero_or_one(capsys, b):
+    # q = 1 or p = 1: the support touches 1 or 0, where the edge-weight
+    # integrand keeps a nonzero end value
+    code, out = _run(capsys, "spectrum", "--a", "0.1", "--b", b)
+    assert code == 0
+    assert json.loads(out)["results"]["edge_normalization_error"] <= 1e-12
+
+
 def test_threads_knob_removed(tmp_path, capsys):
     code, out = _run(capsys, "fluct", "--n", "32", "--funcs", "x", "--reps", "20", "--threads", "2")
     assert code == 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import betajacobi as bj
-from betajacobi import model, paths, spectral
+from betajacobi import eig, model, paths, spectral
 from betajacobi.errors import ParameterError, QuadratureError
 
 
@@ -202,6 +202,14 @@ def test_edge_weight_integral_value(support, asym):
     )
 
 
+@pytest.mark.parametrize("a,b", [(0.1, 0.9), (0.1, 0.1), (0.25, 0.75), (0.4, 0.4)])
+def test_edge_weight_integral_with_an_edge_at_zero_or_one(a, b):
+    # p = 1 or q = 1: the integrand tends to 2 r at the edge, and the rule
+    # must count that end term
+    support = bj.SupportInterval.from_shape(a, b)
+    assert abs(spectral.edge_weight_integral(support) - 2 * math.pi * a) <= 1e-12
+
+
 def test_quadratures_reject_zero_nodes():
     # an empty Beta rule raised an IndexError
     with pytest.raises(ParameterError):
@@ -303,10 +311,16 @@ def test_stieltjes_domain_errors(asym, support):
         spectral.stieltjes_pair(0.0, bj.shape_params(0.25, 0.25, 2.0))
 
 
+def _frozen_roots(n, r, s):
+    """Spectrum of the frozen Gram for the weight x^r (1-x)^s: the degree-n Jacobi roots."""
+    frozen = model.deterministic_factor(bj.EnsembleParams(n, 2.0, n + r, n + s))
+    return eig.eigenvalues(model.assemble_gram(frozen)).values
+
+
 def test_jacobi_roots_small_cases():
-    assert spectral.jacobi_roots(1, 0.0, 0.0)[0] == pytest.approx(0.5, abs=1e-14)
+    assert _frozen_roots(1, 0.0, 0.0)[0] == pytest.approx(0.5, abs=1e-14)
     r, s = 2.3, 0.7
-    assert spectral.jacobi_roots(1, r, s)[0] == pytest.approx((r + 1) / (r + s + 2), abs=1e-13)
+    assert _frozen_roots(1, r, s)[0] == pytest.approx((r + 1) / (r + s + 2), abs=1e-13)
 
 
 def test_jacobi_roots_resolvent_model(asym):
@@ -315,9 +329,18 @@ def test_jacobi_roots_resolvent_model(asym):
     m0, m1 = spectral.stieltjes_pair(2.0, asym)
     residuals = {}
     for n in (100, 200):
-        roots = spectral.jacobi_roots(n, n * (b / a - 1), n * ((1 - b) / a - 1))
+        roots = _frozen_roots(n, n * (b / a - 1), n * ((1 - b) / a - 1))
         residuals[n] = abs(float(np.mean(1.0 / (2.0 - roots))) - m0 - m1 / n)
     assert 2.0 <= residuals[100] / residuals[200] <= 8.0
+
+
+@pytest.mark.parametrize("n,r,s", [(1, 0.0, 0.0), (2, 2.3, 0.7), (40, -0.5, 7.0),
+                                   (160, 0.3, 1e3), (400, 1e4, -0.75)])
+def test_jacobi_matrix_shares_the_frozen_gram_spectrum(n, r, s):
+    jacobi = model.jacobi_matrix(bj.EnsembleParams(n, 2.0, n + r, n + s))
+    assert np.all(jacobi.off > 0.0)
+    gap = np.max(np.abs(eig.eigenvalues(jacobi).values - _frozen_roots(n, r, s)))
+    assert gap <= 1e-13
 
 
 def test_jacobi_probability_quadrature_moments():
@@ -380,7 +403,8 @@ def test_beta_rule_is_cached_read_only_and_unchanged():
 
 
 def _recurrence_by_scalar_loop(nterms, r_param, s_param):
-    """jacobi_recurrence_01 as it read with one Python step per entry."""
+    """The textbook Jacobi recurrence for x^r (1-x)^s on [0, 1], one Python
+    step per entry: (centers, squared off-diagonals), offsq[0] unused."""
     A, B = float(s_param), float(r_param)
     diag = np.empty(nterms)
     offsq = np.zeros(nterms)
@@ -394,23 +418,19 @@ def _recurrence_by_scalar_loop(nterms, r_param, s_param):
         else:
             t = 2.0 * k + apb
             offsq[k] = 4.0 * k * (k + A) * (k + B) * (k + apb) / (t * t * (t + 1.0) * (t - 1.0))
-        if not np.isfinite(diag[k]) or not np.isfinite(offsq[k]):
-            raise QuadratureError("recurrence coefficient overflow")
     return (1.0 + diag) / 2.0, offsq / 4.0
 
 
 @pytest.mark.parametrize("nterms", [1, 2, 3, 160, 801])
 def test_jacobi_recurrence_matches_scalar_loop(nterms):
+    # model.jacobi_matrix, from the frozen factor's Beta means, against the
+    # textbook recurrence; the worst gap, 9.4e-14, is at r = -0.999, 801 terms
     for r in (-0.999, -0.5, 0.0, 0.3, 7.0, 1e4 - 1, 1e8):
         for s in (-0.75, 0.0, 2.5, 1e3):
-            diag, offsq = spectral.jacobi_recurrence_01(nterms, r, s)
+            jacobi = model.jacobi_matrix(bj.EnsembleParams(nterms, 2.0, nterms + r, nterms + s))
             ref_diag, ref_offsq = _recurrence_by_scalar_loop(nterms, r, s)
-            assert np.array_equal(diag, ref_diag) and np.array_equal(offsq, ref_offsq)
-    # 4 k (k + A)(k + B)(k + A + B) overflows at k = 2, and t^4 with it
-    with pytest.raises(QuadratureError):
-        spectral.jacobi_recurrence_01(4, 1e103, 1e103)
-    with pytest.raises(QuadratureError):
-        _recurrence_by_scalar_loop(4, 1e103, 1e103)
+            assert np.max(np.abs(jacobi.diag - ref_diag)) <= 1e-12
+            assert np.max(np.abs(jacobi.off**2 - ref_offsq[1:]), initial=0.0) <= 1e-12
 
 
 def test_stacked_beta_rules_match_rules_built_alone():
@@ -448,6 +468,42 @@ def test_jacobi_probability_quadrature_large_shapes(nnodes, p, q):
     assert float(w @ nodes) == pytest.approx(mean, rel=1e-10)
     exact_var = p * q / ((p + q) ** 2 * (p + q + 1))
     assert float(w @ (nodes - mean) ** 2) == pytest.approx(exact_var, rel=1e-9)
+
+
+@pytest.mark.parametrize("nnodes,p,q", [(160, 1e16, 3.0), (8, 1e40, 1e40), (8, 1e80, 1e80),
+                                         (8, 1e103, 1e103), (160, 1e103, 3.0)])
+def test_beta_rule_at_huge_shapes_raises(nnodes, p, q):
+    # rounded shapes make these rules wrong by 0.1 or more in mass, or NaN
+    with pytest.raises(QuadratureError):
+        spectral.jacobi_probability_quadrature(nnodes, p, q)
+
+
+def test_beta_rule_below_the_shape_floor_raises():
+    with pytest.raises(ParameterError):
+        spectral.jacobi_probability_quadrature(40, 1e-12, 1.0)
+
+
+def test_beta_rules_match_mpmath():
+    mpmath = pytest.importorskip("mpmath", minversion="1.3")
+    ctx = mpmath.mp.clone()
+    ctx.dps = 40
+
+    def worst_errors(nnodes, p, q):
+        # W(x) = (1 - x)^(q - 1) (1 + x)^(p - 1) on (-1, 1), x = 2y - 1
+        xs, ws = ctx.gauss_quadrature(nnodes, "jacobi", q - 1, p - 1)
+        total = ctx.fsum(ws)
+        order = sorted(range(nnodes), key=lambda i: xs[i])
+        ref_nodes = np.array([float((xs[i] + 1) / 2) for i in order])
+        ref_w = np.array([float(ws[i] / total) for i in order])
+        nodes, w = spectral.jacobi_probability_quadrature(nnodes, p, q)
+        return (np.max(np.abs(nodes - ref_nodes) / ref_nodes),
+                np.max(np.abs(w - ref_w) / ref_w))
+
+    for p, q in ((0.5, 8.0), (8.0, 0.5), (2.0, 2.0), (0.5, 0.5), (1.0, 1.0)):
+        node_err, weight_err = worst_errors(40, p, q)
+        assert node_err <= 1e-12 and weight_err <= 2e-12, (p, q)
+    assert worst_errors(40, 1e4, 3.0)[1] <= 1e-10
+    assert max(worst_errors(160, 0.5, 8.0)) <= 1e-11
 
 
 @pytest.mark.parametrize("nnodes", [1, 2, 3, 16, 17, 32, 64, 256, 512, 1024])

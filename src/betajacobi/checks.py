@@ -414,8 +414,16 @@ def _jacobi_poincare(sizes, beta, p, q, func, reps, seed):
     return {"points": points, "min_separation_z": worst_z}
 
 
+def _increasing(sizes) -> list:
+    """sizes, if at least two integers in increasing order (a scaling check); else ParameterError."""
+    sizes = [checked_int("size", n, 1) for n in sizes]
+    if len(sizes) < 2 or any(m >= n for m, n in zip(sizes, sizes[1:])):
+        raise ParameterError(f"need at least two sizes in increasing order, got {sizes}")
+    return sizes
+
+
 def _coupling(sizes, p, q):
-    reports = {n: concentration.coupling_report(n, p, q) for n in sizes}
+    reports = {n: concentration.coupling_report(n, p, q) for n in _increasing(sizes)}
     scaled = {n: n * n * rep.gap for n, rep in reports.items()}
     return {"n_sq_gap": {str(n): v for n, v in scaled.items()},
             "band_ratio": max(scaled.values()) / min(scaled.values()),
@@ -432,7 +440,7 @@ def _sequential_mean(values: np.ndarray) -> float:
 def _frobenius_gap(sizes, reps, seed):
     """Monte Carlo E || B B^T - B_inf B_inf^T ||_F^2 over log n, per size."""
     ratios = []
-    for n in sizes:
+    for n in _increasing(sizes):
         params = from_ratios(n, 2.0, 2.0, 2.0)
         det = model.assemble_gram(model.deterministic_factor(params))
         gaps = model.map_replicates(
@@ -469,7 +477,7 @@ def _lln(regimes, sizes, func, beta, p, q, reps, seed):
     points, violations = [], 0
     for regime in regimes:
         dists = []
-        for n in sizes:
+        for n in _increasing(sizes):
             if regime == "sublinear":
                 n1, n2 = n + 3.0, n + 5.0
                 target = spectral.arcsine_integral(func)

@@ -461,28 +461,27 @@ def sample_factor(params: EnsembleParams, rng: np.random.Generator) -> Tridiagon
 def deterministic_factor(params: EnsembleParams) -> TridiagonalFactor:
     """Factor with every Beta(x, y) draw replaced by its mean x/(x+y).
 
-    The beta -> infinity model: its BB^T is the frozen Gram, and P B^T B P,
-    with P the order reversal, the Jacobi matrix of the Jacobi polynomials
-    (jacobi_matrix), since the means are canonical moments (Killip and
-    Nenciu, IMRN 2004; Dette and Studden, The Theory of Canonical Moments,
-    1997).  The means depend on beta only through rounding.
+    The beta -> infinity model: BB^T is the frozen Gram; the means, which
+    depend on beta only through rounding, are the canonical moments of
+    x^(n1 - n) (1 - x)^(n2 - n) on [0, 1], so jacobi_matrix(raw_c, raw_cp) is
+    its Jacobi matrix (Killip and Nenciu, IMRN 2004; Dette and Studden, 1997).
     """
     return _build_factor(*_ratios(_shape_arrays(params), params.n))
 
 
-def jacobi_matrix(params: EnsembleParams) -> SymTridiagonal:
-    """Jacobi matrix of the polynomials orthonormal for x^(n1 - n) (1 - x)^(n2 - n) on [0, 1].
+def jacobi_matrix(odd: np.ndarray, even: np.ndarray) -> SymTridiagonal:
+    """The Jacobi matrix of a measure on [0, 1] from its canonical moments.
 
-    P B^T B P with a positive off-diagonal, where B = deterministic_factor(params)
-    and P reverses the order: (B^T B)_kk = d_k^2 + e_k^2 (no e in the last
-    column) and (B^T B)_(k,k+1) = d_(k+1) e_k.  B^T B and the frozen Gram
-    BB^T share their eigenvalues, the zeros of the degree-n polynomial.
+    odd (..., n) = p_1, p_3, ..., p_(2n-1) and even (..., n - 1) = p_2, ...,
+    p_(2n-2), copied into a factor's raw_c and raw_cp; leading axes index a
+    stack.  P B^T B P with B that factor and P the order reversal: (B^T B)_kk
+    = d_k^2 + e_k^2 (no e in the last column), (B^T B)_(k,k+1) = d_(k+1) e_k.
     """
-    factor = deterministic_factor(params)
+    factor = _build_factor(np.array(odd, dtype=float), np.array(even, dtype=float))
     d, e = factor.diag, factor.sub
     diag = d * d
-    diag[:-1] += e * e
-    return SymTridiagonal(diag=diag[::-1], off=-(d[1:] * e)[::-1])
+    diag[..., :-1] += e * e
+    return SymTridiagonal(diag=diag[..., ::-1], off=-(d[..., 1:] * e)[..., ::-1])
 
 
 def assemble_gram(factor: TridiagonalFactor) -> SymTridiagonal:

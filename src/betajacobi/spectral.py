@@ -22,7 +22,7 @@ from numpy.polynomial.chebyshev import chebder, chebmul, chebval
 
 from . import eig, model
 from .errors import ParameterError, QuadratureError
-from .params import AsymptoticParams, EnsembleParams, SupportInterval, checked_int
+from .params import AsymptoticParams, SupportInterval, checked_int
 
 __all__ = [
     "ChebyshevForm",
@@ -406,15 +406,16 @@ def stieltjes_pair(x: float, asym: AsymptoticParams) -> tuple[float, float]:
 def jacobi_probability_quadrature(nnodes: int, p_shape: float, q_shape: float):
     """Gauss nodes and weights for the Beta(p, q) probability measure.
 
-    The nodes are the spectrum of model.jacobi_matrix for n = nnodes,
-    n1 = n - 1 + p, n2 = n - 1 + q, whose weight is the Beta(p, q) density;
-    the weights are the Christoffel sums of the orthonormal polynomials, so
-    no Beta normalization constant is ever formed.  Handles p or q below one
-    (the endpoint-singular weights).  Shapes outside the model's [1e-9, 1e300]
-    are a ParameterError; weights that are not finite, nonnegative and of
-    sum 1 within _RULE_MASS_TOL are a QuadratureError.  Cached per
-    (nnodes, p, q), the last _BETA_RULES_KEPT rules built; the arrays are
-    shared by every caller, so they are read-only.
+    The nodes are the spectrum of model.jacobi_matrix of Beta(p, q)'s
+    canonical moments; the weights are the Christoffel sums of the
+    orthonormal polynomials, so no Beta normalization constant is ever
+    formed.  Handles p or q below one (the endpoint-singular weights).
+    Shapes not finite or below 1e-9 are a ParameterError: rules lose digits
+    as a shape falls but keep their mass (40 nodes: 2.8e-8 off at p = 1e-9,
+    2.2e-5 at 1e-12).  Weights not finite, nonnegative and of sum 1 within
+    _RULE_MASS_TOL are a QuadratureError.  Cached per (nnodes, p, q), the
+    last _BETA_RULES_KEPT rules built; the arrays are shared by every
+    caller, so they are read-only.
     """
     return jacobi_probability_quadratures(nnodes, [(p_shape, q_shape)])[0]
 
@@ -422,14 +423,14 @@ def jacobi_probability_quadrature(nnodes: int, p_shape: float, q_shape: float):
 def jacobi_probability_quadratures(nnodes: int, shapes) -> list:
     """jacobi_probability_quadrature of each (p, q) in shapes.
 
-    The rules not yet cached are built together: their Christoffel sums
-    run as one stacked recurrence, so a Python step serves every rule.
-    Each rule is bit-identical to the same rule built alone.
+    The rules not yet cached are built together from one stacked Jacobi
+    matrix, their Christoffel sums as one stacked recurrence.  Each rule is
+    bit-identical to the same rule built alone.
     """
     nnodes = checked_int("nnodes", nnodes, 1)
     keys = [(nnodes, float(p), float(q)) for p, q in shapes]
-    if any(p <= 0 or q <= 0 for _, p, q in keys):
-        raise ParameterError("Beta shapes must be positive")
+    if not all(1e-9 <= x < math.inf for key in keys for x in key[1:]):
+        raise ParameterError("Beta shapes must be finite and at least 1e-9")
     missing = [key for key in dict.fromkeys(keys) if key not in _BETA_RULES]
     if missing:
         _BETA_RULES.update(zip(missing, _beta_rules(nnodes, [key[1:] for key in missing])))
@@ -448,15 +449,15 @@ _RULE_MASS_TOL = 1e-6
 
 
 def _beta_rules(nnodes: int, shapes) -> list:
-    """Uncached (nodes, weights) of the Beta(p, q) rule for each (p, q) in shapes."""
-    # beta = 2 makes every Beta shape of the model the plain n1 - n + i
-    matrices = [model.jacobi_matrix(EnsembleParams(nnodes, 2.0, nnodes - 1 + p, nnodes - 1 + q))
-                for p, q in shapes]
-    diag = np.array([jac.diag for jac in matrices])
-    off = np.array([jac.off for jac in matrices])
-    nodes = np.array([eig.eigenvalues(jac).values for jac in matrices])
+    """Uncached (nodes, weights) of the Beta(p, q) rule for each (p, q) in shapes,
+    from Beta(p, q)'s canonical moments, a row per rule (all 0 if p + q overflows)."""
+    p, q = np.array(shapes, dtype=float).T[:, :, None]
+    k = np.arange(nnodes, dtype=float)
+    r, s, j = p + k, q + k, k[1:]
     with np.errstate(all="ignore"):  # a NaN or infinite weight fails both tests
-        weights = _christoffel_weights(nodes, diag, off)[0]
+        jac = model.jacobi_matrix(r / (r + s), j / (j + ((p + q) + (j - 1.0))))
+        nodes = np.array([eig.eigenvalues(rule).values for rule in jac])
+        weights = _christoffel_weights(nodes, jac.diag, jac.off)[0]
         good = np.all(weights >= 0.0, axis=1) & (abs(weights.sum(axis=1) - 1.0) <= _RULE_MASS_TOL)
     if not good.all():
         bad = [shape for shape, ok in zip(shapes, good) if not ok]

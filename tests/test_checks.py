@@ -98,3 +98,14 @@ def test_path_sum_oracle_checks_stream_under_its_own_name():
     for stream in (2.5, True, -1, 2**64):
         with pytest.raises(ParameterError, match=r"^stream must be an integer in \[0, "):
             checks._path_sum_oracle(5, stream, 0)
+
+
+@pytest.mark.parametrize("name,inputs", [
+    ("coupling", {"sizes": (100,), "p": 1.0, "q": 1.0}),
+    ("coupling", {"sizes": (100, 100), "p": 1.0, "q": 1.0}),
+    ("frobenius-gap", {"sizes": (128,), "reps": 4}),
+], ids=["coupling-one-size", "coupling-repeated-size", "frobenius-gap-one-size"])
+def test_scaling_checks_need_two_increasing_sizes(name, inputs):
+    # these compare nothing, and would pass with band_ratio 1.0
+    with pytest.raises(ParameterError, match="increasing order"):
+        checks.run(checks.CHECKS[name], inputs, 1)

@@ -246,7 +246,7 @@ def test_eig_usage_error_honours_out(tmp_path, capsys):
     code, out = _run(capsys, "--out", str(report), "eig", "--max-n", "1")
     assert code == 1
     assert out == ""
-    assert json.loads(report.read_text())["error"]["type"] == "usage"
+    assert json.loads(report.read_text())["error"]["type"] == "validation"
 
 
 def test_module_entry_point_runs_the_cli():
@@ -257,7 +257,7 @@ def test_module_entry_point_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "betajacobi.cli", "eig", "--max-n", "1"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"]["type"] == "usage"
+    assert json.loads(proc.stdout)["error"]["type"] == "validation"
 
 
 def test_closed_stdout_exits_without_traceback():
@@ -362,40 +362,43 @@ def test_validation_error_honours_out(tmp_path, capsys):
     assert json.loads(report.read_text())["error"]["type"] == "validation"
 
 
+# argv and the error type it gets; the runner refuses the eig bounds and the
+# coupling sizes under its own rules, as a validation error
 _BAD_USAGE = [
-    pytest.param(["fluct", "--n", "16", "--funcs", funcs, "--reps", "4"], id=funcs)
+    pytest.param(["fluct", "--n", "16", "--funcs", funcs, "--reps", "4"], "usage", id=funcs)
     for funcs in ("gamma", "gammaX", "x^", "gamma1..gammaY", "x^²", "x^x2", "x^^3", "xx^2")
 ] + [
-    pytest.param(["lln", "--sizes", "100,abc", "--reps", "4"], id="lln-sizes"),
-    pytest.param(["concentration", "--check", "coupling", "--sizes", "100,x"],
+    pytest.param(["lln", "--sizes", "100,abc", "--reps", "4"], "usage", id="lln-sizes"),
+    pytest.param(["concentration", "--check", "coupling", "--sizes", "100,x"], "usage",
                  id="coupling-sizes"),
-    pytest.param(["concentration", "--check", "coupling", "--sizes", "100"],
+    pytest.param(["concentration", "--check", "coupling", "--sizes", "100"], "validation",
                  id="coupling-one-size"),
-    pytest.param(["concentration", "--check", "coupling", "--sizes", "100,100"],
+    pytest.param(["concentration", "--check", "coupling", "--sizes", "100,100"], "validation",
                  id="coupling-repeated-size"),
-    pytest.param(["eig", "--max-n", "1"], id="eig-max-n-1"),
-    pytest.param(["eig", "--matrices", "0"], id="eig-matrices-0"),
-    pytest.param(["eig", "--matrices", "-5"], id="eig-matrices-negative"),
-    pytest.param(["lln", "--sizes", "32", "--func", "bogus", "--reps", "4"], id="lln-func"),
+    pytest.param(["eig", "--max-n", "1"], "validation", id="eig-max-n-1"),
+    pytest.param(["eig", "--matrices", "0"], "validation", id="eig-matrices-0"),
+    pytest.param(["eig", "--matrices", "-5"], "validation", id="eig-matrices-negative"),
+    pytest.param(["lln", "--sizes", "32", "--func", "bogus", "--reps", "4"], "usage",
+                 id="lln-func"),
     pytest.param(["concentration", "--check", "jacobi", "--n", "16", "--func", "bogus",
-                  "--reps", "4"], id="jacobi-func"),
+                  "--reps", "4"], "usage", id="jacobi-func"),
     pytest.param(["concentration", "--check", "jacobi", "--n", "16", "--func", "x,x2",
-                  "--reps", "4"], id="jacobi-two-funcs"),
-    pytest.param(["expect", "--beta", "0"], id="expect-beta-0"),
-    pytest.param(["expect", "--beta", "abc"], id="expect-beta-abc"),
-    pytest.param(["expect", "--beta", "1/0"], id="expect-beta-1/0"),
-    pytest.param(["expect", "--a", "x"], id="expect-a-x"),
-    pytest.param(["expect", "--b", "x"], id="expect-b-x"),
-    pytest.param(["expect", "--beta", "1e400"], id="expect-beta-1e400"),
-    pytest.param(["expect", "--a", "1e400"], id="expect-a-1e400"),
+                  "--reps", "4"], "usage", id="jacobi-two-funcs"),
+    pytest.param(["expect", "--beta", "0"], "usage", id="expect-beta-0"),
+    pytest.param(["expect", "--beta", "abc"], "usage", id="expect-beta-abc"),
+    pytest.param(["expect", "--beta", "1/0"], "usage", id="expect-beta-1/0"),
+    pytest.param(["expect", "--a", "x"], "usage", id="expect-a-x"),
+    pytest.param(["expect", "--b", "x"], "usage", id="expect-b-x"),
+    pytest.param(["expect", "--beta", "1e400"], "usage", id="expect-beta-1e400"),
+    pytest.param(["expect", "--a", "1e400"], "usage", id="expect-a-1e400"),
 ]
 
 
-@pytest.mark.parametrize("argv", _BAD_USAGE)
-def test_bad_function_order_is_usage_error(capsys, argv):
+@pytest.mark.parametrize("argv,kind", _BAD_USAGE)
+def test_bad_function_order_is_usage_error(capsys, argv, kind):
     code, out = _run(capsys, *argv)
     assert code == 1
-    assert json.loads(out)["error"]["type"] == "usage"
+    assert json.loads(out)["error"]["type"] == kind
 
 
 def test_reversed_function_range_is_usage_error(capsys):
@@ -408,7 +411,7 @@ def test_reversed_function_range_is_usage_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["extremal", "--n", "50", "--reps", "0"],
     ["extremal", "--n", "50", "--reps", "1"],
-    ["lln", "--sizes", "50", "--reps", "0"],
+    ["lln", "--sizes", "50,100", "--reps", "0"],
     ["concentration", "--check", "jacobi", "--n", "16", "--reps", "1"],
 ], ids=["extremal-0", "extremal-1", "lln-0", "jacobi-1"])
 def test_too_few_replicates_exit_one(capsys, argv):
@@ -455,6 +458,15 @@ def test_invalid_size_or_seed_exit_one(capsys, argv):
     assert code == 1
     assert out.startswith("{")  # no check ran before the error
     assert json.loads(out)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("sizes", ["250", "500,250,125"])
+def test_lln_needs_two_increasing_sizes(capsys, sizes):
+    # one size compares nothing, and a reversed list would count its own order as violations
+    code, out = _run(capsys, "lln", "--sizes", sizes, "--reps", "4")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "validation" and "increasing order" in error["message"]
 
 
 def test_concentration_jacobi_runs_the_named_function(capsys):

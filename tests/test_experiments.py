@@ -113,8 +113,8 @@ def test_sharded_run_is_bit_identical_at_the_small_clt_inputs(monkeypatch):
 def test_fixed_seed_values_pinned():
     # values first computed by each check's own replicate loop before the
     # checks shared model.map_replicates, re-taken on Cheng's Beta draws
-    gap = checks._frobenius_gap((128,), 10, seed=41)
-    assert gap["gap_over_log_n"] == [0.09732572695577854 / math.log(128)]
+    gap = checks._frobenius_gap((128, 256), 10, seed=41)
+    assert gap["gap_over_log_n"][0] == 0.09732572695577854 / math.log(128)
     moments = checks._extremal(200, 2.0, 500, seed=51)
     assert (moments["second_moment"], moments["fourth_moment"]) == (
         0.06635279350233486, 0.012645378449283247)
@@ -219,9 +219,9 @@ def test_config_accepts_numpy_integer_replicates():
 _REPLICATE_CALLERS = {
     "run_fluctuations": lambda r: ex.run_fluctuations(
         bj.from_ratios(16, 2.0, 2.0, 2.0), [spectral.monomial(1)], r, 0),
-    "lln_check": lambda r: checks._lln(("proportional",), (16,), spectral.monomial(1),
+    "lln_check": lambda r: checks._lln(("proportional",), (16, 32), spectral.monomial(1),
                                        2.0, 2.0, 2.0, r, 0),
-    "trotter_gap": lambda r: checks._frobenius_gap((16,), r, 0),
+    "trotter_gap": lambda r: checks._frobenius_gap((16, 32), r, 0),
     "extremal_moments": lambda r: checks._extremal(16, 2.0, r, 0),
     "jacobi_poincare_check": lambda r: checks._jacobi_poincare(
         (16,), 2.0, 2.0, 2.0, spectral.monomial(1), r, 0),
@@ -270,8 +270,8 @@ def _lln_points(regime, sizes, f, reps, seed):
 
 
 def test_lln_proportional_first_moment():
-    pts = _lln_points("proportional", (5000,), spectral.monomial(1), 2, 3)
-    assert pts[0]["distance"] <= 0.01
+    pts = _lln_points("proportional", (64, 5000), spectral.monomial(1), 2, 3)
+    assert pts[1]["n"] == 5000 and pts[1]["distance"] <= 0.01
 
 
 def test_lln_all_regimes_shrink():
@@ -283,11 +283,11 @@ def test_lln_all_regimes_shrink():
 
 
 def test_lln_targets():
-    pts = _lln_points("sublinear", (64,), spectral.monomial(1), 2, 0)
+    pts = _lln_points("sublinear", (64, 128), spectral.monomial(1), 2, 0)
     assert pts[0]["target"] == pytest.approx(0.5, abs=1e-10)
-    pts = _lln_points("superlinear", (64,), spectral.monomial(2), 2, 0)
+    pts = _lln_points("superlinear", (64, 128), spectral.monomial(2), 2, 0)
     assert pts[0]["target"] == pytest.approx(0.25, abs=1e-12)
-    pts = _lln_points("proportional", (64,), spectral.monomial(1), 2, 0)
+    pts = _lln_points("proportional", (64, 128), spectral.monomial(1), 2, 0)
     assert pts[0]["target"] == pytest.approx(0.5, abs=1e-10)
 
 
@@ -318,7 +318,7 @@ def test_lln_checks_every_regime_before_sampling(monkeypatch):
 
 def test_trotter_gap_properties():
     params = bj.from_ratios(128, 2.0, 2.0, 2.0)
-    assert checks._frobenius_gap((128,), 10, seed=2)["gap_over_log_n"][0] >= 0.0
+    assert checks._frobenius_gap((128, 256), 10, seed=2)["gap_over_log_n"][0] >= 0.0
     det = model.assemble_gram(model.deterministic_factor(params))
     assert model.frobenius_gap_sq(det, det) == 0.0
 

@@ -337,7 +337,8 @@ def test_jacobi_roots_resolvent_model(asym):
 @pytest.mark.parametrize("n,r,s", [(1, 0.0, 0.0), (2, 2.3, 0.7), (40, -0.5, 7.0),
                                    (160, 0.3, 1e3), (400, 1e4, -0.75)])
 def test_jacobi_matrix_shares_the_frozen_gram_spectrum(n, r, s):
-    jacobi = model.jacobi_matrix(bj.EnsembleParams(n, 2.0, n + r, n + s))
+    frozen = model.deterministic_factor(bj.EnsembleParams(n, 2.0, n + r, n + s))
+    jacobi = model.jacobi_matrix(frozen.raw_c, frozen.raw_cp)
     assert np.all(jacobi.off > 0.0)
     gap = np.max(np.abs(eig.eigenvalues(jacobi).values - _frozen_roots(n, r, s)))
     assert gap <= 1e-13
@@ -427,10 +428,68 @@ def test_jacobi_recurrence_matches_scalar_loop(nterms):
     # textbook recurrence; the worst gap, 9.4e-14, is at r = -0.999, 801 terms
     for r in (-0.999, -0.5, 0.0, 0.3, 7.0, 1e4 - 1, 1e8):
         for s in (-0.75, 0.0, 2.5, 1e3):
-            jacobi = model.jacobi_matrix(bj.EnsembleParams(nterms, 2.0, nterms + r, nterms + s))
+            frozen = model.deterministic_factor(
+                bj.EnsembleParams(nterms, 2.0, nterms + r, nterms + s))
+            jacobi = model.jacobi_matrix(frozen.raw_c, frozen.raw_cp)
             ref_diag, ref_offsq = _recurrence_by_scalar_loop(nterms, r, s)
             assert np.max(np.abs(jacobi.diag - ref_diag)) <= 1e-12
             assert np.max(np.abs(jacobi.off**2 - ref_offsq[1:]), initial=0.0) <= 1e-12
+
+
+def _beta_rule_matrices(nnodes, shapes):
+    """The stacked Jacobi matrix that spectral._beta_rules builds for shapes."""
+    built, jacobi_matrix = [], model.jacobi_matrix
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "jacobi_matrix",
+                      lambda odd, even: built.append(jacobi_matrix(odd, even)) or built[-1])
+        spectral._beta_rules(nnodes, shapes)
+    return built[0]
+
+
+def _frozen_jacobi(n, p, q):
+    """model.jacobi_matrix of the frozen factor whose weight is the Beta(p, q) density."""
+    frozen = model.deterministic_factor(bj.EnsembleParams(n, 2.0, n - 1 + p, n - 1 + q))
+    return model.jacobi_matrix(frozen.raw_c, frozen.raw_cp)
+
+
+@pytest.mark.parametrize("nnodes", [1, 160])
+def test_beta_canonical_moments_match_the_frozen_factor_bit_for_bit(nnodes):
+    # at crit 12's dyadic shapes Beta(p, q)'s own canonical moments and the
+    # frozen factor's Beta means are the same doubles
+    shapes = [(p, q) for p in (0.5, 1.0, 2.0, 8.0) for q in (0.5, 1.0, 2.0, 8.0)]
+    stacked = _beta_rule_matrices(nnodes, shapes)
+    for (p, q), jac in zip(shapes, stacked):
+        frozen = _frozen_jacobi(nnodes, p, q)
+        assert np.array_equal(jac.diag, frozen.diag) and np.array_equal(jac.off, frozen.off)
+
+
+def test_beta_canonical_moments_match_the_frozen_factor_off_the_dyadic_grid():
+    # there the frozen factor rounds n1 = n - 1 + p, and the two part by that rounding
+    shapes = [(1.0 / 3.0, 0.7), (2.9, 17.1)]
+    for nnodes in (40, 160):
+        for (p, q), jac in zip(shapes, _beta_rule_matrices(nnodes, shapes)):
+            frozen = _frozen_jacobi(nnodes, p, q)
+            assert np.max(np.abs(jac.diag - frozen.diag)) <= 1e-13
+            assert np.max(np.abs(jac.off - frozen.off)) <= 1e-13
+
+
+def test_stacked_jacobi_matrix_matches_each_matrix_alone():
+    factors = [model.deterministic_factor(bj.EnsembleParams(50, beta, 50 + r, 50 + s))
+               for beta, r, s in ((2.0, 1.0 / 3.0, 0.7), (1.0, 2.9, 17.1), (4.0, -0.5, 1e4))]
+    odd, even = np.stack([f.raw_c for f in factors]), np.stack([f.raw_cp for f in factors])
+    stacked = model.jacobi_matrix(odd, even)
+    assert odd.flags.writeable and even.flags.writeable  # the caller's arrays stay its own
+    for factor, diag, off in zip(factors, stacked.diag, stacked.off):
+        alone = model.jacobi_matrix(factor.raw_c, factor.raw_cp)
+        assert np.array_equal(diag, alone.diag) and np.array_equal(off, alone.off)
+
+
+@pytest.mark.parametrize("nnodes,p,q", [(160, 1e-3, 1.0), (800, 1e-3, 2.0), (160, 1e-6, 1.0),
+                                         (40, 1e-8, 1.0)])
+def test_beta_rule_mean_at_small_shapes(nnodes, p, q):
+    # a shape rounded through n1 = n - 1 + p moves these means by 4.8e-12 to 8.3e-8
+    nodes, w = spectral.jacobi_probability_quadrature(nnodes, p, q)
+    assert abs(float(w @ nodes) / (p / (p + q)) - 1.0) <= 1e-14
 
 
 def test_stacked_beta_rules_match_rules_built_alone():
@@ -471,16 +530,19 @@ def test_jacobi_probability_quadrature_large_shapes(nnodes, p, q):
 
 
 @pytest.mark.parametrize("nnodes,p,q", [(160, 1e16, 3.0), (8, 1e40, 1e40), (8, 1e80, 1e80),
-                                         (8, 1e103, 1e103), (160, 1e103, 3.0)])
+                                         (8, 1e103, 1e103), (160, 1e103, 3.0),
+                                         (8, 1e301, 3.0), (40, 1e308, 1e308)])
 def test_beta_rule_at_huge_shapes_raises(nnodes, p, q):
-    # rounded shapes make these rules wrong by 0.1 or more in mass, or NaN
+    # rounded shapes make these rules wrong by 0.1 or more in mass, or NaN;
+    # at (1e308, 1e308) p + q overflows and every canonical moment is 0
     with pytest.raises(QuadratureError):
         spectral.jacobi_probability_quadrature(nnodes, p, q)
 
 
 def test_beta_rule_below_the_shape_floor_raises():
-    with pytest.raises(ParameterError):
-        spectral.jacobi_probability_quadrature(40, 1e-12, 1.0)
+    for p, q in ((1e-12, 1.0), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ParameterError, match="finite and at least 1e-9"):
+            spectral.jacobi_probability_quadrature(40, p, q)
 
 
 def test_beta_rules_match_mpmath():

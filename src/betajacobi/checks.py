@@ -526,7 +526,7 @@ REGISTRY = (
           (("worst_variance_ratio_gap", "<=", 0.05), ("worst_covariance_z", "<=", 3.0),
            ("worst_abs_skewness", "<=", 0.1, True), ("worst_abs_excess_kurtosis", "<=", 0.2, True)),
           full={"n": 2000, "betas": (1.0, 2.0, 4.0), "reps": 10_000},
-          quick={"n": 500, "betas": (2.0,), "reps": 2000}, seed=2024, slow=True),
+          quick={"n": 500, "betas": (2.0,), "reps": 10_000}, seed=2024, slow=True),
     Check(8, "deviation", _deviation,
           (("worst_relative_gap", "<=", 0.01), ("worst_null_order1", "<=", 1e-6),
            ("worst_linear_order1", "<=", 1e-12), ("worst_closed_form_gap", "<=", 1e-12)),

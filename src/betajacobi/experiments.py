@@ -84,20 +84,27 @@ class RunResult:
                 writer.writerow([m, *(repr(float(v)) for v in self.samples[m])])
 
 
+def _shape_moments(c: np.ndarray):
+    """(skewness, excess kurtosis) of the centred samples c along its last axis.
+
+    c^3 = c^2 c and c^4 = c^2 c^2 are products, where c**3 and c**4 call pow
+    per element.  Samples of zero variance read 0, 0.
+    """
+    sq = c * c
+    m2 = sq.mean(axis=-1)
+    m3 = (sq * c).mean(axis=-1)
+    m4 = (sq * sq).mean(axis=-1)
+    flat = m2 == 0
+    m2 = np.where(flat, 1.0, m2)
+    return np.where(flat, 0.0, m3 / m2**1.5), np.where(flat, 0.0, m4 / m2**2 - 3.0)
+
+
 def skewness(x: np.ndarray) -> float:
-    c = x - x.mean()
-    m2 = float(np.mean(c**2))
-    if m2 == 0:
-        return 0.0
-    return float(np.mean(c**3)) / m2**1.5
+    return float(_shape_moments(x - x.mean())[0])
 
 
 def excess_kurtosis(x: np.ndarray) -> float:
-    c = x - x.mean()
-    m2 = float(np.mean(c**2))
-    if m2 == 0:
-        return 0.0
-    return float(np.mean(c**4)) / m2**2 - 3.0
+    return float(_shape_moments(x - x.mean())[1])
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -172,8 +179,7 @@ def run_fluctuations(
     samples = raw - means
     variances = np.sum(samples**2, axis=0) / (replicates - 1)
     covariance = (samples.T @ samples) / (replicates - 1)
-    skew = np.array([skewness(samples[:, j]) for j in range(len(funcs))])
-    kurt = np.array([excess_kurtosis(samples[:, j]) for j in range(len(funcs))])
+    skew, kurt = _shape_moments(np.ascontiguousarray(samples.T))  # one row per function
     ks = np.array([ks_normal_distance(samples[:, j]) for j in range(len(funcs))])
 
     return RunResult(

@@ -24,8 +24,9 @@ Every Monte Carlo check runs through map_replicates.  It draws replicate m
 from the counter-based stream keyed by (seed, m) with the first call
 sample_factor makes: one random call for the uniform pool of Cheng's route,
 one standard_gamma call on the flat shape array on the gamma route.  The
-Beta draws, factors and Gram matrices of a whole (b, n) block are then
-formed at once; the statistic maps the block to (b, k) rows.  A replicate
+Beta draws and Gram matrices of a whole (b, n) block are then formed at
+once, the Gram matrices straight from the draws (assemble_gram needs the
+factor's entries only squared); the statistic maps the block to (b, k) rows.  A replicate
 whose pool runs out, or with a Beta total of 0 (both gammas underflowed),
 is redone by sample_factor's draw routine on its re-keyed stream.  The
 block size b = 2^14 // n (at least 1) keeps every (b, n) array near 2^14
@@ -377,32 +378,38 @@ def _cheng_rounds(table: np.ndarray, uniforms: np.ndarray):
     rejects then take its pairs M, M + 1, ... in column order, round after
     round.  A replicate whose next round does not fit in its pool stops:
     its draws still rejected are marked in the (b, M) mask stopped, and
-    their entries of the (b, M) array x hold no draw.
+    their entries of the (b, M) array x hold no draw.  stopped is None when
+    no replicate stops.
     """
     b, _, width = uniforms.shape
     draws = table.shape[1]
     accepted, x = _cheng_step(uniforms[:, 0, :draws], uniforms[:, 1, :draws], table)
-    stopped = np.zeros(x.shape, dtype=bool)
+    stopped = None
     # flat indexes: draw j of replicate r at r M + j, its pair k at r 2(M + P) + k
     flat_u, flat_x = uniforms.reshape(-1), x.reshape(-1)
     pending = np.flatnonzero(~accepted)
     rows = pending // draws
+    cols = pending - rows * draws
     next_pair = np.arange(0, b * 2 * width, 2 * width) + draws
     end = next_pair + (width - draws)
     while pending.size:
         counts = np.bincount(rows, minlength=b)
         full = next_pair + counts > end
         if full.any():
+            if stopped is None:
+                stopped = np.zeros(x.shape, dtype=bool)
             stop = full[rows]
             stopped.reshape(-1)[pending[stop]] = True
-            pending, rows = pending[~stop], rows[~stop]
+            pending, rows, cols = pending[~stop], rows[~stop], cols[~stop]
             counts[full] = 0
         # rows is sorted, so the draws of a replicate take consecutive pairs
         at = (next_pair - np.cumsum(counts) + counts)[rows] + np.arange(rows.size)
         next_pair += counts
-        accepted, tries = _cheng_step(flat_u[at], flat_u[at + width], table[:, pending - rows * draws])
+        accepted, tries = _cheng_step(np.take(flat_u, at), np.take(flat_u, at + width),
+                                      np.take(table, cols, axis=1))
         flat_x[pending[accepted]] = tries[accepted]
-        pending, rows = pending[~accepted], rows[~accepted]
+        keep = ~accepted
+        pending, rows, cols = pending[keep], rows[keep], cols[keep]
     return x, stopped
 
 
@@ -415,7 +422,7 @@ def _cheng_draws(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """
     draws = table.shape[1]
     x, stopped = _cheng_rounds(table, rng.random((1, 2, draws + _pool_pairs(draws))))
-    x, cols = x[0], np.flatnonzero(stopped[0])
+    x, cols = x[0], np.empty(0, np.intp) if stopped is None else np.flatnonzero(stopped[0])
     while cols.size:
         u1, u2 = rng.random((2, cols.size))
         accepted, tries = _cheng_step(u1, u2, table[:, cols])
@@ -484,13 +491,30 @@ def jacobi_matrix(odd: np.ndarray, even: np.ndarray) -> SymTridiagonal:
     return SymTridiagonal(diag=diag[..., ::-1], off=-(d[..., 1:] * e)[..., ::-1])
 
 
-def assemble_gram(factor: TridiagonalFactor) -> SymTridiagonal:
-    """Symmetric tridiagonal A = BB^T: A_kk = d_k^2 + e_{k-1}^2, A_{k,k+1} = d_k e_k."""
-    d, e = factor.diag, factor.sub
-    diag = d * d
-    diag[..., 1:] += e * e
-    off = d[..., :-1] * e
-    return SymTridiagonal(diag=diag, off=off)
+def _squared_entries(raw_c: np.ndarray, raw_cp: np.ndarray):
+    """(d^2, e^2) of the factor of these draws, each entry one product:
+    d_k^2 = c^2 (1 - c'^2) (no c' in the last row) and e_k^2 = (1 - c^2) c'^2."""
+    sq_d = np.empty_like(raw_c)
+    sq_d[..., -1] = raw_c[..., 0]
+    np.multiply(raw_c[..., :0:-1], 1.0 - raw_cp[..., ::-1], out=sq_d[..., :-1])
+    sq_e = 1.0 - raw_c[..., -2::-1]
+    sq_e *= raw_cp[..., ::-1]
+    return sq_d, sq_e
+
+
+def assemble_gram(factor: TridiagonalFactor | tuple) -> SymTridiagonal:
+    """Symmetric tridiagonal A = BB^T of a factor, or of its draws as a pair (raw_c, raw_cp).
+
+    A needs the entries of B only squared, so it is formed from the draws:
+    A_kk = d_k^2 + e_{k-1}^2 and A_{k,k+1} = d_k e_k = -sqrt(d_k^2) sqrt(e_k^2).
+    """
+    raw_c, raw_cp = (factor.raw_c, factor.raw_cp) if isinstance(factor, TridiagonalFactor) else factor
+    sq_d, sq_e = _squared_entries(raw_c, raw_cp)
+    off = np.sqrt(sq_d[..., :-1])
+    off *= np.sqrt(sq_e)
+    np.negative(off, out=off)
+    sq_d[..., 1:] += sq_e
+    return SymTridiagonal(diag=sq_d, off=off)
 
 
 def _draw_block(params: EnsembleParams, stream, start: int, b: int):
@@ -509,7 +533,7 @@ def _draw_block(params: EnsembleParams, stream, start: int, b: int):
         for r in range(b):
             g[r] = stream(start + r).standard_gamma(flat)
         raw_c, raw_cp = _ratios(g, n)
-        redo = np.isnan(raw_c).any(axis=1) | np.isnan(raw_cp).any(axis=1)
+        redo = np.flatnonzero(np.isnan(raw_c).any(axis=1) | np.isnan(raw_cp).any(axis=1))
     else:
         draws = table.shape[1]
         uniforms = np.empty((b, 2, draws + _pool_pairs(draws)))
@@ -517,8 +541,8 @@ def _draw_block(params: EnsembleParams, stream, start: int, b: int):
             stream(start + r).random(out=uniforms[r])
         x, stopped = _cheng_rounds(table, uniforms)
         raw_c, raw_cp = x[:, :n], x[:, n:]
-        redo = stopped.any(axis=1)
-    for r in np.flatnonzero(redo):
+        redo = () if stopped is None else np.flatnonzero(stopped.any(axis=1))
+    for r in redo:
         raw_c[r], raw_cp[r] = _draws(params, stream(start + r))
     return raw_c, raw_cp
 
@@ -528,7 +552,7 @@ def _block_rows(statistic, params, stream, lo, hi, block):
     replicates start..start + b - 1 that tiles lo..hi - 1."""
     for start in range(lo, hi, block):
         b = min(block, hi - start)
-        gram = assemble_gram(_build_factor(*_draw_block(params, stream, start, b)))
+        gram = assemble_gram(_draw_block(params, stream, start, b))
         rows = np.asarray(statistic(gram))
         if rows.shape[:1] != (b,):
             raise ParameterError(f"statistic must return one row per matrix of the block: "
@@ -606,8 +630,8 @@ def map_replicates(
     uniform pool of its M = 2n - 1 draws from one random call, and the
     accept/reject rounds run over the whole block; on the gamma route, row
     r of a (b, 4n - 2) buffer takes all its gammas from one standard_gamma
-    call.  The factors and Gram matrices of the block are then formed in
-    one pass, and statistic maps the stacked Gram matrices (diag (b, n),
+    call.  The Gram matrices of the block are then formed from its draws
+    in one pass, and statistic maps the stacked Gram matrices (diag (b, n),
     off (b, n - 1)) to b values or a (b, k) array.  A replicate whose pool
     runs out, or with any Beta total of 0, is redone by that draw routine on
     its re-keyed stream, so row m is bit-identical to sample_factor(params,
@@ -736,13 +760,12 @@ def chebyshev_traces(gram: SymTridiagonal, center: float, half_width: float, K: 
 
     b0 = ((gram.diag - center) / half_width)[..., None, :]
     b1 = (gram.off / half_width)[..., None, :]
-    cur = np.ones(lead + (1, n))
-    take(0, cur, None)
+    out[..., 0] = n  # T_0 = I is never stored: T_2 = 2 B T_1 - I takes 1 off its diagonal
     if h >= 1:
-        prev, cur = cur, np.zeros(lead + (min(2, n), n))
+        cur = np.zeros(lead + (min(2, n), n))
         cur[..., :1, :] = b0
         cur[..., 1:, :-1] = b1
-        take(1, cur, prev)
+        take(1, cur, None)
     b0, b1 = 2.0 * b0, 2.0 * b1
     for j in range(1, h):
         rc, rows = cur.shape[-2], min(j + 2, n)
@@ -755,7 +778,10 @@ def chebyshev_traces(gram: SymTridiagonal, center: float, half_width: float, K: 
         nxt[..., 1 : top + 1, :-1] += b1 * cur[..., :top, 1:]
         if rc > 1:
             nxt[..., :1, :-1] += b1 * cur[..., 1:2, :-1]
-        nxt[..., : prev.shape[-2], :] -= prev
+        if j == 1:
+            nxt[..., 0, :] -= 1.0
+        else:
+            nxt[..., : prev.shape[-2], :] -= prev
         prev, cur = cur, nxt
         take(j + 1, cur, prev)
     return out

@@ -112,54 +112,76 @@ def test_sharded_run_is_bit_identical_at_the_small_clt_inputs(monkeypatch):
 
 def test_fixed_seed_values_pinned():
     # values first computed by each check's own replicate loop before the
-    # checks shared model.map_replicates, re-taken on Cheng's Beta draws
+    # checks shared model.map_replicates, re-taken on Cheng's Beta draws and
+    # on the Gram matrix formed from the squared factor entries
     gap = checks._frobenius_gap((128, 256), 10, seed=41)
     assert gap["gap_over_log_n"][0] == 0.09732572695577854 / math.log(128)
     moments = checks._extremal(200, 2.0, 500, seed=51)
     assert (moments["second_moment"], moments["fourth_moment"]) == (
-        0.06635279350233486, 0.012645378449283247)
+        0.06635279350233461, 0.012645378449283201)
     lln = checks._lln(("proportional",), (100, 200), spectral.monomial(1), 2.0, 2.0, 2.0, 8, 61)
     assert [p["value"] for p in lln["points"]] == [0.5007261323292439, 0.5004812999829856]
     point = checks._jacobi_poincare(
         (64,), 2.0, 2.0, 2.0, spectral.monomial(1), 200, 31)["points"][0]
-    assert point["variance"] == 0.049633262315540036
+    assert point["variance"] == 0.04963326231553999
     assert point["bound"] == 0.25
 
 
 def test_fixed_seed_routes_pinned():
     # means, variances and the Poincare report, first computed one replicate
     # at a time before the replicate engine ran in blocks, re-taken on
-    # Cheng's Beta draws
+    # Cheng's Beta draws and on the Gram matrix formed from the squared
+    # factor entries
     params = bj.from_ratios(64, 2.0, 2.0, 2.0)
     support = bj.support_edges(bj.derive_asymptotic(params))
     funcs = [spectral.chebyshev_test_function(m, support) for m in (1, 2)] + [spectral.monomial(1)]
     res = ex.run_fluctuations(params, funcs, 300, 17)
-    assert res.means.tolist() == [0.06201543821614094, -42.65459735454776, 32.0134267362305]
-    assert res.variances.tolist() == [1.0284149514920693, 1.9716560383814592, 0.04820695085119078]
+    assert res.means.tolist() == [0.06201543821614097, -42.65459735454776, 32.0134267362305]
+    assert res.variances.tolist() == [1.0284149514920689, 1.9716560383814583, 0.04820695085119072]
     res = ex.run_fluctuations(bj.from_ratios(32, 1.0, 2.0, 3.0),
                               [spectral.exp_function(), spectral.monomial(1)], 100, 19)
-    assert res.means.tolist() == [49.045177995770835, 12.870287746430312]
-    assert res.variances.tolist() == [0.2063382451125643, 0.07978690996831152]
+    assert res.means.tolist() == [49.04517799577084, 12.87028774643031]
+    assert res.variances.tolist() == [0.2063382451125651, 0.07978690996831168]
     point = checks._jacobi_poincare(
         (48,), 2.0, 2.0, 3.0, spectral.monomial(2), 150, 23)["points"][0]
     assert point == {
-        "n": 48, "variance": 0.03157416519110849, "bound": 0.20832763730835574,
-        "ratio": 0.15156013671087745, "variance_se": 0.003764257678739204,
-        "bound_se": 0.0003022588818996643}
+        "n": 48, "variance": 0.031574165191108484, "bound": 0.20832763730835574,
+        "ratio": 0.15156013671087742, "variance_se": 0.0037642576787392033,
+        "bound_se": 0.0003022588818996642}
 
 
 def test_gamma_route_values_pinned():
     # beta = 1/2 puts the first c' shape at 1/4, outside Cheng's range, so
     # every draw is a gamma ratio; the values were taken before Cheng's route
-    # was added, and that change leaves the gamma route bit-identical
+    # was added, which left the gamma route bit-identical, and re-taken on the
+    # Gram matrix formed from the squared factor entries
     params = bj.from_ratios(64, 0.5, 2.0, 2.0)
     support = bj.support_edges(bj.derive_asymptotic(params))
     funcs = [spectral.chebyshev_test_function(m, support) for m in (1, 2)] + [spectral.monomial(1)]
     res = ex.run_fluctuations(params, funcs, 300, 17)
-    assert res.means.tolist() == [0.037545049304450656, -39.72669665477002, 32.00812874162099]
-    assert res.variances.tolist() == [4.336656256930433, 7.670391542495049, 0.20328076204361403]
+    assert res.means.tolist() == [0.03754504930445081, -39.726696654770016, 32.00812874162099]
+    assert res.variances.tolist() == [4.336656256930433, 7.670391542495054, 0.20328076204361384]
     assert hashlib.sha256(res.samples.tobytes()).hexdigest() == (
-        "10f26dc6fae4246e157a335388207cf3c27209e76537b9508f24d07850d8a614")
+        "b03f1142a9b263c8146af054654c59406f27e73d4751e0fba82757f1da32de70")
+
+
+def test_shape_moments_match_the_power_formula():
+    # the power formula, column by column: recentred, c**3 and c**4 by pow.
+    # Recentring moves c by the rounding of the column mean, about
+    # sqrt(5000) eps 40 = 3e-13 for the first column, which moves the
+    # skewness by 3 / sigma times that; products move it by a few eps
+    rng = np.random.default_rng(5)
+    samples = np.column_stack([40.0 + 3.0 * rng.standard_normal(5000), rng.gamma(2.0, size=5000),
+                               np.full(5000, 7.5)])
+    samples -= samples.mean(axis=0)
+    skew, kurt = ex._shape_moments(np.ascontiguousarray(samples.T))
+    for j in range(3):
+        c = samples[:, j] - samples[:, j].mean()
+        m2 = np.mean(c**2)
+        expected = (0.0, 0.0) if m2 == 0 else (np.mean(c**3) / m2**1.5, np.mean(c**4) / m2**2 - 3.0)
+        for got in ((skew[j], kurt[j]), (ex.skewness(samples[:, j]), ex.excess_kurtosis(samples[:, j]))):
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert (skew[2], kurt[2]) == (0.0, 0.0)
 
 
 def test_run_fluctuations_computes_coefficients_once_per_function(monkeypatch):

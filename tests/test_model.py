@@ -1,7 +1,10 @@
+import hashlib
+import math
 import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,9 +88,10 @@ def test_single_row_factor():
     factor = model.sample_factor(params, model.replicate_stream(0, 0))
     gram = model.assemble_gram(factor)
     assert gram.diag.shape == (1,) and gram.off.shape == (0,)
-    # the Gram entry is (sqrt x)^2, which rounds back to x only for some x
+    # the factor's entry is sqrt x, and the Gram entry the draw x itself,
+    # which (sqrt x)^2 rounds back to only for some x
     assert factor.diag[0] == np.sqrt(factor.raw_c[0])
-    assert gram.diag[0] == factor.diag[0] ** 2
+    assert gram.diag[0] == factor.raw_c[0]
     assert 0.0 <= gram.diag[0] <= 1.0
 
 
@@ -99,6 +103,40 @@ def test_assemble_two_by_two():
     assert gram.diag[0] == pytest.approx(d1 * d1)
     assert gram.diag[1] == pytest.approx(d2 * d2 + e1 * e1)
     assert gram.off[0] == pytest.approx(d1 * e1)
+
+
+def _ulps(value, exact) -> Fraction:
+    """|value - exact| in units of the last place of value."""
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(value))
+
+
+# both draw routes: Cheng's at beta = 2 and 1, the gamma ratio at beta = 1/2
+# (first c' shape 1/4, so n = 1, with no c', stays on Cheng's) and 1/20,
+# where draws come near 0 and 1
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+@pytest.mark.parametrize("beta, cheng", [(2.0, True), (1.0, True), (0.5, False), (0.05, False)])
+def test_gram_from_draws_against_exact_arithmetic(n, beta, cheng):
+    # each squared entry is one product of two roundings, so within 2 ulp,
+    # and so is a diagonal sum of two; the off-diagonal is the product of
+    # two square roots of them, within 3 ulp of -sqrt(d^2 e^2)
+    params = bj.from_ratios(n, beta, 2.0, 3.0)
+    assert (model._cheng_constants(params) is not None) == (cheng or (n, beta) == (1, 0.5))
+    for m in range(4):
+        factor = model.sample_factor(params, model.replicate_stream(13, m))
+        c = [Fraction(v) for v in factor.raw_c[::-1]]  # c^2 of row k at c[k]
+        cp = [Fraction(v) for v in factor.raw_cp[::-1]] + [Fraction(0)]
+        sq_d = [c[k] * (1 - cp[k]) for k in range(n)]
+        sq_e = [(1 - c[k + 1]) * cp[k] for k in range(n - 1)]
+        got_d, got_e = model._squared_entries(factor.raw_c, factor.raw_cp)
+        gram = model.assemble_gram(factor)
+        assert max(_ulps(float(v), x) for v, x in zip(got_d, sq_d)) <= 2
+        assert max((_ulps(float(v), x) for v, x in zip(got_e, sq_e)), default=0) <= 2
+        diag = [sq_d[0]] + [sq_d[k] + sq_e[k - 1] for k in range(1, n)]
+        assert max(_ulps(float(v), x) for v, x in zip(gram.diag, diag)) <= 2
+        for k, off in enumerate(gram.off.tolist()):
+            assert off <= 0.0
+            size, ulp = Fraction(-off), Fraction(math.ulp(off))
+            assert (size - 3 * ulp) ** 2 <= sq_d[k] * sq_e[k] <= (size + 3 * ulp) ** 2
 
 
 def test_assemble_matches_dense_product():
@@ -192,6 +230,23 @@ def test_chebyshev_traces_match_spectrum():
     for m in range(31):
         expected = float(np.sum(2.0 * np.cos(m * theta)))
         assert abs(traces[m] - expected) <= 1e-9 * abs(expected), m
+
+
+def test_chebyshev_traces_bits_are_pinned():
+    # sha256 of the float.hex strings of tr T_0..tr T_K, K = 0..8, of fixed
+    # matrices, one stack of 3 and one alone, at n = 1, 2, 64 and 2000;
+    # taken while the engine still stored T_0 as a band of ones
+    parts = []
+    for n in (1, 2, 64, 2000):
+        rng = np.random.default_rng(n)
+        gram = model.SymTridiagonal(diag=rng.random((3, n)), off=0.5 * rng.random((3, n - 1)))
+        for K in range(9):
+            parts.append(model.chebyshev_traces(gram, 0.45, 0.4, K))
+            parts.append(model.chebyshev_traces(model.SymTridiagonal(gram.diag[1], gram.off[1]),
+                                                0.45, 0.4, K))
+    text = " ".join(float.hex(float(v)) for part in parts for v in part.ravel())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "539052ac462ac5e800de55c250517372c1227b38fc0984ab035403888d692f52")
 
 
 def test_chebyshev_traces_validation():
@@ -668,9 +723,9 @@ def test_cheng_draws_follow_the_stream_layout(monkeypatch, pool):
 
 
 # spare pairs per replicate: none, so that every replicate with a rejected
-# draw stops; one and three, so that replicates stop in their first retry
-# round or in a later one
-@pytest.mark.parametrize("pool", [0, 1, 3])
+# draw stops; one, three and five, so that replicates stop in their first
+# retry round or in a later one
+@pytest.mark.parametrize("pool", [0, 1, 3, 5])
 def test_map_replicates_rows_match_sample_factor_when_pools_run_out(monkeypatch, pool):
     monkeypatch.setattr(model, "_pool_pairs", lambda draws: pool)
     params = bj.from_ratios(20, 1.0, 2.0, 3.0)
@@ -678,7 +733,7 @@ def test_map_replicates_rows_match_sample_factor_when_pools_run_out(monkeypatch,
     draws = table.shape[1]
     stopped = [model._cheng_rounds(table, model.replicate_stream(11, m).random((1, 2, draws + pool)))[1]
                for m in range(replicates)]
-    assert any(s.any() for s in stopped)
+    assert any(s is not None for s in stopped)
     statistic = lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)
     expected = _hand_loop(params, 11, replicates, statistic)
     for block in (1, 7, model._BLOCK_ELEMENTS // 20):
@@ -714,11 +769,12 @@ def test_map_replicates_makes_one_random_call_per_replicate(monkeypatch):
 
 
 def _stacked_gram(params, seed, count):
-    """The Gram matrices of replicates 0..count-1 as one stack, and their factors."""
+    """The Gram matrices of replicates 0..count-1 as one stack, formed from
+    their stacked draws as map_replicates forms them, and their factors."""
     factors = [model.sample_factor(params, model.replicate_stream(seed, m)) for m in range(count)]
     raw_c = np.array([f.raw_c for f in factors])
     raw_cp = np.array([f.raw_cp for f in factors])
-    return model.assemble_gram(model._build_factor(raw_c, raw_cp)), factors
+    return model.assemble_gram((raw_c, raw_cp)), factors
 
 
 def test_stacked_gram_iterates_over_its_matrices():

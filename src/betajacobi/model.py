@@ -14,34 +14,34 @@ Sampling is pure given an explicit generator stream; factors are immutable.
 Factors and Gram matrices may carry leading batch axes: diag (..., n) and
 sub/off (..., n - 1) hold one matrix per leading index.
 
-The 2n - 1 Beta variables come from Cheng's algorithm BA (Comm. ACM 21,
-1978) when every shape of the parameter set lies in [1/2, 2^24]: each try
-takes one pair of uniforms and is accepted with probability 0.52 to 1 over
-that range, so the tries of many draws run as one array operation.  Other
-parameter sets draw each Beta as a gamma ratio G1 / (G1 + G2).
+Each of the 2n - 1 Beta pairs takes Cheng's algorithm BA (Comm. ACM 21,
+1978) when both its shapes are at most 2^24, else the gamma ratio G1 / (G1
++ G2), where a gamma of shape above 2^24 cannot be 0.  A try of BA takes
+one pair of uniforms and is accepted with probability 1/4 to 1, so the
+tries of many draws run as one array operation.
 
 Every Monte Carlo check runs through map_replicates.  It draws replicate m
-from the counter-based stream keyed by (seed, m) with the first call
-sample_factor makes: one random call for the uniform pool of Cheng's route,
-one standard_gamma call on the flat shape array on the gamma route.  The
-Beta draws and Gram matrices of a whole (b, n) block are then formed at
-once, the Gram matrices straight from the draws (assemble_gram needs the
-factor's entries only squared); the statistic maps the block to (b, k) rows.  A replicate
-whose pool runs out, or with a Beta total of 0 (both gammas underflowed),
+from the counter-based stream keyed by (seed, m) with the calls
+sample_factor starts with: one standard_gamma call for the gamma pairs,
+when the set has any, then one random call for the uniform pool of the
+Cheng pairs, when it has any.  The Beta draws and Gram matrices of a whole
+(b, n) block are then formed at once, the Gram matrices straight from the
+draws (assemble_gram needs the factor's entries only squared); the
+statistic maps the block to (b, k) rows.  A replicate whose pool runs out
 is redone by sample_factor's draw routine on its re-keyed stream.  The
 block size b = 2^14 // n (at least 1) keeps every (b, n) array near 2^14
 doubles.  Each row depends on (seed, m) alone and every batched operation
 acts row by row exactly as on one matrix (numpy's elementwise log, log1p,
-expm1 and exp give an element the same result at any position in an array
-of any length, which the tests check against one try at a time), so row m
-equals sample_factor(params, replicate_stream(seed, m)) bit for bit,
-whatever the block size.  Replicate 0 runs first, alone and timed in this
-process, then, unless it alone costs enough to project from, the block of
-replicates 1..b.  Once that projects the rest at _SHARD_MIN_S of CPU time
-or more, the replicates left are split evenly into contiguous ranges over
-forked workers, up to one per CPU in the affinity mask, which write their
-rows into a shared anonymous mapping; since rows depend on (seed, m) alone,
-the result is the same bit for bit at any worker count.
+expm1, logaddexp and exp give an element the same result at any position
+in an array of any length, which the tests check against one try at a
+time), so row m equals sample_factor(params, replicate_stream(seed, m)) bit
+for bit, whatever the block size.  Replicate 0 runs first, alone and timed
+in this process, then, unless it alone costs enough to project from, the
+block of replicates 1..b.  Once that projects the rest at _SHARD_MIN_S of
+CPU time or more, the replicates left are split evenly into contiguous
+ranges over forked workers, up to one per CPU in the affinity mask, which
+write their rows into a shared anonymous mapping; since rows depend on
+(seed, m) alone, the result is the same bit for bit at any worker count.
 
 Polynomial linear statistics need no eigensolve: chebyshev_traces returns
 tr T_k((A - cI)/r) for k <= K from the banded Chebyshev recurrence, so any
@@ -97,21 +97,19 @@ _BLOCK_ELEMENTS = 1 << 14
 _TRACE_ELEMENTS = 1 << 18
 # Limits on the Beta shapes, checked once per parameter set.  A gamma draw is
 # about its shape, so far above _MAX_SHAPE the total G1 + G2 overflows to inf
-# and the Beta ratio to 0 or NaN.  Below _MIN_SHAPE both gammas of a pair
-# underflow to 0 so often that the resample loop, which needs about
-# 1 / (1488 a) rounds at shape a, stalls: at n = 20, beta = 1e-8 takes 0.39 s
-# per factor and beta = 1e-9 takes 3.6 s.  A log-domain gamma sampler would
-# lift the floor.
+# and the Beta ratio to 0 or NaN.  Below _LOW_SHAPE, Cheng's v = beta logit(u1)
+# with beta = 1 / min(a, b) can overflow: |logit u1| <= 53 ln 2 = 36.74 for
+# the doubles u1 of rng.random, and 36.74 / 2.1e-307 = 1.75e308.
 _MAX_SHAPE = 1e300
-_MIN_SHAPE = 1e-9
-# Shape range of Cheng's algorithm BA, which draws every Beta of a parameter
-# set whose shapes all lie in it; the others keep the gamma ratio.  Here
-# v = beta logit(u1) stays within 74 in size, so expm1 cannot overflow, and
-# the acceptance statistic is rounded by about 1e-12 (1e-10 at worst, at
-# |logit u1| = 37 and shape 2^24).  Above 2^24 that statistic loses digits;
-# below 1/2 the acceptance rate falls toward 1/4.
-_CHENG_MIN_SHAPE = 0.5
+_LOW_SHAPE = 2.1e-307
+# Cheng's algorithm BA draws every Beta pair with max(a, b) <= _CHENG_MAX_SHAPE,
+# the gamma ratio the others.  Below it the acceptance statistic is rounded by
+# about 1e-12 (1e-10 at worst, at |logit u1| = 37 and shape 2^24); above it
+# that statistic loses digits, while a gamma of such a shape cannot be 0.
 _CHENG_MAX_SHAPE = 2.0**24
+# A table with a shape below _EXPM1_MIN_SHAPE takes Cheng's spread in log form:
+# there v can pass 709.78, where expm1(v) overflows (36.74 / 0.052 = 706.5).
+_EXPM1_MIN_SHAPE = 0.052
 _LOG4 = float(np.log(4.0))
 # CPU seconds of projected work per process for map_replicates to fork one
 # more, projected from replicate 0 or from the first block (_PROBE_MIN_S).
@@ -243,7 +241,7 @@ def _shape_arrays(params: EnsembleParams):
     4n - 2: rows 0 and 1 hold the first and second shapes of the n c pairs,
     then of the n - 1 c' pairs.  Every replicate of a run needs the same
     array, so it is built once; it is shared, hence read-only.  Shapes
-    outside [_MIN_SHAPE, _MAX_SHAPE] are a ParameterError.
+    outside [_LOW_SHAPE, _MAX_SHAPE] are a ParameterError.
     """
     n, h = params.n, 0.5 * params.beta
     i = np.arange(1, n + 1, dtype=np.float64)
@@ -257,9 +255,9 @@ def _shape_arrays(params: EnsembleParams):
     if not high <= _MAX_SHAPE:
         raise ParameterError(f"Beta shape {high:g} exceeds {_MAX_SHAPE:g}: "
                              f"the gamma ratio overflows; reduce beta")
-    if low < _MIN_SHAPE:
-        raise ParameterError(f"Beta shape {low:g} is below {_MIN_SHAPE:g}: "
-                             f"the gamma draws underflow; increase beta or n1, n2")
+    if low < _LOW_SHAPE:
+        raise ParameterError(f"Beta shape {low:g} is below {_LOW_SHAPE:g}: Cheng's "
+                             f"v = logit(u) / shape overflows; increase beta or n1, n2")
     flat.setflags(write=False)
     return flat
 
@@ -272,41 +270,20 @@ def beta_shapes(params: EnsembleParams):
     return np.concatenate((c1, cp1)), np.concatenate((c2, cp2))
 
 
-def _ratios(g: np.ndarray, n: int):
-    """(c^2, c'^2): x / (x + y) for each pair of g, laid out like the flat shape array.
-
-    g may carry leading axes.  A pair whose total is 0 gives NaN without a
-    warning; the shape limits keep every total finite, so no other NaN arises.
-    """
-    c1, c2, cp1, cp2 = np.split(g, [n, 2 * n, 3 * n - 1], axis=-1)
-    with np.errstate(invalid="ignore"):
-        return c1 / (c1 + c2), cp1 / (cp1 + cp2)
-
-
-def _factor_draws(flat: np.ndarray, n: int, rng: np.random.Generator):
-    """(c^2, c'^2): Beta draws via the gamma ratio G1/(G1+G2), c first.
-
-    One standard_gamma call draws every gamma from the flat shape array
-    (leading axes index a stack of factors).  While any pair's total is 0
-    (both gammas underflowed), the whole array is drawn again, further on
-    in the stream, and only those pairs take the new gammas.  The gamma
-    generator handles shapes < 1 correctly, which matters because the first
-    c' shape is beta/2 < 1 whenever beta < 2.
-    """
-    g = rng.standard_gamma(flat)
-    while True:
-        c, cp = _ratios(g, n)
-        zero = np.isnan(np.concatenate([c, c, cp, cp], axis=-1))
-        if not zero.any():
-            return c, cp
-        g = np.where(zero, rng.standard_gamma(flat), g)
+def _ratios(g: np.ndarray, k: int) -> np.ndarray:
+    """x / (x + y) for each pair of g, laid out like the flat shape array with
+    k c pairs: the c draws, then the c' draws.  g may carry leading axes."""
+    c1, c2, cp1, cp2 = np.split(g, [k, 2 * k, (g.shape[-1] + 2 * k) // 2], axis=-1)
+    return np.concatenate((c1 / (c1 + c2), cp1 / (cp1 + cp2)), axis=-1)
 
 
 def _cheng_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(5, M) rows alpha, beta, gamma, p, ln p: Cheng's BA constants of each Beta(a, b).
 
     beta is 1 / min(a, b) when min(a, b) <= 1, else sqrt((alpha - 2) /
-    (2ab - alpha)) in a form that cannot overflow; p = a / alpha.
+    (2ab - alpha)) in a form that cannot overflow; p = a / alpha.  When some
+    min(a, b) is below _EXPM1_MIN_SHAPE, a sixth row holds ln q = ln(b /
+    alpha), and _cheng_try takes the spread of every column in log form.
     """
     alpha = a + b
     small = np.minimum(a, b)
@@ -314,20 +291,31 @@ def _cheng_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         wide = np.sqrt((1.0 - 2.0 / alpha) / (2.0 * a * (b / alpha) - 1.0))
     beta = np.where(small <= 1.0, 1.0 / small, wide)
     p = a / alpha
-    table = np.stack([alpha, beta, a + 1.0 / beta, p, np.log(p)])
+    rows = [alpha, beta, a + 1.0 / beta, p, np.log(p)]
+    if np.any(small < _EXPM1_MIN_SHAPE):
+        rows.append(np.log(b / alpha))
+    table = np.stack(rows)
     table.setflags(write=False)
     return table
 
 
 @lru_cache(maxsize=16)
-def _cheng_constants(params: EnsembleParams):
-    """Cheng's BA table of the 2n - 1 draws in beta_shapes order, or None when
-    some shape lies outside [_CHENG_MIN_SHAPE, _CHENG_MAX_SHAPE] and the
-    parameter set keeps the gamma ratio.  ParameterError as in sample_factor."""
+def _routes(params: EnsembleParams):
+    """(cheng, table, gamma, shapes, k): the route of each Beta pair, cached, read-only.
+
+    cheng and gamma index, in beta_shapes order, the draws of the pairs with
+    max(a, b) <= _CHENG_MAX_SHAPE and of the others; table holds Cheng's BA
+    constants of the first, and _ratios(standard_gamma(shapes), k) gives the
+    second.  ParameterError as in sample_factor.
+    """
     a, b = beta_shapes(params)
-    if min(a.min(), b.min()) < _CHENG_MIN_SHAPE or max(a.max(), b.max()) > _CHENG_MAX_SHAPE:
-        return None
-    return _cheng_table(a, b)
+    big = np.maximum(a, b) > _CHENG_MAX_SHAPE
+    cheng, gamma = np.flatnonzero(~big), np.flatnonzero(big)
+    c, cp = gamma[gamma < params.n], gamma[gamma >= params.n]
+    shapes = np.concatenate([a[c], b[c], a[cp], b[cp]])
+    for arr in (cheng, gamma, shapes):
+        arr.setflags(write=False)
+    return cheng, _cheng_table(a[cheng], b[cheng]), gamma, shapes, c.size
 
 
 def _pool_pairs(draws: int) -> int:
@@ -335,18 +323,18 @@ def _pool_pairs(draws: int) -> int:
     return draws // 4 + 64
 
 
-def _cheng_step(u1: np.ndarray, u2: np.ndarray, table: np.ndarray):
-    """(accepted, x): one try of Cheng's BA per draw from the pair (u1, u2).
+def _cheng_try(u1: np.ndarray, u2: np.ndarray, table: np.ndarray):
+    """(accepted, v, L): one try of Cheng's BA per draw from the pair (u1, u2).
 
-    The columns of table hold each draw's constants; a (5, M) table
-    broadcasts against (b, M) pairs.  With v = beta logit(u1) and the
-    spread L = log1p(p expm1(v)) = ln((b + a e^v) / alpha), free of
-    cancellation, a try is accepted when gamma v - alpha L - ln 4 >
-    2 ln u1 + ln u2, which fails at u1 = 0, and then x = exp(ln p + v - L).
-    x is capped at 1, which it passes by rounding near 1 (at Beta(2^24, 1)
-    and u1 within 4096 ulps of 1, about half the tries did).
+    The columns of table hold each draw's constants; a (5, M) or (6, M)
+    table broadcasts against (b, M) pairs.  With v = beta logit(u1) and the
+    spread L = ln((b + a e^v) / alpha), a try is accepted when gamma v -
+    alpha L - ln 4 > 2 ln u1 + ln u2, which fails at u1 = 0; then ln x = ln p
+    + v - L and ln(1 - x) = ln q - L.  L is log1p(p expm1(v)), free of
+    cancellation, for a (5, M) table, and logaddexp(ln q, ln p + v), which
+    cannot overflow, for a (6, M) table, whose last row is ln q.
     """
-    alpha, beta, gamma, p, log_p = table
+    alpha, beta, gamma, p, log_p, *log_q = table
     with np.errstate(divide="ignore"):  # u1 or u2 = 0: a logarithm of -inf
         log_u1 = np.log(u1)
         bound = np.log(u2)
@@ -354,16 +342,26 @@ def _cheng_step(u1: np.ndarray, u2: np.ndarray, table: np.ndarray):
     np.log1p(v, out=v)
     np.subtract(log_u1, v, out=v)
     v *= beta
-    spread = np.expm1(v)
-    spread *= p
-    np.log1p(spread, out=spread)
+    if log_q:
+        spread = np.logaddexp(log_q[0], log_p + v)
+    else:
+        spread = np.expm1(v)
+        spread *= p
+        np.log1p(spread, out=spread)
     log_u1 *= 2.0
     bound += log_u1
     bound += _LOG4
     stat = np.multiply(gamma, v)
     stat -= np.multiply(alpha, spread, out=log_u1)
-    accepted = np.greater(stat, bound)
-    x = np.add(log_p, v, out=v)
+    return np.greater(stat, bound), v, spread
+
+
+def _cheng_step(u1: np.ndarray, u2: np.ndarray, table: np.ndarray):
+    """(accepted, x): the tries of _cheng_try with x = exp(ln p + v - L), capped at 1,
+    which x passes by rounding near 1 (at Beta(2^24, 1) and u1 within 4096 ulps
+    of 1, about half the tries did)."""
+    accepted, v, spread = _cheng_try(u1, u2, table)
+    x = np.add(table[4], v, out=v)
     x -= spread
     np.exp(x, out=x)
     np.minimum(x, 1.0, out=x)
@@ -431,13 +429,21 @@ def _cheng_draws(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
-def _draws(params: EnsembleParams, rng: np.random.Generator):
-    """(c^2, c'^2) of one replicate: Cheng's BA inside its shape range, else the gamma ratio."""
-    n, table = params.n, _cheng_constants(params)
-    if table is None:
-        return _factor_draws(_shape_arrays(params), n, rng)
-    x = _cheng_draws(table, rng)
-    return x[:n], x[n:]
+def _joined(cheng, gamma, cheng_x, gamma_x) -> np.ndarray:
+    """The draws of the pairs cheng and gamma (None for no pairs) in beta_shapes order."""
+    if gamma_x is None or cheng_x is None:
+        return cheng_x if gamma_x is None else gamma_x
+    x = np.empty(cheng_x.shape[:-1] + (cheng.size + gamma.size,))
+    x[..., cheng], x[..., gamma] = cheng_x, gamma_x
+    return x
+
+
+def _draws(params: EnsembleParams, rng: np.random.Generator) -> np.ndarray:
+    """The 2n - 1 Beta draws of one replicate in beta_shapes order: the gamma
+    pairs' ratios from one standard_gamma call, then Cheng's BA for the rest."""
+    cheng, table, gamma, shapes, k = _routes(params)
+    gamma_x = _ratios(rng.standard_gamma(shapes), k) if gamma.size else None
+    return _joined(cheng, gamma, _cheng_draws(table, rng) if cheng.size else None, gamma_x)
 
 
 def _build_factor(raw_c: np.ndarray, raw_cp: np.ndarray) -> TridiagonalFactor:
@@ -455,14 +461,13 @@ def _build_factor(raw_c: np.ndarray, raw_cp: np.ndarray) -> TridiagonalFactor:
 def sample_factor(params: EnsembleParams, rng: np.random.Generator) -> TridiagonalFactor:
     """Draw the 2n-1 independent Beta variables and lay out the factor.
 
-    When every Beta shape of params lies in [1/2, 2^24], the draws come from
-    Cheng's algorithm BA (R. C. H. Cheng, Comm. ACM 21, 1978): one
-    rng.random((2, M + P)) call gives M = 2n - 1 first tries and a pool of
-    P spare pairs for the retries, and fresh pairs follow if the pool runs
-    out (_cheng_draws).  Otherwise each Beta is a gamma ratio, all gammas
-    from one standard_gamma call on the flat shape array (_factor_draws).
+    A Beta pair with a shape above 2^24 is a gamma ratio, the gammas of all
+    such pairs from one standard_gamma call.  The M other pairs then come
+    from Cheng's algorithm BA (R. C. H. Cheng, Comm. ACM 21, 1978): one
+    rng.random((2, M + P)) call gives their first tries and a pool of P
+    spare pairs for the retries, and fresh pairs follow if it runs out.
     """
-    return _build_factor(*_draws(params, rng))
+    return _build_factor(*np.split(_draws(params, rng), [params.n]))
 
 
 def deterministic_factor(params: EnsembleParams) -> TridiagonalFactor:
@@ -473,7 +478,7 @@ def deterministic_factor(params: EnsembleParams) -> TridiagonalFactor:
     x^(n1 - n) (1 - x)^(n2 - n) on [0, 1], so jacobi_matrix(raw_c, raw_cp) is
     its Jacobi matrix (Killip and Nenciu, IMRN 2004; Dette and Studden, 1997).
     """
-    return _build_factor(*_ratios(_shape_arrays(params), params.n))
+    return _build_factor(*np.split(_ratios(_shape_arrays(params), params.n), [params.n]))
 
 
 def jacobi_matrix(odd: np.ndarray, even: np.ndarray) -> SymTridiagonal:
@@ -520,31 +525,26 @@ def assemble_gram(factor: TridiagonalFactor | tuple) -> SymTridiagonal:
 def _draw_block(params: EnsembleParams, stream, start: int, b: int):
     """(c^2, c'^2) of replicates start..start + b - 1, row r as _draws gives it from stream(start + r).
 
-    Each replicate makes the first call of _draws on its stream into one
-    (b, ...) buffer: its random pool on Cheng's route, its standard_gamma
-    call on the gamma route.  The draws of the whole block are then formed
-    at once.  A replicate whose pool runs out, or with a Beta total of 0
-    (both gammas underflowed), is redone by _draws on its re-keyed stream.
+    Each replicate makes the first calls of _draws on its stream into (b,
+    ...) buffers: its standard_gamma call if the set has gamma pairs, then
+    its random pool if it has Cheng pairs.  The draws of the whole block are
+    then formed at once.  A replicate whose pool runs out is redone by
+    _draws on its re-keyed stream.
     """
-    n, table = params.n, _cheng_constants(params)
-    if table is None:
-        flat = _shape_arrays(params)
-        g = np.empty((b, flat.size))
-        for r in range(b):
-            g[r] = stream(start + r).standard_gamma(flat)
-        raw_c, raw_cp = _ratios(g, n)
-        redo = np.flatnonzero(np.isnan(raw_c).any(axis=1) | np.isnan(raw_cp).any(axis=1))
-    else:
-        draws = table.shape[1]
-        uniforms = np.empty((b, 2, draws + _pool_pairs(draws)))
-        for r in range(b):
-            stream(start + r).random(out=uniforms[r])
-        x, stopped = _cheng_rounds(table, uniforms)
-        raw_c, raw_cp = x[:, :n], x[:, n:]
-        redo = () if stopped is None else np.flatnonzero(stopped.any(axis=1))
-    for r in redo:
-        raw_c[r], raw_cp[r] = _draws(params, stream(start + r))
-    return raw_c, raw_cp
+    cheng, table, gamma, shapes, k = _routes(params)
+    g = np.empty((b, shapes.size)) if gamma.size else None
+    uniforms = np.empty((b, 2, cheng.size + _pool_pairs(cheng.size))) if cheng.size else None
+    for r in range(b):
+        rng = stream(start + r)
+        if g is not None:
+            g[r] = rng.standard_gamma(shapes)
+        if uniforms is not None:
+            rng.random(out=uniforms[r])
+    x, stopped = (None, None) if uniforms is None else _cheng_rounds(table, uniforms)
+    x = _joined(cheng, gamma, x, None if g is None else _ratios(g, k))
+    for r in () if stopped is None else np.flatnonzero(stopped.any(axis=1)):
+        x[r] = _draws(params, stream(start + r))
+    return x[:, : params.n], x[:, params.n :]
 
 
 def _block_rows(statistic, params, stream, lo, hi, block):
@@ -625,16 +625,16 @@ def map_replicates(
 
     Replicate m samples its factor from replicate_stream(seed, m).  The
     replicates run in blocks of b = max(1, 2^14 // n).  Each replicate
-    makes the first call of sample_factor's draw routine into a block
-    buffer: on Cheng's route, row r of a (b, 2, M + P) buffer takes the
-    uniform pool of its M = 2n - 1 draws from one random call, and the
-    accept/reject rounds run over the whole block; on the gamma route, row
-    r of a (b, 4n - 2) buffer takes all its gammas from one standard_gamma
-    call.  The Gram matrices of the block are then formed from its draws
-    in one pass, and statistic maps the stacked Gram matrices (diag (b, n),
-    off (b, n - 1)) to b values or a (b, k) array.  A replicate whose pool
-    runs out, or with any Beta total of 0, is redone by that draw routine on
-    its re-keyed stream, so row m is bit-identical to sample_factor(params,
+    makes the first calls of sample_factor's draw routine into block
+    buffers: if the set has G Beta pairs with a shape above 2^24, row r of
+    a (b, 2G) buffer takes their gammas from one standard_gamma call; then,
+    if it has M other pairs, row r of a (b, 2, M + P) buffer takes their
+    uniform pool from one random call, and Cheng's accept/reject rounds run
+    over the whole block.  The Gram matrices of the block are then formed
+    from its draws in one pass, and statistic maps the stacked Gram
+    matrices (diag (b, n), off (b, n - 1)) to b values or a (b, k) array.
+    A replicate whose pool runs out is redone by that draw routine on its
+    re-keyed stream, so row m is bit-identical to sample_factor(params,
     replicate_stream(seed, m)) in every case, and the (replicates, k)
     result is bit-identical whatever the block size.
 

@@ -150,19 +150,33 @@ def test_fixed_seed_routes_pinned():
         "bound_se": 0.0003022588818996642}
 
 
-def test_gamma_route_values_pinned():
-    # beta = 1/2 puts the first c' shape at 1/4, outside Cheng's range, so
-    # every draw is a gamma ratio; the values were taken before Cheng's route
-    # was added, which left the gamma route bit-identical, and re-taken on the
-    # Gram matrix formed from the squared factor entries
+def test_quarter_shape_values_pinned():
+    # beta = 1/2 puts the first c' shape at 1/4; its pair took the gamma ratio,
+    # with the whole set, until each pair with both shapes at most 2^24 took
+    # Cheng's BA, and the values were re-taken then
     params = bj.from_ratios(64, 0.5, 2.0, 2.0)
     support = bj.support_edges(bj.derive_asymptotic(params))
     funcs = [spectral.chebyshev_test_function(m, support) for m in (1, 2)] + [spectral.monomial(1)]
     res = ex.run_fluctuations(params, funcs, 300, 17)
-    assert res.means.tolist() == [0.03754504930445081, -39.726696654770016, 32.00812874162099]
-    assert res.variances.tolist() == [4.336656256930433, 7.670391542495054, 0.20328076204361384]
+    assert res.means.tolist() == [0.09354019839344162, -39.6974249634271, 32.02025204702094]
+    assert res.variances.tolist() == [4.031965444355981, 7.645435111240383, 0.18899838020418627]
     assert hashlib.sha256(res.samples.tobytes()).hexdigest() == (
-        "b03f1142a9b263c8146af054654c59406f27e73d4751e0fba82757f1da32de70")
+        "418ad3e180f1eaea37da7184fd9171c02d47a473442e75e1c2cc8350ac93d707")
+
+
+def test_all_gamma_values_pinned():
+    # beta = 2^26 puts a shape above 2^24 in every Beta pair, so every draw
+    # is a gamma ratio; the values were taken before the route was chosen
+    # pair by pair, which left sets of gamma pairs alone bit-identical
+    params = bj.from_ratios(8, 2.0**26, 2.0, 2.0)
+    support = bj.support_edges(bj.derive_asymptotic(params))
+    funcs = [spectral.chebyshev_test_function(m, support) for m in (1, 2)] + [spectral.monomial(1)]
+    res = ex.run_fluctuations(params, funcs, 300, 17)
+    assert res.means.tolist() == [-1.6976776720273126e-05, -6.365592467034713, 3.999996324420021]
+    assert res.variances.tolist() == [2.7935441661017832e-08, 6.482208752909349e-08,
+                                      1.309473827860213e-09]
+    assert hashlib.sha256(res.samples.tobytes()).hexdigest() == (
+        "4d9c5eafd7d78aaddc7555ee64ae918624dba2f43562a6851d2a3348c328aa14")
 
 
 def test_shape_moments_match_the_power_formula():

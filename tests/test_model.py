@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import types
 from fractions import Fraction
 
@@ -19,9 +20,9 @@ def _se(x):
 
 
 def _beta_sample(p, q, m, rng):
-    """m Beta(p, q) draws: the c draws of _factor_draws at n = m, every pair (p, q)."""
+    """m Beta(p, q) draws by the gamma ratio: the c draws of _ratios at n = m, every pair (p, q)."""
     flat = np.repeat([p, q, p, q], [m, m, m - 1, m - 1])
-    return model._factor_draws(flat, m, rng)[0]
+    return model._ratios(rng.standard_gamma(flat), m)[:m]
 
 
 def test_beta_sample_uniform_mean():
@@ -57,12 +58,29 @@ def test_shape_positivity_guard():
         model.sample_factor(params, model.replicate_stream(0, 0))
 
 
-@pytest.mark.parametrize("beta, match", [(1e308, "overflows"), (1e-300, "underflow")])
+@pytest.mark.parametrize("beta, match", [(1e308, "overflows"), (1e-307, "logit")])
 def test_shape_limits_guard(beta, match):
-    # inf shapes gave NaN statistics; shapes near 1e-300 stalled the resample loop
+    # inf shapes gave NaN statistics; at the smallest shape beta / 2 = 5e-308,
+    # Cheng's v = logit(u1) / shape can pass the largest double
     params = bj.from_ratios(8, beta, 2.0, 2.0)
     with pytest.raises(ParameterError, match=match):
         model.map_replicates(params, 0, 10, lambda gram: gram.diag.sum(axis=-1))
+
+
+# the gamma ratio's resample loop took 0.39 s per factor at beta = 1e-8 and
+# n = 20, and shapes below 1e-9 were refused; 2.1e-307 is the lowest shape
+@pytest.mark.parametrize("n, beta", [(20, 1e-8), (20, 1e-10), (8, 1e-300), (8, 4.2e-307)])
+def test_tiny_shapes_draw(n, beta):
+    params = bj.from_ratios(n, beta, 2.0, 2.0)
+    assert min(s.min() for s in model.beta_shapes(params)) == beta / 2
+    clock = time.process_time()
+    factor = model.sample_factor(params, model.replicate_stream(3, 0))
+    assert time.process_time() - clock < 0.1
+    for raw in (factor.raw_c, factor.raw_cp):
+        assert np.all((raw >= 0.0) & (raw <= 1.0))
+    statistic = lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)
+    assert np.array_equal(model.map_replicates(params, 3, 20, statistic),
+                          _hand_loop(params, 3, 20, statistic))
 
 
 def test_raw_means_match_expectation_formula():
@@ -74,7 +92,7 @@ def test_raw_means_match_expectation_formula():
     a, b = 0.2, 0.4
     rng = model.replicate_stream(3, 0)
     flat = model._shape_arrays(params)
-    draws, _ = model._factor_draws(np.tile(flat, (reps, 1)), n, rng)
+    draws = model._ratios(rng.standard_gamma(np.tile(flat, (reps, 1))), n)[:, :n]
     i = np.arange(1, n + 1)
     expected = (b - a + a * i / n) / (1 - 2 * a + 2 * a * i / n)
     se = draws.std(axis=0, ddof=1) / np.sqrt(reps)
@@ -110,17 +128,19 @@ def _ulps(value, exact) -> Fraction:
     return abs(Fraction(value) - exact) / Fraction(math.ulp(value))
 
 
-# both draw routes: Cheng's at beta = 2 and 1, the gamma ratio at beta = 1/2
-# (first c' shape 1/4, so n = 1, with no c', stays on Cheng's) and 1/20,
-# where draws come near 0 and 1
+# both draw routes: Cheng's at beta = 2, 1, 1/2 (first c' shape 1/4) and
+# 1/20, where draws come near 0 and 1 and the spread is taken in log form;
+# the gamma ratio at beta = 2^26, where every pair has a shape above 2^24
 @pytest.mark.parametrize("n", [1, 2, 3, 40])
-@pytest.mark.parametrize("beta, cheng", [(2.0, True), (1.0, True), (0.5, False), (0.05, False)])
+@pytest.mark.parametrize("beta, cheng", [(2.0, True), (1.0, True), (0.5, True), (0.05, True),
+                                         (2.0**26, False)])
 def test_gram_from_draws_against_exact_arithmetic(n, beta, cheng):
     # each squared entry is one product of two roundings, so within 2 ulp,
     # and so is a diagonal sum of two; the off-diagonal is the product of
     # two square roots of them, within 3 ulp of -sqrt(d^2 e^2)
     params = bj.from_ratios(n, beta, 2.0, 3.0)
-    assert (model._cheng_constants(params) is not None) == (cheng or (n, beta) == (1, 0.5))
+    cheng_pairs, _, gamma_pairs, _, _ = model._routes(params)
+    assert (cheng_pairs.size, gamma_pairs.size) == ((2 * n - 1, 0) if cheng else (0, 2 * n - 1))
     for m in range(4):
         factor = model.sample_factor(params, model.replicate_stream(13, m))
         c = [Fraction(v) for v in factor.raw_c[::-1]]  # c^2 of row k at c[k]
@@ -312,41 +332,45 @@ def test_map_replicates_blocks_match_hand_loop(n, replicates):
         assert np.array_equal(model.map_replicates(params, 11, replicates, statistic), expected)
 
 
+def _pool_runs_out(params, seed, m, pool=None):
+    """Whether Cheng's pool of replicate m runs out, its stream as _draws takes it."""
+    _, table, gamma, shapes, _ = model._routes(params)
+    draws = table.shape[1]
+    rng = model.replicate_stream(seed, m)
+    if gamma.size:
+        rng.standard_gamma(shapes)
+    pool = model._pool_pairs(draws) if pool is None else pool
+    return model._cheng_rounds(table, rng.random((1, 2, draws + pool)))[1] is not None
+
+
 def test_map_replicates_redrawn_rows_match_hand_loop():
-    # at beta = 1e-4 the smallest gamma shape is 5e-5, and most replicates draw
-    # some Beta pair whose gammas both underflow to 0
+    # at beta = 1e-4 the smallest shape is 5e-5, where Cheng's BA accepts
+    # about a quarter of its tries, and the pools of some replicates run out
     params = bj.from_ratios(20, 1e-4, 2.0, 3.0)
-    n, flat = params.n, model._shape_arrays(params)
-    redrawn = 0
-    for m in range(200):
-        g = model.replicate_stream(11, m).standard_gamma(flat)
-        totals = np.concatenate([g[:n] + g[n : 2 * n], g[2 * n : 3 * n - 1] + g[3 * n - 1 :]])
-        redrawn += bool(np.any(totals == 0.0))
-    assert 0 < redrawn < 200
+    assert 0 < sum(_pool_runs_out(params, 11, m) for m in range(200)) < 200
     statistic = lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)
     expected = _hand_loop(params, 11, 200, statistic)
     assert np.array_equal(model.map_replicates(params, 11, 200, statistic), expected)
 
 
-def test_map_replicates_draws_once_and_redraws_only_zero_totals(monkeypatch):
-    params = bj.from_ratios(6, 0.5, 2.0, 2.0)
-    n, replicates = params.n, 8
-    # the first call on replicate 2's stream gets a zero c total, on 5's a zero c' total
-    zero_columns = {2: [1, n + 1], 5: [2 * n, 3 * n - 1]}
-    calls = []
+def test_map_replicates_draws_gamma_pairs_then_cheng_pairs(monkeypatch):
+    # n = 2, beta = 2: c_1 ~ Beta(2^24, 2) takes Cheng's BA, c_2 ~ Beta(2^24 + 1,
+    # 3) and c'_1 ~ Beta(1, 2^24 + 2) the gamma ratio
+    params = bj.EnsembleParams(n=2, beta=2.0, n1=2.0**24 + 1, n2=3.0)
+    replicates, calls = 8, []
     rekeyed = model._rekeyed_streams
 
     class Logged:
         def __init__(self, rng, m):
-            self.rng, self.m, self.fresh = rng, m, True
+            self.rng, self.m = rng, m
 
         def standard_gamma(self, shapes):
-            calls.append((self.m, np.shape(shapes)))
-            g = self.rng.standard_gamma(shapes)
-            if self.fresh and self.m in zero_columns:
-                g[zero_columns[self.m]] = 0.0
-            self.fresh = False
-            return g
+            calls.append((self.m, "standard_gamma"))
+            return self.rng.standard_gamma(shapes)
+
+        def random(self, *args, **kwargs):
+            calls.append((self.m, "random"))
+            return self.rng.random(*args, **kwargs)
 
     def logged_streams(seed):
         stream = rekeyed(seed)
@@ -355,14 +379,16 @@ def test_map_replicates_draws_once_and_redraws_only_zero_totals(monkeypatch):
     monkeypatch.setattr(model, "_rekeyed_streams", logged_streams)
     statistic = lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)
     rows = model.map_replicates(params, 4, replicates, statistic)
-    flat = (4 * n - 2,)
-    assert calls == [(m, flat) for m in range(replicates)] + [(m, flat) for m in (2, 2, 5, 5)]
-    # the same stubbed streams, one sample_factor call per replicate
-    stub = [model.sample_factor(params, Logged(model.replicate_stream(4, m), m))
-            for m in range(replicates)]
-    expected = np.array([statistic(model.assemble_gram(factor)) for factor in stub])
-    assert np.array_equal(rows, expected)
-    assert not np.array_equal(rows, _hand_loop(params, 4, replicates, statistic))
+    assert calls == [(m, call) for m in range(replicates) for call in ("standard_gamma", "random")]
+    assert np.array_equal(rows, _hand_loop(params, 4, replicates, statistic))
+    table = model._cheng_table(np.array([2.0**24]), np.array([2.0]))
+    for m in range(replicates):
+        rng = model.replicate_stream(4, m)
+        g = rng.standard_gamma([2.0**24 + 1, 3.0, 1.0, 2.0**24 + 2])
+        (x,) = model._cheng_draws(table, rng)
+        factor = model.sample_factor(params, model.replicate_stream(4, m))
+        assert factor.raw_c.tolist() == [x, g[0] / (g[0] + g[1])]
+        assert factor.raw_cp.tolist() == [g[2] / (g[2] + g[3])]
 
 
 def test_map_replicates_checks_its_arguments():
@@ -395,20 +421,20 @@ def _log_forks(monkeypatch, cpus, block=8, n=20):
     return forked
 
 
-def _shard_over(monkeypatch, cpus, probe="block"):
+def _shard_over(monkeypatch, cpus, probe="block", n=20):
     """Force map_replicates to shard over cpus processes in blocks of 8
-    replicates of order 20, projecting from replicate 0 alone (probe "one")
+    replicates of order n, projecting from replicate 0 alone (probe "one")
     or from the block of replicates 1..8 after it ("block")."""
     monkeypatch.setattr(model, "_SHARD_MIN_S", 1e-12)
     monkeypatch.setattr(model, "_PROBE_MIN_S", 0.0 if probe == "one" else np.inf)
-    return _log_forks(monkeypatch, cpus)
+    return _log_forks(monkeypatch, cpus, n=n)
 
 
 def _sharding_cases():
     params = bj.from_ratios(20, 2.0, 2.0, 3.0)
     support = bj.support_edges(bj.derive_asymptotic(params))
     rows = np.array([[1.0, 0.5, -2.0, 0.0, 3.0, 1.5], [0.0, 1.0, 0.0, 0.0, 0.0, 0.25]])
-    # at beta = 1e-4 most replicates redraw a Beta pair whose gammas underflowed
+    # at beta = 1e-4 the Cheng pools of some replicates run out
     redrawn = bj.from_ratios(20, 1e-4, 2.0, 3.0)
     return {
         "chebyshev-sums": (params, lambda gram: model.chebyshev_sums(
@@ -416,7 +442,7 @@ def _sharding_cases():
         "sterf-spectrum": (params, spectral.trace_statistic(
             [spectral.exp_function(), spectral.monomial(1)])),
         "scalar": (params, lambda gram: gram.diag.sum(axis=-1)),
-        "zero-total-redraws": (redrawn, lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)),
+        "small-shape-redraws": (redrawn, lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)),
     }
 
 
@@ -599,38 +625,6 @@ def test_rekeyed_stream_equals_replicate_stream():
         model._rekeyed_streams(-1)
 
 
-class _ZeroedGammas:
-    """Generator stub: the first standard_gamma call has the entries at
-    `zero` set to 0, so their Beta ratios are 0/0; later calls pass through."""
-
-    def __init__(self, rng, zero):
-        self.rng, self.zero, self.calls = rng, zero, []
-
-    def standard_gamma(self, shapes):
-        self.calls.append(np.shape(shapes))
-        g = self.rng.standard_gamma(shapes)
-        if len(self.calls) == 1:
-            g[self.zero] = 0.0
-        return g
-
-
-def test_factor_draws_redraw_only_zero_pairs():
-    # c pair 2 and c' pair 1 of n = 5 have both gammas zeroed on the first call
-    params = bj.from_ratios(5, 0.5, 2.0, 2.0)
-    n, flat = params.n, model._shape_arrays(params)
-    zero = [2, n + 2, 2 * n + 1, 3 * n]
-    stub = _ZeroedGammas(model.replicate_stream(4, 0), zero)
-    factor = model.sample_factor(params, stub)
-    assert stub.calls == [(4 * n - 2,), (4 * n - 2,)]
-    reference = model.replicate_stream(4, 0)
-    first, second = reference.standard_gamma(flat), reference.standard_gamma(flat)
-    kept = first.copy()
-    kept[zero] = second[zero]
-    c = kept[:n] / (kept[:n] + kept[n : 2 * n])
-    cp = kept[2 * n : 3 * n - 1] / (kept[2 * n : 3 * n - 1] + kept[3 * n - 1 :])
-    assert np.array_equal(factor.raw_c, c) and np.array_equal(factor.raw_cp, cp)
-
-
 # the corners of Cheng's shape range, asymmetric pairs, and a shape just
 # above 1, where beta switches from 1 / min(a, b) to the square-root form
 _CHENG_PAIRS = [(0.5, 0.5), (0.5, 2.0**24), (2.0**24, 0.5), (2.0**24, 2.0**24), (2.0**24, 1.0),
@@ -656,6 +650,65 @@ def test_cheng_draws_follow_the_beta_law(a, b):
     assert abs(draws.var(ddof=1) - var) / np.sqrt(fourth_minus_var_sq / count) <= 4.4
 
 
+# shapes below 1/2, where the acceptance rate falls toward 1/4, down to
+# 1e-6, where nearly every x rounds to 0 or 1; and a pair on each side of
+# _EXPM1_MIN_SHAPE, below which the spread is taken in log form
+_SMALL_PAIRS = [(0.05, 0.05), (0.3, 2.0), (0.02, 0.7), (1e-4, 1e-4), (1e-3, 5.0), (2.0, 1e-6),
+                (0.052, 0.5), (0.0517, 0.5)]
+
+
+def _two_tailed_cdf(log_x, log_y, a, b):
+    """The Beta(a, b) CDF at x from ln x where x < 1/2, and 1 - S(x) from ln y,
+    y = 1 - x, elsewhere: x rounds to 1 or 1 - x to 0 long before the tail
+    they fall in is empty.  Below e^-40, I_t(a, b) = t^a / (a B(a, b)) to
+    about 1e-17."""
+    from scipy import special
+
+    lower = log_x < log_y
+    t, first, second = (np.where(lower, u, w) for u, w in ((log_x, log_y), (a, b), (b, a)))
+    tail = special.betainc(first, second, np.exp(np.maximum(t, -40.0)))
+    lead = np.exp(first * t - np.log(first) - special.betaln(first, second))
+    tail = np.where(t < -40.0, lead, tail)
+    return np.where(lower, tail, 1.0 - tail)
+
+
+@pytest.mark.parametrize("a, b", _SMALL_PAIRS)
+def test_cheng_draws_follow_the_beta_law_at_small_shapes(a, b):
+    # gates fixed before the first run: over the 8 pairs, the two-tailed KS
+    # gate sqrt(N) D <= 2.35 and the three |z| <= 4.17 gates fail with
+    # probability about 1e-3 in all on correct draws.  ln x = ln p + v - L
+    # and ln(1 - x) = ln q - L come from the tries themselves, since x
+    # underflows to 0 or rounds to 1 in most draws at the smallest shapes.
+    # At (2, 1e-6), ln X is 0 but for about one draw in 10^6, and the mean of
+    # 10^5 draws, skewed by -6 (exact cumulants), failed the normal gate at
+    # its first run; where that skewness passes 1/4, the gate is Chebyshev's
+    # |z| <= 180, which holds at that error rate for any law
+    from scipy import special
+
+    table = model._cheng_table(np.array([a]), np.array([b]))
+    assert len(table) == (6 if min(a, b) < model._EXPM1_MIN_SHAPE else 5)
+    u1, u2 = model.replicate_stream(2025, 0).random((2, 400_000))
+    accepted, v, spread = model._cheng_try(u1, u2, table)
+    log_x = (table[4] + v - spread)[accepted]
+    log_y = (np.log(b / (a + b)) - spread)[accepted]
+    count = log_x.size
+    uniform = np.sort(_two_tailed_cdf(log_x, log_y, a, b))
+    steps = np.arange(count + 1) / count
+    assert np.sqrt(count) * max(np.max(steps[1:] - uniform), np.max(uniform - steps[:-1])) <= 2.35
+    for logs, first in ((log_x, a), (log_y, b)):
+        mean = special.digamma(first) - special.digamma(a + b)
+        var, third = (special.polygamma(k, first) - special.polygamma(k, a + b) for k in (1, 2))
+        gate = 4.17 if abs(third) / var**1.5 / np.sqrt(count) <= 0.25 else 180.0
+        assert abs(logs.mean() - mean) / np.sqrt(var / count) <= gate
+    # the draws of the whole route, pool and fresh rounds, on the scale of x
+    count = 100_000
+    draws = model._cheng_draws(model._cheng_table(np.full(count, a), np.full(count, b)),
+                               model.replicate_stream(2025, 1))
+    assert np.all((draws >= 0.0) & (draws <= 1.0))
+    var = a * b / ((a + b) ** 2 * (a + b + 1.0))
+    assert abs(draws.mean() - a / (a + b)) / np.sqrt(var / count) <= 4.17
+
+
 def test_cheng_step_caps_draws_at_one():
     # at Beta(2^24, 1) and u1 within 4096 ulps of 1, ln p + v - L rounds
     # above 0 for about half of the tries, all of them accepted
@@ -665,23 +718,24 @@ def test_cheng_step_caps_draws_at_one():
     assert accepted.all() and np.all(x == 1.0)
 
 
-# the ends of the range and the next float beyond each (n1 - 1 + 1 is
-# exact at 1/2 - 2^-53, where the next float below 1/2 would round to 1/2)
+# the top of Cheng's range and the next float above it; a shape below 1/2
+# is on Cheng's route too (n1 - 1 + 1 is exact at 1/2 - 2^-53)
 @pytest.mark.parametrize("first, second, cheng", [
-    (0.5, 2.0, True), (0.5 - 2.0**-53, 2.0, False),
+    (0.5, 2.0, True), (0.5 - 2.0**-53, 2.0, True),
     (2.0, 2.0**24, True), (2.0, np.nextafter(2.0**24, np.inf), False)])
 def test_route_is_chosen_by_the_shape_range(first, second, cheng):
     # at n = 1 and beta = 2 the one draw is Beta(n1, n2)
     params = bj.EnsembleParams(n=1, beta=2.0, n1=first, n2=second)
     assert [s.tolist() for s in model.beta_shapes(params)] == [[first], [second]]
-    table = model._cheng_constants(params)
-    assert (table is not None) == cheng
+    cheng_pairs, _, gamma_pairs, shapes, _ = model._routes(params)
+    assert (cheng_pairs.tolist(), gamma_pairs.tolist()) == (([0], []) if cheng else ([], [0]))
     factor = model.sample_factor(params, model.replicate_stream(3, 0))
     rng = model.replicate_stream(3, 0)
     if cheng:
         expected = model._cheng_draws(model._cheng_table(np.array([first]), np.array([second])), rng)
     else:
-        expected = model._factor_draws(model._shape_arrays(params), 1, rng)[0]
+        g = rng.standard_gamma(shapes)
+        expected = g[:1] / (g[:1] + g[1:])
     assert np.array_equal(factor.raw_c, expected)
 
 
@@ -713,7 +767,7 @@ def test_cheng_draws_follow_the_stream_layout(monkeypatch, pool):
     # then fresh pairs once a round does not fit.  3 to 10 of the 59 first
     # tries fail in these replicates; with 5 spare pairs, the 5 of replicate
     # 1 fill its pool exactly, and with 10, replicate 2 runs out
-    table = model._cheng_constants(bj.from_ratios(30, 1.0, 2.0, 3.0))
+    table = model._routes(bj.from_ratios(30, 1.0, 2.0, 3.0))[1]
     if pool is None:
         pool = model._pool_pairs(table.shape[1])
     monkeypatch.setattr(model, "_pool_pairs", lambda draws: pool)
@@ -722,26 +776,40 @@ def test_cheng_draws_follow_the_stream_layout(monkeypatch, pool):
         assert np.array_equal(model._cheng_draws(table, model.replicate_stream(8, m)), expected)
 
 
+# a set with gamma pairs and Cheng pairs of shapes down to 3.7e-9 in one
+# replicate: c_i for i >= 33 and c'_j for j >= 33 have a shape above 2^24
+_MIXED = bj.EnsembleParams(n=64, beta=2.0**20, n1=63 + 1e-14, n2=63 + 1e-14)
+
+
 # spare pairs per replicate: none, so that every replicate with a rejected
 # draw stops; one, three and five, so that replicates stop in their first
 # retry round or in a later one
 @pytest.mark.parametrize("pool", [0, 1, 3, 5])
 def test_map_replicates_rows_match_sample_factor_when_pools_run_out(monkeypatch, pool):
-    monkeypatch.setattr(model, "_pool_pairs", lambda draws: pool)
-    params = bj.from_ratios(20, 1.0, 2.0, 3.0)
-    table, replicates = model._cheng_constants(params), 45
-    draws = table.shape[1]
-    stopped = [model._cheng_rounds(table, model.replicate_stream(11, m).random((1, 2, draws + pool)))[1]
-               for m in range(replicates)]
-    assert any(s is not None for s in stopped)
+    replicates = 45
     statistic = lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)
-    expected = _hand_loop(params, 11, replicates, statistic)
-    for block in (1, 7, model._BLOCK_ELEMENTS // 20):
-        monkeypatch.setattr(model, "_BLOCK_ELEMENTS", block * 20)
+    for params in (bj.from_ratios(20, 1.0, 2.0, 3.0), _MIXED):
+        monkeypatch.setattr(model, "_pool_pairs", lambda draws: pool)
+        assert any(_pool_runs_out(params, 11, m, pool) for m in range(replicates))
+        expected = _hand_loop(params, 11, replicates, statistic)
+        for block in (1, 7, model._BLOCK_ELEMENTS // params.n):
+            monkeypatch.setattr(model, "_BLOCK_ELEMENTS", block * params.n)
+            assert np.array_equal(model.map_replicates(params, 11, replicates, statistic), expected)
+        forked = _shard_over(monkeypatch, 2, n=params.n)
         assert np.array_equal(model.map_replicates(params, 11, replicates, statistic), expected)
-    forked = _shard_over(monkeypatch, 2)
-    assert np.array_equal(model.map_replicates(params, 11, replicates, statistic), expected)
-    assert forked == [(27, 45)]
+        assert forked == [(27, 45)]
+        monkeypatch.undo()
+
+
+def test_mixed_set_draws_fast():
+    # the gamma ratio's redraw loop took 6-16 s of CPU per factor here, for
+    # its c_1 pair (3.7e-9, 3.7e-9)
+    cheng, _, gamma, _, _ = model._routes(_MIXED)
+    a, b = model.beta_shapes(_MIXED)
+    assert cheng.size and gamma.size and max(a[0], b[0]) < 4e-9
+    clock = time.process_time()
+    model.sample_factor(_MIXED, model.replicate_stream(0, 1))
+    assert time.process_time() - clock < 0.1
 
 
 def test_map_replicates_makes_one_random_call_per_replicate(monkeypatch):

@@ -172,8 +172,7 @@ def _path_sum_oracle(matrices, stream, seed):
         factor = model.sample_factor(
             EnsembleParams(n=n, beta=1.0 + 2.0 * rng.random(),
                            n1=n * (1.1 + 2 * rng.random()), n2=n * (1.1 + 2 * rng.random())),
-            model.replicate_stream(stream, idx),
-        )
+            stream, idx)
         dense = model.gram_to_dense(model.assemble_gram(factor))
         power = np.eye(n)
         for k in range(1, 7):
@@ -348,8 +347,10 @@ def _limit_measures(a, b):
     mass_nu = spectral.integrate_deviation(spectral.monomial(0), support)
     # independent x-space route for the edge-weight normalization 2 pi a
     edge = spectral.edge_weight_integral(support)
-    quadratic = 0.0  # the Stieltjes transform of mu solves its quadratic
-    for x in (support.lambda_plus + 0.25, support.lambda_plus + 1.0, -0.5):
+    # the Stieltjes transform of mu solves its quadratic, checked at points
+    # outside every support in [0, 1] and at least 1/4 from its poles 0 and 1
+    quadratic = 0.0
+    for x in (-0.5, 1.25, 2.0):
         m0, _ = spectral.stieltjes_pair(x, asym)
         val = (a * m0 * m0 + ((b - a) - (1 - 2 * a) * x) / (x * (1 - x)) * m0
                + (1 - a) / (x * (1 - x)))

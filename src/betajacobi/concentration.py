@@ -121,8 +121,13 @@ def _beta_quantile(a: float, b: float, z: float) -> float:
     Each half solves in its own small tail: the lower half I_x(a, b) =
     Phi(z), the upper half I_(1-x)(b, a) = Phi(-z), so the upper tail keeps
     its digits; the solver carries both t and 1 - t, so x keeps its own.
+    Where its arithmetic breaks down (p / q near 1e15 and beyond: a zero
+    derivative, a logarithm of 0, an overflow), a QuadratureError.
     """
-    return _tail_quantile(a, b, z)[0] if z <= 0.0 else _tail_quantile(b, a, -z)[1]
+    try:
+        return _tail_quantile(a, b, z)[0] if z <= 0.0 else _tail_quantile(b, a, -z)[1]
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise QuadratureError(f"Beta({a}, {b}) quantile at Phi({z}) failed: {exc}") from exc
 
 
 # Steps of the quantile solver before it gives up
@@ -333,7 +338,10 @@ def _beta_fraction(a: float, b: float, x: float, y: float, lam: float) -> float:
 
 
 def _check_coupling(n: float, p: float, q: float) -> None:
-    """ParameterError unless p, q > 0 and n > max(1/p, 1/q); run before any division by n."""
+    """ParameterError unless n, p and q are finite, p, q > 0 and n > max(1/p, 1/q);
+    run before any division by n."""
+    if not all(math.isfinite(v) for v in (n, p, q)):
+        raise ParameterError(f"n, p and q must be finite, got n={n}, p={p}, q={q}")
     if p <= 0 or q <= 0:
         raise ParameterError("p and q must be positive")
     if n <= max(1.0 / p, 1.0 / q):

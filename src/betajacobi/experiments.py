@@ -203,12 +203,13 @@ def run_fluctuations(
 
 
 def sample_summary(params: EnsembleParams, seed: int, dump_path=None) -> dict:
-    """One factor from replicate_stream(seed, 0) and a summary of its spectrum.
+    """Replicate 0 of a run with this seed (model.sample_factor(params, seed, 0))
+    and a summary of its spectrum.
 
     With dump_path, the raw draws and entries of the factor go to that CSV.
     The eigenvalues themselves are listed up to n = 64.
     """
-    factor = model.sample_factor(params, model.replicate_stream(seed, 0))
+    factor = model.sample_factor(params, seed, 0)
     if dump_path:
         model.dump_factor_csv(factor, dump_path)
     spec = eig.eigenvalues(model.assemble_gram(factor))

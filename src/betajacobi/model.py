@@ -10,7 +10,7 @@ m >= 2 is -s_{n-m+1} * c'_{n-m+1}, where
 all 2n-1 draws independent, s = sqrt(1 - c^2) and s' = sqrt(1 - c'^2).
 The eigenvalues of A = BB^T then follow the beta-Jacobi law.
 
-Sampling is pure given an explicit generator stream; factors are immutable.
+Sampling is pure given (seed, replicate); factors are immutable.
 Factors and Gram matrices may carry leading batch axes: diag (..., n) and
 sub/off (..., n - 1) hold one matrix per leading index.
 
@@ -21,20 +21,21 @@ one pair of uniforms and is accepted with probability 1/4 to 1, so the
 tries of many draws run as one array operation.
 
 Every Monte Carlo check runs through map_replicates.  It draws replicate m
-from the counter-based stream keyed by (seed, m) with the calls
-sample_factor starts with: one standard_gamma call for the gamma pairs,
-when the set has any, then one random call for the uniform pool of the
-Cheng pairs, when it has any.  The Beta draws and Gram matrices of a whole
-(b, n) block are then formed at once, the Gram matrices straight from the
-draws (assemble_gram needs the factor's entries only squared); the
-statistic maps the block to (b, k) rows.  A replicate whose pool runs out
-is redone by sample_factor's draw routine on its re-keyed stream.  The
-block size b = 2^14 // n (at least 1) keeps every (b, n) array near 2^14
+from the counter-based Philox stream keyed by (seed, m): one standard_gamma
+call for the gamma pairs, when the set has any, then one random call for
+the uniform array of the Cheng pairs, when it has any.  The Beta draws and
+Gram matrices of a whole (b, n) block are then formed at once, the Gram
+matrices straight from the draws (assemble_gram needs the factor's entries
+only squared); the statistic maps the block to (b, k) rows.  A replicate
+whose Cheng retries run out of its array draws a new one from pool j of its
+stream at its j-th refill, inside the block; pool j starts 2^64 j Philox
+blocks into the stream, so it never overlaps the first calls.  The block
+size b = 2^14 // n (at least 1) keeps every (b, n) array near 2^14
 doubles.  Each row depends on (seed, m) alone and every batched operation
 acts row by row exactly as on one matrix (numpy's elementwise log, log1p,
 expm1, logaddexp and exp give an element the same result at any position
 in an array of any length, which the tests check against one try at a
-time), so row m equals sample_factor(params, replicate_stream(seed, m)) bit
+time), so row m equals sample_factor(params, seed, m), a block of one, bit
 for bit, whatever the block size.  Replicate 0 runs first, alone and timed
 in this process, then, unless it alone costs enough to project from, the
 block of replicates 1..b.  Once that projects the rest at _SHARD_MIN_S of
@@ -71,7 +72,6 @@ __all__ = [
     "SymTridiagonal",
     "checked_seed",
     "beta_shapes",
-    "replicate_stream",
     "map_replicates",
     "sample_factor",
     "deterministic_factor",
@@ -199,34 +199,27 @@ def checked_seed(seed: int) -> int:
     return checked_int("seed (64 bits)", seed, 0, _MASK64)
 
 
-def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, replicate index).
+def _rekeyed_streams(seed: int) -> Callable[..., np.random.Generator]:
+    """(m, pool=0) -> the Philox generator keyed by (seed, m), its counter at pool 2^64.
 
-    Streams for distinct replicates are independent by construction, so a
-    run is bit-reproducible no matter how replicates are scheduled.
+    Pool 0 is the stream np.random.Philox(key=[seed, m]) starts with; pool
+    j >= 1 starts 2^64 j blocks later, so no pool overlaps another.  One
+    Philox generator is re-keyed through its state setter (key (seed, m),
+    counter word 1 set to pool, the other words and the buffer zeroed), so
+    no replicate pays for the entropy-seeded SeedSequence that the
+    constructor builds; the returned generator is the same object every
+    time, valid until the next call.
     """
-    key = np.array([checked_seed(seed), checked_int("replicate", replicate, 0, _MASK64)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _rekeyed_streams(seed: int) -> Callable[[int], np.random.Generator]:
-    """m -> a generator equal, draw for draw, to replicate_stream(seed, m).
-
-    One Philox generator is re-keyed through its state setter (key
-    (seed, m), counter and buffer zeroed), so no replicate pays for the
-    entropy-seeded SeedSequence that the constructor builds; the returned
-    generator is the same object every time, valid until the next call.
-    """
-    rng = replicate_stream(seed, 0)
+    key = np.array([checked_seed(seed), 0], dtype=np.uint64)
+    counter = np.zeros(4, dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     bitgen = rng.bit_generator
-    key = np.array([seed, 0], dtype=np.uint64)
-    zeros = np.zeros(4, dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0}
 
-    def stream(replicate: int) -> np.random.Generator:
-        key[1] = replicate
+    def stream(replicate: int, pool: int = 0) -> np.random.Generator:
+        key[1], counter[1] = replicate, pool
         bitgen.state = state
         return rng
 
@@ -368,38 +361,33 @@ def _cheng_step(u1: np.ndarray, u2: np.ndarray, table: np.ndarray):
     return accepted, x
 
 
-def _cheng_rounds(table: np.ndarray, uniforms: np.ndarray):
-    """(x, stopped): Cheng's BA draws of a stack of replicates from their uniform pools.
+def _cheng_rounds(table: np.ndarray, uniforms: np.ndarray,
+                  refill: Callable[[int], None]) -> np.ndarray:
+    """The (b, M) Cheng's BA draws of a stack of replicates from their uniform arrays.
 
     uniforms is (b, 2, M + P): row 0 of replicate r holds its u1 values and
     row 1 its u2 values.  Draw j first tries pair j; the draws a replicate
     rejects then take its pairs M, M + 1, ... in column order, round after
-    round.  A replicate whose next round does not fit in its pool stops:
-    its draws still rejected are marked in the (b, M) mask stopped, and
-    their entries of the (b, M) array x hold no draw.  stopped is None when
-    no replicate stops.
+    round.  When a replicate's next round does not fit in what is left of
+    its array, refill(r) replaces uniforms[r] in place and the round takes
+    pairs from column 0; a round holds at most M draws, so it always fits.
     """
     b, _, width = uniforms.shape
     draws = table.shape[1]
     accepted, x = _cheng_step(uniforms[:, 0, :draws], uniforms[:, 1, :draws], table)
-    stopped = None
-    # flat indexes: draw j of replicate r at r M + j, its pair k at r 2(M + P) + k
+    # flat indexes: draw j of replicate r at r M + j, its pair k at r 2(M + P) + k;
+    # flat_u is a view, so it sees every refill
     flat_u, flat_x = uniforms.reshape(-1), x.reshape(-1)
     pending = np.flatnonzero(~accepted)
     rows = pending // draws
     cols = pending - rows * draws
-    next_pair = np.arange(0, b * 2 * width, 2 * width) + draws
-    end = next_pair + (width - draws)
+    first = np.arange(0, b * 2 * width, 2 * width)
+    next_pair, end = first + draws, first + width
     while pending.size:
         counts = np.bincount(rows, minlength=b)
-        full = next_pair + counts > end
-        if full.any():
-            if stopped is None:
-                stopped = np.zeros(x.shape, dtype=bool)
-            stop = full[rows]
-            stopped.reshape(-1)[pending[stop]] = True
-            pending, rows, cols = pending[~stop], rows[~stop], cols[~stop]
-            counts[full] = 0
+        for r in np.flatnonzero(next_pair + counts > end):
+            refill(r)
+            next_pair[r] = first[r]
         # rows is sorted, so the draws of a replicate take consecutive pairs
         at = (next_pair - np.cumsum(counts) + counts)[rows] + np.arange(rows.size)
         next_pair += counts
@@ -408,24 +396,6 @@ def _cheng_rounds(table: np.ndarray, uniforms: np.ndarray):
         flat_x[pending[accepted]] = tries[accepted]
         keep = ~accepted
         pending, rows, cols = pending[keep], rows[keep], cols[keep]
-    return x, stopped
-
-
-def _cheng_draws(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The M Beta draws of one replicate by Cheng's BA, table as in _cheng_table.
-
-    One rng.random((2, M + P)) call gives the pool of _cheng_rounds; if that
-    pool runs out, each further round takes fresh rng.random((2, k)) pairs
-    for its k draws still rejected.
-    """
-    draws = table.shape[1]
-    x, stopped = _cheng_rounds(table, rng.random((1, 2, draws + _pool_pairs(draws))))
-    x, cols = x[0], np.empty(0, np.intp) if stopped is None else np.flatnonzero(stopped[0])
-    while cols.size:
-        u1, u2 = rng.random((2, cols.size))
-        accepted, tries = _cheng_step(u1, u2, table[:, cols])
-        x[cols[accepted]] = tries[accepted]
-        cols = cols[~accepted]
     return x
 
 
@@ -436,14 +406,6 @@ def _joined(cheng, gamma, cheng_x, gamma_x) -> np.ndarray:
     x = np.empty(cheng_x.shape[:-1] + (cheng.size + gamma.size,))
     x[..., cheng], x[..., gamma] = cheng_x, gamma_x
     return x
-
-
-def _draws(params: EnsembleParams, rng: np.random.Generator) -> np.ndarray:
-    """The 2n - 1 Beta draws of one replicate in beta_shapes order: the gamma
-    pairs' ratios from one standard_gamma call, then Cheng's BA for the rest."""
-    cheng, table, gamma, shapes, k = _routes(params)
-    gamma_x = _ratios(rng.standard_gamma(shapes), k) if gamma.size else None
-    return _joined(cheng, gamma, _cheng_draws(table, rng) if cheng.size else None, gamma_x)
 
 
 def _build_factor(raw_c: np.ndarray, raw_cp: np.ndarray) -> TridiagonalFactor:
@@ -458,16 +420,21 @@ def _build_factor(raw_c: np.ndarray, raw_cp: np.ndarray) -> TridiagonalFactor:
     return TridiagonalFactor(diag=diag, sub=sub, raw_c=raw_c, raw_cp=raw_cp)
 
 
-def sample_factor(params: EnsembleParams, rng: np.random.Generator) -> TridiagonalFactor:
-    """Draw the 2n-1 independent Beta variables and lay out the factor.
+def sample_factor(params: EnsembleParams, seed: int, replicate: int) -> TridiagonalFactor:
+    """The factor of replicate `replicate` of a map_replicates run with this seed.
 
-    A Beta pair with a shape above 2^24 is a gamma ratio, the gammas of all
-    such pairs from one standard_gamma call.  The M other pairs then come
-    from Cheng's algorithm BA (R. C. H. Cheng, Comm. ACM 21, 1978): one
-    rng.random((2, M + P)) call gives their first tries and a pool of P
-    spare pairs for the retries, and fresh pairs follow if it runs out.
+    Drawn as a block of one by the draw routine of map_replicates, so it
+    equals that run's replicate bit for bit.  A Beta pair with a shape above
+    2^24 is a gamma ratio, the gammas of all such pairs from one
+    standard_gamma call.  The M other pairs then come from Cheng's
+    algorithm BA (R. C. H. Cheng, Comm. ACM 21, 1978): one random call gives
+    a (2, M + P) array of their first tries and P spare pairs for the
+    retries, refilled from the replicate's next Philox pool if it runs out.
     """
-    return _build_factor(*np.split(_draws(params, rng), [params.n]))
+    stream = _rekeyed_streams(seed)
+    replicate = checked_int("replicate", replicate, 0, _MASK64)
+    raw_c, raw_cp = _draw_block(params, stream, replicate, 1)
+    return _build_factor(raw_c[0], raw_cp[0])
 
 
 def deterministic_factor(params: EnsembleParams) -> TridiagonalFactor:
@@ -523,13 +490,13 @@ def assemble_gram(factor: TridiagonalFactor | tuple) -> SymTridiagonal:
 
 
 def _draw_block(params: EnsembleParams, stream, start: int, b: int):
-    """(c^2, c'^2) of replicates start..start + b - 1, row r as _draws gives it from stream(start + r).
+    """(c^2, c'^2) of replicates start..start + b - 1, row r from the pools of stream(start + r).
 
-    Each replicate makes the first calls of _draws on its stream into (b,
-    ...) buffers: its standard_gamma call if the set has gamma pairs, then
-    its random pool if it has Cheng pairs.  The draws of the whole block are
-    then formed at once.  A replicate whose pool runs out is redone by
-    _draws on its re-keyed stream.
+    Each replicate makes its first calls on pool 0 into (b, ...) buffers:
+    its standard_gamma call if the set has gamma pairs, then one random call
+    for its (2, M + P) uniform array if it has M Cheng pairs.  Cheng's
+    rounds then run over the whole block; a replicate that runs out of its
+    array draws a whole new one from pool j of its stream at its j-th refill.
     """
     cheng, table, gamma, shapes, k = _routes(params)
     g = np.empty((b, shapes.size)) if gamma.size else None
@@ -540,10 +507,14 @@ def _draw_block(params: EnsembleParams, stream, start: int, b: int):
             g[r] = rng.standard_gamma(shapes)
         if uniforms is not None:
             rng.random(out=uniforms[r])
-    x, stopped = (None, None) if uniforms is None else _cheng_rounds(table, uniforms)
+    refills = [0] * b
+
+    def refill(r: int) -> None:
+        refills[r] += 1
+        stream(start + r, refills[r]).random(out=uniforms[r])
+
+    x = None if uniforms is None else _cheng_rounds(table, uniforms, refill)
     x = _joined(cheng, gamma, x, None if g is None else _ratios(g, k))
-    for r in () if stopped is None else np.flatnonzero(stopped.any(axis=1)):
-        x[r] = _draws(params, stream(start + r))
     return x[:, : params.n], x[:, params.n :]
 
 
@@ -623,20 +594,19 @@ def map_replicates(
 ) -> np.ndarray:
     """Row m is the statistic of the Gram matrix A_m of replicate m.
 
-    Replicate m samples its factor from replicate_stream(seed, m).  The
-    replicates run in blocks of b = max(1, 2^14 // n).  Each replicate
-    makes the first calls of sample_factor's draw routine into block
-    buffers: if the set has G Beta pairs with a shape above 2^24, row r of
-    a (b, 2G) buffer takes their gammas from one standard_gamma call; then,
-    if it has M other pairs, row r of a (b, 2, M + P) buffer takes their
-    uniform pool from one random call, and Cheng's accept/reject rounds run
-    over the whole block.  The Gram matrices of the block are then formed
-    from its draws in one pass, and statistic maps the stacked Gram
+    Replicate m samples its factor from the Philox stream keyed by (seed,
+    m).  The replicates run in blocks of b = max(1, 2^14 // n), each drawn
+    by _draw_block: if the set has G Beta pairs with a shape above 2^24, row
+    r of a (b, 2G) buffer takes their gammas from one standard_gamma call;
+    then, if it has M other pairs, row r of a (b, 2, M + P) buffer takes
+    their uniforms from one random call, and Cheng's accept/reject rounds
+    run over the whole block, a replicate that runs out refilling its row
+    from its stream's next pool.  The Gram matrices of the block are then
+    formed from its draws in one pass, and statistic maps the stacked Gram
     matrices (diag (b, n), off (b, n - 1)) to b values or a (b, k) array.
-    A replicate whose pool runs out is redone by that draw routine on its
-    re-keyed stream, so row m is bit-identical to sample_factor(params,
-    replicate_stream(seed, m)) in every case, and the (replicates, k)
-    result is bit-identical whatever the block size.
+    Row m is bit-identical to the statistic of sample_factor(params, seed,
+    m), a block of one, so the (replicates, k) result is bit-identical
+    whatever the block size.
 
     Replicate 0 runs here first, alone, timed in CPU seconds; it also checks
     the statistic's row shape.  When it takes at least _PROBE_MIN_S, the

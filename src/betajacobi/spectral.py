@@ -387,18 +387,19 @@ def stieltjes_pair(x: float, asym: AsymptoticParams) -> tuple[float, float]:
     """Leading and 1/n Stieltjes-transform terms of the mean spectral measure.
 
     The square-root branch is fixed so the leading term behaves like 1/x at
-    +infinity (sign(x - center) outside the support).
+    +infinity (sign(x - center) outside the support).  The leading term is
+    ((a - b) + (1 - 2a) x - root) / (2a x (1 - x)), a 0/0 at x = 0 and x = 1;
+    it is taken in the conjugate form 2 (1 - a) / ((a - b) + (1 - 2a) x +
+    root), whose two terms share a sign, so neither term has a pole there.
     """
     asym.require_bulk()
     sup = SupportInterval.from_shape(asym.a, asym.b)
     lam_m, lam_p = sup.lambda_minus, sup.lambda_plus
     if lam_m <= x <= lam_p:
         raise ParameterError(f"x={x} lies inside the support [{lam_m}, {lam_p}]")
-    if x in (0.0, 1.0):
-        raise ParameterError("poles at x = 0 and x = 1")
     a, b = asym.a, asym.b
     root = math.copysign(math.sqrt((x - lam_m) * (x - lam_p)), x - sup.center)
-    m0 = ((a - b) + (1.0 - 2.0 * a) * x - root) / (2.0 * a * x * (1.0 - x))
+    m0 = 2.0 * (1.0 - a) / ((a - b) + (1.0 - 2.0 * a) * x + root)
     m1 = (-x + sup.center + root) / (2.0 * (x - lam_p) * (x - lam_m))
     return m0, m1
 

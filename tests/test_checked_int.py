@@ -43,9 +43,8 @@ _TABLE = {
     (P, "from_ratios", "n"): (lambda v: P.from_ratios(v, 2.0, 2.0, 2.0), 0, 8),
     (P, "from_shape", "n"): (lambda v: P.from_shape(v, 2.0, 0.25, 0.5), 0, 8),
     (model, "checked_seed", "seed"): (model.checked_seed, 2**64, 5),
-    (model, "replicate_stream", "seed"): (lambda v: model.replicate_stream(v, 3).random(4), -1, 5),
-    (model, "replicate_stream", "replicate"): (
-        lambda v: model.replicate_stream(1, v).random(4), -1, 3),
+    (model, "sample_factor", "seed"): (lambda v: model.sample_factor(_P8, v, 3), -1, 5),
+    (model, "sample_factor", "replicate"): (lambda v: model.sample_factor(_P8, 1, v), -1, 3),
     (model, "map_replicates", "seed"): (
         lambda v: model.map_replicates(_P8, v, 3, _row_sums), -1, 2),
     (model, "map_replicates", "replicates"): (

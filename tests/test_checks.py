@@ -94,7 +94,7 @@ def test_eigensolver_check_makes_one_oracle_call(monkeypatch):
 
 
 def test_path_sum_oracle_checks_stream_under_its_own_name():
-    # stream was handed to model.replicate_stream as its seed, so the message named "seed"
+    # stream was once handed to the stream constructor as its seed, so the message named "seed"
     for stream in (2.5, True, -1, 2**64):
         with pytest.raises(ParameterError, match=r"^stream must be an integer in \[0, "):
             checks._path_sum_oracle(5, stream, 0)

@@ -292,6 +292,16 @@ def test_coupling_report_records_confirming_rule(capsys):
         assert 0.0 <= results["doubling_rel_gap"][size] <= 1e-8
 
 
+@pytest.mark.parametrize("p, code, kind", [("inf", 1, "validation"), ("nan", 1, "validation"),
+                                           ("1e300", 2, "numerical")])
+def test_coupling_at_unusable_p_is_a_typed_error(capsys, p, code, kind):
+    # inf and nan once ended as "continued fraction at nan not converged" (exit
+    # 2), and 1e300 as a traceback with no JSON
+    got, out = _run(capsys, "concentration", "--check", "coupling", "--p", p, "--sizes", "100,1000")
+    assert got == code
+    assert json.loads(out)["error"]["type"] == kind
+
+
 def test_concentration_beta_subcommand(capsys):
     code, out = _run(capsys, "concentration", "--check", "beta")
     assert code == 0
@@ -303,6 +313,14 @@ def test_spectrum_subcommand(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["results"]["density_mass"] - 1.0) <= 1e-10
+
+
+def test_spectrum_at_equal_quarter_shapes(capsys):
+    # lambda_+ = 3/4: the Stieltjes transform is taken at -1/2, 5/4 and 2,
+    # where the pole at 1 costs it no digits
+    code, out = _run(capsys, "spectrum", "--a", "0.25", "--b", "0.25")
+    assert code == 0
+    assert json.loads(out)["results"]["stieltjes_quadratic_residual"] <= 1e-15
 
 
 @pytest.mark.parametrize("b", ["0.9", "0.1"])

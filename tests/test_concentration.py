@@ -197,6 +197,26 @@ def test_coupling_gaps_reject_nonpositive_shapes(n, p, q):
             gap(n, p, q)
 
 
+@pytest.mark.parametrize("n,p,q", [(100, math.inf, 1.0), (100, 1.0, math.nan),
+                                   (math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0)])
+def test_coupling_gaps_reject_nonfinite_inputs(n, p, q):
+    # an infinite or NaN p reached the continued fraction as a NaN
+    for gap in (conc.coupling_gap, conc.independent_coupling_gap):
+        with pytest.raises(ParameterError, match="finite"):
+            gap(n, p, q)
+
+
+# at p / q from 1e15 the quantile solver divided by a zero derivative, took
+# a logarithm of 0 or overflowed, and these escaped as bare ZeroDivisionError,
+# ValueError and OverflowError
+@pytest.mark.parametrize("n", [100, 10**6])
+@pytest.mark.parametrize("ratio", [1e15, 1e16, 1e300])
+def test_coupling_solver_failures_are_quadrature_errors(n, ratio):
+    for p, q in ((ratio, 1.0), (1.0, ratio)):
+        with pytest.raises(QuadratureError, match=r"^Beta\(.*\) quantile at Phi\(.*\) failed"):
+            conc.coupling_gap(n, p, q)
+
+
 def _mp_betainc(mpmath, a, b, x):
     """I_x(a, b) at the working precision: the power term by loggamma and the
     Lentz form of the continued fraction, not the BFRAC form of the route."""

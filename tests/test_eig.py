@@ -50,7 +50,7 @@ def test_trace_and_frobenius_identities():
 def test_gram_spectra_in_unit_interval():
     params = bj.from_ratios(64, 2.0, 2.0, 2.0)
     for m in range(20):
-        gram = model.assemble_gram(model.sample_factor(params, model.replicate_stream(4, m)))
+        gram = model.assemble_gram(model.sample_factor(params, 4, m))
         vals = eig.eigenvalues(gram).values
         assert vals[0] >= -1e-10 and vals[-1] <= 1 + 1e-10
 

@@ -61,7 +61,7 @@ def test_map_replicates_matches_hand_loop(support):
     expected = np.empty((64, 5))
     traces = np.empty(64)
     for m in range(64):
-        gram = model.assemble_gram(model.sample_factor(params, model.replicate_stream(99, m)))
+        gram = model.assemble_gram(model.sample_factor(params, 99, m))
         expected[m] = statistic(gram)
         traces[m] = gram.diag.sum()
     assert np.array_equal(model.map_replicates(params, 99, 64, statistic), expected)
@@ -177,6 +177,21 @@ def test_all_gamma_values_pinned():
                                       1.309473827860213e-09]
     assert hashlib.sha256(res.samples.tobytes()).hexdigest() == (
         "4d9c5eafd7d78aaddc7555ee64ae918624dba2f43562a6851d2a3348c328aa14")
+
+
+def test_small_shape_refill_values_pinned():
+    # at beta = 1e-3 every replicate's Cheng array runs out and refills from
+    # the next pools of its stream; the values were taken when refills moved
+    # into the block (before, each such row was redrawn alone, with fresh
+    # pairs from pool 0 after its array)
+    params = bj.from_ratios(64, 1e-3, 2.0, 2.0)
+    support = bj.support_edges(bj.derive_asymptotic(params))
+    funcs = [spectral.chebyshev_test_function(m, support) for m in (1, 2)] + [spectral.monomial(1)]
+    res = ex.run_fluctuations(params, funcs, 300, 17)
+    assert res.means.tolist() == [0.8857579273442722, 183.79290188220023, 32.1917722166709]
+    assert res.variances.tolist() == [256.2710729393654, 89.4058882483984, 12.012706544032746]
+    assert hashlib.sha256(res.samples.tobytes()).hexdigest() == (
+        "479cf112d388ae9108913dc80bacfd7f274e5d289f73bd00494da3ffa03a90b1")
 
 
 def test_shape_moments_match_the_power_formula():

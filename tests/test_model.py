@@ -15,6 +15,29 @@ from betajacobi import eig, model, spectral
 from betajacobi.errors import EigenSolverError, ParameterError
 
 
+def _philox(seed, m, pool=0):
+    """Pool `pool` of the stream of replicate m, built from numpy's Philox directly."""
+    key = np.array([seed, m], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, pool, 0, 0]))
+
+
+def _cheng_draws(table, seed, m, first=None, pool=None):
+    """(x, refills): Cheng's BA draws of replicate m by _cheng_rounds, as
+    _draw_block draws them, and how often it refilled.  Its uniform array
+    comes from first (pool 0 of its stream if None), with pool spare pairs
+    (_pool_pairs' if None), each refill from the next pool, 1, 2, ...."""
+    draws = table.shape[1]
+    first = _philox(seed, m) if first is None else first
+    pool = model._pool_pairs(draws) if pool is None else pool
+    uniforms, pools = first.random((1, 2, draws + pool)), []
+
+    def refill(r):
+        pools.append(len(pools) + 1)
+        _philox(seed, m, pools[-1]).random(out=uniforms[r])
+
+    return model._cheng_rounds(table, uniforms, refill)[0], len(pools)
+
+
 def _se(x):
     return x.std(ddof=1) / np.sqrt(x.shape[0])
 
@@ -26,14 +49,14 @@ def _beta_sample(p, q, m, rng):
 
 
 def test_beta_sample_uniform_mean():
-    rng = model.replicate_stream(1, 0)
+    rng = _philox(1, 0)
     draws = _beta_sample(1.0, 1.0, 10**6, rng)
     assert abs(draws.mean() - 0.5) < 0.002
 
 
 def test_beta_sample_moments_vs_exact():
     # exact Beta moments: mean p/(p+q), variance pq/((p+q)^2 (p+q+1))
-    rng = model.replicate_stream(2, 0)
+    rng = _philox(2, 0)
     m = 200_000
     draws = _beta_sample(3.0, 3.0, m, rng)
     assert abs(draws.mean() - 0.5) < 3 * _se(draws)
@@ -55,7 +78,7 @@ def test_shape_positivity_guard():
     # a valid parameter set whose first shape n1 - n + 1 rounds to 0
     params = bj.EnsembleParams(n=1, beta=2.0, n1=1e-30, n2=6.0)
     with pytest.raises(ParameterError, match="nonpositive Beta shape"):
-        model.sample_factor(params, model.replicate_stream(0, 0))
+        model.sample_factor(params, 0, 0)
 
 
 @pytest.mark.parametrize("beta, match", [(1e308, "overflows"), (1e-307, "logit")])
@@ -74,7 +97,7 @@ def test_tiny_shapes_draw(n, beta):
     params = bj.from_ratios(n, beta, 2.0, 2.0)
     assert min(s.min() for s in model.beta_shapes(params)) == beta / 2
     clock = time.process_time()
-    factor = model.sample_factor(params, model.replicate_stream(3, 0))
+    factor = model.sample_factor(params, 3, 0)
     assert time.process_time() - clock < 0.1
     for raw in (factor.raw_c, factor.raw_cp):
         assert np.all((raw >= 0.0) & (raw <= 1.0))
@@ -90,7 +113,7 @@ def test_raw_means_match_expectation_formula():
     n, reps = 8, 100_000
     params = bj.from_ratios(n, 2.0, 2.0, 3.0)
     a, b = 0.2, 0.4
-    rng = model.replicate_stream(3, 0)
+    rng = _philox(3, 0)
     flat = model._shape_arrays(params)
     draws = model._ratios(rng.standard_gamma(np.tile(flat, (reps, 1))), n)[:, :n]
     i = np.arange(1, n + 1)
@@ -103,7 +126,7 @@ def test_raw_means_match_expectation_formula():
 
 def test_single_row_factor():
     params = bj.from_ratios(1, 2.0, 2.0, 2.0)
-    factor = model.sample_factor(params, model.replicate_stream(0, 0))
+    factor = model.sample_factor(params, 0, 0)
     gram = model.assemble_gram(factor)
     assert gram.diag.shape == (1,) and gram.off.shape == (0,)
     # the factor's entry is sqrt x, and the Gram entry the draw x itself,
@@ -142,7 +165,7 @@ def test_gram_from_draws_against_exact_arithmetic(n, beta, cheng):
     cheng_pairs, _, gamma_pairs, _, _ = model._routes(params)
     assert (cheng_pairs.size, gamma_pairs.size) == ((2 * n - 1, 0) if cheng else (0, 2 * n - 1))
     for m in range(4):
-        factor = model.sample_factor(params, model.replicate_stream(13, m))
+        factor = model.sample_factor(params, 13, m)
         c = [Fraction(v) for v in factor.raw_c[::-1]]  # c^2 of row k at c[k]
         cp = [Fraction(v) for v in factor.raw_cp[::-1]] + [Fraction(0)]
         sq_d = [c[k] * (1 - cp[k]) for k in range(n)]
@@ -160,18 +183,16 @@ def test_gram_from_draws_against_exact_arithmetic(n, beta, cheng):
 
 
 def test_assemble_matches_dense_product():
-    rng = model.replicate_stream(5, 0)
     for n in range(2, 9):
         params = bj.EnsembleParams(n=n, beta=1.5, n1=2.2 * n, n2=3.1 * n)
-        factor = model.sample_factor(params, rng)
+        factor = model.sample_factor(params, 5, n)
         B = model.factor_to_dense(factor)
         A = model.gram_to_dense(model.assemble_gram(factor))
         assert np.max(np.abs(A - B @ B.T)) <= 1e-15
 
 
 def test_offdiagonal_sign_flip_preserves_spectrum():
-    rng = model.replicate_stream(6, 0)
-    factor = model.sample_factor(bj.from_ratios(12, 2.0, 2.0, 3.0), rng)
+    factor = model.sample_factor(bj.from_ratios(12, 2.0, 2.0, 3.0), 6, 0)
     gram = model.assemble_gram(factor)
     flipped = model.SymTridiagonal(diag=gram.diag.copy(), off=-gram.off)
     v1 = eig.eigenvalues(gram).values
@@ -196,7 +217,7 @@ def test_sampled_factors_bounded_and_psd():
     reps, n = 1000, 64
     params = bj.from_ratios(n, 2.0, 2.0, 2.0)
     for m in range(reps):
-        factor = model.sample_factor(params, model.replicate_stream(7, m))
+        factor = model.sample_factor(params, 7, m)
         assert np.all(factor.raw_c >= 0.0) and np.all(factor.raw_c <= 1.0)
         assert np.all(factor.raw_cp >= 0.0) and np.all(factor.raw_cp <= 1.0)
         vals = eig.eigenvalues(model.assemble_gram(factor)).values
@@ -207,8 +228,7 @@ def test_gram_entries_reconstructible_from_raw_draws():
     # diagonal entries are polynomials in the raw draws; squared
     # off-diagonals are too (only even powers of the square roots appear
     # in any trace path product)
-    rng = model.replicate_stream(8, 0)
-    factor = model.sample_factor(bj.from_ratios(10, 2.0, 2.5, 3.5), rng)
+    factor = model.sample_factor(bj.from_ratios(10, 2.0, 2.5, 3.5), 8, 0)
     gram = model.assemble_gram(factor)
     n = factor.n
     rc = factor.raw_c[::-1]  # rc[m-1] = c_{n-m+1}^2
@@ -224,7 +244,7 @@ def test_gram_entries_reconstructible_from_raw_draws():
 @pytest.mark.parametrize("n", [1, 2, 3, 17])
 def test_chebyshev_traces_match_dense(n):
     gram = model.assemble_gram(
-        model.sample_factor(bj.from_ratios(n, 2.0, 2.0, 2.0), model.replicate_stream(9, n))
+        model.sample_factor(bj.from_ratios(n, 2.0, 2.0, 2.0), 9, n)
     )
     A = model.gram_to_dense(gram)
     for K in sorted({0, 1, 2, 3, 4, max(n - 1, 0), n + 2, 2 * n + 5}):
@@ -242,7 +262,7 @@ def test_chebyshev_traces_match_spectrum():
     # Gamma_m = 2 T_m on the support, m <= 30, against the sterf spectrum
     params = bj.from_ratios(2000, 2.0, 2.0, 2.0)
     support = bj.support_edges(bj.derive_asymptotic(params))
-    gram = model.assemble_gram(model.sample_factor(params, model.replicate_stream(9, 0)))
+    gram = model.assemble_gram(model.sample_factor(params, 9, 0))
     traces = 2.0 * model.chebyshev_traces(gram, support.center, support.half_width, 30)
     lam = eig.eigenvalues(gram).values
     theta = np.arccos(np.clip((lam - support.center) / support.half_width, -1.0, 1.0))
@@ -271,7 +291,7 @@ def test_chebyshev_traces_bits_are_pinned():
 
 def test_chebyshev_traces_validation():
     gram = model.assemble_gram(
-        model.sample_factor(bj.from_ratios(4, 2.0, 2.0, 2.0), model.replicate_stream(0, 0))
+        model.sample_factor(bj.from_ratios(4, 2.0, 2.0, 2.0), 0, 0)
     )
     with pytest.raises(ParameterError):
         model.chebyshev_traces(gram, 0.5, 0.5, -1)
@@ -290,20 +310,20 @@ def test_shape_arrays_cached_and_read_only():
 
 def test_replicate_streams_reproducible_and_disjoint():
     params = bj.from_ratios(32, 2.0, 2.0, 2.0)
-    f1 = model.sample_factor(params, model.replicate_stream(42, 3))
-    f2 = model.sample_factor(params, model.replicate_stream(42, 3))
-    f3 = model.sample_factor(params, model.replicate_stream(42, 4))
+    f1 = model.sample_factor(params, 42, 3)
+    f2 = model.sample_factor(params, 42, 3)
+    f3 = model.sample_factor(params, 42, 4)
     assert np.array_equal(f1.raw_c, f2.raw_c)
     assert np.array_equal(f1.raw_cp, f2.raw_cp)
     assert not np.array_equal(f1.raw_c, f3.raw_c)
     with pytest.raises(ParameterError):
-        model.replicate_stream(-1, 0)
+        model.sample_factor(params, -1, 0)
     with pytest.raises(ParameterError):
-        model.replicate_stream(0, -2)
+        model.sample_factor(params, 0, -2)
 
 
 def _hand_loop(params, seed, replicates, statistic):
-    factors = (model.sample_factor(params, model.replicate_stream(seed, m)) for m in range(replicates))
+    factors = (model.sample_factor(params, seed, m) for m in range(replicates))
     rows = [statistic(model.assemble_gram(factor)) for factor in factors]
     return np.array(rows).reshape(replicates, -1)
 
@@ -332,22 +352,20 @@ def test_map_replicates_blocks_match_hand_loop(n, replicates):
         assert np.array_equal(model.map_replicates(params, 11, replicates, statistic), expected)
 
 
-def _pool_runs_out(params, seed, m, pool=None):
-    """Whether Cheng's pool of replicate m runs out, its stream as _draws takes it."""
+def _refills(params, seed, m, pool=None):
+    """How often replicate m refills its Cheng array, its stream as _draw_block takes it."""
     _, table, gamma, shapes, _ = model._routes(params)
-    draws = table.shape[1]
-    rng = model.replicate_stream(seed, m)
+    rng = _philox(seed, m)
     if gamma.size:
         rng.standard_gamma(shapes)
-    pool = model._pool_pairs(draws) if pool is None else pool
-    return model._cheng_rounds(table, rng.random((1, 2, draws + pool)))[1] is not None
+    return _cheng_draws(table, seed, m, rng, pool)[1]
 
 
 def test_map_replicates_redrawn_rows_match_hand_loop():
     # at beta = 1e-4 the smallest shape is 5e-5, where Cheng's BA accepts
     # about a quarter of its tries, and the pools of some replicates run out
     params = bj.from_ratios(20, 1e-4, 2.0, 3.0)
-    assert 0 < sum(_pool_runs_out(params, 11, m) for m in range(200)) < 200
+    assert 0 < sum(_refills(params, 11, m) > 0 for m in range(200)) < 200
     statistic = lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)
     expected = _hand_loop(params, 11, 200, statistic)
     assert np.array_equal(model.map_replicates(params, 11, 200, statistic), expected)
@@ -374,7 +392,7 @@ def test_map_replicates_draws_gamma_pairs_then_cheng_pairs(monkeypatch):
 
     def logged_streams(seed):
         stream = rekeyed(seed)
-        return lambda m: Logged(stream(m), m)
+        return lambda m, pool=0: Logged(stream(m, pool), m)
 
     monkeypatch.setattr(model, "_rekeyed_streams", logged_streams)
     statistic = lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)
@@ -383,10 +401,10 @@ def test_map_replicates_draws_gamma_pairs_then_cheng_pairs(monkeypatch):
     assert np.array_equal(rows, _hand_loop(params, 4, replicates, statistic))
     table = model._cheng_table(np.array([2.0**24]), np.array([2.0]))
     for m in range(replicates):
-        rng = model.replicate_stream(4, m)
+        rng = _philox(4, m)
         g = rng.standard_gamma([2.0**24 + 1, 3.0, 1.0, 2.0**24 + 2])
-        (x,) = model._cheng_draws(table, rng)
-        factor = model.sample_factor(params, model.replicate_stream(4, m))
+        (x,), _ = _cheng_draws(table, 4, m, rng)
+        factor = model.sample_factor(params, 4, m)
         assert factor.raw_c.tolist() == [x, g[0] / (g[0] + g[1])]
         assert factor.raw_cp.tolist() == [g[2] / (g[2] + g[3])]
 
@@ -612,15 +630,20 @@ def test_workers_do_not_flush_inherited_stdout():
 
 
 def test_rekeyed_stream_equals_replicate_stream():
+    # pool j of replicate m: numpy's Philox keyed by (seed, m), counter word 1 at j
     seed = 2**64 - 1
     stream = model._rekeyed_streams(seed)
     for m in (0, 1, 7, 2**40):
-        expected, rng = model.replicate_stream(seed, m), stream(m)
-        # a 32-bit draw leaves half a word buffered for the next re-key to drop
-        assert rng.integers(0, 2**31, dtype=np.int32) == expected.integers(0, 2**31, dtype=np.int32)
-        shapes = np.full(9, 0.4)
-        assert np.array_equal(rng.standard_gamma(shapes), expected.standard_gamma(shapes))
-        assert rng.random() == expected.random()
+        for j in (0, 1, 2):
+            key = np.array([seed, m], dtype=np.uint64)
+            expected = np.random.Generator(np.random.Philox(key=key, counter=[0, j, 0, 0]))
+            rng = stream(m) if j == 0 else stream(m, j)
+            # a 32-bit draw leaves half a word buffered for the next re-key to drop
+            assert (rng.integers(0, 2**31, dtype=np.int32)
+                    == expected.integers(0, 2**31, dtype=np.int32))
+            shapes = np.full(9, 0.4)
+            assert np.array_equal(rng.standard_gamma(shapes), expected.standard_gamma(shapes))
+            assert rng.random() == expected.random()
     with pytest.raises(ParameterError):
         model._rekeyed_streams(-1)
 
@@ -640,7 +663,7 @@ def test_cheng_draws_follow_the_beta_law(a, b):
 
     count = 200_000
     table = model._cheng_table(np.full(count, a), np.full(count, b))
-    draws = model._cheng_draws(table, model.replicate_stream(2024, 0))
+    draws, _ = _cheng_draws(table, 2024, 0)
     assert np.all((draws > 0.0) & (draws <= 1.0))
     law = stats.beta(a, b)
     mean, var, kurt = (float(m) for m in law.stats(moments="mvk"))
@@ -687,7 +710,7 @@ def test_cheng_draws_follow_the_beta_law_at_small_shapes(a, b):
 
     table = model._cheng_table(np.array([a]), np.array([b]))
     assert len(table) == (6 if min(a, b) < model._EXPM1_MIN_SHAPE else 5)
-    u1, u2 = model.replicate_stream(2025, 0).random((2, 400_000))
+    u1, u2 = _philox(2025, 0).random((2, 400_000))
     accepted, v, spread = model._cheng_try(u1, u2, table)
     log_x = (table[4] + v - spread)[accepted]
     log_y = (np.log(b / (a + b)) - spread)[accepted]
@@ -700,10 +723,10 @@ def test_cheng_draws_follow_the_beta_law_at_small_shapes(a, b):
         var, third = (special.polygamma(k, first) - special.polygamma(k, a + b) for k in (1, 2))
         gate = 4.17 if abs(third) / var**1.5 / np.sqrt(count) <= 0.25 else 180.0
         assert abs(logs.mean() - mean) / np.sqrt(var / count) <= gate
-    # the draws of the whole route, pool and fresh rounds, on the scale of x
+    # the draws of the whole route, first array and refills, on the scale of x
     count = 100_000
-    draws = model._cheng_draws(model._cheng_table(np.full(count, a), np.full(count, b)),
-                               model.replicate_stream(2025, 1))
+    table = model._cheng_table(np.full(count, a), np.full(count, b))
+    draws, _ = _cheng_draws(table, 2025, 1)
     assert np.all((draws >= 0.0) & (draws <= 1.0))
     var = a * b / ((a + b) ** 2 * (a + b + 1.0))
     assert abs(draws.mean() - a / (a + b)) / np.sqrt(var / count) <= 4.17
@@ -729,20 +752,24 @@ def test_route_is_chosen_by_the_shape_range(first, second, cheng):
     assert [s.tolist() for s in model.beta_shapes(params)] == [[first], [second]]
     cheng_pairs, _, gamma_pairs, shapes, _ = model._routes(params)
     assert (cheng_pairs.tolist(), gamma_pairs.tolist()) == (([0], []) if cheng else ([], [0]))
-    factor = model.sample_factor(params, model.replicate_stream(3, 0))
-    rng = model.replicate_stream(3, 0)
+    factor = model.sample_factor(params, 3, 0)
     if cheng:
-        expected = model._cheng_draws(model._cheng_table(np.array([first]), np.array([second])), rng)
+        expected, _ = _cheng_draws(model._cheng_table(np.array([first]), np.array([second])), 3, 0)
     else:
-        g = rng.standard_gamma(shapes)
+        g = _philox(3, 0).standard_gamma(shapes)
         expected = g[:1] / (g[:1] + g[1:])
     assert np.array_equal(factor.raw_c, expected)
 
 
-def _layout_oracle(table, rng, pool):
-    """Cheng's draws of one replicate by the stream layout, one try at a time."""
+# at beta = 1e-3 and n = 64 every replicate's array runs out: each refills once
+# with the default pool, two or three times with none
+_TINY = bj.from_ratios(64, 1e-3, 2.0, 2.0)
+
+
+def _layout_oracle(table, seed, m, pool):
+    """Cheng's draws of replicate m by the stream layout, one try at a time."""
     draws = table.shape[1]
-    x, pairs = np.empty(draws), rng.random((2, draws + pool))
+    x, pairs, refills = np.empty(draws), _philox(seed, m).random((2, draws + pool)), 0
 
     def accepted(j, u1, u2):
         ok, value = model._cheng_step(np.array([u1]), np.array([u2]), table[:, j : j + 1])
@@ -751,29 +778,37 @@ def _layout_oracle(table, rng, pool):
 
     pending = [j for j in range(draws) if not accepted(j, *pairs[:, j])]
     used = draws
-    while pending and used + len(pending) <= draws + pool:
+    while pending:
+        if used + len(pending) > draws + pool:
+            refills += 1
+            pairs, used = _philox(seed, m, refills).random((2, draws + pool)), 0
         tries = zip(pending, range(used, used + len(pending)))
         used += len(pending)
         pending = [j for j, k in tries if not accepted(j, *pairs[:, k])]
-    while pending:
-        fresh = rng.random((2, len(pending)))
-        pending = [j for i, j in enumerate(pending) if not accepted(j, *fresh[:, i])]
     return x
 
 
 @pytest.mark.parametrize("pool", [None, 0, 3, 5, 10])
 def test_cheng_draws_follow_the_stream_layout(monkeypatch, pool):
-    # pair j first, then the pool's pairs in column order round after round,
-    # then fresh pairs once a round does not fit.  3 to 10 of the 59 first
+    # pair j first, then the pool's pairs in column order round after round;
+    # a round that does not fit takes a whole new array from the next pool
+    # and starts at its column 0.  At beta = 1, 3 to 10 of the 59 first
     # tries fail in these replicates; with 5 spare pairs, the 5 of replicate
-    # 1 fill its pool exactly, and with 10, replicate 2 runs out
-    table = model._routes(bj.from_ratios(30, 1.0, 2.0, 3.0))[1]
-    if pool is None:
-        pool = model._pool_pairs(table.shape[1])
-    monkeypatch.setattr(model, "_pool_pairs", lambda draws: pool)
-    for m in range(4):
-        expected = _layout_oracle(table, model.replicate_stream(8, m), pool)
-        assert np.array_equal(model._cheng_draws(table, model.replicate_stream(8, m)), expected)
+    # 1 fill its pool exactly, and with 10, replicate 2 runs out.  At beta =
+    # 1e-3 each replicate refills once with the default pool and two or
+    # three times with the others.  Every pair is Cheng's, so the draws are
+    # the factor's, in beta_shapes order
+    for params in (bj.from_ratios(30, 1.0, 2.0, 3.0), _TINY):
+        table = model._routes(params)[1]
+        size = model._pool_pairs(table.shape[1]) if pool is None else pool
+        monkeypatch.setattr(model, "_pool_pairs", lambda draws: size)
+        raw_c, raw_cp = model._draw_block(params, model._rekeyed_streams(8), 0, 4)
+        for m in range(4):
+            expected = _layout_oracle(table, 8, m, size)
+            factor = model.sample_factor(params, 8, m)
+            assert np.array_equal(np.concatenate([factor.raw_c, factor.raw_cp]), expected)
+            assert np.array_equal(np.concatenate([raw_c[m], raw_cp[m]]), expected)
+        monkeypatch.undo()
 
 
 # a set with gamma pairs and Cheng pairs of shapes down to 3.7e-9 in one
@@ -782,15 +817,15 @@ _MIXED = bj.EnsembleParams(n=64, beta=2.0**20, n1=63 + 1e-14, n2=63 + 1e-14)
 
 
 # spare pairs per replicate: none, so that every replicate with a rejected
-# draw stops; one, three and five, so that replicates stop in their first
-# retry round or in a later one
+# draw refills; one, three and five, so that replicates refill in their
+# first retry round or in a later one
 @pytest.mark.parametrize("pool", [0, 1, 3, 5])
 def test_map_replicates_rows_match_sample_factor_when_pools_run_out(monkeypatch, pool):
     replicates = 45
     statistic = lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)
-    for params in (bj.from_ratios(20, 1.0, 2.0, 3.0), _MIXED):
+    for params in (bj.from_ratios(20, 1.0, 2.0, 3.0), _MIXED, _TINY):
         monkeypatch.setattr(model, "_pool_pairs", lambda draws: pool)
-        assert any(_pool_runs_out(params, 11, m, pool) for m in range(replicates))
+        assert any(_refills(params, 11, m, pool) for m in range(replicates))
         expected = _hand_loop(params, 11, replicates, statistic)
         for block in (1, 7, model._BLOCK_ELEMENTS // params.n):
             monkeypatch.setattr(model, "_BLOCK_ELEMENTS", block * params.n)
@@ -808,7 +843,7 @@ def test_mixed_set_draws_fast():
     a, b = model.beta_shapes(_MIXED)
     assert cheng.size and gamma.size and max(a[0], b[0]) < 4e-9
     clock = time.process_time()
-    model.sample_factor(_MIXED, model.replicate_stream(0, 1))
+    model.sample_factor(_MIXED, 0, 1)
     assert time.process_time() - clock < 0.1
 
 
@@ -827,7 +862,7 @@ def test_map_replicates_makes_one_random_call_per_replicate(monkeypatch):
 
     def logged_streams(seed):
         stream = rekeyed(seed)
-        return lambda m: Logged(stream(m), m)
+        return lambda m, pool=0: Logged(stream(m, pool), m)
 
     monkeypatch.setattr(model, "_rekeyed_streams", logged_streams)
     statistic = lambda gram: gram.diag.sum(axis=-1)
@@ -836,10 +871,40 @@ def test_map_replicates_makes_one_random_call_per_replicate(monkeypatch):
     assert np.array_equal(rows, _hand_loop(params, 6, replicates, statistic))
 
 
+@pytest.mark.parametrize("pool", [None, 0])
+def test_refills_come_from_the_next_pools_in_order(monkeypatch, pool):
+    # at beta = 1e-3 every replicate runs out of its first array: it makes
+    # its first call on pool 0 once, then refills from pools 1, 2, ... in
+    # turn, two or three of them with no spare pairs
+    if pool is not None:
+        monkeypatch.setattr(model, "_pool_pairs", lambda draws: pool)
+    replicates, calls = 40, []
+    rekeyed = model._rekeyed_streams
+
+    def logged_streams(seed):
+        stream = rekeyed(seed)
+
+        def logged(m, pool=0):
+            calls.append((m, pool))
+            return stream(m, pool)
+
+        return logged
+
+    monkeypatch.setattr(model, "_rekeyed_streams", logged_streams)
+    statistic = lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)
+    rows = model.map_replicates(_TINY, 6, replicates, statistic)
+    assert [m for m, j in calls if j == 0] == list(range(replicates))
+    refills = [[j for r, j in calls if r == m and j > 0] for m in range(replicates)]
+    assert refills == [list(range(1, _refills(_TINY, 6, m, pool) + 1)) for m in range(replicates)]
+    assert min(map(len, refills)) >= 1 and max(map(len, refills)) >= (1 if pool is None else 3)
+    monkeypatch.setattr(model, "_rekeyed_streams", rekeyed)
+    assert np.array_equal(rows, _hand_loop(_TINY, 6, replicates, statistic))
+
+
 def _stacked_gram(params, seed, count):
     """The Gram matrices of replicates 0..count-1 as one stack, formed from
     their stacked draws as map_replicates forms them, and their factors."""
-    factors = [model.sample_factor(params, model.replicate_stream(seed, m)) for m in range(count)]
+    factors = [model.sample_factor(params, seed, m) for m in range(count)]
     raw_c = np.array([f.raw_c for f in factors])
     raw_cp = np.array([f.raw_cp for f in factors])
     return model.assemble_gram((raw_c, raw_cp)), factors
@@ -876,7 +941,7 @@ def test_chebyshev_traces_hold_two_band_arrays():
 
     n, K = 400, 400
     gram = model.assemble_gram(
-        model.sample_factor(bj.from_ratios(n, 2.0, 2.0, 2.0), model.replicate_stream(3, 0)))
+        model.sample_factor(bj.from_ratios(n, 2.0, 2.0, 2.0), 3, 0))
     h = (K + 1) // 2
     tracemalloc.start()
     try:
@@ -888,7 +953,7 @@ def test_chebyshev_traces_hold_two_band_arrays():
 
 
 def test_factor_arrays_read_only():
-    factor = model.sample_factor(bj.from_ratios(4, 2.0, 2.0, 2.0), model.replicate_stream(0, 0))
+    factor = model.sample_factor(bj.from_ratios(4, 2.0, 2.0, 2.0), 0, 0)
     with pytest.raises(ValueError):
         factor.diag[0] = 1.0
 
@@ -897,12 +962,12 @@ def test_frobenius_gap_zero_on_identical():
     params = bj.from_ratios(20, 2.0, 2.0, 2.0)
     det = model.assemble_gram(model.deterministic_factor(params))
     assert model.frobenius_gap_sq(det, det) == 0.0
-    sampled = model.assemble_gram(model.sample_factor(params, model.replicate_stream(1, 0)))
+    sampled = model.assemble_gram(model.sample_factor(params, 1, 0))
     assert model.frobenius_gap_sq(sampled, det) >= 0.0
 
 
 def test_dump_factor_csv(tmp_path):
-    factor = model.sample_factor(bj.from_ratios(5, 2.0, 2.0, 2.0), model.replicate_stream(0, 0))
+    factor = model.sample_factor(bj.from_ratios(5, 2.0, 2.0, 2.0), 0, 0)
     path = tmp_path / "factor.csv"
     model.dump_factor_csv(factor, path)
     lines = path.read_text().strip().splitlines()

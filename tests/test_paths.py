@@ -104,14 +104,14 @@ def test_partial_derivatives():
 
 
 def test_trace_via_paths_scalar_case():
-    factor = model.sample_factor(bj.from_ratios(1, 2.0, 2.0, 2.0), model.replicate_stream(0, 0))
+    factor = model.sample_factor(bj.from_ratios(1, 2.0, 2.0, 2.0), 0, 0)
     c_sq = factor.raw_c[0]
     for k in (1, 2, 3):
         assert paths.trace_via_paths(factor, k) == pytest.approx(c_sq**k, rel=1e-14)
 
 
 def test_trace_via_paths_two_by_two_hand_formula():
-    factor = model.sample_factor(bj.from_ratios(2, 2.0, 2.0, 2.0), model.replicate_stream(1, 0))
+    factor = model.sample_factor(bj.from_ratios(2, 2.0, 2.0, 2.0), 1, 0)
     c1, c2 = factor.raw_c
     cp1 = factor.raw_cp[0]
     expected = c2 * (1 - cp1) + (1 - c1) * cp1 + c1
@@ -122,7 +122,7 @@ def test_trace_via_paths_dense_oracle():
     # at n = 1, 2, 3 the factor's path of 2n - 1 edges is shorter than some runs
     for rng_idx, n in enumerate((4, 8, 12, 1, 2, 3)):
         factor = model.sample_factor(
-            bj.from_ratios(n, 1.3, 2.1, 3.4), model.replicate_stream(2, rng_idx)
+            bj.from_ratios(n, 1.3, 2.1, 3.4), 2, rng_idx
         )
         A = model.gram_to_dense(model.assemble_gram(factor))
         P = np.eye(n)
@@ -193,7 +193,7 @@ def test_expected_trace_matches_monte_carlo():
     params = bj.from_ratios(n, 2.0, 2.0, 2.0)
     traces = np.empty(reps)
     for m in range(reps):
-        gram = model.assemble_gram(model.sample_factor(params, model.replicate_stream(5, m)))
+        gram = model.assemble_gram(model.sample_factor(params, 5, m))
         traces[m] = gram.diag.sum()
     se = traces.std(ddof=1) / math.sqrt(reps)
     assert abs(traces.mean() - exact) <= 3 * se

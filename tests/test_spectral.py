@@ -304,6 +304,39 @@ def test_stieltjes_quadratic_equation(asym):
         assert abs(resid) <= 1e-10
 
 
+# x = 1 itself and 1e-9 to each side: the old leading term, a 0/0 there, lost
+# 1e-7 to 2.5e-5 relative at 1 +- 1e-9 and refused x = 1.  The gate leaves
+# room for the rounding of lambda_+, which costs the root up to 6e-15 at
+# (0.45, 0.5), where 1 is 0.0025 from lambda_+
+@pytest.mark.parametrize("a, b", [(0.25, 0.25), (0.001, 0.001), (0.3, 0.6), (0.45, 0.5)])
+def test_stieltjes_leading_term_near_one_matches_mpmath(a, b):
+    import mpmath
+
+    asym = bj.shape_params(a, b, 2.0)
+    mpmath.mp.dps = 40
+    A, B = mpmath.mpf(a), mpmath.mpf(b)
+    u, v = mpmath.sqrt(B * (1 - A)), mpmath.sqrt(A * (1 - B))
+    lam_m, lam_p = (u - v) ** 2, (u + v) ** 2
+    for x in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
+        X = mpmath.mpf(x)
+        root = mpmath.sqrt((X - lam_m) * (X - lam_p))
+        if x == 1.0:  # the limit of the quotient below, by its conjugate
+            exact = 2 * (1 - A) / ((A - B) + (1 - 2 * A) * X + root)
+        else:
+            exact = ((A - B) + (1 - 2 * A) * X - root) / (2 * A * X * (1 - X))
+        m0, _ = spectral.stieltjes_pair(x, asym)
+        assert abs(m0 - exact) <= 1e-13 * abs(exact), x
+
+
+@pytest.mark.parametrize("a, b", [(0.25, 0.25), (0.001, 0.001)])
+def test_limit_measures_quadratic_residual_at_small_and_equal_shapes(a, b):
+    # at (1/4, 1/4) the point lambda_+ + 1/4 rounded next to 1, where m0 was
+    # 100 % off (residual 6.8e15); at (0.001, 0.001) lambda_+ + 1 gave 3.9e-9
+    from betajacobi import checks
+
+    assert checks._limit_measures(a, b)["stieltjes_quadratic_residual"] <= 1e-15
+
+
 def test_stieltjes_domain_errors(asym, support):
     with pytest.raises(ParameterError):
         spectral.stieltjes_pair(support.center, asym)

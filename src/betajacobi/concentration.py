@@ -79,15 +79,17 @@ def beta_poincare_ratio(
 _FIRST_NODES = 16
 _MAX_NODES = 1024
 # Two successive rules agree when they differ by at most _GAP_RTOL relative,
-# or by the cancellation floor 2 * _QUANTILE_RTOL * mu * sqrt(gap), whichever
-# is larger.  The integrand (Y - mu - c z)^2 is O(gap) while Y ~ mu = O(1), so
-# a relative error kappa in the sqrt-Beta quantiles moves the gap by about
-# 2 kappa mu sqrt(gap).  Successive rules of 32..1024 nodes at n <= 1e6 and
-# p, q in {1/4, 1/2, 1, 2, 4, 8} differ by up to kappa = 1.0e-16 in this
-# sense at n = 10..1e6 (1.6e-9 relative at n = 1e6, p = 1, q = 2), and by
-# 1.8e-14 at n = 5, p = q = 1/4, where 32 and 64 nodes still differ by
-# quadrature error.  _QUANTILE_RTOL keeps the margin it was set with when
-# scipy's quantiles reached kappa ~ 4.4e-14: twice that, rounded up.
+# or by the cancellation floor 2 * _QUANTILE_RTOL * nu * sqrt(gap), nu =
+# min(p, q) / ((p + q) mu), whichever is larger.  The integrand (Y - mu -
+# c z)^2 is O(gap) and _gaussian_gap forms Y - mu from the smaller of x and
+# 1 - x, so a relative error kappa in the sqrt-Beta quantiles moves the gap
+# by about 2 kappa nu sqrt(gap); nu = mu for p <= q.  Successive rules of
+# 32..1024 nodes at n <= 1e6 and p, q in {1/4, 1/2, 1, 2, 4, 8} differ by up
+# to kappa = 1.0e-16 in this sense at n = 10..1e6 (1.6e-9 relative at n =
+# 1e6, p = 1, q = 2), and by 1.8e-14 at n = 5, p = q = 1/4, where 32 and 64
+# nodes still differ by quadrature error.  _QUANTILE_RTOL keeps the margin
+# it was set with when scipy's quantiles reached kappa ~ 4.4e-14: twice
+# that, rounded up.
 _GAP_RTOL = 1e-8
 _QUANTILE_RTOL = 1e-13
 
@@ -107,11 +109,18 @@ def _gaussian_gap(a: float, b: float, mu: float, slope: float, nodes: int) -> fl
     F is the law of sqrt(Beta(a, b)).  Substituting u = Phi(z) turns the
     quantile integral over u in (0, 1), singular at both ends, into a
     Gaussian expectation with a smooth integrand, which Gauss-Hermite
-    integrates spectrally.
+    integrates spectrally.  Y - mu is (x - m) / (Y + mu), m = a / (a + b),
+    or, for m > 1/2, ((1 - m) - (1 - x)) / (Y + mu) from the Beta(b, a)
+    quantile 1 - x at -z, so that no difference rounds next to 1.
     """
     z, w = spectral.hermite_quadrature(nodes)
-    x = np.array([_beta_quantile(a, b, zi) for zi in z.tolist()])
-    diff = np.sqrt(x) - mu - slope * z
+    if a <= b:
+        x = np.array([_beta_quantile(a, b, zi) for zi in z.tolist()])
+        d = x - a / (a + b)
+    else:
+        y = np.array([_beta_quantile(b, a, -zi) for zi in z.tolist()])
+        x, d = 1.0 - y, b / (a + b) - y
+    diff = d / (np.sqrt(x) + mu) - slope * z
     return float(w @ (diff * diff)) / math.sqrt(2.0 * math.pi)
 
 
@@ -351,12 +360,13 @@ def _check_coupling(n: float, p: float, q: float) -> None:
 def _confirmed_gap(n: float, p: float, q: float, slope: float) -> CouplingReport:
     """Double the Gauss-Hermite rule from _FIRST_NODES until two agree."""
     mu = math.sqrt(p / (p + q))
+    floor = 2.0 * _QUANTILE_RTOL * min(p, q) / (p + q) / mu
     nodes = _FIRST_NODES
     value = _gaussian_gap(n * p, n * q, mu, slope, nodes)
     while 2 * nodes <= _MAX_NODES:
         doubled = _gaussian_gap(n * p, n * q, mu, slope, 2 * nodes)
         diff = abs(value - doubled)
-        if diff <= max(_GAP_RTOL * doubled, 2.0 * _QUANTILE_RTOL * mu * math.sqrt(doubled)):
+        if diff <= max(_GAP_RTOL * doubled, floor * math.sqrt(doubled)):
             return CouplingReport(gap=value, nodes=nodes,
                                   doubling_rel_gap=diff / doubled if doubled > 0 else 0.0)
         nodes, value = 2 * nodes, doubled

@@ -36,13 +36,13 @@ acts row by row exactly as on one matrix (numpy's elementwise log, log1p,
 expm1, logaddexp and exp give an element the same result at any position
 in an array of any length, which the tests check against one try at a
 time), so row m equals sample_factor(params, seed, m), a block of one, bit
-for bit, whatever the block size.  Replicate 0 runs first, alone and timed
-in this process, then, unless it alone costs enough to project from, the
-block of replicates 1..b.  Once that projects the rest at _SHARD_MIN_S of
-CPU time or more, the replicates left are split evenly into contiguous
-ranges over forked workers, up to one per CPU in the affinity mask, which
-write their rows into a shared anonymous mapping; since rows depend on
-(seed, m) alone, the result is the same bit for bit at any worker count.
+for bit, whatever the block size.  Replicate 0 runs first, alone and
+untimed, paying the run's one-off costs; then replicate 1, alone and timed,
+and unless it costs enough to project from, the block 2..b + 1.  The rest
+is split into contiguous ranges, one per process, which write their rows
+into a shared anonymous mapping: forked workers, up to one per CPU in the
+affinity mask, once it is projected at _SHARD_MIN_S of CPU time or more;
+rows depend on (seed, m) alone, so any worker count gives the same bits.
 
 Polynomial linear statistics need no eigensolve: chebyshev_traces returns
 tr T_k((A - cI)/r) for k <= K from the banded Chebyshev recurrence, so any
@@ -112,7 +112,7 @@ _CHENG_MAX_SHAPE = 2.0**24
 _EXPM1_MIN_SHAPE = 0.052
 _LOG4 = float(np.log(4.0))
 # CPU seconds of projected work per process for map_replicates to fork one
-# more, projected from replicate 0 or from the first block (_PROBE_MIN_S).
+# more, projected from replicate 1 or from the block after it (_PROBE_MIN_S).
 # A fork, _exit and waitpid of a process that holds numpy, scipy.linalg and
 # the library (59 MB resident) costs 2.2-3.1 ms of wall and CPU time.  On a
 # 2-core host, fluct n = 64 (Gamma_1, Gamma_2, x) sharded over 2 processes
@@ -123,15 +123,15 @@ _LOG4 = float(np.log(4.0))
 # so a core shared with other processes does not make a small run look
 # large.
 _SHARD_MIN_S = 0.05
-# CPU seconds of replicate 0, run alone as a block of 1, from which
-# map_replicates projects the rest; a cheaper replicate is followed by a
-# full block, and the projection comes from that.  Alone, a replicate also
-# pays a block's fixed cost of about 0.2 ms: the statistic of fluct n = 64
-# (Gamma_1, Gamma_2, x) took 190-410 us alone against 20-27 us per
-# replicate in a block (projecting from it would fork runs of a tenth of
-# _SHARD_MIN_S, which run slower sharded), and 0.44-0.52 ms against
-# 0.32-0.35 ms at n = 2000; a sterf statistic at n = 1000 took 17 ms alone
-# and in a block.  4 ms is 8x above the one and 4x below the other.
+# CPU seconds of replicate 1, run alone as a block of 1 after the untimed
+# replicate 0, from which map_replicates projects the rest; a cheaper one is
+# followed by a full block, and the projection comes from that.  Alone, a
+# replicate also pays a block's fixed cost of about 0.2 ms: the statistic of
+# fluct n = 64 (Gamma_1, Gamma_2, x) took 190-410 us alone against 20-27 us
+# per replicate in a block (projecting from it would fork runs of a tenth of
+# _SHARD_MIN_S, which run slower sharded), and 0.44-0.52 ms against 0.32-0.35
+# ms at n = 2000; a sterf statistic at n = 1000 took 17 ms alone and in a
+# block.  4 ms is 8x above the one and 4x below the other.
 _PROBE_MIN_S = 4e-3
 # glibc maps each allocation of 128 KiB or more on its own and trims the heap
 # past 128 KiB free, so every block of map_replicates faulted in its Beta
@@ -608,18 +608,17 @@ def map_replicates(
     m), a block of one, so the (replicates, k) result is bit-identical
     whatever the block size.
 
-    Replicate 0 runs here first, alone, timed in CPU seconds; it also checks
-    the statistic's row shape.  When it takes at least _PROBE_MIN_S, the
-    rest is projected from it; otherwise replicates 1..b run here as one
-    block and the rest is projected from that block.  When the rest is
-    projected to take at least _SHARD_MIN_S, the replicates left are split
-    evenly into contiguous ranges, one per process (see _worker_count), each
-    run in blocks of b from its own start: this process fills the first
-    range while forked workers fill the others, writing their rows into a
-    shared anonymous mapping.  Rows depend on (seed, m) alone, so the result
-    is bit-identical at any worker count; a worker that fails has its range
-    redone here, which gives its rows, or raises its error, as a serial run
-    would.
+    Replicate 0 runs here first, alone and untimed: it pays the one-off
+    costs (imports, caches, the first BLAS call) and checks the row shape.
+    Replicate 1 then runs alone, timed in CPU seconds; when it takes at
+    least _PROBE_MIN_S, the rest is projected from it, else from the block
+    2..b + 1 run next.  The replicates left are split evenly into
+    contiguous ranges, one per process (see _worker_count), each run in
+    blocks of b from its own start into a shared anonymous mapping: this
+    process fills the first range, forked workers the others.  Rows depend
+    on (seed, m) alone, so the result is bit-identical at any worker count;
+    a worker that fails has its range redone here, which gives its rows, or
+    raises its error, as a serial run would.
     """
     replicates = checked_int("replicates", replicates, 2)
     stream = _rekeyed_streams(seed)
@@ -629,38 +628,27 @@ def map_replicates(
     def run(lo: int, hi: int, size: int = block):
         return _block_rows(statistic, params, stream, lo, hi, size)
 
+    head = [next(run(0, 1, 1))]  # untimed: pays the imports, caches and first BLAS call
     clock = time.process_time()
-    head = [next(run(0, 1, 1))]
+    head.append(next(run(1, 2, 1)))
     each = time.process_time() - clock  # CPU seconds per replicate
-    blocks = run(1, replicates)
-    if each < _PROBE_MIN_S:
+    if each < _PROBE_MIN_S and replicates > 2:
         clock = time.process_time()
-        head.append(next(blocks))
+        head.append(next(run(2, replicates)))
         each = (time.process_time() - clock) / head[-1][1].shape[0]
     start, rows = head[-1]
     done = start + rows.shape[0]
     left = replicates - done
     workers = _worker_count(left, each * left)
     shape = (replicates, rows.shape[1])
-    if workers > 1:
-        shared = mmap.mmap(-1, max(1, 8 * shape[0] * shape[1]))  # MAP_SHARED
-        out = np.frombuffer(shared, count=shape[0] * shape[1]).reshape(shape)
-    else:
-        out = np.empty(shape)
+    shared = mmap.mmap(-1, max(1, 8 * shape[0] * shape[1]))  # MAP_SHARED
+    out = np.frombuffer(shared, count=shape[0] * shape[1]).reshape(shape)
 
     def put(blocks) -> None:
         for start, rows in blocks:
             out[start : start + rows.shape[0]] = rows
 
     put(head)
-    if workers == 1:
-        # one generator for every full block, so each block's arrays live
-        # until the next block's replace them, as in a plain loop; freed
-        # between blocks, the allocator handed their memory back and faulted
-        # it in again (fluct n = 64, 5000 replicates: 10k minor faults in
-        # place of 4k, 7 % more wall time)
-        put(blocks)
-        return out
     cuts = [done + left * w // workers for w in range(workers + 1)]
     _sharded(lambda lo, hi: put(run(lo, hi)), list(zip(cuts, cuts[1:])))
     return out.copy()

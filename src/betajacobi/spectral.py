@@ -227,11 +227,6 @@ def trace_statistic(
             center, half_width = funcs[0].chebyshev.center, funcs[0].chebyshev.half_width
         rows = _chebyshev_rows([f.chebyshev for f in funcs], center, half_width)
         return lambda grams: model.chebyshev_sums(grams, rows, center, half_width)
-    # eig.dsterf's module, loaded here and not at its first call, so that
-    # map_replicates projects a run from the solves of replicate 0 and not
-    # from this import (248 ms against 17 ms per solve at n = 1000)
-    import scipy.linalg.lapack  # noqa: F401
-
     def spectrum_sums(grams):
         spectra = (eig.eigenvalues(gram).values for gram in grams)
         return np.array([[float(np.sum(f(lam))) for f in funcs] for lam in spectra])

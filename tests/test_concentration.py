@@ -116,6 +116,15 @@ def test_coupling_gap_asymmetric_shapes():
     assert conc.coupling_gap(200, 2.0, 3.0) >= 0.0
 
 
+@pytest.mark.parametrize("n", [100, 10**6])
+def test_coupling_gap_keeps_its_digits_at_large_p_over_q(n):
+    # the gap falls as (q / p)^2, with relative corrections of order q / p;
+    # forming Y - mu next to 1 left (p/q)^2 gap off by 9.2e-5 to 3.6 at
+    # n = 100 and by up to 4.5e6 times at n = 10^6
+    scaled = [ratio * ratio * conc.coupling_gap(n, ratio, 1.0) for ratio in (1e10, 1e12, 1e14)]
+    assert max(scaled) - min(scaled) <= 1e-8 * min(scaled), scaled
+
+
 def test_coupling_gap_domain():
     with pytest.raises(ParameterError):
         conc.coupling_gap(1, 0.25, 0.25)  # n <= 1/p

@@ -1,6 +1,7 @@
 """The command line imports no scipy module; a route loads it when it calls it,
 and the polynomial routes and the coupling gap load none.  A sterf statistic
-loads it when it is built, before map_replicates times its first replicate.
+loads it at its first solve, inside the untimed replicate 0 of map_replicates,
+so the run is projected from its solves alone.
 
 Each case runs in a fresh interpreter, so no other test's imports count.
 No module of the package reads another's private names: a module's layout
@@ -84,11 +85,11 @@ print(json.dumps([loaded, projected, model._SHARD_MIN_S]))
 
 
 def test_sterf_run_projects_its_solves_not_the_scipy_import():
-    # 7 replicates of about 0.5 ms each are left after the probe of replicates
-    # 0..128; a replicate 0 that paid the 0.2-0.35 s import would project them
-    # from it alone, to 1.5 s or more
+    # 6 replicates of about 0.5 ms each are left after the probe of replicates
+    # 0..129; a timed replicate 0 that paid the 0.2-0.35 s import would
+    # project them from it alone, to 1.2 s or more
     loaded, projected, shard_min_s = _fresh(script=SHARD_PROBE)
-    assert loaded and len(projected) == 1 and projected[0] < shard_min_s
+    assert not loaded and len(projected) == 1 and projected[0] < shard_min_s
 
 
 def _private_reaches(path):

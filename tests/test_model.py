@@ -441,8 +441,8 @@ def _log_forks(monkeypatch, cpus, block=8, n=20):
 
 def _shard_over(monkeypatch, cpus, probe="block", n=20):
     """Force map_replicates to shard over cpus processes in blocks of 8
-    replicates of order n, projecting from replicate 0 alone (probe "one")
-    or from the block of replicates 1..8 after it ("block")."""
+    replicates of order n, projecting from replicate 1 alone (probe "one")
+    or from the block of replicates 2..9 after it ("block")."""
     monkeypatch.setattr(model, "_SHARD_MIN_S", 1e-12)
     monkeypatch.setattr(model, "_PROBE_MIN_S", 0.0 if probe == "one" else np.inf)
     return _log_forks(monkeypatch, cpus, n=n)
@@ -464,10 +464,10 @@ def _sharding_cases():
     }
 
 
-# forked ranges of 45 replicates: the replicates left after replicate 0
-# ("one") or after replicates 0..8 ("block") split evenly, so no worker's
-# range starts on a multiple of the block size 8
-_SHARDED_RANGES = {("one", 2): [(23, 45)], ("one", 3): [(15, 30), (30, 45)],
+# forked ranges of 45 replicates: the replicates left after replicates 0
+# and 1 ("one") or after replicates 0..9 ("block") split evenly, so no
+# worker's range starts where a block of the serial run does (2 + 8j)
+_SHARDED_RANGES = {("one", 2): [(23, 45)], ("one", 3): [(16, 30), (30, 45)],
                    ("block", 2): [(27, 45)], ("block", 3): [(21, 33), (33, 45)]}
 
 
@@ -486,18 +486,18 @@ def test_sharded_rows_equal_serial_rows(monkeypatch, case, cpus):
         assert sharded.shape == serial.shape and np.array_equal(sharded, serial)
 
 
-# (the probe the rest is projected from: replicate 0 alone ("one") or the
-# block of replicates 1..8 after it ("block"); the CPU time of the rest, in
+# (the probe the rest is projected from: replicate 1 alone ("one") or the
+# block of replicates 2..9 after it ("block"); the CPU time of the rest, in
 # units of _SHARD_MIN_S; CPUs; replicates; forked ranges).  Each replicate
 # costs that time over the replicates left after the probe.  1.5 units fork
 # one worker, on 3 CPUs as on 2: one process more runs per whole unit.
 @pytest.mark.parametrize("probe, units, cpus, replicates, ranges", [
-    ("one", 4.5, 2, 45, [(23, 45)]), ("block", 4.5, 2, 200, [(104, 200)]),
+    ("one", 4.5, 2, 45, [(23, 45)]), ("block", 4.5, 2, 200, [(105, 200)]),
     ("block", 2.5, 3, 45, [(21, 33), (33, 45)]), ("block", 1.5, 2, 45, [(27, 45)]),
     ("block", 1.5, 3, 45, [(27, 45)]), ("block", 0.5, 2, 45, [])])
 def test_fork_decision_follows_the_probe(monkeypatch, probe, units, cpus, replicates, ranges):
     forked = _log_forks(monkeypatch, cpus)
-    done = 1 if probe == "one" else 9
+    done = 2 if probe == "one" else 10
     cost = units * model._SHARD_MIN_S / (replicates - done)
     assert (cost >= model._PROBE_MIN_S) == (probe == "one")
     clock, sizes, parent = [0.0], [], os.getpid()
@@ -521,13 +521,50 @@ def test_fork_decision_follows_the_probe(monkeypatch, probe, units, cpus, replic
     params = bj.from_ratios(20, 2.0, 2.0, 3.0)
     rows = model.map_replicates(params, 11, replicates, statistic)
     assert forked == ranges
-    # the statistic runs here on the probe alone before the first fork
-    assert before_fork == [1 if probe == "one" else 2] * len(ranges)
-    # replicate 0 alone, then blocks of 8 from replicate 1 up to the first fork
+    # the statistic runs here on the warm-up and the probe alone before the first fork
+    assert before_fork == [2 if probe == "one" else 3] * len(ranges)
+    # replicates 0 and 1 alone, then blocks of 8 from replicate 2 up to the first fork
     end = ranges[0][0] if ranges else replicates
-    assert sizes == [1] + [min(8, end - start) for start in range(1, end, 8)]
+    assert sizes == [1, 1] + [min(8, end - start) for start in range(2, end, 8)]
     expected = _hand_loop(params, 11, replicates, lambda gram: gram.diag.sum(axis=-1))
     assert np.array_equal(rows, expected)
+
+
+def test_one_off_cost_of_replicate_0_forks_nothing(monkeypatch):
+    # the first statistic call pays a one-off CPU second, as an import would;
+    # the 45 replicates cost a tenth of _SHARD_MIN_S in all
+    forked = _log_forks(monkeypatch, 4)
+    clock, calls = [0.0], []
+    monkeypatch.setattr(model, "time", types.SimpleNamespace(process_time=lambda: clock[0]))
+
+    def statistic(gram):
+        b = gram.diag.shape[0]
+        clock[0] += (0.0 if calls else 1.0) + b * 0.1 * model._SHARD_MIN_S / 45
+        calls.append(b)
+        return gram.diag.sum(axis=-1)
+
+    params = bj.from_ratios(20, 2.0, 2.0, 3.0)
+    rows = model.map_replicates(params, 11, 45, statistic)
+    assert forked == []
+    expected = _hand_loop(params, 11, 45, lambda gram: gram.diag.sum(axis=-1))
+    assert np.array_equal(rows, expected)
+
+
+# (replicates, block size): two or three replicates leave at most one
+# replicate after the probe, so even a forced shard has one range
+@pytest.mark.parametrize("replicates, block", [(2, 1), (2, 8), (3, 1), (3, 8)])
+@pytest.mark.parametrize("forced", [False, True], ids=["serial", "forced-shard"])
+def test_two_or_three_replicates_equal_sample_factor(monkeypatch, replicates, block, forced):
+    params = bj.from_ratios(20, 2.0, 2.0, 3.0)
+    if forced:
+        forked = _shard_over(monkeypatch, 3)
+        monkeypatch.setattr(model, "_BLOCK_ELEMENTS", block * params.n)
+    else:
+        forked = _log_forks(monkeypatch, 3, block=block, n=params.n)
+    statistic = lambda gram: np.concatenate([gram.diag, gram.off], axis=-1)
+    rows = model.map_replicates(params, 11, replicates, statistic)
+    assert forked == []
+    assert np.array_equal(rows, _hand_loop(params, 11, replicates, statistic))
 
 
 def test_small_runs_stay_in_process(monkeypatch):
@@ -585,9 +622,9 @@ def test_interrupt_kills_and_reaps_workers(monkeypatch):
     def interrupted(gram):
         if os.getpid() == parent:
             calls.append(1)
-            # after replicate 0 and the block 1..8: the first block of this
-            # process's own range
-            if len(calls) == 3:
+            # after replicates 0 and 1 and the block 2..9: the first block of
+            # this process's own range
+            if len(calls) == 4:
                 raise KeyboardInterrupt
         return gram.diag.sum(axis=-1)
 
